@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -25,6 +26,8 @@ from .states import CoinSpinor
 from .verification import DEFAULT_SEED, run_checks
 
 _COIN_OPERATORS: dict[str, CoinOperator] = {"hadamard": hadamard()}
+
+_FORMATS = ("csv", "json")
 
 _SPEC_FIELDS = (
     "re0",
@@ -53,22 +56,46 @@ class RunSpec:
     output: str | None = None
     format: str = "csv"
 
-    def coin(self) -> CoinSpinor:
-        return CoinSpinor(complex(self.re0, self.im0), complex(self.re1, self.im1))
-
-    def to_config(self) -> ExperimentConfig:
-        operator = _COIN_OPERATORS.get(self.coin_operator)
-        if operator is None:
+    def __post_init__(self) -> None:
+        for name in ("re0", "im0", "re1", "im1"):
+            value = getattr(self, name)
+            if not _is_finite_real(value):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+        for name in ("start", "steps"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.coin_operator, str) or (
+            self.coin_operator not in _COIN_OPERATORS
+        ):
             raise ValueError(
                 f"unknown coin operator {self.coin_operator!r}; "
                 f"known: {sorted(_COIN_OPERATORS)}"
             )
+        if self.output is not None and not isinstance(self.output, str):
+            raise ValueError(f"output must be a path string, got {self.output!r}")
+        if self.format not in _FORMATS:
+            raise ValueError(f"format must be one of {list(_FORMATS)}, got {self.format!r}")
+
+    def coin(self) -> CoinSpinor:
+        return CoinSpinor(complex(self.re0, self.im0), complex(self.re1, self.im1))
+
+    def to_config(self) -> ExperimentConfig:
         return ExperimentConfig(
             coin_init=self.coin(),
             steps=self.steps,
             start_position=self.start,
-            coin_operator=operator,
+            coin_operator=_COIN_OPERATORS[self.coin_operator],
         )
+
+
+def _is_finite_real(value: object) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def parse_run_spec(path: Path) -> RunSpec:
@@ -194,7 +221,7 @@ def main() -> None:
 @click.option(
     "--format",
     "output_format",
-    type=click.Choice(["csv", "json"]),
+    type=click.Choice(_FORMATS),
     default=None,
     help="Timeline format  [default: csv]",
 )

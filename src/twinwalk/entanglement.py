@@ -18,7 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .measurement import BranchState
+import numpy as np
+
+from .measurement import PROB_EPS, BranchState
 from .states import SUPPORT_EPS, NORM_TOL
 
 #: Schmidt coefficients below this are dropped before taking logs
@@ -76,6 +78,25 @@ def von_neumann_entropy(spectrum: SchmidtSpectrum) -> float:
         if p > 0.0:
             total -= p * math.log2(p)
     return max(0.0, total)
+
+
+def branch_entropy(amps: np.ndarray) -> tuple[float, float | None, int | None]:
+    """Weight, entropy in bits and kept Schmidt coefficients of one coin branch.
+
+    ``amps`` holds the unnormalized diagonal amplitudes of the branch.  The
+    arithmetic is that of post_measurement, schmidt_spectrum and
+    von_neumann_entropy, vectorized: a branch no heavier than PROB_EPS is
+    absent (entropy and count None), the coefficients are ``|a| / sqrt(weight)``
+    and only those of at least COEFF_EPS enter the entropy.
+    """
+    moduli = np.abs(amps)
+    weight = float(np.sum(moduli * moduli))
+    if weight <= PROB_EPS:
+        return weight, None, None
+    coefficients = moduli / math.sqrt(weight)
+    kept = coefficients[coefficients >= COEFF_EPS]
+    p = kept * kept
+    return weight, max(0.0, float(-np.sum(p * np.log2(p)))), len(kept)
 
 
 def max_entanglement(step: int) -> float:

@@ -7,6 +7,12 @@ both walkers together, so the recorded position index transforms exactly as
 in the one-walker walk and both state shapes share the same site arithmetic.
 The pass is fused (no operator matrices are materialized) and costs
 O(|support|) per step.
+
+``trajectory`` is the same step on two dense numpy arrays, one per coin
+component, in a parity-compacted layout: after t steps index k holds site
+``start - t + 2k``, so only the t + 1 reachable sites are stored.  The sparse
+dict step stays as the reference implementation the array path is tested
+against.
 """
 
 from __future__ import annotations
@@ -14,9 +20,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
-from .states import AmpPair, CorrelatedWalkState, SingleWalkerState
+import numpy as np
+
+from .states import AmpPair, CoinSpinor, CorrelatedWalkState, SingleWalkerState
 
 #: elementwise tolerance on U+ U = I for coin operators
 UNITARITY_TOL = 1e-12
@@ -110,3 +118,32 @@ def evolve_single(
         state = step_single(state, coin)
         snapshots.append(state)
     return snapshots
+
+
+def trajectory(
+    coin_init: CoinSpinor, coin: CoinOperator, n: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Coin-0 and coin-1 amplitude arrays after 0..n steps from a point start.
+
+    The pair yielded for step t has length t + 1, index k holding site
+    ``start - t + 2k`` for whatever start position the caller assigns.  Both
+    arrays are views into buffers that the next step overwrites.
+    """
+    if n < 0:
+        raise ValueError(f"step count must be non-negative, got {n}")
+    coin_init.require_normalized()
+    u00, u01, u10, u11 = coin.u00, coin.u01, coin.u10, coin.u11
+    a0 = np.zeros(n + 1, dtype=np.complex128)
+    a1 = np.zeros(n + 1, dtype=np.complex128)
+    a0[0] = coin_init.amp0
+    a1[0] = coin_init.amp1
+    yield a0[:1], a1[:1]
+    for t in range(1, n + 1):
+        b0 = u00 * a0[:t] + u01 * a1[:t]
+        b1 = u10 * a0[:t] + u11 * a1[:t]
+        # coin 0 moves right (one index up), coin 1 moves left (same index)
+        a0[1 : t + 1] = b0
+        a0[0] = 0.0
+        a1[:t] = b1
+        a1[t] = 0.0
+        yield a0[: t + 1], a1[: t + 1]

@@ -10,20 +10,16 @@ convergence correlates with.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
-from .entanglement import max_entanglement, schmidt_spectrum, von_neumann_entropy
-from .evolution import CoinOperator, evolve_single, hadamard, step
-from .measurement import PROB_EPS, CoinOutcome, post_measurement, outcome_probabilities
-from .states import (
-    CoinSpinor,
-    mean_position,
-    mirror_distance,
-    new_correlated_state,
-    new_single_state,
-    position_distribution,
-)
+import numpy as np
+
+from .entanglement import branch_entropy, entanglement_ratio, max_entanglement
+from .evolution import CoinOperator, hadamard, trajectory
+from .measurement import CoinOutcome
+from .states import CoinSpinor, mirror_total_variation
 
 PRESET_NAMES = ("4a", "4b", "4c", "4d", "4e")
 
@@ -75,45 +71,30 @@ class SymmetryReport:
 
 
 def run_timeline(config: ExperimentConfig) -> list[TimelineRecord]:
-    """Records for t = 1..steps, each computed from the t-step snapshot."""
-    state = new_correlated_state(config.coin_init, config.start_position)
+    """Records for t = 1..steps, each computed from the t-step state.
+
+    The start position only relabels sites, so no record depends on it.
+    """
     records = []
-    for _ in range(config.steps):
-        state = step(state, config.coin_operator)
-        records.append(_record(state))
+    states = trajectory(config.coin_init, config.coin_operator, config.steps)
+    for t, (a0, a1) in enumerate(itertools.islice(states, 1, None), start=1):
+        p0, entropy0, support0 = branch_entropy(a0)
+        p1, entropy1, support1 = branch_entropy(a1)
+        records.append(
+            TimelineRecord(
+                step=t,
+                p0=p0,
+                p1=p1,
+                entropy0=entropy0,
+                entropy1=entropy1,
+                max_entropy=max_entanglement(t),
+                ratio0=None if entropy0 is None else entanglement_ratio(entropy0, t),
+                ratio1=None if entropy1 is None else entanglement_ratio(entropy1, t),
+                support0=support0,
+                support1=support1,
+            )
+        )
     return records
-
-
-def _record(snapshot) -> TimelineRecord:
-    t = snapshot.step
-    p0, p1 = outcome_probabilities(snapshot)
-    bound = max_entanglement(t)
-    entropies: dict[CoinOutcome, float | None] = {}
-    ratios: dict[CoinOutcome, float | None] = {}
-    supports: dict[CoinOutcome, int | None] = {}
-    for outcome, weight in ((CoinOutcome.C0, p0), (CoinOutcome.C1, p1)):
-        if weight > PROB_EPS:
-            spectrum = schmidt_spectrum(post_measurement(snapshot, outcome))
-            entropy = von_neumann_entropy(spectrum)
-            entropies[outcome] = entropy
-            ratios[outcome] = entropy / bound if bound > 0.0 else None
-            supports[outcome] = len(spectrum)
-        else:
-            entropies[outcome] = None
-            ratios[outcome] = None
-            supports[outcome] = None
-    return TimelineRecord(
-        step=t,
-        p0=p0,
-        p1=p1,
-        entropy0=entropies[CoinOutcome.C0],
-        entropy1=entropies[CoinOutcome.C1],
-        max_entropy=bound,
-        ratio0=ratios[CoinOutcome.C0],
-        ratio1=ratios[CoinOutcome.C1],
-        support0=supports[CoinOutcome.C0],
-        support1=supports[CoinOutcome.C1],
-    )
 
 
 def default_window(steps: int) -> int:
@@ -160,20 +141,35 @@ def canonical_initial_states(steps: int = 1000) -> dict[str, ExperimentConfig]:
     }
 
 
+def distribution_symmetry(distribution: dict[int, float], steps: int) -> SymmetryReport:
+    """Balance diagnostics of a ``steps``-step one-walker position distribution."""
+    return SymmetryReport(
+        mean_position_over_t=sum(x * p for x, p in distribution.items()) / steps,
+        mirror_distance=mirror_total_variation(distribution),
+    )
+
+
 def symmetry_report(coin_init: CoinSpinor, steps: int) -> SymmetryReport:
     """Balance diagnostics of the ``steps``-step one-walker Hadamard walk."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    final = evolve_single(new_single_state(coin_init, 0), hadamard(), steps)[-1]
-    return SymmetryReport(
-        mean_position_over_t=mean_position(final) / steps,
-        mirror_distance=mirror_distance(final),
-    )
+    return distribution_symmetry(single_walker_distribution(coin_init, steps), steps)
 
 
 def single_walker_distribution(coin_init: CoinSpinor, steps: int) -> dict[int, float]:
-    """Position distribution of the ``steps``-step one-walker Hadamard walk."""
+    """Position distribution of the ``steps``-step one-walker Hadamard walk.
+
+    The one-walker walk shifts exactly like the two-walker one, so it shares
+    the array trajectory.  Sites never reached (probability exactly 0) are
+    left out, as in the sparse engine.
+    """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    final = evolve_single(new_single_state(coin_init, 0), hadamard(), steps)[-1]
-    return position_distribution(final)
+    for a0, a1 in trajectory(coin_init, hadamard(), steps):
+        pass
+    probabilities = np.abs(a0) ** 2 + np.abs(a1) ** 2
+    return {
+        x: p
+        for x, p in zip(range(-steps, steps + 1, 2), probabilities.tolist())
+        if p != 0.0
+    }

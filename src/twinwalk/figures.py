@@ -10,7 +10,7 @@ the manifest records what every file contains.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .experiment import (
@@ -18,12 +18,13 @@ from .experiment import (
     asymptotic_ratio,
     canonical_initial_states,
     default_window,
+    distribution_symmetry,
     run_timeline,
     single_walker_distribution,
 )
 from .measurement import CoinOutcome
 from .render import format_number, write_text_atomic
-from .states import SUPPORT_EPS, mirror_total_variation
+from .states import SUPPORT_EPS
 
 #: preset plotted and the number of its first figure; each preset spans three
 _FIGURE_GROUPS = (("4a", 1), ("4b", 4), ("4c", 7), ("4e", 10))
@@ -152,7 +153,6 @@ def build_figure_bundle(
                 )
             )
         number = first + 2
-        mean = sum(x * p for x, p in distribution.items()) / steps
         files.append(
             FigureFile(
                 name=_figure_name(number),
@@ -168,10 +168,7 @@ def build_figure_bundle(
                         "ii": "both branch entropy and ratio series vs step",
                     },
                     "asymptotic_ratio": ratios,
-                    "single_walker": {
-                        "mean_position_over_t": mean,
-                        "mirror_distance": mirror_total_variation(distribution),
-                    },
+                    "single_walker": asdict(distribution_symmetry(distribution, steps)),
                 },
             )
         )
@@ -186,7 +183,10 @@ def build_figure_bundle(
 def write_figure_bundle(
     out_dir: Path, steps: int = 1000, window: int | None = None
 ) -> tuple[dict, list[tuple[str, str]]]:
-    """Write the bundle into ``out_dir``; returns (manifest, per-file failures)."""
+    """Write the bundle into ``out_dir``; returns (manifest, per-file failures).
+
+    The manifest lists only the figure files that were written.
+    """
     files, manifest = build_figure_bundle(steps=steps, window=window)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -196,6 +196,7 @@ def write_figure_bundle(
             write_text_atomic(out_dir / figure_file.name, figure_file.text)
         except OSError as exc:
             failures.append((figure_file.name, str(exc)))
+            del manifest["files"][figure_file.name]
     try:
         write_text_atomic(
             out_dir / MANIFEST_NAME,

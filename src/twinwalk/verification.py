@@ -1,8 +1,9 @@
 """Self-checks behind the ``verify`` CLI command.
 
-Each check compares the fast sparse engine against closed-form values or one
-of the independent oracles and reports the worst error it measured, so a
-corrupted engine shows up as a concrete number rather than a silent drift.
+Each check compares the engine (the sparse amplitude maps and the array
+timeline behind ``run_timeline``) against closed-form values or one of the
+independent oracles and reports the worst error it measured, so a corrupted
+engine shows up as a concrete number rather than a silent drift.
 """
 
 from __future__ import annotations
@@ -12,9 +13,8 @@ import random
 from dataclasses import dataclass
 
 from . import evolution
-from .entanglement import schmidt_spectrum, von_neumann_entropy
 from .experiment import ExperimentConfig, canonical_initial_states, run_timeline
-from .measurement import PROB_EPS, CoinOutcome, outcome_probabilities, post_measurement
+from .measurement import CoinOutcome
 from .oracle import dense_evolve, path_sum_table, reduced_entropy
 from .states import CoinSpinor, new_correlated_state, norm, parity_ok, position_distribution
 
@@ -158,11 +158,10 @@ def _check_dense_equivalence(coins: list[CoinSpinor], t_max: int) -> CheckResult
     radius = t_max
     worst = 0.0
     for coin in coins:
-        config = ExperimentConfig(coin_init=coin, steps=max(1, t_max))
+        config = ExperimentConfig(coin_init=coin, steps=t_max)
         tables = _engine_amplitude_tables(coin, t_max)
-        state = new_correlated_state(coin, 0)
-        for t in range(1, t_max + 1):
-            state = evolution.step(state, config.coin_operator)
+        for record in run_timeline(config):
+            t = record.step
             dense = dense_evolve(config, t, radius)
             for x in range(-t, t + 1):
                 for c in (0, 1):
@@ -170,20 +169,15 @@ def _check_dense_equivalence(coins: list[CoinSpinor], t_max: int) -> CheckResult
                         tables[t].get((x, c), 0j) - dense.amplitude(c, x, x)
                     )
                     worst = max(worst, diff)
-            p0, p1 = outcome_probabilities(state)
-            worst = max(
-                worst,
-                abs(p0 - dense.branch_probability(CoinOutcome.C0)),
-                abs(p1 - dense.branch_probability(CoinOutcome.C1)),
-            )
-            for outcome, weight in ((CoinOutcome.C0, p0), (CoinOutcome.C1, p1)):
-                if weight > PROB_EPS:
-                    fast = von_neumann_entropy(
-                        schmidt_spectrum(post_measurement(state, outcome))
-                    )
-                    worst = max(worst, abs(fast - reduced_entropy(dense, outcome)))
+            for outcome, weight, entropy in (
+                (CoinOutcome.C0, record.p0, record.entropy0),
+                (CoinOutcome.C1, record.p1, record.entropy1),
+            ):
+                worst = max(worst, abs(weight - dense.branch_probability(outcome)))
+                if entropy is not None:
+                    worst = max(worst, abs(entropy - reduced_entropy(dense, outcome)))
     return CheckResult(
-        f"sparse path vs dense oracle, t <= {t_max}", worst, 1e-10
+        f"sparse amplitudes and timeline vs dense oracle, t <= {t_max}", worst, 1e-10
     )
 
 

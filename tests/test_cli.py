@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 import twinwalk.evolution
+import twinwalk.experiment
 from twinwalk.cli import RunSpec, main, parse_run_spec, write_run_spec
 from twinwalk.figures import MANIFEST_NAME
 from twinwalk.render import TIMELINE_HEADER
@@ -188,6 +189,59 @@ def test_run_rejects_malformed_spec(runner, tmp_path, content):
     assert result.exit_code != 0
 
 
+VALID_SPEC = {"re0": 1.0, "im0": 0.0, "re1": 0.0, "im1": 0.0, "steps": 3}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("steps", "10"),
+        ("steps", True),
+        ("steps", 2.5),
+        ("start", False),
+        ("start", "0"),
+        ("re0", "1"),
+        ("im0", True),
+        ("re1", None),
+        ("im1", float("nan")),
+        ("re0", float("inf")),
+        ("format", "xml"),
+        ("coin_operator", "grover"),
+        ("coin_operator", ["hadamard"]),
+        ("output", 7),
+    ],
+)
+def test_run_rejects_mistyped_spec_field(runner, tmp_path, field, value):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**VALID_SPEC, field: value}))
+    result = runner.invoke(main, ["run", "--spec", str(spec_path)])
+    # a ClickException: exit code 1 and an error line, not a traceback
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"Error: {field}" in result.output or "unknown coin operator" in result.output
+
+
+def test_run_accepts_integer_coin_fields(runner, tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**VALID_SPEC, "re0": 1, "im0": 0}))
+    result = runner.invoke(main, ["run", "--spec", str(spec_path)])
+    assert result.exit_code == 0, result.output
+
+
+def test_figures_manifest_lists_only_written_files(runner, tmp_path):
+    out_dir = tmp_path / "figs"
+    (out_dir / "fig05.csv").mkdir(parents=True)
+    result = runner.invoke(main, ["figures", "--out-dir", str(out_dir), "--steps", "5"])
+    assert result.exit_code == 1
+    assert "error writing fig05.csv" in result.output
+    manifest = json.loads((out_dir / MANIFEST_NAME).read_text())
+    assert "fig05.csv" not in manifest["files"]
+    assert sorted(manifest["files"]) == [
+        f"fig{n:02d}.csv" for n in range(1, 13) if n != 5
+    ]
+    assert (out_dir / "fig04.csv").is_file()
+
+
 def test_figures_bundle(runner, tmp_path):
     out_dir = tmp_path / "figs"
     result = runner.invoke(
@@ -276,3 +330,16 @@ def test_verify_detects_corrupted_engine(runner, monkeypatch):
     result = runner.invoke(main, ["verify", "--depth", "4", "--random-states", "1"])
     assert result.exit_code != 0
     assert "FAIL" in result.output
+
+
+def test_verify_detects_corrupted_timeline(runner, monkeypatch):
+    true_trajectory = twinwalk.experiment.trajectory
+
+    def damped_trajectory(coin_init, coin, n):
+        for a0, a1 in true_trajectory(coin_init, coin, n):
+            yield a0, 0.9 * a1
+
+    monkeypatch.setattr(twinwalk.experiment, "trajectory", damped_trajectory)
+    result = runner.invoke(main, ["verify", "--depth", "4", "--random-states", "1"])
+    assert result.exit_code != 0
+    assert "FAIL  sparse amplitudes and timeline vs dense oracle" in result.output

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,8 @@ from twinwalk import (
     CoinSpinor,
     ExperimentConfig,
     SchmidtSpectrum,
+    PROB_EPS,
+    EmptyBranchError,
     branch_entanglement,
     entanglement_ratio,
     hadamard,
@@ -20,6 +23,7 @@ from twinwalk import (
     step,
     von_neumann_entropy,
 )
+from twinwalk.entanglement import COEFF_EPS, branch_entropy
 from twinwalk.oracle import dense_evolve, reduced_entropy
 from twinwalk.verification import random_coin_states
 from testutil import diagonal_states
@@ -190,3 +194,36 @@ def test_entropy_matches_dense_oracle_for_random_coins():
                 assert fast == pytest.approx(
                     reduced_entropy(dense, outcome), abs=1e-10
                 )
+
+
+@given(state=diagonal_states(max_step=30))
+@settings(deadline=None)
+def test_branch_entropy_matches_sparse_path(state):
+    sites = sorted(state.amps)
+    for outcome in CoinOutcome:
+        amps = np.array([state.amps[x][outcome.value] for x in sites])
+        weight, entropy, kept = branch_entropy(amps)
+        try:
+            branch = post_measurement(state, outcome)
+        except EmptyBranchError:
+            assert weight <= PROB_EPS
+            assert (entropy, kept) == (None, None)
+            continue
+        assert weight == pytest.approx(branch.probability, abs=1e-15)
+        assert kept == sum(abs(a) >= COEFF_EPS for a in branch.amps.values())
+        try:
+            spectrum = schmidt_spectrum(branch)
+        except ValueError:
+            # SchmidtSpectrum refuses more than NORM_TOL of mass below
+            # COEFF_EPS; branch_entropy keeps the truncated entropy
+            assert entropy >= 0.0
+            continue
+        assert entropy == pytest.approx(von_neumann_entropy(spectrum), abs=1e-12)
+
+
+def test_branch_entropy_drops_tiny_coefficients():
+    weight, entropy, kept = branch_entropy(np.array([S, 0.0, 1e-9j, -S]))
+    assert kept == 2
+    assert entropy == pytest.approx(1.0, abs=1e-12)
+    assert weight == pytest.approx(1.0, abs=1e-15)
+    assert branch_entropy(np.zeros(5, dtype=complex)) == (0.0, None, None)

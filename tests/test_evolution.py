@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twinwalk.evolution import trajectory
 from twinwalk import (
     CoinOperator,
     CoinSpinor,
@@ -20,6 +21,7 @@ from twinwalk import (
 )
 from testutil import (
     amp_table,
+    coin_operators,
     coin_spinors,
     diagonal_states_at,
     evolve_tables,
@@ -195,3 +197,33 @@ def test_mirror_symmetry_between_opposite_basis_coins():
             assert abs(right[t].get((x, c), 0j)) == pytest.approx(
                 abs(left[t].get((-x, 1 - c), 0j)), abs=1e-12
             )
+
+
+@given(
+    coin=coin_spinors(),
+    operator=coin_operators(),
+    steps=st.integers(min_value=0, max_value=40),
+    start=st.integers(min_value=-50, max_value=50),
+)
+@settings(deadline=None, max_examples=40)
+def test_trajectory_layout_matches_sparse_step(coin, operator, steps, start):
+    # index k of the step-t arrays holds site start - t + 2k
+    snapshots = evolve(new_correlated_state(coin, start), operator, steps)
+    arrays = trajectory(coin, operator, steps)
+    for snapshot, (a0, a1) in zip(snapshots, arrays, strict=True):
+        t = snapshot.step
+        assert len(a0) == len(a1) == t + 1
+        table = {
+            (start - t + 2 * k, c): complex(amps[k])
+            for c, amps in enumerate((a0, a1))
+            for k in range(t + 1)
+            if amps[k] != 0
+        }
+        assert max_table_diff(table, amp_table(snapshot)) <= 1e-15
+
+
+def test_trajectory_rejects_bad_input():
+    with pytest.raises(ValueError):
+        next(trajectory(COIN_RIGHT, hadamard(), -1))
+    with pytest.raises(ValueError):
+        next(trajectory(CoinSpinor(1.0, 1.0), hadamard(), 3))

@@ -1,8 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinwalk import (
+    PROB_EPS,
+    CoinOperator,
     CoinOutcome,
     CoinSpinor,
     ExperimentConfig,
@@ -11,9 +15,22 @@ from twinwalk import (
     asymptotic_ratio,
     canonical_initial_states,
     default_window,
+    evolve_single,
+    hadamard,
+    new_correlated_state,
+    new_single_state,
+    outcome_probabilities,
+    position_distribution,
+    post_measurement,
     run_timeline,
+    schmidt_spectrum,
+    single_walker_distribution,
+    step,
     symmetry_report,
+    von_neumann_entropy,
 )
+from twinwalk.entanglement import COEFF_EPS
+from testutil import coin_operators, coin_spinors
 
 S = math.sqrt(0.5)
 
@@ -161,3 +178,119 @@ def test_symmetry_report_balanced_but_asymmetric_coin():
 def test_symmetry_report_rejects_zero_steps():
     with pytest.raises(ValueError):
         symmetry_report(CoinSpinor(1.0, 0.0), 0)
+
+
+#: entropy placeholder for a branch whose sparse Schmidt spectrum is rejected
+REJECTED = "rejected"
+
+
+def dict_engine_timeline(config):
+    """(p0, p1, entropy0, entropy1, support0, support1) per step, sparse engine."""
+    state = new_correlated_state(config.coin_init, config.start_position)
+    rows = []
+    for _ in range(config.steps):
+        state = step(state, config.coin_operator)
+        p0, p1 = outcome_probabilities(state)
+        entropies, supports = [], []
+        for outcome, weight in ((CoinOutcome.C0, p0), (CoinOutcome.C1, p1)):
+            if weight > PROB_EPS:
+                branch = post_measurement(state, outcome)
+                try:
+                    spectrum = schmidt_spectrum(branch)
+                except ValueError:
+                    # more than NORM_TOL of the branch mass lies below COEFF_EPS
+                    entropies.append(REJECTED)
+                    supports.append(
+                        sum(abs(a) >= COEFF_EPS for a in branch.amps.values())
+                    )
+                    continue
+                entropies.append(von_neumann_entropy(spectrum))
+                supports.append(len(spectrum))
+            else:
+                entropies.append(None)
+                supports.append(None)
+        rows.append((p0, p1, *entropies, *supports))
+    return rows
+
+
+def assert_matches_dict_engine(config):
+    timeline = run_timeline(config)
+    reference = dict_engine_timeline(config)
+    assert [r.step for r in timeline] == list(range(1, config.steps + 1))
+    for record, (p0, p1, e0, e1, n0, n1) in zip(timeline, reference, strict=True):
+        assert abs(record.p0 - p0) <= 1e-13
+        assert abs(record.p1 - p1) <= 1e-13
+        assert (record.support0, record.support1) == (n0, n1)
+        for got, want, ratio in (
+            (record.entropy0, e0, record.ratio0),
+            (record.entropy1, e1, record.ratio1),
+        ):
+            assert (got is None) == (want is None)
+            if want is REJECTED:
+                assert got >= 0.0
+            elif want is not None:
+                assert abs(got - want) <= 1e-12
+            if got is None or record.step == 1:
+                assert ratio is None
+            else:
+                assert ratio == got / record.max_entropy
+
+
+@given(
+    coin=coin_spinors(),
+    operator=coin_operators(),
+    steps=st.integers(min_value=1, max_value=200),
+    start=st.integers(min_value=-1000, max_value=1000),
+)
+@settings(deadline=None, max_examples=30)
+def test_array_timeline_matches_dict_engine(coin, operator, steps, start):
+    assert_matches_dict_engine(
+        ExperimentConfig(
+            coin_init=coin, steps=steps, start_position=start, coin_operator=operator
+        )
+    )
+
+
+def test_array_timeline_keeps_branch_the_sparse_spectrum_rejects():
+    # a near-identity coin leaves one dominant site per branch; at t = 115 the
+    # coin-1 branch has just over NORM_TOL of its mass in coefficients below
+    # COEFF_EPS, which SchmidtSpectrum refuses and the array path truncates
+    theta = 1.1920928959999971e-07
+    c = math.sqrt(1.0 - theta * theta)
+    config = ExperimentConfig(
+        coin_init=CoinSpinor(0.6178215519319035j, 0.7863183388224225j),
+        steps=115,
+        coin_operator=CoinOperator(c, theta, -theta, c),
+    )
+    assert dict_engine_timeline(config)[-1][3] is REJECTED
+    last = run_timeline(config)[-1]
+    assert last.support1 == 1
+    assert 0.0 <= last.entropy1 < 1e-11
+    assert_matches_dict_engine(config)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_array_timeline_matches_dict_engine_on_presets(name):
+    config = canonical_initial_states(steps=200)[name]
+    assert_matches_dict_engine(config)
+
+
+def test_array_timeline_reports_absent_branch():
+    # (|0> + |1>)/sqrt(2) under the Hadamard coin is |0> after one step
+    config = ExperimentConfig(coin_init=CoinSpinor(S, S), steps=4, start_position=3)
+    first = run_timeline(config)[0]
+    assert (first.p1, first.entropy1, first.ratio1, first.support1) == (
+        0.0, None, None, None
+    )
+    assert_matches_dict_engine(config)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 57, 200])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_single_walker_distribution_matches_dict_engine(name, steps):
+    coin = canonical_initial_states(steps=1)[name].coin_init
+    final = evolve_single(new_single_state(coin, 0), hadamard(), steps)[-1]
+    expected = position_distribution(final)
+    got = single_walker_distribution(coin, steps)
+    for x in set(expected) | set(got):
+        assert abs(got.get(x, 0.0) - expected.get(x, 0.0)) <= 1e-15

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from hypothesis import assume
 from hypothesis import strategies as st
 
 from twinwalk import (
+    CoinOperator,
     CoinSpinor,
     CorrelatedWalkState,
     hadamard,
@@ -26,6 +28,21 @@ def coin_spinors(draw) -> CoinSpinor:
     return CoinSpinor(
         complex(parts[0], parts[1]) / scale,
         complex(parts[2], parts[3]) / scale,
+    )
+
+
+@st.composite
+def coin_operators(draw) -> CoinOperator:
+    """Random 2x2 unitary: a global phase times an SU(2) rotation."""
+    angles = st.floats(min_value=0.0, max_value=2 * math.pi)
+    theta, alpha, beta, phi = (draw(angles) for _ in range(4))
+    c, s = math.cos(theta), math.sin(theta)
+    phase = cmath.exp(1j * phi)
+    return CoinOperator(
+        phase * c * cmath.exp(1j * alpha),
+        phase * s * cmath.exp(1j * beta),
+        -phase * s * cmath.exp(-1j * beta),
+        phase * c * cmath.exp(-1j * alpha),
     )
 
 
