@@ -1,6 +1,7 @@
-"""Brute-force cross-checks for the sparse engine; test support only.
+"""Independent brute-force references for the engine.
 
-Two independent routes to the same numbers:
+``twinwalk verify`` and the tests check the engine against two routes to the
+same numbers:
 
 * a dense simulation that carries the full coin (x) walker1 (x) walker2
   amplitude tensor on a truncated lattice and gets branch entropies from the
@@ -8,14 +9,23 @@ Two independent routes to the same numbers:
 * a path summation that expands the t-step amplitude as a sum over all 2^t
   coin histories with Hadamard matrix-element weights.
 
-Both are deliberately slow (quadratic memory / exponential time) and exist to
-catch index and normalization bugs in the fast path, not to scale.
+``dense_trajectory`` streams the dense states after 0..t_max steps, so a
+sweep over every t costs t_max tensor steps; ``dense_evolve`` is its last
+state.  ``reduced_entropy`` drops the all-zero rows and columns of the branch
+matrix before forming the reduced density matrix.  That crop is exact: a zero
+column adds nothing to any entry of M M^dagger, and a zero row adds only a
+zero eigenvalue, which the ``EIGVAL_EPS`` filter discards anyway.
+
+Both oracles are deliberately brute force (quadratic memory / exponential
+time) and exist to catch index and normalization bugs in the fast path, not
+to scale.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -58,22 +68,32 @@ class DenseTensorState:
         return float(np.sum(np.abs(self.amplitudes[outcome.value]) ** 2))
 
 
-def dense_evolve(config: ExperimentConfig, t: int, radius: int) -> DenseTensorState:
-    """Apply t steps with explicit three-index bookkeeping.
+def dense_trajectory(
+    config: ExperimentConfig, t_max: int, radius: int
+) -> Iterator[DenseTensorState]:
+    """Yield the dense state after 0, 1, ..., t_max steps.
 
-    The conditional move acts only on diagonal sites |i, i> and displaces both
-    walker indices together, so support stays on the diagonal.  The radius
-    must cover the ballistic cone so no amplitude reaches the lattice edge.
+    Each step applies the coin to the whole tensor with explicit three-index
+    bookkeeping.  The conditional move acts only on diagonal sites |i, i> and
+    displaces both walker indices together, so support stays on the diagonal.
+    The radius must cover the ballistic cone so no amplitude reaches the
+    lattice edge; the bounds are checked at the call, before any step runs.
     """
-    if t < 0:
-        raise ValueError(f"step count must be non-negative, got {t}")
-    if radius < t:
-        raise ValueError(f"lattice radius {radius} cannot cover a {t}-step walk")
-    if radius < t + abs(config.start_position):
+    if t_max < 0:
+        raise ValueError(f"step count must be non-negative, got {t_max}")
+    if radius < t_max:
+        raise ValueError(f"lattice radius {radius} cannot cover a {t_max}-step walk")
+    if radius < t_max + abs(config.start_position):
         raise ValueError(
-            f"radius {radius} too small for a {t}-step walk starting at "
+            f"radius {radius} too small for a {t_max}-step walk starting at "
             f"{config.start_position}"
         )
+    return _dense_steps(config, t_max, radius)
+
+
+def _dense_steps(
+    config: ExperimentConfig, t_max: int, radius: int
+) -> Iterator[DenseTensorState]:
     n = 2 * radius + 1
     amplitudes = np.zeros((2, n, n), dtype=np.complex128)
     origin = config.start_position + radius
@@ -81,14 +101,20 @@ def dense_evolve(config: ExperimentConfig, t: int, radius: int) -> DenseTensorSt
     amplitudes[1, origin, origin] = config.coin_init.amp1
     coin = np.array(config.coin_operator.rows(), dtype=np.complex128)
     idx = np.arange(n)
-    for _ in range(t):
+    yield DenseTensorState(step=0, lattice_radius=radius, amplitudes=amplitudes)
+    for t in range(1, t_max + 1):
         mixed = np.tensordot(coin, amplitudes, axes=([1], [0]))
         diag0 = mixed[0, idx, idx]
         diag1 = mixed[1, idx, idx]
         amplitudes = np.zeros_like(amplitudes)
         amplitudes[0, idx[1:], idx[1:]] = diag0[:-1]
         amplitudes[1, idx[:-1], idx[:-1]] = diag1[1:]
-    return DenseTensorState(step=t, lattice_radius=radius, amplitudes=amplitudes)
+        yield DenseTensorState(step=t, lattice_radius=radius, amplitudes=amplitudes)
+
+
+def dense_evolve(config: ExperimentConfig, t: int, radius: int) -> DenseTensorState:
+    """The dense state after t steps: the last state of ``dense_trajectory``."""
+    return deque(dense_trajectory(config, t, radius), maxlen=1)[0]
 
 
 def reduced_entropy(state: DenseTensorState, outcome: CoinOutcome) -> float:
@@ -96,8 +122,9 @@ def reduced_entropy(state: DenseTensorState, outcome: CoinOutcome) -> float:
 
     The coin is projected onto ``outcome``, the walker amplitude matrix is
     renormalized, walker 2 is traced out, and the entropy is computed from the
-    eigenvalues of the resulting Hermitian matrix.  Independent of the
-    Schmidt-coefficient shortcut used by the fast path.
+    eigenvalues of the resulting Hermitian matrix (cropped exactly, see the
+    module docstring).  The eigen-decomposition does not assume the matrix is
+    diagonal, so it stays independent of the fast path's Schmidt shortcut.
     """
     matrix = state.amplitudes[outcome.value]
     weight = float(np.sum(np.abs(matrix) ** 2))
@@ -105,7 +132,9 @@ def reduced_entropy(state: DenseTensorState, outcome: CoinOutcome) -> float:
         raise EmptyBranchError(
             f"outcome {outcome} has probability {weight!r} at step {state.step}"
         )
-    normalized = matrix / math.sqrt(weight)
+    rows = np.flatnonzero(np.any(matrix != 0, axis=1))
+    cols = np.flatnonzero(np.any(matrix != 0, axis=0))
+    normalized = matrix[np.ix_(rows, cols)] / math.sqrt(weight)
     rho = normalized @ normalized.conj().T
     eigenvalues = np.linalg.eigvalsh(rho)
     eigenvalues = eigenvalues[eigenvalues > EIGVAL_EPS]
@@ -114,24 +143,35 @@ def reduced_entropy(state: DenseTensorState, outcome: CoinOutcome) -> float:
 
 @lru_cache(maxsize=64)
 def _history_table(coin_init: CoinSpinor, t: int) -> dict[tuple[int, int], complex]:
+    """Explicit sum over all 2^t coin histories, vectorised across paths.
+
+    Path k takes coin ``(k >> (t - 1 - j)) & 1`` at step j.  Its weight is
+    the first step's amplitude times ``h[current, previous]`` for each later
+    step, multiplied in step order; its displacement is the sum of its moves.
+    """
     s = math.sqrt(0.5)
-    h = ((s, s), (s, -s))
+    h = np.array(((s, s), (s, -s)))
     a = (complex(coin_init.amp0), complex(coin_init.amp1))
     if t == 0:
         return {(0, 0): a[0], (0, 1): a[1]}
-    table: dict[tuple[int, int], complex] = {}
-    for history in itertools.product((0, 1), repeat=t):
-        first = history[0]
-        weight = h[first][0] * a[0] + h[first][1] * a[1]
-        displacement = 1 - 2 * first
-        previous = first
-        for current in history[1:]:
-            weight *= h[current][previous]
-            displacement += 1 - 2 * current
-            previous = current
-        key = (displacement, history[-1])
-        table[key] = table.get(key, 0j) + weight
-    return table
+    paths = np.arange(1 << t)
+    previous = (paths >> (t - 1)) & 1
+    weight = h[previous, 0] * a[0] + h[previous, 1] * a[1]
+    displacement = 1 - 2 * previous
+    for j in range(1, t):
+        current = (paths >> (t - 1 - j)) & 1
+        weight *= h[current, previous]
+        displacement += 1 - 2 * current
+        previous = current
+    key = (displacement + t) * 2 + previous
+    size = 2 * (2 * t + 1)
+    hits = np.bincount(key, minlength=size)
+    real = np.bincount(key, weights=weight.real, minlength=size)
+    imag = np.bincount(key, weights=weight.imag, minlength=size)
+    return {
+        (int(k) // 2 - t, int(k) % 2): complex(real[k], imag[k])
+        for k in np.flatnonzero(hits)
+    }
 
 
 def path_sum_table(coin_init: CoinSpinor, t: int) -> dict[tuple[int, int], complex]:

@@ -8,6 +8,7 @@ engine shows up as a concrete number rather than a silent drift.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -15,13 +16,15 @@ from dataclasses import dataclass
 from . import evolution
 from .experiment import ExperimentConfig, canonical_initial_states, run_timeline
 from .measurement import CoinOutcome
-from .oracle import dense_evolve, path_sum_table, reduced_entropy
+from .oracle import dense_trajectory, path_sum_table, reduced_entropy
 from .states import CoinSpinor, new_correlated_state, norm, parity_ok, position_distribution
 
 DEFAULT_SEED = 20100901
 
 #: most path-sum comparisons are affordable only up to this depth
 PATH_SUM_DEPTH_CAP = 12
+
+AmpTable = dict[tuple[int, int], complex]
 
 
 @dataclass(frozen=True)
@@ -53,9 +56,7 @@ def random_coin_states(count: int, seed: int = DEFAULT_SEED) -> list[CoinSpinor]
     return coins
 
 
-def _engine_amplitude_tables(
-    coin: CoinSpinor, t_max: int
-) -> list[dict[tuple[int, int], complex]]:
+def _engine_amplitude_tables(coin: CoinSpinor, t_max: int) -> list[AmpTable]:
     """Element t holds the engine's {(site, coin index): amplitude} map at step t."""
     state = new_correlated_state(coin, 0)
     tables = [{(x, c): pair[c] for x, pair in state.amps.items() for c in (0, 1)}]
@@ -68,9 +69,7 @@ def _engine_amplitude_tables(
     return tables
 
 
-def _table_difference(
-    left: dict[tuple[int, int], complex], right: dict[tuple[int, int], complex]
-) -> float:
+def _table_difference(left: AmpTable, right: AmpTable) -> float:
     keys = set(left) | set(right)
     return max(abs(left.get(k, 0j) - right.get(k, 0j)) for k in keys)
 
@@ -154,43 +153,32 @@ def _check_long_run_invariants(steps: int = 1000) -> list[CheckResult]:
     ]
 
 
-def _check_dense_equivalence(coins: list[CoinSpinor], t_max: int) -> CheckResult:
-    radius = t_max
+def _dense_error(coin: CoinSpinor, tables: list[AmpTable], t_max: int) -> float:
+    """Worst deviation of the engine tables and the timeline from the dense oracle."""
+    config = ExperimentConfig(coin_init=coin, steps=t_max)
+    dense_states = itertools.islice(dense_trajectory(config, t_max, t_max), 1, None)
     worst = 0.0
-    for coin in coins:
-        config = ExperimentConfig(coin_init=coin, steps=t_max)
-        tables = _engine_amplitude_tables(coin, t_max)
-        for record in run_timeline(config):
-            t = record.step
-            dense = dense_evolve(config, t, radius)
-            for x in range(-t, t + 1):
-                for c in (0, 1):
-                    diff = abs(
-                        tables[t].get((x, c), 0j) - dense.amplitude(c, x, x)
-                    )
-                    worst = max(worst, diff)
-            for outcome, weight, entropy in (
-                (CoinOutcome.C0, record.p0, record.entropy0),
-                (CoinOutcome.C1, record.p1, record.entropy1),
-            ):
-                worst = max(worst, abs(weight - dense.branch_probability(outcome)))
-                if entropy is not None:
-                    worst = max(worst, abs(entropy - reduced_entropy(dense, outcome)))
-    return CheckResult(
-        f"sparse amplitudes and timeline vs dense oracle, t <= {t_max}", worst, 1e-10
-    )
+    for record, dense in zip(run_timeline(config), dense_states, strict=True):
+        t = record.step
+        for x in range(-t, t + 1):
+            for c in (0, 1):
+                diff = abs(tables[t].get((x, c), 0j) - dense.amplitude(c, x, x))
+                worst = max(worst, diff)
+        for outcome, weight, entropy in (
+            (CoinOutcome.C0, record.p0, record.entropy0),
+            (CoinOutcome.C1, record.p1, record.entropy1),
+        ):
+            worst = max(worst, abs(weight - dense.branch_probability(outcome)))
+            if entropy is not None:
+                worst = max(worst, abs(entropy - reduced_entropy(dense, outcome)))
+    return worst
 
 
-def _check_path_sum_equivalence(coins: list[CoinSpinor], t_max: int) -> CheckResult:
-    worst = 0.0
-    for coin in coins:
-        tables = _engine_amplitude_tables(coin, t_max)
-        for t in range(1, t_max + 1):
-            worst = max(
-                worst, _table_difference(tables[t], path_sum_table(coin, t))
-            )
-    return CheckResult(
-        f"sparse path vs path-sum oracle, t <= {t_max}", worst, 1e-12
+def _path_sum_error(coin: CoinSpinor, tables: list[AmpTable], t_max: int) -> float:
+    """Worst deviation of the engine tables from the path sum for t = 1..t_max."""
+    return max(
+        _table_difference(tables[t], path_sum_table(coin, t))
+        for t in range(1, t_max + 1)
     )
 
 
@@ -200,6 +188,8 @@ def run_checks(
     """Full verification sweep; oracle comparisons go up to ``max_step``."""
     if max_step < 3:
         raise ValueError("max_step must be at least 3 to cover the worked fixtures")
+    if random_states < 0:
+        raise ValueError(f"random_states must be non-negative, got {random_states}")
     coins = [
         config.coin_init
         for config in canonical_initial_states(steps=max(1, max_step)).values()
@@ -208,8 +198,26 @@ def run_checks(
     checks = [_check_three_step_amplitudes()]
     checks.extend(_check_three_step_entropies())
     checks.extend(_check_long_run_invariants())
-    checks.append(_check_dense_equivalence(coins, max_step))
+    path_sum_depth = min(max_step, PATH_SUM_DEPTH_CAP)
+    dense_worst = path_sum_worst = 0.0
+    for coin in coins:
+        tables = _engine_amplitude_tables(coin, max_step)
+        dense_worst = max(dense_worst, _dense_error(coin, tables, max_step))
+        path_sum_worst = max(
+            path_sum_worst, _path_sum_error(coin, tables, path_sum_depth)
+        )
     checks.append(
-        _check_path_sum_equivalence(coins, min(max_step, PATH_SUM_DEPTH_CAP))
+        CheckResult(
+            f"sparse amplitudes and timeline vs dense oracle, t <= {max_step}",
+            dense_worst,
+            1e-10,
+        )
+    )
+    checks.append(
+        CheckResult(
+            f"sparse path vs path-sum oracle, t <= {path_sum_depth}",
+            path_sum_worst,
+            1e-12,
+        )
     )
     return checks

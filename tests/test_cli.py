@@ -320,6 +320,14 @@ def test_verify_passes(runner):
     assert result.output.strip().endswith("checks passed")
 
 
+def test_verify_rejects_negative_random_states(runner):
+    result = runner.invoke(main, ["verify", "--depth", "4", "--random-states", "-3"])
+    assert result.exit_code == 1
+    assert "random_states must be non-negative, got -3" in result.output
+    assert "checks passed" not in result.output
+    assert "Traceback" not in result.output
+
+
 def test_verify_detects_corrupted_engine(runner, monkeypatch):
     true_step = twinwalk.evolution.step
 

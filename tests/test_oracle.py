@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from twinwalk import (
@@ -16,8 +18,11 @@ from twinwalk import (
     von_neumann_entropy,
 )
 from twinwalk.oracle import (
+    EIGVAL_EPS,
     MAX_PATH_SUM_STEPS,
+    DenseTensorState,
     dense_evolve,
+    dense_trajectory,
     path_sum_amplitude,
     path_sum_table,
     reduced_entropy,
@@ -182,3 +187,87 @@ def test_mirror_symmetry_via_path_sum():
             assert abs(right.get((x, c), 0j)) == pytest.approx(
                 abs(left.get((-x, 1 - c), 0j)), abs=1e-12
             )
+
+
+def test_dense_trajectory_matches_dense_evolve():
+    config = ExperimentConfig(
+        coin_init=random_coin_states(1, seed=5)[0], steps=1, start_position=-3
+    )
+    radius = 17
+    states = list(dense_trajectory(config, 12, radius))
+    assert [state.step for state in states] == list(range(13))
+    for t, state in enumerate(states):
+        assert state.lattice_radius == radius
+        assert np.array_equal(state.amplitudes, dense_evolve(config, t, radius).amplitudes)
+
+
+@pytest.mark.parametrize(
+    "start,t,radius",
+    [(0, -1, 4), (0, 5, 4), (3, 2, 4)],
+    ids=["negative-steps", "radius-below-steps", "radius-below-shifted-cone"],
+)
+def test_dense_trajectory_rejects_like_dense_evolve(start, t, radius):
+    config = ExperimentConfig(coin_init=COIN_RIGHT, steps=1, start_position=start)
+    with pytest.raises(ValueError) as streamed:
+        dense_trajectory(config, t, radius)
+    with pytest.raises(ValueError) as single:
+        dense_evolve(config, t, radius)
+    assert str(streamed.value) == str(single.value)
+
+
+def full_matrix_entropy(state, outcome):
+    """Entropy from eigvalsh of the uncropped reduced density matrix."""
+    matrix = state.amplitudes[outcome.value]
+    normalized = matrix / math.sqrt(float(np.sum(np.abs(matrix) ** 2)))
+    eigenvalues = np.linalg.eigvalsh(normalized @ normalized.conj().T)
+    eigenvalues = eigenvalues[eigenvalues > EIGVAL_EPS]
+    return max(0.0, float(-np.sum(eigenvalues * np.log2(eigenvalues))))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_reduced_entropy_crop_matches_full_matrix(seed):
+    rng = np.random.default_rng(seed)
+    radius = 10
+    n = 2 * radius + 1
+    amplitudes = np.zeros((2, n, n), dtype=np.complex128)
+    for coin in (0, 1):
+        rows = rng.choice(n, size=6, replace=False)
+        cols = rng.choice(n, size=9, replace=False)
+        block = rng.normal(size=(6, 9)) + 1j * rng.normal(size=(6, 9))
+        amplitudes[coin][np.ix_(rows, cols)] = block
+    state = DenseTensorState(step=radius, lattice_radius=radius, amplitudes=amplitudes)
+    for outcome in (CoinOutcome.C0, CoinOutcome.C1):
+        entropy = reduced_entropy(state, outcome)
+        assert entropy > 1.0
+        assert entropy == pytest.approx(full_matrix_entropy(state, outcome), abs=1e-12)
+
+
+def naive_history_table(coin_init, t):
+    """Path sum over itertools.product histories, one path at a time."""
+    s = math.sqrt(0.5)
+    h = ((s, s), (s, -s))
+    a = (complex(coin_init.amp0), complex(coin_init.amp1))
+    if t == 0:
+        return {(0, 0): a[0], (0, 1): a[1]}
+    table = {}
+    for history in itertools.product((0, 1), repeat=t):
+        first = history[0]
+        weight = h[first][0] * a[0] + h[first][1] * a[1]
+        displacement = 1 - 2 * first
+        previous = first
+        for current in history[1:]:
+            weight *= h[current][previous]
+            displacement += 1 - 2 * current
+            previous = current
+        key = (displacement, history[-1])
+        table[key] = table.get(key, 0j) + weight
+    return table
+
+
+def test_path_sum_matches_naive_history_sum():
+    for coin in random_coin_states(4, seed=11):
+        for t in range(13):
+            expected = naive_history_table(coin, t)
+            table = path_sum_table(coin, t)
+            assert set(table) == set(expected)
+            assert max_table_diff(table, expected) < 1e-14

@@ -8,14 +8,13 @@ import math
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from twinwalk import (
-    CoinOperator,
-    CoinSpinor,
-    CorrelatedWalkState,
-    hadamard,
-    new_correlated_state,
-    step,
-)
+from twinwalk import CoinOperator, CoinSpinor, CorrelatedWalkState
+from twinwalk.verification import AmpTable, _engine_amplitude_tables
+
+#: engine amplitude tables at t = 0..t_max from a point start at the origin,
+#: built as ``twinwalk verify`` builds them; exact zeros are kept, so read them
+#: with ``.get(key, 0j)`` or compare them with ``max_table_diff``
+evolve_tables = _engine_amplitude_tables
 
 unit_floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -80,9 +79,6 @@ def diagonal_states(draw, max_step: int = 8) -> CorrelatedWalkState:
     return draw(diagonal_states_at(t))
 
 
-AmpTable = dict[tuple[int, int], complex]
-
-
 def amp_table(state) -> AmpTable:
     """{(site, coin index): amplitude} with exact zeros dropped."""
     return {
@@ -99,13 +95,3 @@ def max_table_diff(left: AmpTable, right: AmpTable) -> float:
         return 0.0
     return max(abs(left.get(k, 0j) - right.get(k, 0j)) for k in keys)
 
-
-def evolve_tables(coin: CoinSpinor, t_max: int) -> list[AmpTable]:
-    """Engine amplitude tables at t = 0..t_max from a point start at the origin."""
-    state = new_correlated_state(coin, 0)
-    coin_op = hadamard()
-    tables = [amp_table(state)]
-    for _ in range(t_max):
-        state = step(state, coin_op)
-        tables.append(amp_table(state))
-    return tables
