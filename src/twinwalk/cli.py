@@ -23,7 +23,7 @@ from .figures import write_figure_bundle
 from .measurement import CoinOutcome
 from .render import render_timeline_csv, write_text_atomic
 from .states import CoinSpinor
-from .verification import DEFAULT_SEED, run_checks
+from .verification import DEFAULT_SEED, MAX_DEPTH, run_checks
 
 _COIN_OPERATORS: dict[str, CoinOperator] = {"hadamard": hadamard()}
 
@@ -121,21 +121,6 @@ def write_run_spec(spec: RunSpec, path: Path) -> None:
     write_text_atomic(
         Path(path), json.dumps(asdict(spec), indent=2, sort_keys=True) + "\n"
     )
-
-
-def _record_dict(record: TimelineRecord) -> dict:
-    return {
-        "step": record.step,
-        "p0": record.p0,
-        "p1": record.p1,
-        "entropy0": record.entropy0,
-        "entropy1": record.entropy1,
-        "max_entropy": record.max_entropy,
-        "ratio0": record.ratio0,
-        "ratio1": record.ratio1,
-        "support0": record.support0,
-        "support1": record.support1,
-    }
 
 
 def _summary(
@@ -298,7 +283,7 @@ def run(
                 {
                     "spec": asdict(spec),
                     "summary": summary,
-                    "timeline": [_record_dict(r) for r in timeline],
+                    "timeline": [asdict(r) for r in timeline],
                 }
             ) + "\n"
             if destination is None:
@@ -354,7 +339,10 @@ def figures(out_dir: Path, steps: int, window: int | None) -> None:
     type=int,
     default=10,
     show_default=True,
-    help="Max step count for oracle comparisons (path sum capped at 12).",
+    help=(
+        f"Max step count for oracle comparisons, 3..{MAX_DEPTH} "
+        "(path sum capped at 12)."
+    ),
 )
 @click.option("--random-states", type=int, default=5, show_default=True)
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)

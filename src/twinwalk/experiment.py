@@ -167,9 +167,18 @@ def single_walker_distribution(coin_init: CoinSpinor, steps: int) -> dict[int, f
         raise ValueError(f"steps must be >= 0, got {steps}")
     for a0, a1 in trajectory(coin_init, hadamard(), steps):
         pass
+    return trajectory_distribution(a0, a1)
+
+
+def trajectory_distribution(a0: np.ndarray, a1: np.ndarray) -> dict[int, float]:
+    """Position distribution of one ``trajectory`` step started at the origin.
+
+    Sites with probability exactly 0 are left out.
+    """
+    t = len(a0) - 1
     probabilities = np.abs(a0) ** 2 + np.abs(a1) ** 2
     return {
         x: p
-        for x, p in zip(range(-steps, steps + 1, 2), probabilities.tolist())
+        for x, p in zip(range(-t, t + 1, 2), probabilities.tolist())
         if p != 0.0
     }

@@ -1,9 +1,31 @@
 """Self-checks behind the ``verify`` CLI command.
 
-Each check compares the engine (the sparse amplitude maps and the array
-timeline behind ``run_timeline``) against closed-form values or one of the
-independent oracles and reports the worst error it measured, so a corrupted
-engine shows up as a concrete number rather than a silent drift.
+Each check compares the engine against closed-form values, an invariant or
+one of the independent oracles and reports the worst error it measured, so a
+corrupted engine shows up as a concrete number rather than a silent drift.
+The checks, in order, with the engine each reads and its tolerance:
+
+======================================================  ==================  =====
+check                                                   engine              tol
+======================================================  ==================  =====
+three-step amplitudes vs closed form                    dict tables         1e-12
+branch entropies t=1 (product states)                   timeline records    1e-9
+branch entropies t=2 (maximally entangled)              timeline records    1e-9
+branch entropy t=3 coin-0                               timeline records    5e-5
+branch entropy t=3 coin-1                               timeline records    1e-9
+attainable bound at t=2 and t=3                         timeline records    5e-4
+norm drift over 1000 steps                              array trajectory    1e-12
+light-cone violations over 1000 steps                   array trajectory    0
+distribution completeness at t=1000                     array trajectory    1e-12
+sparse amplitudes and timeline vs dense oracle, t <= D  dict tables and     1e-10
+                                                        timeline records
+sparse path vs path-sum oracle, t <= min(D, 12)         dict tables         1e-12
+======================================================  ==================  =====
+
+"Dict tables" are the sparse reference engine's amplitude maps
+(``evolution.step``), "timeline records" come from ``run_timeline`` and the
+"array trajectory" is ``evolution.trajectory``, which ``run_timeline`` runs
+on.  D is the oracle depth, 3 <= D <= ``MAX_DEPTH``.
 """
 
 from __future__ import annotations
@@ -13,16 +35,27 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import evolution
-from .experiment import ExperimentConfig, canonical_initial_states, run_timeline
+from .experiment import (
+    ExperimentConfig,
+    canonical_initial_states,
+    run_timeline,
+    trajectory_distribution,
+)
 from .measurement import CoinOutcome
 from .oracle import dense_trajectory, path_sum_table, reduced_entropy
-from .states import CoinSpinor, new_correlated_state, norm, parity_ok, position_distribution
+from .states import CoinSpinor, new_correlated_state
 
 DEFAULT_SEED = 20100901
 
 #: most path-sum comparisons are affordable only up to this depth
 PATH_SUM_DEPTH_CAP = 12
+
+#: deepest oracle comparison ``run_checks`` accepts; the dense oracle's
+#: memory grows as the square of the depth
+MAX_DEPTH = 200
 
 AmpTable = dict[tuple[int, int], complex]
 
@@ -129,23 +162,28 @@ def _check_three_step_entropies() -> list[CheckResult]:
 
 
 def _check_long_run_invariants(steps: int = 1000) -> list[CheckResult]:
+    """Norm, light cone and completeness of one array trajectory of preset 4a.
+
+    In the parity-compacted layout a wrong-parity site cannot be stored, so
+    the site check counts steps whose arrays are not t + 1 long or whose
+    vacated edge slots (coin 0 at index 0, coin 1 at index t) are not exactly 0.
+    """
     config = canonical_initial_states(steps=steps)["4a"]
-    state = new_correlated_state(config.coin_init, config.start_position)
-    coin_op = config.coin_operator
+    states = evolution.trajectory(config.coin_init, config.coin_operator, steps)
     worst_drift = 0.0
-    parity_violations = 0
-    for _ in range(steps):
-        state = evolution.step(state, coin_op)
-        worst_drift = max(worst_drift, abs(norm(state) - 1.0))
-        if not parity_ok(state):
-            parity_violations += 1
-    completeness = abs(sum(position_distribution(state).values()) - 1.0)
+    cone_violations = 0
+    for t, (a0, a1) in enumerate(itertools.islice(states, 1, None), start=1):
+        mass = np.sum(np.abs(a0) ** 2) + np.sum(np.abs(a1) ** 2)
+        worst_drift = max(worst_drift, abs(float(mass) - 1.0))
+        if len(a0) != t + 1 or len(a1) != t + 1 or a0[0] != 0 or a1[t] != 0:
+            cone_violations += 1
+    completeness = abs(sum(trajectory_distribution(a0, a1).values()) - 1.0)
     return [
         CheckResult(
             f"norm drift over {steps} steps", worst_drift, 1e-12
         ),
         CheckResult(
-            f"parity violations over {steps} steps", float(parity_violations), 0.0
+            f"light-cone violations over {steps} steps", float(cone_violations), 0.0
         ),
         CheckResult(
             f"distribution completeness at t={steps}", completeness, 1e-12
@@ -160,10 +198,13 @@ def _dense_error(coin: CoinSpinor, tables: list[AmpTable], t_max: int) -> float:
     worst = 0.0
     for record, dense in zip(run_timeline(config), dense_states, strict=True):
         t = record.step
-        for x in range(-t, t + 1):
-            for c in (0, 1):
-                diff = abs(tables[t].get((x, c), 0j) - dense.amplitude(c, x, x))
-                worst = max(worst, diff)
+        engine = np.array(
+            [[tables[t].get((x, c), 0j) for x in range(-t, t + 1)] for c in (0, 1)]
+        )
+        sites = np.arange(-t, t + 1) + dense.lattice_radius
+        diff = engine - dense.amplitudes[:, sites, sites]
+        # hypot rounds exactly as Python's complex abs; np.abs can differ by an ulp
+        worst = max(worst, float(np.max(np.hypot(diff.real, diff.imag))))
         for outcome, weight, entropy in (
             (CoinOutcome.C0, record.p0, record.entropy0),
             (CoinOutcome.C1, record.p1, record.entropy1),
@@ -188,6 +229,11 @@ def run_checks(
     """Full verification sweep; oracle comparisons go up to ``max_step``."""
     if max_step < 3:
         raise ValueError("max_step must be at least 3 to cover the worked fixtures")
+    if max_step > MAX_DEPTH:
+        raise ValueError(
+            f"max_step must be at most {MAX_DEPTH} (the dense oracle holds a "
+            f"(2, 2t+1, 2t+1) tensor), got {max_step}"
+        )
     if random_states < 0:
         raise ValueError(f"random_states must be non-negative, got {random_states}")
     coins = [

@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 import twinwalk.evolution
 import twinwalk.experiment
+import twinwalk.verification
 from twinwalk.cli import RunSpec, main, parse_run_spec, write_run_spec
 from twinwalk.figures import MANIFEST_NAME
 from twinwalk.render import TIMELINE_HEADER
@@ -351,3 +352,55 @@ def test_verify_detects_corrupted_timeline(runner, monkeypatch):
     result = runner.invoke(main, ["verify", "--depth", "4", "--random-states", "1"])
     assert result.exit_code != 0
     assert "FAIL  sparse amplitudes and timeline vs dense oracle" in result.output
+
+
+@pytest.mark.parametrize("depth", [201, 10**9])
+def test_verify_rejects_depth_above_ceiling(runner, monkeypatch, depth):
+    def must_not_evolve(*args, **kwargs):
+        raise AssertionError("evolved before the depth was validated")
+
+    monkeypatch.setattr(twinwalk.evolution, "step", must_not_evolve)
+    monkeypatch.setattr(twinwalk.evolution, "trajectory", must_not_evolve)
+    monkeypatch.setattr(twinwalk.verification, "dense_trajectory", must_not_evolve)
+    result = runner.invoke(main, ["verify", "--depth", str(depth)])
+    assert result.exit_code == 1
+    assert "max_step must be at most 200" in result.output
+    assert f"got {depth}" in result.output
+    assert "checks passed" not in result.output
+    assert "Traceback" not in result.output
+
+
+def test_verify_detects_stale_light_cone_slot(runner, monkeypatch):
+    # a vacated coin-0 edge slot that keeps a leftover value too small to
+    # move the norm: only the light-cone check can see it
+    true_trajectory = twinwalk.evolution.trajectory
+
+    def stale_edge_trajectory(coin_init, coin, n):
+        for t, (a0, a1) in enumerate(true_trajectory(coin_init, coin, n)):
+            if t >= 1:
+                a0 = a0.copy()
+                a0[0] = 1e-20
+            yield a0, a1
+
+    monkeypatch.setattr(twinwalk.evolution, "trajectory", stale_edge_trajectory)
+    result = runner.invoke(main, ["verify", "--depth", "4", "--random-states", "1"])
+    assert result.exit_code == 1
+    assert "FAIL  light-cone violations over 1000 steps" in result.output
+    assert "PASS  norm drift over 1000 steps" in result.output
+    assert result.output.count("FAIL") == 1
+
+
+def test_verify_detects_late_norm_loss(runner, monkeypatch):
+    # mass lost only after t = 500, beyond the depth of every oracle check
+    true_trajectory = twinwalk.evolution.trajectory
+
+    def leaking_trajectory(coin_init, coin, n):
+        for t, (a0, a1) in enumerate(true_trajectory(coin_init, coin, n)):
+            yield a0, (a1 * (1.0 - 1e-9) if t > 500 else a1)
+
+    monkeypatch.setattr(twinwalk.evolution, "trajectory", leaking_trajectory)
+    result = runner.invoke(main, ["verify", "--depth", "4", "--random-states", "1"])
+    assert result.exit_code == 1
+    assert "FAIL  norm drift over 1000 steps" in result.output
+    assert "PASS  sparse amplitudes and timeline vs dense oracle" in result.output
+    assert "PASS  sparse path vs path-sum oracle" in result.output
