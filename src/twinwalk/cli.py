@@ -23,7 +23,7 @@ from .figures import write_figure_bundle
 from .measurement import CoinOutcome
 from .render import render_timeline_csv, write_text_atomic
 from .states import CoinSpinor
-from .verification import DEFAULT_SEED, MAX_DEPTH, run_checks
+from .verification import DEFAULT_SEED, MAX_DEPTH, MAX_RANDOM_STATES, run_checks
 
 _COIN_OPERATORS: dict[str, CoinOperator] = {"hadamard": hadamard()}
 
@@ -344,7 +344,16 @@ def figures(out_dir: Path, steps: int, window: int | None) -> None:
         "(path sum capped at 12)."
     ),
 )
-@click.option("--random-states", type=int, default=5, show_default=True)
+@click.option(
+    "--random-states",
+    type=int,
+    default=5,
+    show_default=True,
+    help=(
+        "Random coins added to the five presets in the oracle sweeps, "
+        f"0..{MAX_RANDOM_STATES}."
+    ),
+)
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
 def verify(depth: int, random_states: int, seed: int) -> None:
     """Check the engine against closed-form fixtures and both oracles."""

@@ -11,6 +11,13 @@ in bits, and is compared against the dimensionality bound log2(t): after t
 steps a single coin branch can occupy at most t diagonal sites, so no more
 than log2(t) bits of entanglement are attainable.  The attained/attainable
 ratio is the quantity whose large-t convergence the experiment driver tracks.
+
+``branch_entropy`` measures an unnormalized branch array in one fused pass:
+with m = |b| and weight w = m . m, the sites kept are m >= COEFF_EPS sqrt(w)
+and, with q = m^2 over them, E = log2 w - (q . log2 q) / w.  That form holds
+when only exact zeros are cut; the code evaluates -(q . (log2 q - log2 w)) / w,
+which is -sum p log2 p over the kept p = q / w even when a cut site carries
+mass (up to SUPPORT_EPS w each), so the truncation matches schmidt_spectrum.
 """
 
 from __future__ import annotations
@@ -84,19 +91,20 @@ def branch_entropy(amps: np.ndarray) -> tuple[float, float | None, int | None]:
     """Weight, entropy in bits and kept Schmidt coefficients of one coin branch.
 
     ``amps`` holds the unnormalized diagonal amplitudes of the branch.  The
-    arithmetic is that of post_measurement, schmidt_spectrum and
-    von_neumann_entropy, vectorized: a branch no heavier than PROB_EPS is
-    absent (entropy and count None), the coefficients are ``|a| / sqrt(weight)``
-    and only those of at least COEFF_EPS enter the entropy.
+    semantics are those of post_measurement, schmidt_spectrum and
+    von_neumann_entropy: a branch no heavier than PROB_EPS is absent (entropy
+    and count None), and only coefficients ``|a| / sqrt(weight)`` of at least
+    COEFF_EPS enter the entropy.  The coefficients are never formed (see the
+    module docstring for the fused formula).
     """
     moduli = np.abs(amps)
-    weight = float(np.sum(moduli * moduli))
+    weight = float(moduli @ moduli)
     if weight <= PROB_EPS:
         return weight, None, None
-    coefficients = moduli / math.sqrt(weight)
-    kept = coefficients[coefficients >= COEFF_EPS]
-    p = kept * kept
-    return weight, max(0.0, float(-np.sum(p * np.log2(p)))), len(kept)
+    kept = moduli[moduli >= COEFF_EPS * math.sqrt(weight)]
+    q = kept * kept
+    entropy = -float(q @ (np.log2(q) - math.log2(weight))) / weight
+    return weight, max(0.0, entropy), len(kept)
 
 
 def max_entanglement(step: int) -> float:

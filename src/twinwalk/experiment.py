@@ -6,17 +6,23 @@ prepared runs, and both coin outcomes are evaluated exactly from each
 snapshot (no sampling anywhere).  Alongside the two-walker timelines this
 module computes the one-walker distribution diagnostics that the ratio
 convergence correlates with.
+
+Every timeline is one pass over ``evolution.trajectory``: at each t both
+branch arrays are measured with the fused ``branch_entropy`` and log2(t) is
+taken once for the bound and both ratios.  ``timeline_and_distribution``
+also reads the one-walker distribution off the final arrays of that pass, so
+a preset that needs both (the figure bundle, ``scripts/ratio_convergence.py``)
+is evolved once.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entanglement import branch_entropy, entanglement_ratio, max_entanglement
+from .entanglement import branch_entropy
 from .evolution import CoinOperator, hadamard, trajectory
 from .measurement import CoinOutcome
 from .states import CoinSpinor, mirror_total_variation
@@ -70,16 +76,21 @@ class SymmetryReport:
     mirror_distance: float
 
 
-def run_timeline(config: ExperimentConfig) -> list[TimelineRecord]:
-    """Records for t = 1..steps, each computed from the t-step state.
+def _measure_trajectory(
+    config: ExperimentConfig,
+) -> tuple[list[TimelineRecord], np.ndarray, np.ndarray]:
+    """Records for t = 1..steps plus the final coin-0 and coin-1 arrays.
 
-    The start position only relabels sites, so no record depends on it.
+    The one pass over ``trajectory`` behind every timeline.  The bound log2(t)
+    is taken once per step and serves as ``max_entropy`` and both ratios.
     """
     records = []
     states = trajectory(config.coin_init, config.coin_operator, config.steps)
-    for t, (a0, a1) in enumerate(itertools.islice(states, 1, None), start=1):
+    a0, a1 = next(states)
+    for t, (a0, a1) in enumerate(states, start=1):
         p0, entropy0, support0 = branch_entropy(a0)
         p1, entropy1, support1 = branch_entropy(a1)
+        bound = math.log2(t)
         records.append(
             TimelineRecord(
                 step=t,
@@ -87,14 +98,36 @@ def run_timeline(config: ExperimentConfig) -> list[TimelineRecord]:
                 p1=p1,
                 entropy0=entropy0,
                 entropy1=entropy1,
-                max_entropy=max_entanglement(t),
-                ratio0=None if entropy0 is None else entanglement_ratio(entropy0, t),
-                ratio1=None if entropy1 is None else entanglement_ratio(entropy1, t),
+                max_entropy=bound,
+                ratio0=None if entropy0 is None or bound == 0.0 else entropy0 / bound,
+                ratio1=None if entropy1 is None or bound == 0.0 else entropy1 / bound,
                 support0=support0,
                 support1=support1,
             )
         )
-    return records
+    return records, a0, a1
+
+
+def run_timeline(config: ExperimentConfig) -> list[TimelineRecord]:
+    """Records for t = 1..steps, each computed from the t-step state.
+
+    The start position only relabels sites, so no record depends on it.
+    """
+    return _measure_trajectory(config)[0]
+
+
+def timeline_and_distribution(
+    config: ExperimentConfig,
+) -> tuple[list[TimelineRecord], dict[int, float]]:
+    """``run_timeline`` plus the one-walker distribution after ``steps`` steps.
+
+    Both come from the same trajectory, so the walk is evolved once.  Each
+    walker's marginal is the one-walker walk under the same coin, so for the
+    Hadamard coin the distribution equals ``single_walker_distribution``.
+    Sites are displacements from the start position.
+    """
+    records, a0, a1 = _measure_trajectory(config)
+    return records, trajectory_distribution(a0, a1)
 
 
 def default_window(steps: int) -> int:

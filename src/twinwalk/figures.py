@@ -4,7 +4,9 @@ Each of the four plotted initial conditions contributes three figures: one
 per coin outcome (entropy against the attainable bound, plus their ratio) and
 one comparison figure carrying the one-walker position distribution next to
 both branch series.  Rendering is plain CSV with deterministic formatting;
-the manifest records what every file contains.
+the manifest records what every file contains.  Each plotted preset is
+evolved once: its timeline and its final one-walker distribution come from
+the same trajectory.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from .experiment import (
     canonical_initial_states,
     default_window,
     distribution_symmetry,
-    run_timeline,
-    single_walker_distribution,
+    timeline_and_distribution,
 )
 from .measurement import CoinOutcome
 from .render import format_number, write_text_atomic
@@ -120,8 +121,7 @@ def build_figure_bundle(
     files: list[FigureFile] = []
     for preset, first in _FIGURE_GROUPS:
         config = configs[preset]
-        timeline = run_timeline(config)
-        distribution = single_walker_distribution(config.coin_init, steps)
+        timeline, distribution = timeline_and_distribution(config)
         ratios = {
             str(outcome): _ratio_or_none(timeline, outcome, window)
             for outcome in CoinOutcome

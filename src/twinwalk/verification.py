@@ -25,7 +25,8 @@ sparse path vs path-sum oracle, t <= min(D, 12)         dict tables         1e-1
 "Dict tables" are the sparse reference engine's amplitude maps
 (``evolution.step``), "timeline records" come from ``run_timeline`` and the
 "array trajectory" is ``evolution.trajectory``, which ``run_timeline`` runs
-on.  D is the oracle depth, 3 <= D <= ``MAX_DEPTH``.
+on.  D is the oracle depth, 3 <= D <= ``MAX_DEPTH``; the oracle sweeps
+cover the five presets plus 0..``MAX_RANDOM_STATES`` random coins.
 """
 
 from __future__ import annotations
@@ -56,6 +57,10 @@ PATH_SUM_DEPTH_CAP = 12
 #: deepest oracle comparison ``run_checks`` accepts; the dense oracle's
 #: memory grows as the square of the depth
 MAX_DEPTH = 200
+
+#: most random coins ``run_checks`` accepts on top of the five presets; each
+#: costs a dense and a path-sum sweep (about 3 ms at depth 10)
+MAX_RANDOM_STATES = 1000
 
 AmpTable = dict[tuple[int, int], complex]
 
@@ -236,6 +241,10 @@ def run_checks(
         )
     if random_states < 0:
         raise ValueError(f"random_states must be non-negative, got {random_states}")
+    if random_states > MAX_RANDOM_STATES:
+        raise ValueError(
+            f"random_states must be at most {MAX_RANDOM_STATES}, got {random_states}"
+        )
     coins = [
         config.coin_init
         for config in canonical_initial_states(steps=max(1, max_step)).values()

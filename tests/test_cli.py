@@ -404,3 +404,19 @@ def test_verify_detects_late_norm_loss(runner, monkeypatch):
     assert "FAIL  norm drift over 1000 steps" in result.output
     assert "PASS  sparse amplitudes and timeline vs dense oracle" in result.output
     assert "PASS  sparse path vs path-sum oracle" in result.output
+
+
+@pytest.mark.parametrize("count", [1001, 10**9])
+def test_verify_rejects_random_states_above_ceiling(runner, monkeypatch, count):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran before the random-state count was validated")
+
+    monkeypatch.setattr(twinwalk.verification, "random_coin_states", must_not_run)
+    monkeypatch.setattr(twinwalk.evolution, "trajectory", must_not_run)
+    monkeypatch.setattr(twinwalk.experiment, "trajectory", must_not_run)
+    result = runner.invoke(main, ["verify", "--random-states", str(count)])
+    assert result.exit_code == 1
+    assert "random_states must be at most 1000" in result.output
+    assert f"got {count}" in result.output
+    assert "checks passed" not in result.output
+    assert "Traceback" not in result.output

@@ -1,8 +1,9 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twinwalk import (
@@ -227,3 +228,59 @@ def test_branch_entropy_drops_tiny_coefficients():
     assert entropy == pytest.approx(1.0, abs=1e-12)
     assert weight == pytest.approx(1.0, abs=1e-15)
     assert branch_entropy(np.zeros(5, dtype=complex)) == (0.0, None, None)
+
+
+def _pre_fusion_branch_entropy(amps):
+    """The abs/sum/divide/mask arithmetic branch_entropy used before fusion."""
+    moduli = np.abs(amps)
+    weight = float(np.sum(moduli * moduli))
+    if weight <= PROB_EPS:
+        return weight, None, None
+    coefficients = moduli / math.sqrt(weight)
+    kept = coefficients[coefficients >= COEFF_EPS]
+    p = kept * kept
+    return weight, max(0.0, float(-np.sum(p * np.log2(p)))), len(kept)
+
+
+@st.composite
+def branch_arrays(draw):
+    """Unnormalized branch arrays: a bulk, exact zeros and entries near the cut.
+
+    The bulk is scaled to a weight of 10**e, often close to PROB_EPS.  Small
+    entries sit at a factor of COEFF_EPS * sqrt(bulk weight): below 0.999 they
+    are cut, above 1.001 they are kept, so rounding never decides either.
+    """
+    phase = st.floats(0.0, 2.0 * math.pi)
+    bulk = draw(
+        st.lists(st.tuples(st.floats(0.01, 1.0), phase), min_size=1, max_size=40)
+    )
+    exponent = draw(st.one_of(st.floats(-12.2, -11.8), st.floats(-13.0, 0.0)))
+    raw_weight = sum(m * m for m, _ in bulk)
+    scale = math.sqrt(10.0**exponent / raw_weight)
+    cut = COEFF_EPS * math.sqrt(10.0**exponent)
+    small = draw(
+        st.lists(
+            st.tuples(
+                st.one_of(st.floats(0.0, 0.999), st.floats(1.001, 100.0)), phase
+            ),
+            max_size=6,
+        )
+    )
+    values = [scale * m * cmath.exp(1j * a) for m, a in bulk]
+    values += [f * cut * cmath.exp(1j * a) for f, a in small]
+    values += [0j] * draw(st.integers(0, 5))
+    return np.array(draw(st.permutations(values)), dtype=np.complex128)
+
+
+@given(amps=branch_arrays())
+@settings(deadline=None, max_examples=300)
+def test_fused_branch_entropy_matches_pre_fusion_arithmetic(amps):
+    weight, entropy, kept = branch_entropy(amps)
+    ref_weight, ref_entropy, ref_kept = _pre_fusion_branch_entropy(amps)
+    assert weight == pytest.approx(ref_weight, rel=1e-15, abs=0.0)
+    # within the 1e-15 rounding band around PROB_EPS absence is a coin toss
+    assume(abs(ref_weight - PROB_EPS) > 1e-15 * PROB_EPS)
+    assert (entropy is None) == (ref_entropy is None)
+    assert kept == ref_kept
+    if ref_entropy is not None:
+        assert entropy == pytest.approx(ref_entropy, abs=1e-13)

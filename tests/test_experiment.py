@@ -29,7 +29,10 @@ from twinwalk import (
     symmetry_report,
     von_neumann_entropy,
 )
+import twinwalk.experiment
 from twinwalk.entanglement import COEFF_EPS
+from twinwalk.experiment import timeline_and_distribution
+from twinwalk.figures import build_figure_bundle
 from testutil import coin_operators, coin_spinors
 
 S = math.sqrt(0.5)
@@ -294,3 +297,25 @@ def test_single_walker_distribution_matches_dict_engine(name, steps):
     got = single_walker_distribution(coin, steps)
     for x in set(expected) | set(got):
         assert abs(got.get(x, 0.0) - expected.get(x, 0.0)) <= 1e-15
+
+
+@pytest.mark.parametrize("steps", [1, 2, 257])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_timeline_and_distribution_is_one_pass_of_both(name, steps):
+    config = canonical_initial_states(steps=steps)[name]
+    timeline, distribution = timeline_and_distribution(config)
+    assert timeline == run_timeline(config)
+    assert distribution == single_walker_distribution(config.coin_init, steps)
+
+
+def test_figure_bundle_evolves_each_preset_once(monkeypatch):
+    true_trajectory = twinwalk.experiment.trajectory
+    calls = []
+
+    def counted_trajectory(*args, **kwargs):
+        calls.append(args)
+        return true_trajectory(*args, **kwargs)
+
+    monkeypatch.setattr(twinwalk.experiment, "trajectory", counted_trajectory)
+    build_figure_bundle(1000)
+    assert len(calls) == 4
