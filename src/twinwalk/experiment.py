@@ -7,12 +7,11 @@ snapshot (no sampling anywhere).  Alongside the two-walker timelines this
 module computes the one-walker distribution diagnostics that the ratio
 convergence correlates with.
 
-Every timeline is one pass over ``evolution.trajectory``: at each t both
-branch arrays are measured with the fused ``branch_entropy`` and log2(t) is
-taken once for the bound and both ratios.  ``timeline_and_distribution``
-also reads the one-walker distribution off the final arrays of that pass, so
-a preset that needs both (the figure bundle, ``scripts/ratio_convergence.py``)
-is evolved once.
+Every timeline is one pass of ``run_timeline`` over ``evolution.trajectory``:
+at each t both branch arrays are measured with the fused ``branch_entropy``.
+``timeline_and_distribution`` also reads the one-walker distribution off the
+final arrays of that pass, so a preset that needs both (the figure bundle,
+``scripts/ratio_convergence.py``) is evolved once.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entanglement import branch_entropy
+from .entanglement import branch_entropy, entanglement_ratio, max_entanglement
 from .evolution import CoinOperator, hadamard, trajectory
 from .measurement import CoinOutcome
 from .states import CoinSpinor, mirror_total_variation
@@ -76,13 +75,15 @@ class SymmetryReport:
     mirror_distance: float
 
 
-def _measure_trajectory(
-    config: ExperimentConfig,
-) -> tuple[list[TimelineRecord], np.ndarray, np.ndarray]:
-    """Records for t = 1..steps plus the final coin-0 and coin-1 arrays.
+def run_timeline(
+    config: ExperimentConfig, *, final: list[np.ndarray] | None = None
+) -> list[TimelineRecord]:
+    """Records for t = 1..steps, each computed from the t-step state.
 
-    The one pass over ``trajectory`` behind every timeline.  The bound log2(t)
-    is taken once per step and serves as ``max_entropy`` and both ratios.
+    The start position only relabels sites, so no record depends on it.  When
+    ``final`` is given, the coin-0 and coin-1 arrays after ``steps`` steps are
+    appended to it, so a caller that also needs the final state (see
+    ``timeline_and_distribution``) does not evolve the walk a second time.
     """
     records = []
     states = trajectory(config.coin_init, config.coin_operator, config.steps)
@@ -90,7 +91,6 @@ def _measure_trajectory(
     for t, (a0, a1) in enumerate(states, start=1):
         p0, entropy0, support0 = branch_entropy(a0)
         p1, entropy1, support1 = branch_entropy(a1)
-        bound = math.log2(t)
         records.append(
             TimelineRecord(
                 step=t,
@@ -98,22 +98,16 @@ def _measure_trajectory(
                 p1=p1,
                 entropy0=entropy0,
                 entropy1=entropy1,
-                max_entropy=bound,
-                ratio0=None if entropy0 is None or bound == 0.0 else entropy0 / bound,
-                ratio1=None if entropy1 is None or bound == 0.0 else entropy1 / bound,
+                max_entropy=max_entanglement(t),
+                ratio0=None if entropy0 is None else entanglement_ratio(entropy0, t),
+                ratio1=None if entropy1 is None else entanglement_ratio(entropy1, t),
                 support0=support0,
                 support1=support1,
             )
         )
-    return records, a0, a1
-
-
-def run_timeline(config: ExperimentConfig) -> list[TimelineRecord]:
-    """Records for t = 1..steps, each computed from the t-step state.
-
-    The start position only relabels sites, so no record depends on it.
-    """
-    return _measure_trajectory(config)[0]
+    if final is not None:
+        final.extend((a0, a1))
+    return records
 
 
 def timeline_and_distribution(
@@ -122,12 +116,14 @@ def timeline_and_distribution(
     """``run_timeline`` plus the one-walker distribution after ``steps`` steps.
 
     Both come from the same trajectory, so the walk is evolved once.  Each
-    walker's marginal is the one-walker walk under the same coin, so for the
-    Hadamard coin the distribution equals ``single_walker_distribution``.
-    Sites are displacements from the start position.
+    walker's marginal is the one-walker walk under ``config.coin_operator``;
+    for the Hadamard coin (every preset) the distribution therefore equals
+    ``single_walker_distribution``.  Sites are displacements from the start
+    position.
     """
-    records, a0, a1 = _measure_trajectory(config)
-    return records, trajectory_distribution(a0, a1)
+    final: list[np.ndarray] = []
+    records = run_timeline(config, final=final)
+    return records, trajectory_distribution(*final)
 
 
 def default_window(steps: int) -> int:
@@ -193,8 +189,9 @@ def single_walker_distribution(coin_init: CoinSpinor, steps: int) -> dict[int, f
     """Position distribution of the ``steps``-step one-walker Hadamard walk.
 
     The one-walker walk shifts exactly like the two-walker one, so it shares
-    the array trajectory.  Sites never reached (probability exactly 0) are
-    left out, as in the sparse engine.
+    the array trajectory.  The coin operator is always Hadamard; for a
+    configured operator use ``timeline_and_distribution``.  Sites never
+    reached (probability exactly 0) are left out, as in the sparse engine.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")

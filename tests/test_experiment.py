@@ -308,6 +308,17 @@ def test_timeline_and_distribution_is_one_pass_of_both(name, steps):
     assert distribution == single_walker_distribution(config.coin_init, steps)
 
 
+@given(coin=coin_spinors(), operator=coin_operators(), steps=st.integers(1, 30))
+@settings(deadline=None, max_examples=50)
+def test_timeline_and_distribution_follows_the_configured_coin(coin, operator, steps):
+    config = ExperimentConfig(coin_init=coin, steps=steps, coin_operator=operator)
+    _, distribution = timeline_and_distribution(config)
+    final = evolve_single(new_single_state(coin, 0), operator, steps)[-1]
+    expected = position_distribution(final)
+    for x in set(expected) | set(distribution):
+        assert abs(distribution.get(x, 0.0) - expected.get(x, 0.0)) <= 1e-14
+
+
 def test_figure_bundle_evolves_each_preset_once(monkeypatch):
     true_trajectory = twinwalk.experiment.trajectory
     calls = []
