@@ -14,8 +14,9 @@ from twinwalk import (
     asymptotic_ratio,
     canonical_initial_states,
     default_window,
+    distribution_symmetry,
+    timeline_and_distribution,
 )
-from twinwalk.experiment import distribution_symmetry, timeline_and_distribution
 
 
 def main() -> int:
@@ -23,7 +24,12 @@ def main() -> int:
     parser.add_argument("--steps", type=int, default=1000)
     parser.add_argument("--window", type=int, default=None)
     args = parser.parse_args()
-    window = args.window or default_window(args.steps)
+    # the ratio is undefined at t = 1 (log2 1 = 0), so a window must stop short of it
+    if args.steps < 2:
+        parser.error(f"--steps must be at least 2, got {args.steps}")
+    window = default_window(args.steps) if args.window is None else args.window
+    if not 1 <= window < args.steps:
+        parser.error(f"--window must be within 1..{args.steps - 1}, got {window}")
 
     print(f"steps={args.steps}  window={window} (trailing mean)")
     print(f"{'preset':<7}{'ratio c0':>12}{'ratio c1':>12}{'mean x/t':>12}{'mirror TV':>12}")

@@ -8,110 +8,35 @@ tracks how the attained/attainable entanglement ratio converges with the
 number of steps.
 """
 
-from .entanglement import (
-    COEFF_EPS,
-    EntanglementRecord,
-    SchmidtSpectrum,
-    branch_entanglement,
-    entanglement_ratio,
-    max_entanglement,
-    schmidt_spectrum,
-    von_neumann_entropy,
-)
-from .evolution import (
-    UNITARITY_TOL,
-    CoinOperator,
-    evolve,
-    evolve_single,
-    hadamard,
-    step,
-    step_single,
-)
+from .evolution import CoinOperator, hadamard
 from .experiment import (
     PRESET_NAMES,
     ExperimentConfig,
-    SymmetryReport,
     TimelineRecord,
     asymptotic_ratio,
     canonical_initial_states,
     default_window,
+    distribution_symmetry,
     run_timeline,
-    single_walker_distribution,
-    symmetry_report,
+    timeline_and_distribution,
 )
-from .measurement import (
-    PROB_EPS,
-    BranchState,
-    CoinOutcome,
-    EmptyBranchError,
-    outcome_probabilities,
-    post_measurement,
-)
-from .states import (
-    NORM_TOL,
-    SUPPORT_EPS,
-    CoinSpinor,
-    CorrelatedWalkState,
-    NormalizationError,
-    SingleWalkerState,
-    mean_position,
-    mirror_distance,
-    new_correlated_state,
-    new_single_state,
-    norm,
-    parity_ok,
-    position_distribution,
-    require_unit_norm,
-    support,
-)
+from .measurement import CoinOutcome
+from .states import CoinSpinor
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchState",
-    "COEFF_EPS",
     "CoinOperator",
     "CoinOutcome",
     "CoinSpinor",
-    "CorrelatedWalkState",
-    "EmptyBranchError",
-    "EntanglementRecord",
     "ExperimentConfig",
-    "NORM_TOL",
-    "NormalizationError",
     "PRESET_NAMES",
-    "PROB_EPS",
-    "SUPPORT_EPS",
-    "SchmidtSpectrum",
-    "SingleWalkerState",
-    "SymmetryReport",
     "TimelineRecord",
-    "UNITARITY_TOL",
     "asymptotic_ratio",
-    "branch_entanglement",
     "canonical_initial_states",
     "default_window",
-    "entanglement_ratio",
-    "evolve",
-    "evolve_single",
+    "distribution_symmetry",
     "hadamard",
-    "max_entanglement",
-    "mean_position",
-    "mirror_distance",
-    "new_correlated_state",
-    "new_single_state",
-    "norm",
-    "outcome_probabilities",
-    "parity_ok",
-    "position_distribution",
-    "post_measurement",
-    "require_unit_norm",
     "run_timeline",
-    "schmidt_spectrum",
-    "single_walker_distribution",
-    "step",
-    "step_single",
-    "support",
-    "symmetry_report",
-    "von_neumann_entropy",
+    "timeline_and_distribution",
 ]

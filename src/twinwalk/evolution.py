@@ -1,18 +1,16 @@
-"""One-step evolution: mix the coin, then shift conditionally.
+"""Coin operators and the walk's one engine: mix the coin, then shift.
 
 A step applies the coin operator to the amplitude pair at every site and then
 moves the coin-0 component one site right and the coin-1 component one site
-left.  For the correlated two-walker states the conditional move displaces
-both walkers together, so the recorded position index transforms exactly as
-in the one-walker walk and both state shapes share the same site arithmetic.
-The pass is fused (no operator matrices are materialized) and costs
-O(|support|) per step.
+left.  For two correlated walkers the conditional move displaces both walkers
+together, so the pair stays on the diagonal |x, x> and its amplitudes are
+exactly those of the one-walker walk; one trajectory serves both.
 
-``trajectory`` is the same step on two dense numpy arrays, one per coin
-component, in a parity-compacted layout: after t steps index k holds site
-``start - t + 2k``, so only the t + 1 reachable sites are stored.  The sparse
-dict step stays as the reference implementation the array path is tested
-against.
+``trajectory`` carries the walk as two numpy arrays, one per coin component,
+in a parity-compacted layout: after t steps index k holds site
+``start - t + 2k``, so only the t + 1 reachable sites are stored.  A step is
+O(t); no operator matrix is formed.  ``twinwalk verify`` and the tests check
+it against the dense-tensor and path-sum oracles in ``oracle``.
 """
 
 from __future__ import annotations
@@ -20,11 +18,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
-from .states import AmpPair, CoinSpinor, CorrelatedWalkState, SingleWalkerState
+from .states import CoinSpinor
 
 #: elementwise tolerance on U+ U = I for coin operators
 UNITARITY_TOL = 1e-12
@@ -61,63 +59,6 @@ def hadamard() -> CoinOperator:
     """The balanced coin (1/sqrt 2) [[1, 1], [1, -1]]."""
     s = math.sqrt(0.5)
     return CoinOperator(s, s, s, -s)
-
-
-def _advance(amps: Mapping[int, AmpPair], coin: CoinOperator) -> dict[int, AmpPair]:
-    """Coin-mix then scatter.  Each output component has exactly one source site."""
-    u00, u01, u10, u11 = coin.u00, coin.u01, coin.u10, coin.u11
-    moved0: dict[int, complex] = {}
-    moved1: dict[int, complex] = {}
-    for x, (a0, a1) in amps.items():
-        b0 = u00 * a0 + u01 * a1
-        b1 = u10 * a0 + u11 * a1
-        if b0 != 0:
-            moved0[x + 1] = b0
-        if b1 != 0:
-            moved1[x - 1] = b1
-    out: dict[int, AmpPair] = {x: (b0, 0j) for x, b0 in moved0.items()}
-    for x, b1 in moved1.items():
-        prior = out.get(x)
-        out[x] = (prior[0], b1) if prior is not None else (0j, b1)
-    return out
-
-
-def step(state: CorrelatedWalkState, coin: CoinOperator) -> CorrelatedWalkState:
-    """One application of the two-walker evolution; preserves norm and diagonality."""
-    return CorrelatedWalkState(step=state.step + 1, amps=_advance(state.amps, coin))
-
-
-def step_single(state: SingleWalkerState, coin: CoinOperator) -> SingleWalkerState:
-    """One application of the standard coined walk on the line."""
-    return SingleWalkerState(step=state.step + 1, amps=_advance(state.amps, coin))
-
-
-def evolve(
-    initial: CorrelatedWalkState, coin: CoinOperator, n: int
-) -> list[CorrelatedWalkState]:
-    """Snapshots after 0..n steps; element t is the state at step counter t."""
-    if n < 0:
-        raise ValueError(f"step count must be non-negative, got {n}")
-    snapshots = [initial]
-    state = initial
-    for _ in range(n):
-        state = step(state, coin)
-        snapshots.append(state)
-    return snapshots
-
-
-def evolve_single(
-    initial: SingleWalkerState, coin: CoinOperator, n: int
-) -> list[SingleWalkerState]:
-    """Snapshots of the one-walker walk after 0..n steps."""
-    if n < 0:
-        raise ValueError(f"step count must be non-negative, got {n}")
-    snapshots = [initial]
-    state = initial
-    for _ in range(n):
-        state = step_single(state, coin)
-        snapshots.append(state)
-    return snapshots
 
 
 def trajectory(

@@ -116,10 +116,8 @@ def timeline_and_distribution(
     """``run_timeline`` plus the one-walker distribution after ``steps`` steps.
 
     Both come from the same trajectory, so the walk is evolved once.  Each
-    walker's marginal is the one-walker walk under ``config.coin_operator``;
-    for the Hadamard coin (every preset) the distribution therefore equals
-    ``single_walker_distribution``.  Sites are displacements from the start
-    position.
+    walker's marginal is the one-walker walk under ``config.coin_operator``.
+    Sites are displacements from the start position.
     """
     final: list[np.ndarray] = []
     records = run_timeline(config, final=final)
@@ -178,32 +176,10 @@ def distribution_symmetry(distribution: dict[int, float], steps: int) -> Symmetr
     )
 
 
-def symmetry_report(coin_init: CoinSpinor, steps: int) -> SymmetryReport:
-    """Balance diagnostics of the ``steps``-step one-walker Hadamard walk."""
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    return distribution_symmetry(single_walker_distribution(coin_init, steps), steps)
-
-
-def single_walker_distribution(coin_init: CoinSpinor, steps: int) -> dict[int, float]:
-    """Position distribution of the ``steps``-step one-walker Hadamard walk.
-
-    The one-walker walk shifts exactly like the two-walker one, so it shares
-    the array trajectory.  The coin operator is always Hadamard; for a
-    configured operator use ``timeline_and_distribution``.  Sites never
-    reached (probability exactly 0) are left out, as in the sparse engine.
-    """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    for a0, a1 in trajectory(coin_init, hadamard(), steps):
-        pass
-    return trajectory_distribution(a0, a1)
-
-
 def trajectory_distribution(a0: np.ndarray, a1: np.ndarray) -> dict[int, float]:
     """Position distribution of one ``trajectory`` step started at the origin.
 
-    Sites with probability exactly 0 are left out.
+    Sites never reached (probability exactly 0) are left out.
     """
     t = len(a0) - 1
     probabilities = np.abs(a0) ** 2 + np.abs(a1) ** 2

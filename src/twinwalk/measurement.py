@@ -1,13 +1,14 @@
-"""Coin measurement in the computational basis: outcome weights and branches."""
+"""Coin measurement in the computational basis: the outcomes and the absence cut.
+
+Measuring the coin after t steps leaves one of two branches, each the
+coin-c array of the trajectory rescaled to unit weight.
+``entanglement.branch_entropy`` measures both from the unnormalized arrays;
+a branch no heavier than ``PROB_EPS`` is reported absent.
+"""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
-
-from .states import CorrelatedWalkState
 
 #: branches lighter than this are reported absent instead of renormalized
 PROB_EPS = 1e-12
@@ -18,54 +19,10 @@ class EmptyBranchError(ValueError):
 
 
 class CoinOutcome(Enum):
-    """The two coin readouts; the value doubles as the amplitude-pair index."""
+    """The two coin readouts; the value doubles as the coin index."""
 
     C0 = 0
     C1 = 1
 
     def __str__(self) -> str:
         return f"c{self.value}"
-
-
-@dataclass(frozen=True)
-class BranchState:
-    """Normalized walker state left after projecting the coin onto one outcome.
-
-    ``amps[x]`` is the (renormalized) amplitude of the diagonal site ``|x, x>``;
-    ``probability`` is the weight the branch had before renormalization.
-    """
-
-    outcome: CoinOutcome
-    step: int
-    amps: Mapping[int, complex]
-    probability: float
-
-
-def outcome_probabilities(state: CorrelatedWalkState) -> tuple[float, float]:
-    """Weights of the coin-0 and coin-1 readouts; they sum to the state norm."""
-    p0 = 0.0
-    p1 = 0.0
-    for a0, a1 in state.amps.values():
-        p0 += abs(a0) ** 2
-        p1 += abs(a1) ** 2
-    return p0, p1
-
-
-def post_measurement(state: CorrelatedWalkState, outcome: CoinOutcome) -> BranchState:
-    """Project onto ``outcome`` and renormalize the surviving walker amplitudes.
-
-    Raises EmptyBranchError when the branch weight does not exceed PROB_EPS;
-    entanglement is undefined for an absent branch and renormalizing noise
-    would only amplify rounding garbage.
-    """
-    idx = outcome.value
-    weight = sum(abs(pair[idx]) ** 2 for pair in state.amps.values())
-    if weight <= PROB_EPS:
-        raise EmptyBranchError(
-            f"outcome {outcome} has probability {weight!r} at step {state.step}"
-        )
-    scale = 1.0 / math.sqrt(weight)
-    amps = {
-        x: pair[idx] * scale for x, pair in state.amps.items() if pair[idx] != 0
-    }
-    return BranchState(outcome=outcome, step=state.step, amps=amps, probability=weight)

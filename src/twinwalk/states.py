@@ -1,29 +1,21 @@
-"""Sparse amplitude maps for coined walks on the integer line.
+"""Coin states, the normalization tolerance and position-distribution symmetry.
 
-Both state shapes store, per lattice site, the pair of amplitudes attached to
-the two coin basis states.  ``CorrelatedWalkState`` uses the pair at site ``x``
-for the ``|0>_c |x, x>`` and ``|1>_c |x, x>`` components of a two-walker state
-confined to the diagonal of the joint position space: the shift that drives it
-moves both walkers together, so off-diagonal components are unreachable and
-the diagonal map is a complete description.  ``SingleWalkerState`` uses the
-same layout for an ordinary one-walker state ``|coin> (x) |x>``.
-
-States are immutable values; every operation returns a new state.
+A walk starts from a point: both walkers at one site, with the coin in the
+state a ``CoinSpinor`` holds.  Everything after that is the arrays that
+``evolution.trajectory`` yields.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping
 
 #: tolerance on the squared norm of anything that must be normalized
 NORM_TOL = 1e-12
 
 #: probability mass below which a site does not count as support
 SUPPORT_EPS = 1e-14
-
-AmpPair = tuple[complex, complex]
 
 
 class NormalizationError(ValueError):
@@ -50,97 +42,7 @@ class CoinSpinor:
             )
 
 
-@dataclass(frozen=True)
-class CorrelatedWalkState:
-    """Two walkers driven by one coin, on the diagonal ``|x, x>`` subspace.
-
-    ``amps[x]`` holds the amplitudes of ``|0>_c |x, x>`` and ``|1>_c |x, x>``.
-    Do not mutate ``amps`` after construction.
-    """
-
-    step: int
-    amps: Mapping[int, AmpPair]
-
-
-@dataclass(frozen=True)
-class SingleWalkerState:
-    """One coined walker; ``amps[x]`` holds the amplitudes of ``|0>_c |x>`` and ``|1>_c |x>``."""
-
-    step: int
-    amps: Mapping[int, AmpPair]
-
-
-WalkState = Union[CorrelatedWalkState, SingleWalkerState]
-
-
-def _point_start(coin: CoinSpinor, position: int) -> dict[int, AmpPair]:
-    coin.require_normalized()
-    return {position: (complex(coin.amp0), complex(coin.amp1))}
-
-
-def new_correlated_state(coin: CoinSpinor, position: int) -> CorrelatedWalkState:
-    """Both walkers at ``position`` with the given coin state; step counter 0.
-
-    Raises NormalizationError unless the coin is normalized within NORM_TOL.
-    """
-    return CorrelatedWalkState(step=0, amps=_point_start(coin, position))
-
-
-def new_single_state(coin: CoinSpinor, position: int) -> SingleWalkerState:
-    """Single walker at ``position`` with the given coin state; step counter 0."""
-    return SingleWalkerState(step=0, amps=_point_start(coin, position))
-
-
-def norm(state: WalkState) -> float:
-    """Total probability mass; 1 (within NORM_TOL) for any properly evolved state."""
-    return sum(abs(a0) ** 2 + abs(a1) ** 2 for a0, a1 in state.amps.values())
-
-
-def position_distribution(state: WalkState) -> dict[int, float]:
-    """Probability of finding the walker(s) at each stored site, coin traced out."""
-    return {x: abs(a0) ** 2 + abs(a1) ** 2 for x, (a0, a1) in state.amps.items()}
-
-
-def support(state: WalkState) -> list[int]:
-    """Ascending positions whose probability mass exceeds SUPPORT_EPS."""
-    return sorted(
-        x
-        for x, (a0, a1) in state.amps.items()
-        if abs(a0) ** 2 + abs(a1) ** 2 > SUPPORT_EPS
-    )
-
-
-def mean_position(state: WalkState) -> float:
-    """Expected position under the coin-traced distribution."""
-    return sum(x * p for x, p in position_distribution(state).items())
-
-
-def _require_finite_pairs(amps: Mapping[int, AmpPair]) -> None:
-    for x, (a0, a1) in amps.items():
-        if not (cmath.isfinite(a0) and cmath.isfinite(a1)):
-            raise NormalizationError(f"non-finite amplitude at site {x}")
-
-
-def require_unit_norm(state: WalkState, tol: float = NORM_TOL) -> None:
-    """Diagnostic assertion used by callers that demand a normalized state."""
-    _require_finite_pairs(state.amps)
-    total = norm(state)
-    if abs(total - 1.0) > tol:
-        raise NormalizationError(f"state norm is {total!r}, expected 1 within {tol}")
-
-
 def mirror_total_variation(dist: Mapping[int, float]) -> float:
     """Total-variation distance between a position distribution and its reflection."""
     positions = set(dist) | {-x for x in dist}
     return 0.5 * sum(abs(dist.get(x, 0.0) - dist.get(-x, 0.0)) for x in positions)
-
-
-def mirror_distance(state: WalkState) -> float:
-    """Total-variation distance between the state's distribution and its reflection."""
-    return mirror_total_variation(position_distribution(state))
-
-
-def parity_ok(state: WalkState) -> bool:
-    """True iff every stored site obeys |x| <= t and x = t (mod 2)."""
-    t = state.step
-    return all(abs(x) <= t and (x - t) % 2 == 0 for x in state.amps)

@@ -3,29 +3,30 @@
 Each check compares the engine against closed-form values, an invariant or
 one of the independent oracles and reports the worst error it measured, so a
 corrupted engine shows up as a concrete number rather than a silent drift.
-The checks, in order, with the engine each reads and its tolerance:
+The checks, in order, with the engine output each reads and its tolerance:
 
-======================================================  ==================  =====
-check                                                   engine              tol
-======================================================  ==================  =====
-three-step amplitudes vs closed form                    dict tables         1e-12
-branch entropies t=1 (product states)                   timeline records    1e-9
-branch entropies t=2 (maximally entangled)              timeline records    1e-9
-branch entropy t=3 coin-0                               timeline records    5e-5
-branch entropy t=3 coin-1                               timeline records    1e-9
-attainable bound at t=2 and t=3                         timeline records    5e-4
-norm drift over 1000 steps                              array trajectory    1e-12
-light-cone violations over 1000 steps                   array trajectory    0
-distribution completeness at t=1000                     array trajectory    1e-12
-sparse amplitudes and timeline vs dense oracle, t <= D  dict tables and     1e-10
-                                                        timeline records
-sparse path vs path-sum oracle, t <= min(D, 12)         dict tables         1e-12
-======================================================  ==================  =====
+=====================================================  ==================  =====
+check                                                  engine              tol
+=====================================================  ==================  =====
+three-step amplitudes vs closed form                   amplitude tables    1e-12
+branch entropies t=1 (product states)                  timeline records    1e-9
+branch entropies t=2 (maximally entangled)             timeline records    1e-9
+branch entropy t=3 coin-0                              timeline records    5e-5
+branch entropy t=3 coin-1                              timeline records    1e-9
+attainable bound at t=2 and t=3                        timeline records    5e-4
+norm drift over 1000 steps                             array trajectory    1e-12
+light-cone violations over 1000 steps                  array trajectory    0
+distribution completeness at t=1000                    array trajectory    1e-12
+array amplitudes and timeline vs dense oracle, t <= D  amplitude tables    1e-10
+                                                       and timeline
+                                                       records
+array amplitudes vs path-sum oracle, t <= min(D, 12)   amplitude tables    1e-12
+=====================================================  ==================  =====
 
-"Dict tables" are the sparse reference engine's amplitude maps
-(``evolution.step``), "timeline records" come from ``run_timeline`` and the
-"array trajectory" is ``evolution.trajectory``, which ``run_timeline`` runs
-on.  D is the oracle depth, 3 <= D <= ``MAX_DEPTH``; the oracle sweeps
+The "array trajectory" is ``evolution.trajectory``, the engine that
+``run_timeline`` runs on; "amplitude tables" are its arrays read as
+{(site, coin): amplitude} maps, and "timeline records" are ``run_timeline``
+output.  D is the oracle depth, 3 <= D <= ``MAX_DEPTH``; the oracle sweeps
 cover the five presets plus 0..``MAX_RANDOM_STATES`` random coins.
 """
 
@@ -47,7 +48,7 @@ from .experiment import (
 )
 from .measurement import CoinOutcome
 from .oracle import dense_trajectory, path_sum_table, reduced_entropy
-from .states import CoinSpinor, new_correlated_state
+from .states import CoinSpinor
 
 DEFAULT_SEED = 20100901
 
@@ -95,16 +96,21 @@ def random_coin_states(count: int, seed: int = DEFAULT_SEED) -> list[CoinSpinor]
 
 
 def _engine_amplitude_tables(coin: CoinSpinor, t_max: int) -> list[AmpTable]:
-    """Element t holds the engine's {(site, coin index): amplitude} map at step t."""
-    state = new_correlated_state(coin, 0)
-    tables = [{(x, c): pair[c] for x, pair in state.amps.items() for c in (0, 1)}]
-    coin_op = evolution.hadamard()
-    for _ in range(t_max):
-        state = evolution.step(state, coin_op)
-        tables.append(
-            {(x, c): pair[c] for x, pair in state.amps.items() for c in (0, 1)}
+    """Element t holds the engine's {(site, coin index): amplitude} map at step t.
+
+    The walk starts at the origin under the Hadamard coin.  Index k of the
+    step-t arrays is site -t + 2k; exact zeros are kept.
+    """
+    return [
+        {
+            (2 * k - t, c): amp
+            for c, amps in enumerate((a0.tolist(), a1.tolist()))
+            for k, amp in enumerate(amps)
+        }
+        for t, (a0, a1) in enumerate(
+            evolution.trajectory(coin, evolution.hadamard(), t_max)
         )
-    return tables
+    ]
 
 
 def _table_difference(left: AmpTable, right: AmpTable) -> float:
@@ -221,10 +227,10 @@ def _dense_error(coin: CoinSpinor, tables: list[AmpTable], t_max: int) -> float:
 
 
 def _path_sum_error(coin: CoinSpinor, tables: list[AmpTable], t_max: int) -> float:
-    """Worst deviation of the engine tables from the path sum for t = 1..t_max."""
+    """Worst deviation of the engine tables from the path sum for t = 0..t_max."""
     return max(
         _table_difference(tables[t], path_sum_table(coin, t))
-        for t in range(1, t_max + 1)
+        for t in range(t_max + 1)
     )
 
 
@@ -263,14 +269,14 @@ def run_checks(
         )
     checks.append(
         CheckResult(
-            f"sparse amplitudes and timeline vs dense oracle, t <= {max_step}",
+            f"array amplitudes and timeline vs dense oracle, t <= {max_step}",
             dense_worst,
             1e-10,
         )
     )
     checks.append(
         CheckResult(
-            f"sparse path vs path-sum oracle, t <= {path_sum_depth}",
+            f"array amplitudes vs path-sum oracle, t <= {path_sum_depth}",
             path_sum_worst,
             1e-12,
         )

@@ -12,30 +12,24 @@ import math
 import time
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from twinwalk import (
     CoinOutcome,
-    ExperimentConfig,
     asymptotic_ratio,
     canonical_initial_states,
-    evolve,
     hadamard,
-    new_correlated_state,
-    norm,
-    parity_ok,
-    position_distribution,
     run_timeline,
-    single_walker_distribution,
-    support,
+    timeline_and_distribution,
 )
 from twinwalk.cli import main
-from twinwalk.oracle import dense_evolve, path_sum_table, reduced_entropy
-from twinwalk.states import mirror_total_variation
-from twinwalk.verification import random_coin_states
-from twinwalk import outcome_probabilities, post_measurement, schmidt_spectrum, step
-from twinwalk import von_neumann_entropy
+from twinwalk.evolution import trajectory
+from twinwalk.experiment import trajectory_distribution
+from twinwalk.oracle import dense_evolve
+from twinwalk.states import SUPPORT_EPS, mirror_total_variation
+from twinwalk.verification import _dense_error, _path_sum_error, random_coin_states
 from testutil import evolve_tables, max_table_diff
 
 S = math.sqrt(0.5)
@@ -160,35 +154,11 @@ def test_criterion_3_oracle_equivalence():
             c.coin_init for c in canonical_initial_states(steps=1).values()
         ]
         coins.extend(random_coin_states(20))
-        dense_t = 10
         for coin in coins:
-            config = ExperimentConfig(coin_init=coin, steps=dense_t)
-            state = new_correlated_state(coin, 0)
-            tables = evolve_tables(coin, dense_t)
-            for t in range(1, dense_t + 1):
-                state = step(state, config.coin_operator)
-                dense = dense_evolve(config, t, dense_t)
-                for x in range(-t, t + 1):
-                    for c in (0, 1):
-                        assert (
-                            abs(tables[t].get((x, c), 0j) - dense.amplitude(c, x, x))
-                            < 1e-10
-                        )
-                p0, p1 = outcome_probabilities(state)
-                assert abs(p0 - dense.branch_probability(CoinOutcome.C0)) < 1e-10
-                assert abs(p1 - dense.branch_probability(CoinOutcome.C1)) < 1e-10
-                for outcome, weight in ((CoinOutcome.C0, p0), (CoinOutcome.C1, p1)):
-                    if weight <= 1e-12:
-                        continue
-                    fast = von_neumann_entropy(
-                        schmidt_spectrum(post_measurement(state, outcome))
-                    )
-                    assert abs(fast - reduced_entropy(dense, outcome)) < 1e-10
-
-        for coin in coins:
-            tables = evolve_tables(coin, 12)
-            for t in range(13):
-                assert max_table_diff(tables[t], path_sum_table(coin, t)) < 1e-12
+            # engine tables and timeline records vs the dense oracle, t = 1..10
+            assert _dense_error(coin, evolve_tables(coin, 10), 10) < 1e-10
+            # engine tables vs the path sum, t = 0..12
+            assert _path_sum_error(coin, evolve_tables(coin, 12), 12) < 1e-12
 
         elapsed = time.perf_counter() - started
         assert elapsed < 60.0, f"oracle sweep took {elapsed:.1f} s"
@@ -197,14 +167,16 @@ def test_criterion_3_oracle_equivalence():
 def test_criterion_4_property_suite(full_scale):
     with criterion("4 (norm, parity, bounds, swap and mirror symmetry)"):
         config = canonical_initial_states(steps=1000)["4a"]
-        snapshots = evolve(
-            new_correlated_state(config.coin_init, 0), hadamard(), 1000
-        )
-        assert max(abs(norm(s) - 1.0) for s in snapshots) < 1e-12
-        for snapshot in snapshots:
-            assert parity_ok(snapshot)
-            assert len(support(snapshot)) <= snapshot.step + 1
-        assert abs(sum(position_distribution(snapshots[-1]).values()) - 1.0) < 1e-12
+        for t, (a0, a1) in enumerate(trajectory(config.coin_init, hadamard(), 1000)):
+            mass = np.abs(a0) ** 2 + np.abs(a1) ** 2
+            assert abs(float(np.sum(mass)) - 1.0) < 1e-12
+            # parity and light cone: one slot per site -t, -t + 2, ..., t, and
+            # the edge slots a step vacates hold exactly 0
+            assert len(a0) == len(a1) == t + 1
+            if t >= 1:
+                assert a0[0] == 0 and a1[t] == 0
+            assert int(np.count_nonzero(mass > SUPPORT_EPS)) <= t + 1
+        assert abs(sum(trajectory_distribution(a0, a1).values()) - 1.0) < 1e-12
 
         for name, (timeline, _) in full_scale.items():
             for record in timeline:
@@ -221,8 +193,9 @@ def test_criterion_4_property_suite(full_scale):
             assert abs(a.entropy0 - b.entropy1) < 1e-10
             assert abs(a.entropy1 - b.entropy0) < 1e-10
 
-        balanced = canonical_initial_states(steps=1)["4c"].coin_init
-        distribution = single_walker_distribution(balanced, 1000)
+        _, distribution = timeline_and_distribution(
+            canonical_initial_states(steps=1000)["4c"]
+        )
         assert mirror_total_variation(distribution) < 1e-10
 
         dense = dense_evolve(canonical_initial_states(steps=1)["4a"], 120, 122)

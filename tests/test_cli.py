@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -330,15 +331,21 @@ def test_verify_rejects_negative_random_states(runner):
 
 
 def test_verify_detects_corrupted_engine(runner, monkeypatch):
-    true_step = twinwalk.evolution.step
+    # two coin steps per yielded step, as a doubled step would give
+    true_trajectory = twinwalk.evolution.trajectory
 
-    def doubled_step(state, coin):
-        return true_step(true_step(state, coin), coin)
+    def doubled_trajectory(coin_init, coin, n):
+        return itertools.islice(true_trajectory(coin_init, coin, 2 * n), 0, None, 2)
 
-    monkeypatch.setattr(twinwalk.evolution, "step", doubled_step)
+    monkeypatch.setattr(twinwalk.evolution, "trajectory", doubled_trajectory)
     result = runner.invoke(main, ["verify", "--depth", "4", "--random-states", "1"])
     assert result.exit_code != 0
-    assert "FAIL" in result.output
+    for check in (
+        "three-step amplitudes vs closed form",
+        "array amplitudes and timeline vs dense oracle",
+        "array amplitudes vs path-sum oracle",
+    ):
+        assert f"FAIL  {check}" in result.output
 
 
 def test_verify_detects_corrupted_timeline(runner, monkeypatch):
@@ -351,7 +358,7 @@ def test_verify_detects_corrupted_timeline(runner, monkeypatch):
     monkeypatch.setattr(twinwalk.experiment, "trajectory", damped_trajectory)
     result = runner.invoke(main, ["verify", "--depth", "4", "--random-states", "1"])
     assert result.exit_code != 0
-    assert "FAIL  sparse amplitudes and timeline vs dense oracle" in result.output
+    assert "FAIL  array amplitudes and timeline vs dense oracle" in result.output
 
 
 @pytest.mark.parametrize("depth", [201, 10**9])
@@ -359,7 +366,6 @@ def test_verify_rejects_depth_above_ceiling(runner, monkeypatch, depth):
     def must_not_evolve(*args, **kwargs):
         raise AssertionError("evolved before the depth was validated")
 
-    monkeypatch.setattr(twinwalk.evolution, "step", must_not_evolve)
     monkeypatch.setattr(twinwalk.evolution, "trajectory", must_not_evolve)
     monkeypatch.setattr(twinwalk.verification, "dense_trajectory", must_not_evolve)
     result = runner.invoke(main, ["verify", "--depth", str(depth)])
@@ -402,8 +408,8 @@ def test_verify_detects_late_norm_loss(runner, monkeypatch):
     result = runner.invoke(main, ["verify", "--depth", "4", "--random-states", "1"])
     assert result.exit_code == 1
     assert "FAIL  norm drift over 1000 steps" in result.output
-    assert "PASS  sparse amplitudes and timeline vs dense oracle" in result.output
-    assert "PASS  sparse path vs path-sum oracle" in result.output
+    assert "PASS  array amplitudes and timeline vs dense oracle" in result.output
+    assert "PASS  array amplitudes vs path-sum oracle" in result.output
 
 
 @pytest.mark.parametrize("count", [1001, 10**9])

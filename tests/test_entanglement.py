@@ -6,28 +6,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twinwalk import (
-    BranchState,
-    CoinOutcome,
-    CoinSpinor,
-    ExperimentConfig,
-    SchmidtSpectrum,
-    PROB_EPS,
-    EmptyBranchError,
-    branch_entanglement,
+from twinwalk import CoinOutcome, CoinSpinor, canonical_initial_states, hadamard, run_timeline
+from twinwalk.entanglement import (
+    COEFF_EPS,
+    branch_entropy,
     entanglement_ratio,
-    hadamard,
     max_entanglement,
-    new_correlated_state,
-    post_measurement,
-    schmidt_spectrum,
-    step,
-    von_neumann_entropy,
 )
-from twinwalk.entanglement import COEFF_EPS, branch_entropy
-from twinwalk.oracle import dense_evolve, reduced_entropy
-from twinwalk.verification import random_coin_states
-from testutil import diagonal_states
+from twinwalk.evolution import trajectory
+from twinwalk.measurement import PROB_EPS
+from twinwalk.verification import _dense_error, random_coin_states
+from testutil import coin_arrays, evolve_tables, pre_fusion_branch_entropy
 
 S = math.sqrt(0.5)
 THREE_STEP_ENTROPY = 1.2516291673878228
@@ -35,28 +24,34 @@ THREE_STEP_RATIO = 0.7896900821428475
 
 
 def branch_at(t, outcome=CoinOutcome.C0, coin=CoinSpinor(1.0, 0.0)):
-    state = new_correlated_state(coin, 0)
-    h = hadamard()
-    for _ in range(t):
-        state = step(state, h)
-    return post_measurement(state, outcome)
+    """Unnormalized amplitudes of one coin branch after t steps."""
+    for arrays in trajectory(coin, hadamard(), t):
+        pass
+    return arrays[outcome.value].copy()
+
+
+def spectrum(amps):
+    """Schmidt coefficients |a| / sqrt(weight) >= COEFF_EPS, descending."""
+    moduli = [abs(a) for a in amps.tolist()]
+    scale = math.sqrt(math.fsum(m * m for m in moduli))
+    return tuple(sorted((m / scale for m in moduli if m / scale >= COEFF_EPS), reverse=True))
 
 
 def test_spectrum_of_uniform_pair_branch():
-    spectrum = schmidt_spectrum(branch_at(2))
-    assert len(spectrum) == 2
-    assert spectrum.coefficients == pytest.approx((S, S), abs=1e-12)
+    coefficients = spectrum(branch_at(2))
+    assert coefficients == pytest.approx((S, S), abs=1e-12)
+    assert branch_entropy(branch_at(2))[2] == 2
 
 
 def test_spectrum_of_point_branch():
-    spectrum = schmidt_spectrum(branch_at(1))
-    assert spectrum.coefficients == pytest.approx((1.0,), abs=1e-12)
+    assert spectrum(branch_at(1)) == pytest.approx((1.0,), abs=1e-12)
+    assert branch_entropy(branch_at(1))[2] == 1
 
 
 def test_spectrum_of_three_site_branch():
-    spectrum = schmidt_spectrum(branch_at(3))
     expected = (2 / math.sqrt(6), 1 / math.sqrt(6), 1 / math.sqrt(6))
-    assert spectrum.coefficients == pytest.approx(expected, abs=1e-12)
+    assert spectrum(branch_at(3)) == pytest.approx(expected, abs=1e-12)
+    assert branch_entropy(branch_at(3))[2] == 3
 
 
 @pytest.mark.parametrize(
@@ -69,22 +64,29 @@ def test_spectrum_of_three_site_branch():
     ],
 )
 def test_spectrum_validation(coefficients):
-    with pytest.raises(ValueError):
-        SchmidtSpectrum(tuple(coefficients))
+    # empty, unsorted, negative and unnormalized coefficient lists need no
+    # validation: the entropy is that of the renormalized moduli in any order,
+    # and an empty branch is absent
+    weight, entropy, kept = branch_entropy(np.array(coefficients, dtype=np.complex128))
+    if not coefficients:
+        assert (weight, entropy, kept) == (0.0, None, None)
+        return
+    p = [c * c / weight for c in coefficients]
+    assert weight == pytest.approx(sum(c * c for c in coefficients), rel=1e-15)
+    assert entropy == pytest.approx(-sum(q * math.log2(q) for q in p), abs=1e-12)
+    assert kept == len(coefficients)
 
 
 def test_entropy_of_point_spectrum():
-    assert von_neumann_entropy(SchmidtSpectrum((1.0,))) == 0.0
+    assert branch_entropy(np.array([1.0 + 0j])) == (1.0, 0.0, 1)
 
 
 def test_entropy_of_uniform_pair():
-    assert von_neumann_entropy(SchmidtSpectrum((S, S))) == pytest.approx(
-        1.0, abs=1e-12
-    )
+    assert branch_entropy(np.array([S, S]))[1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_entropy_of_three_site_branch():
-    entropy = von_neumann_entropy(schmidt_spectrum(branch_at(3)))
+    _, entropy, _ = branch_entropy(branch_at(3))
     assert entropy == pytest.approx(1.2516, abs=5e-5)
     assert entropy == pytest.approx(THREE_STEP_ENTROPY, abs=1e-12)
 
@@ -112,17 +114,17 @@ def test_ratio_values():
 
 
 def test_branch_entanglement_bundles_all_three():
-    record = branch_entanglement(branch_at(3))
-    assert record.entropy == pytest.approx(THREE_STEP_ENTROPY, abs=1e-12)
-    assert record.max_entropy == math.log2(3)
-    assert record.ratio == pytest.approx(THREE_STEP_RATIO, abs=1e-12)
-    assert branch_entanglement(branch_at(1)).ratio is None
+    first, _, third = run_timeline(canonical_initial_states(steps=3)["4a"])
+    assert third.entropy0 == pytest.approx(THREE_STEP_ENTROPY, abs=1e-12)
+    assert third.max_entropy == math.log2(3)
+    assert third.ratio0 == pytest.approx(THREE_STEP_RATIO, abs=1e-12)
+    assert first.ratio0 is None
 
 
 @pytest.mark.parametrize("d", range(1, 9))
 def test_uniform_spectrum_is_maximal(d):
-    spectrum = SchmidtSpectrum((1 / math.sqrt(d),) * d)
-    assert von_neumann_entropy(spectrum) == pytest.approx(math.log2(d), abs=1e-12)
+    _, entropy, _ = branch_entropy(np.full(d, 1 / math.sqrt(d)))
+    assert entropy == pytest.approx(math.log2(d), abs=1e-12)
 
 
 @given(
@@ -134,92 +136,55 @@ def test_unequal_spectrum_is_strictly_submaximal(d, delta):
     probs = [1.0 / d] * d
     probs[0] += delta
     probs[1] -= delta
-    coefficients = tuple(sorted((math.sqrt(p) for p in probs), reverse=True))
-    entropy = von_neumann_entropy(SchmidtSpectrum(coefficients))
+    _, entropy, _ = branch_entropy(np.sqrt(np.array(probs)))
     # Pinsker: the entropy deficit is at least (2 delta^2 / ln 2) > delta^2
     assert entropy < math.log2(d) - delta**2
 
 
-@given(state=diagonal_states(), phase=st.floats(min_value=-math.pi, max_value=math.pi))
+@given(arrays=coin_arrays(), phase=st.floats(min_value=-math.pi, max_value=math.pi))
 @settings(deadline=None)
-def test_entropy_invariant_under_global_phase(state, phase):
-    weight = sum(abs(a0) ** 2 for a0, _ in state.amps.values())
+def test_entropy_invariant_under_global_phase(arrays, phase):
+    amps = arrays[0]
+    weight, entropy, kept = branch_entropy(amps)
     if weight <= 1e-6:
         return
-    branch = post_measurement(state, CoinOutcome.C0)
-    rotated = BranchState(
-        outcome=branch.outcome,
-        step=branch.step,
-        amps={x: a * complex(math.cos(phase), math.sin(phase)) for x, a in branch.amps.items()},
-        probability=branch.probability,
-    )
-    assert von_neumann_entropy(schmidt_spectrum(rotated)) == pytest.approx(
-        von_neumann_entropy(schmidt_spectrum(branch)), abs=1e-12
-    )
+    rotated = branch_entropy(amps * complex(math.cos(phase), math.sin(phase)))
+    assert rotated[1] == pytest.approx(entropy, abs=1e-12)
+    assert rotated[2] == kept
 
 
-@given(state=diagonal_states(), shift=st.integers(min_value=-50, max_value=50))
+@given(arrays=coin_arrays(), shift=st.integers(min_value=-50, max_value=50))
 @settings(deadline=None)
-def test_entropy_invariant_under_relabeling(state, shift):
-    weight = sum(abs(a0) ** 2 for a0, _ in state.amps.values())
+def test_entropy_invariant_under_relabeling(arrays, shift):
+    # site x moved to 2x + shift: zeros between the sites, all of them moved
+    amps = arrays[0]
+    weight, entropy, kept = branch_entropy(amps)
     if weight <= 1e-6:
         return
-    branch = post_measurement(state, CoinOutcome.C0)
-    relabeled = BranchState(
-        outcome=branch.outcome,
-        step=branch.step,
-        amps={2 * x + shift: a for x, a in branch.amps.items()},
-        probability=branch.probability,
-    )
-    assert schmidt_spectrum(relabeled).coefficients == schmidt_spectrum(
-        branch
-    ).coefficients
+    relabeled = np.zeros(2 * len(amps) + 100, dtype=np.complex128)
+    relabeled[2 * np.arange(len(amps)) + shift + 50] = amps
+    assert spectrum(relabeled) == spectrum(amps)
+    assert branch_entropy(relabeled)[1:] == pytest.approx((entropy, kept), abs=1e-13)
 
 
 def test_entropy_matches_dense_oracle_for_random_coins():
     t_max = 10
     for coin in random_coin_states(50, seed=424242):
-        config = ExperimentConfig(coin_init=coin, steps=t_max)
-        state = new_correlated_state(coin, 0)
-        for t in range(1, t_max + 1):
-            state = step(state, config.coin_operator)
-            dense = dense_evolve(config, t, t_max)
-            for outcome in CoinOutcome:
-                idx = outcome.value
-                weight = sum(abs(p[idx]) ** 2 for p in state.amps.values())
-                if weight <= 1e-12:
-                    continue
-                fast = von_neumann_entropy(
-                    schmidt_spectrum(post_measurement(state, outcome))
-                )
-                assert fast == pytest.approx(
-                    reduced_entropy(dense, outcome), abs=1e-10
-                )
+        assert _dense_error(coin, evolve_tables(coin, t_max), t_max) < 1e-10
 
 
-@given(state=diagonal_states(max_step=30))
+@given(arrays=coin_arrays(max_step=30))
 @settings(deadline=None)
-def test_branch_entropy_matches_sparse_path(state):
-    sites = sorted(state.amps)
-    for outcome in CoinOutcome:
-        amps = np.array([state.amps[x][outcome.value] for x in sites])
+def test_branch_entropy_matches_sparse_path(arrays):
+    """Walk-like branches against the pre-fusion normalize/cut/-sum p log2 p."""
+    for amps in arrays:
         weight, entropy, kept = branch_entropy(amps)
-        try:
-            branch = post_measurement(state, outcome)
-        except EmptyBranchError:
-            assert weight <= PROB_EPS
-            assert (entropy, kept) == (None, None)
-            continue
-        assert weight == pytest.approx(branch.probability, abs=1e-15)
-        assert kept == sum(abs(a) >= COEFF_EPS for a in branch.amps.values())
-        try:
-            spectrum = schmidt_spectrum(branch)
-        except ValueError:
-            # SchmidtSpectrum refuses more than NORM_TOL of mass below
-            # COEFF_EPS; branch_entropy keeps the truncated entropy
-            assert entropy >= 0.0
-            continue
-        assert entropy == pytest.approx(von_neumann_entropy(spectrum), abs=1e-12)
+        ref_weight, ref_entropy, ref_kept = pre_fusion_branch_entropy(amps)
+        assert weight == pytest.approx(ref_weight, abs=1e-15)
+        assert kept == ref_kept
+        assert (entropy is None) == (ref_entropy is None)
+        if ref_entropy is not None:
+            assert entropy == pytest.approx(ref_entropy, abs=1e-12)
 
 
 def test_branch_entropy_drops_tiny_coefficients():
@@ -228,18 +193,6 @@ def test_branch_entropy_drops_tiny_coefficients():
     assert entropy == pytest.approx(1.0, abs=1e-12)
     assert weight == pytest.approx(1.0, abs=1e-15)
     assert branch_entropy(np.zeros(5, dtype=complex)) == (0.0, None, None)
-
-
-def _pre_fusion_branch_entropy(amps):
-    """The abs/sum/divide/mask arithmetic branch_entropy used before fusion."""
-    moduli = np.abs(amps)
-    weight = float(np.sum(moduli * moduli))
-    if weight <= PROB_EPS:
-        return weight, None, None
-    coefficients = moduli / math.sqrt(weight)
-    kept = coefficients[coefficients >= COEFF_EPS]
-    p = kept * kept
-    return weight, max(0.0, float(-np.sum(p * np.log2(p)))), len(kept)
 
 
 @st.composite
@@ -276,7 +229,7 @@ def branch_arrays(draw):
 @settings(deadline=None, max_examples=300)
 def test_fused_branch_entropy_matches_pre_fusion_arithmetic(amps):
     weight, entropy, kept = branch_entropy(amps)
-    ref_weight, ref_entropy, ref_kept = _pre_fusion_branch_entropy(amps)
+    ref_weight, ref_entropy, ref_kept = pre_fusion_branch_entropy(amps)
     # a dot and np.sum may round and order a positive sum differently: n eps
     summation = len(amps) * 2.3e-16
     assert weight == pytest.approx(ref_weight, rel=summation, abs=0.0)

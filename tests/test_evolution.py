@@ -1,29 +1,19 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twinwalk import CoinOperator, CoinSpinor, ExperimentConfig, hadamard
 from twinwalk.evolution import trajectory
-from twinwalk import (
-    CoinOperator,
-    CoinSpinor,
-    CorrelatedWalkState,
-    evolve,
-    evolve_single,
-    hadamard,
-    new_correlated_state,
-    new_single_state,
-    norm,
-    position_distribution,
-    step,
-    step_single,
-)
+from twinwalk.experiment import trajectory_distribution
+from twinwalk.oracle import dense_trajectory
 from testutil import (
-    amp_table,
     coin_operators,
     coin_spinors,
-    diagonal_states_at,
+    dense_diagonal,
     evolve_tables,
     max_table_diff,
 )
@@ -37,6 +27,15 @@ COIN_LEFT = CoinSpinor(0.0, 1.0)
 ONE_STEP = {(1, 0): S, (-1, 1): S}
 TWO_STEP = {(2, 0): 0.5, (0, 0): 0.5, (0, 1): 0.5, (-2, 1): -0.5}
 THREE_STEP = {(3, 0): E3, (1, 0): 2 * E3, (-1, 0): -E3, (1, 1): E3, (-3, 1): E3}
+
+
+def rounding(t):
+    """Bound on |array - dense| after t steps.
+
+    The dense oracle mixes the coin with a tensor contraction that rounds
+    differently from the array step, by about one ulp a step.
+    """
+    return 4 * (t + 1) * np.finfo(np.float64).eps
 
 
 def test_hadamard_columns():
@@ -81,11 +80,10 @@ def test_accepts_general_unitary_coin():
 
 def test_general_coin_drives_a_valid_walk():
     rotation = CoinOperator(math.cos(1.1), math.sin(1.1), -math.sin(1.1), math.cos(1.1))
-    state = new_correlated_state(COIN_RIGHT, 0)
-    for _ in range(50):
-        state = step(state, rotation)
-    assert norm(state) == pytest.approx(1.0, abs=1e-12)
-    assert state.step == 50
+    for a0, a1 in trajectory(COIN_RIGHT, rotation, 50):
+        pass
+    assert norm(a0, a1) == pytest.approx(1.0, abs=1e-12)
+    assert len(a0) == len(a1) == 51
 
 
 @pytest.mark.parametrize(
@@ -96,46 +94,54 @@ def test_short_walks_match_closed_form(steps, expected):
     assert max_table_diff(table, {k: complex(v) for k, v in expected.items()}) < 1e-12
 
 
+def norm(a0, a1):
+    return float(np.sum(np.abs(a0) ** 2) + np.sum(np.abs(a1) ** 2))
+
+
 def test_step_increments_counter():
-    state = new_correlated_state(COIN_RIGHT, 0)
-    assert step(state, hadamard()).step == 1
+    # the step-t pair has t + 1 slots, one per reachable site
+    lengths = [(len(a0), len(a1)) for a0, a1 in trajectory(COIN_RIGHT, hadamard(), 4)]
+    assert lengths == [(t + 1, t + 1) for t in range(5)]
 
 
 def test_evolve_zero_steps_returns_initial():
-    state = new_correlated_state(COIN_RIGHT, 0)
-    snapshots = evolve(state, hadamard(), 0)
-    assert snapshots == [state]
+    coin = CoinSpinor(S, -1j * S)
+    pairs = [(a0.tolist(), a1.tolist()) for a0, a1 in trajectory(coin, hadamard(), 0)]
+    assert pairs == [([coin.amp0], [coin.amp1])]
 
 
 def test_evolve_rejects_negative_count():
-    with pytest.raises(ValueError):
-        evolve(new_correlated_state(COIN_RIGHT, 0), hadamard(), -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        next(trajectory(COIN_RIGHT, hadamard(), -1))
 
 
 def test_evolve_snapshots_match_repeated_step():
+    # a shorter run's steps are exactly the first steps of a longer run
     h = hadamard()
-    snapshots = evolve(new_correlated_state(COIN_RIGHT, 0), h, 3)
-    state = new_correlated_state(COIN_RIGHT, 0)
-    for t in range(1, 4):
-        state = step(state, h)
-        assert snapshots[t] == state
-    assert max_table_diff(amp_table(snapshots[3]), dict(THREE_STEP)) < 1e-12
+    short = [(a0.copy(), a1.copy()) for a0, a1 in trajectory(COIN_RIGHT, h, 3)]
+    long = itertools.islice(trajectory(COIN_RIGHT, h, 10), 4)
+    for (s0, s1), (l0, l1) in zip(short, long, strict=True):
+        assert np.array_equal(s0, l0) and np.array_equal(s1, l1)
+    assert max_table_diff(evolve_tables(COIN_RIGHT, 3)[3], dict(THREE_STEP)) < 1e-12
 
 
 def test_norm_conserved_along_1000_step_trajectory():
-    snapshots = evolve(new_correlated_state(COIN_RIGHT, 0), hadamard(), 1000)
-    assert max(abs(norm(s) - 1.0) for s in snapshots) < 1e-12
+    drift = max(abs(norm(a0, a1) - 1.0) for a0, a1 in trajectory(COIN_RIGHT, hadamard(), 1000))
+    assert drift < 1e-12
 
 
 def test_single_walker_first_step():
-    state = step_single(new_single_state(COIN_RIGHT, 0), hadamard())
-    assert max_table_diff(amp_table(state), dict(ONE_STEP)) < 1e-12
+    # the one-walker walk is the same trajectory, read as one walker's sites
+    *_, (a0, a1) = trajectory(COIN_RIGHT, hadamard(), 1)
+    table = {(2 * k - 1, c): amp for c, amps in enumerate((a0, a1)) for k, amp in enumerate(amps)}
+    assert max_table_diff(table, dict(ONE_STEP)) < 1e-12
 
 
 def test_single_walker_balanced_coin_symmetric_at_1000_steps():
     coin = CoinSpinor(S, 1j * S)
-    final = evolve_single(new_single_state(coin, 0), hadamard(), 1000)[-1]
-    dist = position_distribution(final)
+    for a0, a1 in trajectory(coin, hadamard(), 1000):
+        pass
+    dist = trajectory_distribution(a0, a1)
     for x, p in dist.items():
         assert abs(p - dist.get(-x, 0.0)) < 1e-12
 
@@ -146,46 +152,31 @@ def test_all_right_amplitude_is_power_of_half(t):
     assert table[(t, 0)] == pytest.approx(2 ** (-t / 2), abs=1e-12)
 
 
-@given(data=st.data())
+@given(coin=coin_spinors(), operator=coin_operators(), steps=st.integers(0, 12))
 @settings(deadline=None, max_examples=60)
-def test_step_is_linear(data):
-    t = data.draw(st.integers(min_value=0, max_value=6))
-    psi = data.draw(diagonal_states_at(t))
-    phi = data.draw(diagonal_states_at(t))
-    alpha = complex(data.draw(st.floats(-1, 1)), data.draw(st.floats(-1, 1)))
-    beta = complex(data.draw(st.floats(-1, 1)), data.draw(st.floats(-1, 1)))
-    sites = set(psi.amps) | set(phi.amps)
-    combined = CorrelatedWalkState(
-        step=t,
-        amps={
-            x: (
-                alpha * psi.amps.get(x, (0j, 0j))[0] + beta * phi.amps.get(x, (0j, 0j))[0],
-                alpha * psi.amps.get(x, (0j, 0j))[1] + beta * phi.amps.get(x, (0j, 0j))[1],
-            )
-            for x in sites
-        },
+def test_step_is_linear(coin, operator, steps):
+    # the run from a0|0> + a1|1> is a0 (run from |0>) + a1 (run from |1>)
+    runs = zip(
+        trajectory(coin, operator, steps),
+        trajectory(CoinSpinor(1.0, 0.0), operator, steps),
+        trajectory(CoinSpinor(0.0, 1.0), operator, steps),
     )
-    h = hadamard()
-    stepped = amp_table(step(combined, h))
-    table_psi = amp_table(step(psi, h))
-    table_phi = amp_table(step(phi, h))
-    recombined = {
-        k: alpha * table_psi.get(k, 0j) + beta * table_phi.get(k, 0j)
-        for k in set(table_psi) | set(table_phi)
-    }
-    assert max_table_diff(stepped, recombined) < 1e-12
+    for (a0, a1), (r0, r1), (l0, l1) in runs:
+        assert np.max(np.abs(a0 - (coin.amp0 * r0 + coin.amp1 * l0))) < 1e-12
+        assert np.max(np.abs(a1 - (coin.amp0 * r1 + coin.amp1 * l1))) < 1e-12
 
 
 @given(coin=coin_spinors(), steps=st.integers(min_value=0, max_value=25))
 @settings(deadline=None)
 def test_two_walker_amplitudes_equal_single_walker(coin, steps):
-    pair = new_correlated_state(coin, 0)
-    solo = new_single_state(coin, 0)
-    h = hadamard()
-    for _ in range(steps):
-        pair = step(pair, h)
-        solo = step_single(solo, h)
-    assert pair.amps == solo.amps
+    # the dense oracle moves two walkers on the full product lattice; its
+    # diagonal must hold the one-walker trajectory's amplitudes, to rounding,
+    # and nothing may leave it
+    config = ExperimentConfig(coin_init=coin, steps=max(steps, 1))
+    states = zip(trajectory(coin, hadamard(), steps), dense_trajectory(config, steps, steps))
+    for t, ((a0, a1), dense) in enumerate(states):
+        assert np.max(np.abs(dense_diagonal(dense, 0, t) - np.array([a0, a1]))) <= rounding(t)
+        assert dense.off_diagonal_mass() == 0.0
 
 
 def test_mirror_symmetry_between_opposite_basis_coins():
@@ -207,19 +198,18 @@ def test_mirror_symmetry_between_opposite_basis_coins():
 )
 @settings(deadline=None, max_examples=40)
 def test_trajectory_layout_matches_sparse_step(coin, operator, steps, start):
-    # index k of the step-t arrays holds site start - t + 2k
-    snapshots = evolve(new_correlated_state(coin, start), operator, steps)
+    """Index k of the step-t arrays holds site start - t + 2k of the dense oracle."""
+    config = ExperimentConfig(
+        coin_init=coin, steps=max(steps, 1), start_position=start, coin_operator=operator
+    )
+    dense_states = dense_trajectory(config, steps, steps + abs(start))
     arrays = trajectory(coin, operator, steps)
-    for snapshot, (a0, a1) in zip(snapshots, arrays, strict=True):
-        t = snapshot.step
+    for t, (dense, (a0, a1)) in enumerate(zip(dense_states, arrays, strict=True)):
         assert len(a0) == len(a1) == t + 1
-        table = {
-            (start - t + 2 * k, c): complex(amps[k])
-            for c, amps in enumerate((a0, a1))
-            for k in range(t + 1)
-            if amps[k] != 0
-        }
-        assert max_table_diff(table, amp_table(snapshot)) <= 1e-15
+        diagonal = dense_diagonal(dense, start, t)
+        assert np.max(np.abs(diagonal - np.array([a0, a1]))) <= rounding(t)
+        # no dense mass outside the sites the layout stores
+        assert np.sum(np.abs(diagonal) ** 2) == pytest.approx(dense.norm(), abs=1e-14)
 
 
 def test_trajectory_rejects_bad_input():

@@ -1,39 +1,40 @@
+import itertools
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinwalk import (
-    PROB_EPS,
     CoinOperator,
     CoinOutcome,
     CoinSpinor,
     ExperimentConfig,
-    NormalizationError,
     PRESET_NAMES,
     asymptotic_ratio,
     canonical_initial_states,
     default_window,
-    evolve_single,
+    distribution_symmetry,
     hadamard,
-    new_correlated_state,
-    new_single_state,
-    outcome_probabilities,
-    position_distribution,
-    post_measurement,
     run_timeline,
-    schmidt_spectrum,
-    single_walker_distribution,
-    step,
-    symmetry_report,
-    von_neumann_entropy,
+    timeline_and_distribution,
 )
 import twinwalk.experiment
 from twinwalk.entanglement import COEFF_EPS
-from twinwalk.experiment import timeline_and_distribution
+from twinwalk.evolution import trajectory
+from twinwalk.experiment import trajectory_distribution
 from twinwalk.figures import build_figure_bundle
-from testutil import coin_operators, coin_spinors
+from twinwalk.oracle import dense_evolve, dense_trajectory
+from twinwalk.states import NORM_TOL, NormalizationError
+from testutil import (
+    coin_operators,
+    coin_spinors,
+    dense_diagonal,
+    dense_marginal,
+    pre_fusion_branch_entropy,
+)
 
 S = math.sqrt(0.5)
 
@@ -159,6 +160,13 @@ def test_timeline_is_deterministic():
     assert run_timeline(config) == run_timeline(config)
 
 
+def symmetry_report(coin, steps):
+    _, distribution = timeline_and_distribution(
+        ExperimentConfig(coin_init=coin, steps=steps)
+    )
+    return distribution_symmetry(distribution, steps)
+
+
 def test_symmetry_report_balanced_coin():
     report = symmetry_report(CoinSpinor(S, 1j * S), 500)
     assert report.mirror_distance < 1e-10
@@ -183,55 +191,35 @@ def test_symmetry_report_rejects_zero_steps():
         symmetry_report(CoinSpinor(1.0, 0.0), 0)
 
 
-#: entropy placeholder for a branch whose sparse Schmidt spectrum is rejected
-REJECTED = "rejected"
+def assert_matches_dense_oracle(config):
+    """Amplitudes, weights, entropies and supports at every t against the dense oracle.
 
-
-def dict_engine_timeline(config):
-    """(p0, p1, entropy0, entropy1, support0, support1) per step, sparse engine."""
-    state = new_correlated_state(config.coin_init, config.start_position)
-    rows = []
-    for _ in range(config.steps):
-        state = step(state, config.coin_operator)
-        p0, p1 = outcome_probabilities(state)
-        entropies, supports = [], []
-        for outcome, weight in ((CoinOutcome.C0, p0), (CoinOutcome.C1, p1)):
-            if weight > PROB_EPS:
-                branch = post_measurement(state, outcome)
-                try:
-                    spectrum = schmidt_spectrum(branch)
-                except ValueError:
-                    # more than NORM_TOL of the branch mass lies below COEFF_EPS
-                    entropies.append(REJECTED)
-                    supports.append(
-                        sum(abs(a) >= COEFF_EPS for a in branch.amps.values())
-                    )
-                    continue
-                entropies.append(von_neumann_entropy(spectrum))
-                supports.append(len(spectrum))
-            else:
-                entropies.append(None)
-                supports.append(None)
-        rows.append((p0, p1, *entropies, *supports))
-    return rows
-
-
-def assert_matches_dict_engine(config):
+    The reference entropy is the pre-fusion arithmetic applied to the dense
+    tensor's diagonal, so ``branch_entropy``'s cut and support are compared
+    on the oracle's amplitudes.  The dense lattice covers the whole cone.
+    """
+    start, steps = config.start_position, config.steps
     timeline = run_timeline(config)
-    reference = dict_engine_timeline(config)
-    assert [r.step for r in timeline] == list(range(1, config.steps + 1))
-    for record, (p0, p1, e0, e1, n0, n1) in zip(timeline, reference, strict=True):
-        assert abs(record.p0 - p0) <= 1e-13
-        assert abs(record.p1 - p1) <= 1e-13
-        assert (record.support0, record.support1) == (n0, n1)
-        for got, want, ratio in (
-            (record.entropy0, e0, record.ratio0),
-            (record.entropy1, e1, record.ratio1),
+    arrays = itertools.islice(
+        trajectory(config.coin_init, config.coin_operator, steps), 1, None
+    )
+    dense_states = itertools.islice(
+        dense_trajectory(config, steps, steps + abs(start)), 1, None
+    )
+    assert [r.step for r in timeline] == list(range(1, steps + 1))
+    for record, (a0, a1), dense in zip(timeline, arrays, dense_states, strict=True):
+        diagonal = dense_diagonal(dense, start, record.step)
+        assert np.max(np.abs(diagonal - np.array([a0, a1]))) <= 1e-13
+        assert abs(record.p0 - dense.branch_probability(CoinOutcome.C0)) <= 1e-13
+        assert abs(record.p1 - dense.branch_probability(CoinOutcome.C1)) <= 1e-13
+        for got, support, ratio, amps in (
+            (record.entropy0, record.support0, record.ratio0, diagonal[0]),
+            (record.entropy1, record.support1, record.ratio1, diagonal[1]),
         ):
+            _, want, want_support = pre_fusion_branch_entropy(amps)
             assert (got is None) == (want is None)
-            if want is REJECTED:
-                assert got >= 0.0
-            elif want is not None:
+            assert support == want_support
+            if want is not None:
                 assert abs(got - want) <= 1e-12
             if got is None or record.step == 1:
                 assert ratio is None
@@ -243,21 +231,23 @@ def assert_matches_dict_engine(config):
     coin=coin_spinors(),
     operator=coin_operators(),
     steps=st.integers(min_value=1, max_value=200),
-    start=st.integers(min_value=-1000, max_value=1000),
+    start=st.integers(min_value=-20, max_value=20),
 )
 @settings(deadline=None, max_examples=30)
 def test_array_timeline_matches_dict_engine(coin, operator, steps, start):
-    assert_matches_dict_engine(
-        ExperimentConfig(
-            coin_init=coin, steps=steps, start_position=start, coin_operator=operator
-        )
+    """Random coins and operators, T <= 200, against the dense oracle."""
+    config = ExperimentConfig(
+        coin_init=coin, steps=steps, start_position=start, coin_operator=operator
     )
+    assert_matches_dense_oracle(config)
+    # the start only labels sites, so the small starts drawn here stand for all
+    assert run_timeline(config) == run_timeline(replace(config, start_position=0))
 
 
 def test_array_timeline_keeps_branch_the_sparse_spectrum_rejects():
     # a near-identity coin leaves one dominant site per branch; at t = 115 the
     # coin-1 branch has just over NORM_TOL of its mass in coefficients below
-    # COEFF_EPS, which SchmidtSpectrum refuses and the array path truncates
+    # COEFF_EPS, and its entropy is that of the one kept coefficient
     theta = 1.1920928959999971e-07
     c = math.sqrt(1.0 - theta * theta)
     config = ExperimentConfig(
@@ -265,17 +255,21 @@ def test_array_timeline_keeps_branch_the_sparse_spectrum_rejects():
         steps=115,
         coin_operator=CoinOperator(c, theta, -theta, c),
     )
-    assert dict_engine_timeline(config)[-1][3] is REJECTED
+    for a0, a1 in trajectory(config.coin_init, config.coin_operator, 115):
+        pass
+    weight = float(np.sum(np.abs(a1) ** 2))
+    cut = np.abs(a1) < COEFF_EPS * math.sqrt(weight)
+    assert float(np.sum(np.abs(a1[cut]) ** 2)) / weight > NORM_TOL
     last = run_timeline(config)[-1]
     assert last.support1 == 1
     assert 0.0 <= last.entropy1 < 1e-11
-    assert_matches_dict_engine(config)
+    assert_matches_dense_oracle(config)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_array_timeline_matches_dict_engine_on_presets(name):
-    config = canonical_initial_states(steps=200)[name]
-    assert_matches_dict_engine(config)
+    """The five presets at T = 200 against the dense oracle."""
+    assert_matches_dense_oracle(canonical_initial_states(steps=200)[name])
 
 
 def test_array_timeline_reports_absent_branch():
@@ -285,18 +279,29 @@ def test_array_timeline_reports_absent_branch():
     assert (first.p1, first.entropy1, first.ratio1, first.support1) == (
         0.0, None, None, None
     )
-    assert_matches_dict_engine(config)
+    assert_matches_dense_oracle(config)
+
+
+def final_distribution(coin, operator, steps):
+    """One-walker distribution read off the last arrays of a trajectory."""
+    for a0, a1 in trajectory(coin, operator, steps):
+        pass
+    return trajectory_distribution(a0, a1)
+
+
+def assert_distributions_close(got, expected, tol):
+    for x in set(expected) | set(got):
+        assert abs(got.get(x, 0.0) - expected.get(x, 0.0)) <= tol
 
 
 @pytest.mark.parametrize("steps", [0, 1, 2, 57, 200])
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_single_walker_distribution_matches_dict_engine(name, steps):
-    coin = canonical_initial_states(steps=1)[name].coin_init
-    final = evolve_single(new_single_state(coin, 0), hadamard(), steps)[-1]
-    expected = position_distribution(final)
-    got = single_walker_distribution(coin, steps)
-    for x in set(expected) | set(got):
-        assert abs(got.get(x, 0.0) - expected.get(x, 0.0)) <= 1e-15
+    """The one-walker distribution against the dense oracle's walker-1 marginal."""
+    config = canonical_initial_states(steps=max(steps, 1))[name]
+    dense = dense_evolve(config, steps, steps)
+    got = final_distribution(config.coin_init, hadamard(), steps)
+    assert_distributions_close(got, dense_marginal(dense), 1e-15)
 
 
 @pytest.mark.parametrize("steps", [1, 2, 257])
@@ -305,7 +310,7 @@ def test_timeline_and_distribution_is_one_pass_of_both(name, steps):
     config = canonical_initial_states(steps=steps)[name]
     timeline, distribution = timeline_and_distribution(config)
     assert timeline == run_timeline(config)
-    assert distribution == single_walker_distribution(config.coin_init, steps)
+    assert distribution == final_distribution(config.coin_init, hadamard(), steps)
 
 
 @given(coin=coin_spinors(), operator=coin_operators(), steps=st.integers(1, 30))
@@ -313,10 +318,8 @@ def test_timeline_and_distribution_is_one_pass_of_both(name, steps):
 def test_timeline_and_distribution_follows_the_configured_coin(coin, operator, steps):
     config = ExperimentConfig(coin_init=coin, steps=steps, coin_operator=operator)
     _, distribution = timeline_and_distribution(config)
-    final = evolve_single(new_single_state(coin, 0), operator, steps)[-1]
-    expected = position_distribution(final)
-    for x in set(expected) | set(distribution):
-        assert abs(distribution.get(x, 0.0) - expected.get(x, 0.0)) <= 1e-14
+    dense = dense_evolve(config, steps, steps)
+    assert_distributions_close(distribution, dense_marginal(dense), 1e-14)
 
 
 def test_figure_bundle_evolves_each_preset_once(monkeypatch):

@@ -1,147 +1,143 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twinwalk import (
-    CoinOutcome,
-    CoinSpinor,
-    CorrelatedWalkState,
-    EmptyBranchError,
-    hadamard,
-    new_correlated_state,
-    new_single_state,
-    norm,
-    outcome_probabilities,
-    post_measurement,
-    step,
-    step_single,
-)
-from twinwalk.oracle import path_sum_table
-from testutil import coin_spinors, diagonal_states
+from twinwalk import CoinOutcome, CoinSpinor, ExperimentConfig, hadamard, run_timeline
+from twinwalk.entanglement import branch_entropy
+from twinwalk.evolution import trajectory
+from twinwalk.oracle import dense_trajectory, path_sum_table
+from testutil import coin_arrays, coin_operators, coin_spinors
 
 S = math.sqrt(0.5)
 COIN_RIGHT = CoinSpinor(1.0, 0.0)
 
 
 def walk(coin, steps):
-    state = new_correlated_state(coin, 0)
-    h = hadamard()
-    for _ in range(steps):
-        state = step(state, h)
-    return state
+    """Copies of the coin-0 and coin-1 arrays after ``steps`` steps."""
+    for a0, a1 in trajectory(coin, hadamard(), steps):
+        pass
+    return a0.copy(), a1.copy()
+
+
+def branch(coin, steps, outcome=0):
+    """Weight and {site: renormalized amplitude} of one coin branch from the origin."""
+    arrays = walk(coin, steps)
+    weight, _, _ = branch_entropy(arrays[outcome])
+    return weight, {
+        2 * k - steps: amp / math.sqrt(weight)
+        for k, amp in enumerate(arrays[outcome].tolist())
+        if amp != 0
+    }
 
 
 def test_probabilities_after_one_step():
-    p0, p1 = outcome_probabilities(walk(COIN_RIGHT, 1))
-    assert p0 == pytest.approx(0.5, abs=1e-12)
-    assert p1 == pytest.approx(0.5, abs=1e-12)
+    first = run_timeline(ExperimentConfig(coin_init=COIN_RIGHT, steps=1))[0]
+    assert first.p0 == pytest.approx(0.5, abs=1e-12)
+    assert first.p1 == pytest.approx(0.5, abs=1e-12)
 
 
 def test_probabilities_after_three_steps():
-    p0, p1 = outcome_probabilities(walk(COIN_RIGHT, 3))
+    third = run_timeline(ExperimentConfig(coin_init=COIN_RIGHT, steps=3))[-1]
     # cross-checked against the path-sum oracle below
-    assert p0 == pytest.approx(0.75, abs=1e-12)
-    assert p1 == pytest.approx(0.25, abs=1e-12)
+    assert third.p0 == pytest.approx(0.75, abs=1e-12)
+    assert third.p1 == pytest.approx(0.25, abs=1e-12)
     table = path_sum_table(COIN_RIGHT, 3)
     oracle_p0 = sum(abs(v) ** 2 for (x, c), v in table.items() if c == 0)
-    assert p0 == pytest.approx(oracle_p0, abs=1e-12)
+    assert third.p0 == pytest.approx(oracle_p0, abs=1e-12)
 
 
 def test_probabilities_of_initial_coin_zero():
-    assert outcome_probabilities(new_correlated_state(COIN_RIGHT, 0)) == (1.0, 0.0)
+    a0, a1 = walk(COIN_RIGHT, 0)
+    assert (branch_entropy(a0)[0], branch_entropy(a1)[0]) == (1.0, 0.0)
 
 
 def test_branch_after_one_step():
-    branch = post_measurement(walk(COIN_RIGHT, 1), CoinOutcome.C0)
-    assert branch.step == 1
-    assert branch.probability == pytest.approx(0.5, abs=1e-12)
-    assert set(branch.amps) == {1}
-    assert branch.amps[1] == pytest.approx(1.0, abs=1e-12)
+    weight, amps = branch(COIN_RIGHT, 1)
+    assert weight == pytest.approx(0.5, abs=1e-12)
+    assert set(amps) == {1}
+    assert amps[1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_branch_after_two_steps():
-    branch = post_measurement(walk(COIN_RIGHT, 2), CoinOutcome.C0)
-    assert branch.probability == pytest.approx(0.5, abs=1e-12)
-    assert branch.amps[2] == pytest.approx(S, abs=1e-12)
-    assert branch.amps[0] == pytest.approx(S, abs=1e-12)
+    weight, amps = branch(COIN_RIGHT, 2)
+    assert weight == pytest.approx(0.5, abs=1e-12)
+    assert amps[2] == pytest.approx(S, abs=1e-12)
+    assert amps[0] == pytest.approx(S, abs=1e-12)
 
 
 def test_branch_after_three_steps():
-    branch = post_measurement(walk(COIN_RIGHT, 3), CoinOutcome.C0)
+    weight, amps = branch(COIN_RIGHT, 3)
     r = 1 / math.sqrt(6)
-    assert branch.probability == pytest.approx(0.75, abs=1e-12)
-    assert branch.amps[3] == pytest.approx(r, abs=1e-12)
-    assert branch.amps[1] == pytest.approx(2 * r, abs=1e-12)
-    assert branch.amps[-1] == pytest.approx(-r, abs=1e-12)
+    assert weight == pytest.approx(0.75, abs=1e-12)
+    assert amps[3] == pytest.approx(r, abs=1e-12)
+    assert amps[1] == pytest.approx(2 * r, abs=1e-12)
+    assert amps[-1] == pytest.approx(-r, abs=1e-12)
 
 
 def test_empty_branch_is_rejected():
-    with pytest.raises(EmptyBranchError):
-        post_measurement(new_correlated_state(COIN_RIGHT, 0), CoinOutcome.C1)
+    _, a1 = walk(COIN_RIGHT, 0)
+    assert branch_entropy(a1) == (0.0, None, None)
 
 
-@given(state=diagonal_states())
+@given(arrays=coin_arrays(), exponent=st.integers(min_value=-10, max_value=10))
 @settings(deadline=None)
-def test_branches_reconstruct_the_state(state):
-    for outcome in CoinOutcome:
-        idx = outcome.value
-        weight = sum(abs(pair[idx]) ** 2 for pair in state.amps.values())
+def test_branches_reconstruct_the_state(arrays, exponent):
+    # a branch is its renormalized amplitudes times sqrt(weight): scaling the
+    # amplitudes (by a power of two, so exactly) scales the weight and leaves
+    # the entropy and support alone
+    scale = 2.0**exponent
+    for amps in arrays:
+        weight, entropy, kept = branch_entropy(amps)
+        if min(weight, weight * scale * scale) <= 1e-10:
+            continue
+        scaled = branch_entropy(scale * amps)
+        assert scaled[0] == scale * scale * weight
+        assert scaled[1] == pytest.approx(entropy, abs=1e-12)
+        assert scaled[2] == kept
+
+
+@given(coin=coin_spinors(), operator=coin_operators(), steps=st.integers(1, 20))
+@settings(deadline=None)
+def test_outcome_probabilities_are_complete(coin, operator, steps):
+    config = ExperimentConfig(coin_init=coin, steps=steps, coin_operator=operator)
+    for record in run_timeline(config):
+        assert record.p0 + record.p1 == pytest.approx(1.0, abs=1e-12)
+        assert record.p0 >= 0.0 and record.p1 >= 0.0
+
+
+@given(arrays=coin_arrays())
+@settings(deadline=None)
+def test_branch_norm_is_one(arrays):
+    for amps in arrays:
+        weight, entropy, kept = branch_entropy(amps)
         if weight <= 1e-12:
             continue
-        branch = post_measurement(state, outcome)
-        scale = math.sqrt(branch.probability)
-        for x, pair in state.amps.items():
-            rebuilt = scale * branch.amps.get(x, 0j)
-            assert abs(rebuilt - pair[idx]) < 1e-15
-
-
-@given(state=diagonal_states())
-@settings(deadline=None)
-def test_outcome_probabilities_are_complete(state):
-    p0, p1 = outcome_probabilities(state)
-    assert p0 + p1 == pytest.approx(norm(state), abs=1e-12)
-    assert p0 >= 0.0 and p1 >= 0.0
-
-
-@given(state=diagonal_states())
-@settings(deadline=None)
-def test_branch_norm_is_one(state):
-    for outcome in CoinOutcome:
-        idx = outcome.value
-        weight = sum(abs(pair[idx]) ** 2 for pair in state.amps.values())
-        if weight <= 1e-12:
-            continue
-        branch = post_measurement(state, outcome)
-        total = sum(abs(a) ** 2 for a in branch.amps.values())
-        assert total == pytest.approx(1.0, abs=1e-12)
+        renormalized = branch_entropy(amps / math.sqrt(weight))
+        assert renormalized[0] == pytest.approx(1.0, abs=1e-12)
+        assert renormalized[1] == pytest.approx(entropy, abs=1e-12)
+        assert renormalized[2] == kept
 
 
 def test_reembedded_branch_measures_to_itself():
-    branch = post_measurement(walk(COIN_RIGHT, 3), CoinOutcome.C0)
-    reembedded = CorrelatedWalkState(
-        step=branch.step, amps={x: (a, 0j) for x, a in branch.amps.items()}
-    )
-    p0, p1 = outcome_probabilities(reembedded)
-    assert p0 == pytest.approx(1.0, abs=1e-12)
-    assert p1 == 0.0
-    again = post_measurement(reembedded, CoinOutcome.C0)
-    assert again.probability == pytest.approx(1.0, abs=1e-12)
-    for x, a in branch.amps.items():
-        assert abs(again.amps[x] - a) < 1e-15
+    weight, amps = branch(COIN_RIGHT, 3)
+    reembedded = np.array(list(amps.values()))
+    again, entropy, kept = branch_entropy(reembedded)
+    _, original_entropy, original_kept = branch_entropy(walk(COIN_RIGHT, 3)[0])
+    assert again == pytest.approx(1.0, abs=1e-12)
+    assert entropy == pytest.approx(original_entropy, abs=1e-12)
+    assert kept == original_kept == 3
 
 
 @given(coin=coin_spinors())
 @settings(deadline=None, max_examples=40)
 def test_coin_marginals_match_single_walker(coin):
-    pair = new_correlated_state(coin, 0)
-    solo = new_single_state(coin, 0)
-    h = hadamard()
-    for _ in range(10):
-        pair = step(pair, h)
-        solo = step_single(solo, h)
-        p0, p1 = outcome_probabilities(pair)
-        q0 = sum(abs(a0) ** 2 for a0, _ in solo.amps.values())
-        q1 = sum(abs(a1) ** 2 for _, a1 in solo.amps.values())
-        assert p0 == pytest.approx(q0, abs=1e-12)
-        assert p1 == pytest.approx(q1, abs=1e-12)
+    # the coin marginals of the one-walker trajectory are the branch weights
+    # of the dense two-walker state
+    config = ExperimentConfig(coin_init=coin, steps=10)
+    pairs = zip(run_timeline(config), list(dense_trajectory(config, 10, 10))[1:])
+    for record, dense in pairs:
+        assert record.p0 == pytest.approx(dense.branch_probability(CoinOutcome.C0), abs=1e-12)
+        assert record.p1 == pytest.approx(dense.branch_probability(CoinOutcome.C1), abs=1e-12)

@@ -4,19 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from twinwalk import (
-    CoinOutcome,
-    CoinSpinor,
-    EmptyBranchError,
-    ExperimentConfig,
-    canonical_initial_states,
-    new_correlated_state,
-    outcome_probabilities,
-    post_measurement,
-    schmidt_spectrum,
-    step,
-    von_neumann_entropy,
-)
+from twinwalk import CoinOutcome, CoinSpinor, ExperimentConfig, canonical_initial_states
+from twinwalk.measurement import EmptyBranchError
 from twinwalk.oracle import (
     EIGVAL_EPS,
     MAX_PATH_SUM_STEPS,
@@ -27,7 +16,7 @@ from twinwalk.oracle import (
     path_sum_table,
     reduced_entropy,
 )
-from twinwalk.verification import random_coin_states
+from twinwalk.verification import _dense_error, random_coin_states
 from testutil import evolve_tables, max_table_diff
 
 S = math.sqrt(0.5)
@@ -148,25 +137,7 @@ def test_dense_matches_engine_for_presets():
     t_max = 6
     for config in canonical_initial_states(steps=t_max).values():
         tables = evolve_tables(config.coin_init, t_max)
-        state = new_correlated_state(config.coin_init, 0)
-        for t in range(1, t_max + 1):
-            state = step(state, config.coin_operator)
-            dense = dense_evolve(config, t, t_max)
-            for x in range(-t, t + 1):
-                for c in (0, 1):
-                    assert abs(
-                        tables[t].get((x, c), 0j) - dense.amplitude(c, x, x)
-                    ) < 1e-10
-            p0, p1 = outcome_probabilities(state)
-            assert abs(p0 - dense.branch_probability(CoinOutcome.C0)) < 1e-10
-            assert abs(p1 - dense.branch_probability(CoinOutcome.C1)) < 1e-10
-            for outcome, weight in ((CoinOutcome.C0, p0), (CoinOutcome.C1, p1)):
-                if weight <= 1e-12:
-                    continue
-                fast = von_neumann_entropy(
-                    schmidt_spectrum(post_measurement(state, outcome))
-                )
-                assert abs(fast - reduced_entropy(dense, outcome)) < 1e-10
+        assert _dense_error(config.coin_init, tables, t_max) < 1e-10
 
 
 def test_path_sum_matches_engine():

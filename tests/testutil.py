@@ -1,14 +1,17 @@
-"""Shared hypothesis strategies and amplitude-table helpers for the tests."""
+"""Shared hypothesis strategies, amplitude-table and oracle helpers for the tests."""
 
 from __future__ import annotations
 
 import cmath
 import math
 
+import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from twinwalk import CoinOperator, CoinSpinor, CorrelatedWalkState
+from twinwalk import CoinOperator, CoinSpinor
+from twinwalk.entanglement import COEFF_EPS
+from twinwalk.measurement import PROB_EPS
 from twinwalk.verification import AmpTable, _engine_amplitude_tables
 
 #: engine amplitude tables at t = 0..t_max from a point start at the origin,
@@ -46,47 +49,54 @@ def coin_operators(draw) -> CoinOperator:
 
 
 @st.composite
-def diagonal_states_at(draw, t: int) -> CorrelatedWalkState:
-    """Normalized state with step counter t and random parity-valid support."""
-    allowed = list(range(-t, t + 1, 2))
+def coin_arrays(draw, max_step: int = 8) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized coin-0 and coin-1 arrays of one step t <= max_step.
+
+    Both have length t + 1, as ``trajectory`` yields them, with up to six
+    random occupied sites.
+    """
+    t = draw(st.integers(min_value=0, max_value=max_step))
     sites = draw(
         st.lists(
-            st.sampled_from(allowed),
+            st.integers(min_value=0, max_value=t),
             min_size=1,
-            max_size=min(len(allowed), 6),
+            max_size=min(t + 1, 6),
             unique=True,
         )
     )
-    raw = {}
-    total = 0.0
-    for x in sites:
-        pair = (
-            complex(draw(unit_floats), draw(unit_floats)),
-            complex(draw(unit_floats), draw(unit_floats)),
-        )
-        raw[x] = pair
-        total += abs(pair[0]) ** 2 + abs(pair[1]) ** 2
+    arrays = np.zeros((2, t + 1), dtype=np.complex128)
+    for k in sites:
+        for c in (0, 1):
+            arrays[c, k] = complex(draw(unit_floats), draw(unit_floats))
+    total = float(np.sum(np.abs(arrays) ** 2))
     assume(total > 1e-6)
-    scale = 1.0 / math.sqrt(total)
-    return CorrelatedWalkState(
-        step=t, amps={x: (a0 * scale, a1 * scale) for x, (a0, a1) in raw.items()}
-    )
+    arrays /= math.sqrt(total)
+    return arrays[0], arrays[1]
 
 
-@st.composite
-def diagonal_states(draw, max_step: int = 8) -> CorrelatedWalkState:
-    t = draw(st.integers(min_value=0, max_value=max_step))
-    return draw(diagonal_states_at(t))
+def pre_fusion_branch_entropy(amps):
+    """The abs/sum/divide/mask arithmetic branch_entropy used before fusion."""
+    moduli = np.abs(amps)
+    weight = float(np.sum(moduli * moduli))
+    if weight <= PROB_EPS:
+        return weight, None, None
+    coefficients = moduli / math.sqrt(weight)
+    kept = coefficients[coefficients >= COEFF_EPS]
+    p = kept * kept
+    return weight, max(0.0, float(-np.sum(p * np.log2(p)))), len(kept)
 
 
-def amp_table(state) -> AmpTable:
-    """{(site, coin index): amplitude} with exact zeros dropped."""
-    return {
-        (x, c): pair[c]
-        for x, pair in state.amps.items()
-        for c in (0, 1)
-        if pair[c] != 0
-    }
+def dense_diagonal(dense, start: int, t: int) -> np.ndarray:
+    """(2, t + 1) dense-oracle amplitudes of |c>|x, x> at x = start - t + 2k."""
+    sites = start - t + 2 * np.arange(t + 1) + dense.lattice_radius
+    return dense.amplitudes[:, sites, sites]
+
+
+def dense_marginal(dense) -> dict[int, float]:
+    """Walker-1 position distribution of a dense state, zero sites left out."""
+    mass = np.sum(np.abs(dense.amplitudes) ** 2, axis=(0, 2))
+    r = dense.lattice_radius
+    return {x - r: p for x, p in enumerate(mass.tolist()) if p != 0.0}
 
 
 def max_table_diff(left: AmpTable, right: AmpTable) -> float:
@@ -94,4 +104,3 @@ def max_table_diff(left: AmpTable, right: AmpTable) -> float:
     if not keys:
         return 0.0
     return max(abs(left.get(k, 0j) - right.get(k, 0j)) for k in keys)
-
