@@ -8,7 +8,6 @@ tracks how the attained/attainable entanglement ratio converges with the
 number of steps.
 """
 
-from .evolution import CoinOperator, hadamard
 from .experiment import (
     PRESET_NAMES,
     ExperimentConfig,
@@ -26,7 +25,6 @@ from .states import CoinSpinor
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoinOperator",
     "CoinOutcome",
     "CoinSpinor",
     "ExperimentConfig",
@@ -36,7 +34,6 @@ __all__ = [
     "canonical_initial_states",
     "default_window",
     "distribution_symmetry",
-    "hadamard",
     "run_timeline",
     "timeline_and_distribution",
 ]

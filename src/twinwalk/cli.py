@@ -9,6 +9,7 @@ from pathlib import Path
 
 import click
 
+from . import __version__
 from .experiment import (
     ExperimentConfig,
     PRESET_NAMES,
@@ -18,25 +19,19 @@ from .experiment import (
     default_window,
     run_timeline,
 )
-from .evolution import CoinOperator, hadamard
 from .figures import write_figure_bundle
 from .measurement import CoinOutcome
 from .render import render_timeline_csv, write_text_atomic
 from .states import CoinSpinor
 from .verification import DEFAULT_SEED, MAX_DEPTH, MAX_RANDOM_STATES, run_checks
 
-_COIN_OPERATORS: dict[str, CoinOperator] = {"hadamard": hadamard()}
-
 _FORMATS = ("csv", "json")
-
 _SPEC_FIELDS = (
     "re0",
     "im0",
     "re1",
     "im1",
-    "start",
     "steps",
-    "coin_operator",
     "output",
     "format",
 )
@@ -50,9 +45,7 @@ class RunSpec:
     im0: float
     re1: float
     im1: float
-    start: int = 0
     steps: int = 1000
-    coin_operator: str = "hadamard"
     output: str | None = None
     format: str = "csv"
 
@@ -61,17 +54,8 @@ class RunSpec:
             value = getattr(self, name)
             if not _is_finite_real(value):
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
-        for name in ("start", "steps"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.coin_operator, str) or (
-            self.coin_operator not in _COIN_OPERATORS
-        ):
-            raise ValueError(
-                f"unknown coin operator {self.coin_operator!r}; "
-                f"known: {sorted(_COIN_OPERATORS)}"
-            )
+        if not _is_integer(self.steps):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.output is not None and not isinstance(self.output, str):
             raise ValueError(f"output must be a path string, got {self.output!r}")
         if self.format not in _FORMATS:
@@ -81,12 +65,11 @@ class RunSpec:
         return CoinSpinor(complex(self.re0, self.im0), complex(self.re1, self.im1))
 
     def to_config(self) -> ExperimentConfig:
-        return ExperimentConfig(
-            coin_init=self.coin(),
-            steps=self.steps,
-            start_position=self.start,
-            coin_operator=_COIN_OPERATORS[self.coin_operator],
-        )
+        return ExperimentConfig(coin_init=self.coin(), steps=self.steps)
+
+
+def _is_integer(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_finite_real(value: object) -> bool:
@@ -105,9 +88,17 @@ def parse_run_spec(path: Path) -> RunSpec:
         raise ValueError(f"cannot read run spec {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"run spec {path} must be a JSON object")
-    unknown = sorted(set(payload) - set(_SPEC_FIELDS))
+    unknown = sorted(set(payload) - set(_SPEC_FIELDS) - {"start", "coin_operator"})
     if unknown:
         raise ValueError(f"run spec {path} has unknown fields: {unknown}")
+    # specs from earlier versions carry these two; neither changes a computed
+    # number (a start only relabelled sites), so they are checked and dropped
+    start = payload.pop("start", 0)
+    if not _is_integer(start):
+        raise ValueError(f"start must be an integer, got {start!r}")
+    coin_operator = payload.pop("coin_operator", "hadamard")
+    if coin_operator != "hadamard":
+        raise ValueError(f"coin_operator must be 'hadamard', got {coin_operator!r}")
     missing = [k for k in ("re0", "im0", "re1", "im1") if k not in payload]
     if missing:
         raise ValueError(f"run spec {path} is missing coin fields: {missing}")
@@ -143,9 +134,7 @@ def _summary(
             "re1": spec.re1,
             "im1": spec.im1,
         },
-        "start": spec.start,
         "steps": spec.steps,
-        "coin_operator": spec.coin_operator,
         "window": window,
         "asymptotic_ratio": ratios,
     }
@@ -156,7 +145,7 @@ def _dump(payload: dict) -> str:
 
 
 @click.group()
-@click.version_option(package_name="twinwalk", prog_name="twinwalk")
+@click.version_option(version=__version__, prog_name="twinwalk")
 def main() -> None:
     """Two correlated walkers, one coin: entanglement timelines per outcome."""
 
@@ -183,19 +172,13 @@ def main() -> None:
     default=None,
     help="JSON run spec file (written by --save-spec).",
 )
-@click.option("--start", type=int, default=None, help="Start position  [default: 0]")
 @click.option("--steps", type=int, default=None, help="Step count  [default: 1000]")
-@click.option(
-    "--coin-op",
-    type=click.Choice(sorted(_COIN_OPERATORS)),
-    default=None,
-    help="Coin operator  [default: hadamard]",
-)
 @click.option(
     "--window",
     type=int,
     default=None,
-    help="Averaging window for asymptotic ratios  [default: last 10% of steps]",
+    help="Averaging window for asymptotic ratios  [default: last 10% of steps]; "
+    "window = steps reaches t = 1, where the ratio is undefined, so ratios are null",
 )
 @click.option(
     "--out",
@@ -226,9 +209,7 @@ def run(
     preset: str | None,
     coin: tuple[float, float, float, float] | None,
     spec_path: Path | None,
-    start: int | None,
     steps: int | None,
-    coin_op: str | None,
     window: int | None,
     out: Path | None,
     output_format: str | None,
@@ -261,9 +242,7 @@ def run(
             im0=base.im0,
             re1=base.re1,
             im1=base.im1,
-            start=start if start is not None else base.start,
             steps=steps if steps is not None else base.steps,
-            coin_operator=coin_op if coin_op is not None else base.coin_operator,
             output=str(out) if out is not None else base.output,
             format=output_format if output_format is not None else base.format,
         )
@@ -318,7 +297,8 @@ def run(
     "--window",
     type=int,
     default=None,
-    help="Averaging window for manifest ratios  [default: last 10% of steps]",
+    help="Averaging window for manifest ratios  [default: last 10% of steps]; "
+    "window = steps reaches t = 1, where the ratio is undefined, so ratios are null",
 )
 def figures(out_dir: Path, steps: int, window: int | None) -> None:
     """Write replot-ready data for every figure, plus a manifest."""

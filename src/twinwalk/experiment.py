@@ -17,12 +17,12 @@ final arrays of that pass, so a preset that needs both (the figure bundle,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .entanglement import branch_entropy, entanglement_ratio, max_entanglement
-from .evolution import CoinOperator, hadamard, trajectory
+from .evolution import trajectory
 from .measurement import CoinOutcome
 from .states import CoinSpinor, mirror_total_variation
 
@@ -35,8 +35,6 @@ class ExperimentConfig:
 
     coin_init: CoinSpinor
     steps: int = 1000
-    start_position: int = 0
-    coin_operator: CoinOperator = field(default_factory=hadamard)
 
     def __post_init__(self) -> None:
         if self.steps < 1:
@@ -80,13 +78,13 @@ def run_timeline(
 ) -> list[TimelineRecord]:
     """Records for t = 1..steps, each computed from the t-step state.
 
-    The start position only relabels sites, so no record depends on it.  When
-    ``final`` is given, the coin-0 and coin-1 arrays after ``steps`` steps are
-    appended to it, so a caller that also needs the final state (see
-    ``timeline_and_distribution``) does not evolve the walk a second time.
+    When ``final`` is given, the coin-0 and coin-1 arrays after ``steps``
+    steps are appended to it, so a caller that also needs the final state
+    (see ``timeline_and_distribution``) does not evolve the walk a second
+    time.
     """
     records = []
-    states = trajectory(config.coin_init, config.coin_operator, config.steps)
+    states = trajectory(config.coin_init, config.steps)
     a0, a1 = next(states)
     for t, (a0, a1) in enumerate(states, start=1):
         p0, entropy0, support0 = branch_entropy(a0)
@@ -116,8 +114,7 @@ def timeline_and_distribution(
     """``run_timeline`` plus the one-walker distribution after ``steps`` steps.
 
     Both come from the same trajectory, so the walk is evolved once.  Each
-    walker's marginal is the one-walker walk under ``config.coin_operator``.
-    Sites are displacements from the start position.
+    walker's marginal is the one-walker Hadamard walk from the origin.
     """
     final: list[np.ndarray] = []
     records = run_timeline(config, final=final)

@@ -71,9 +71,10 @@ class DenseTensorState:
 def dense_trajectory(
     config: ExperimentConfig, t_max: int, radius: int
 ) -> Iterator[DenseTensorState]:
-    """Yield the dense state after 0, 1, ..., t_max steps.
+    """Yield the dense state after 0, 1, ..., t_max steps from the origin.
 
-    Each step applies the coin to the whole tensor with explicit three-index
+    Each step applies a complex128 Hadamard matrix, built here rather than
+    taken from the engine, to the whole tensor with explicit three-index
     bookkeeping.  The conditional move acts only on diagonal sites |i, i> and
     displaces both walker indices together, so support stays on the diagonal.
     The radius must cover the ballistic cone so no amplitude reaches the
@@ -83,11 +84,6 @@ def dense_trajectory(
         raise ValueError(f"step count must be non-negative, got {t_max}")
     if radius < t_max:
         raise ValueError(f"lattice radius {radius} cannot cover a {t_max}-step walk")
-    if radius < t_max + abs(config.start_position):
-        raise ValueError(
-            f"radius {radius} too small for a {t_max}-step walk starting at "
-            f"{config.start_position}"
-        )
     return _dense_steps(config, t_max, radius)
 
 
@@ -96,10 +92,10 @@ def _dense_steps(
 ) -> Iterator[DenseTensorState]:
     n = 2 * radius + 1
     amplitudes = np.zeros((2, n, n), dtype=np.complex128)
-    origin = config.start_position + radius
-    amplitudes[0, origin, origin] = config.coin_init.amp0
-    amplitudes[1, origin, origin] = config.coin_init.amp1
-    coin = np.array(config.coin_operator.rows(), dtype=np.complex128)
+    amplitudes[0, radius, radius] = config.coin_init.amp0
+    amplitudes[1, radius, radius] = config.coin_init.amp1
+    s = math.sqrt(0.5)
+    coin = np.array(((s, s), (s, -s)), dtype=np.complex128)
     idx = np.arange(n)
     yield DenseTensorState(step=0, lattice_radius=radius, amplitudes=amplitudes)
     for t in range(1, t_max + 1):

@@ -1,6 +1,6 @@
 """Coin states, the normalization tolerance and position-distribution symmetry.
 
-A walk starts from a point: both walkers at one site, with the coin in the
+A walk starts from a point: both walkers at the origin, with the coin in the
 state a ``CoinSpinor`` holds.  Everything after that is the arrays that
 ``evolution.trajectory`` yields.
 """

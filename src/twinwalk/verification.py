@@ -98,8 +98,8 @@ def random_coin_states(count: int, seed: int = DEFAULT_SEED) -> list[CoinSpinor]
 def _engine_amplitude_tables(coin: CoinSpinor, t_max: int) -> list[AmpTable]:
     """Element t holds the engine's {(site, coin index): amplitude} map at step t.
 
-    The walk starts at the origin under the Hadamard coin.  Index k of the
-    step-t arrays is site -t + 2k; exact zeros are kept.
+    Index k of the step-t arrays of ``evolution.trajectory`` is site -t + 2k;
+    exact zeros are kept.
     """
     return [
         {
@@ -107,9 +107,7 @@ def _engine_amplitude_tables(coin: CoinSpinor, t_max: int) -> list[AmpTable]:
             for c, amps in enumerate((a0.tolist(), a1.tolist()))
             for k, amp in enumerate(amps)
         }
-        for t, (a0, a1) in enumerate(
-            evolution.trajectory(coin, evolution.hadamard(), t_max)
-        )
+        for t, (a0, a1) in enumerate(evolution.trajectory(coin, t_max))
     ]
 
 
@@ -180,7 +178,7 @@ def _check_long_run_invariants(steps: int = 1000) -> list[CheckResult]:
     vacated edge slots (coin 0 at index 0, coin 1 at index t) are not exactly 0.
     """
     config = canonical_initial_states(steps=steps)["4a"]
-    states = evolution.trajectory(config.coin_init, config.coin_operator, steps)
+    states = evolution.trajectory(config.coin_init, steps)
     worst_drift = 0.0
     cone_violations = 0
     for t, (a0, a1) in enumerate(itertools.islice(states, 1, None), start=1):

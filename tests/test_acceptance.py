@@ -20,7 +20,6 @@ from twinwalk import (
     CoinOutcome,
     asymptotic_ratio,
     canonical_initial_states,
-    hadamard,
     run_timeline,
     timeline_and_distribution,
 )
@@ -167,7 +166,7 @@ def test_criterion_3_oracle_equivalence():
 def test_criterion_4_property_suite(full_scale):
     with criterion("4 (norm, parity, bounds, swap and mirror symmetry)"):
         config = canonical_initial_states(steps=1000)["4a"]
-        for t, (a0, a1) in enumerate(trajectory(config.coin_init, hadamard(), 1000)):
+        for t, (a0, a1) in enumerate(trajectory(config.coin_init, 1000)):
             mass = np.abs(a0) ** 2 + np.abs(a1) ** 2
             assert abs(float(np.sum(mass)) - 1.0) < 1e-12
             # parity and light cone: one slot per site -t, -t + 2, ..., t, and

@@ -138,7 +138,6 @@ def test_run_spec_roundtrip_functions(tmp_path):
         im0=0.0,
         re1=-math.sqrt(0.15),
         im1=0.0,
-        start=2,
         steps=77,
         output="timeline.csv",
         format="json",
@@ -173,6 +172,45 @@ def test_run_save_spec_then_replay(runner, tmp_path):
     assert replay.exit_code == 0, replay.output
     assert out1.read_bytes() == out2.read_bytes()
     assert parse_run_spec(spec_path).steps == 9
+
+
+def test_run_replays_spec_with_retired_fields(runner, tmp_path):
+    # specs from before the walk was fixed to Hadamard from the origin carry
+    # start and coin_operator; they load and change no output byte
+    spec = {
+        "re0": math.sqrt(0.85),
+        "im0": 0.0,
+        "re1": -math.sqrt(0.15),
+        "im1": 0.0,
+        "steps": 30,
+        "output": None,
+        "format": "csv",
+    }
+    outputs = []
+    for name, extra in (("old", {"coin_operator": "hadamard", "start": 2}), ("new", {})):
+        spec_path = tmp_path / f"{name}.json"
+        spec_path.write_text(json.dumps({**spec, **extra}, indent=2, sort_keys=True))
+        out = tmp_path / f"{name}.csv"
+        result = runner.invoke(main, ["run", "--spec", str(spec_path), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_run_window_of_all_steps_gives_null_ratios(runner):
+    # the window reaches t = 1, where the ratio is undefined
+    result = runner.invoke(
+        main, ["run", "--preset", "4a", "--steps", "10", "--window", "10"]
+    )
+    assert result.exit_code == 0, result.output
+    _, summary = split_csv_and_summary(result.output)
+    assert summary["asymptotic_ratio"] == {"c0": None, "c1": None}
+
+
+def test_version(runner):
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0, result.output
+    assert "0.1.0" in result.output
 
 
 @pytest.mark.parametrize(
@@ -334,8 +372,8 @@ def test_verify_detects_corrupted_engine(runner, monkeypatch):
     # two coin steps per yielded step, as a doubled step would give
     true_trajectory = twinwalk.evolution.trajectory
 
-    def doubled_trajectory(coin_init, coin, n):
-        return itertools.islice(true_trajectory(coin_init, coin, 2 * n), 0, None, 2)
+    def doubled_trajectory(coin_init, n):
+        return itertools.islice(true_trajectory(coin_init, 2 * n), 0, None, 2)
 
     monkeypatch.setattr(twinwalk.evolution, "trajectory", doubled_trajectory)
     result = runner.invoke(main, ["verify", "--depth", "4", "--random-states", "1"])
@@ -351,8 +389,8 @@ def test_verify_detects_corrupted_engine(runner, monkeypatch):
 def test_verify_detects_corrupted_timeline(runner, monkeypatch):
     true_trajectory = twinwalk.experiment.trajectory
 
-    def damped_trajectory(coin_init, coin, n):
-        for a0, a1 in true_trajectory(coin_init, coin, n):
+    def damped_trajectory(coin_init, n):
+        for a0, a1 in true_trajectory(coin_init, n):
             yield a0, 0.9 * a1
 
     monkeypatch.setattr(twinwalk.experiment, "trajectory", damped_trajectory)
@@ -381,8 +419,8 @@ def test_verify_detects_stale_light_cone_slot(runner, monkeypatch):
     # move the norm: only the light-cone check can see it
     true_trajectory = twinwalk.evolution.trajectory
 
-    def stale_edge_trajectory(coin_init, coin, n):
-        for t, (a0, a1) in enumerate(true_trajectory(coin_init, coin, n)):
+    def stale_edge_trajectory(coin_init, n):
+        for t, (a0, a1) in enumerate(true_trajectory(coin_init, n)):
             if t >= 1:
                 a0 = a0.copy()
                 a0[0] = 1e-20
@@ -400,8 +438,8 @@ def test_verify_detects_late_norm_loss(runner, monkeypatch):
     # mass lost only after t = 500, beyond the depth of every oracle check
     true_trajectory = twinwalk.evolution.trajectory
 
-    def leaking_trajectory(coin_init, coin, n):
-        for t, (a0, a1) in enumerate(true_trajectory(coin_init, coin, n)):
+    def leaking_trajectory(coin_init, n):
+        for t, (a0, a1) in enumerate(true_trajectory(coin_init, n)):
             yield a0, (a1 * (1.0 - 1e-9) if t > 500 else a1)
 
     monkeypatch.setattr(twinwalk.evolution, "trajectory", leaking_trajectory)

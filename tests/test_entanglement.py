@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twinwalk import CoinOutcome, CoinSpinor, canonical_initial_states, hadamard, run_timeline
+from twinwalk import CoinOutcome, CoinSpinor, canonical_initial_states, run_timeline
 from twinwalk.entanglement import (
     COEFF_EPS,
     branch_entropy,
@@ -25,7 +25,7 @@ THREE_STEP_RATIO = 0.7896900821428475
 
 def branch_at(t, outcome=CoinOutcome.C0, coin=CoinSpinor(1.0, 0.0)):
     """Unnormalized amplitudes of one coin branch after t steps."""
-    for arrays in trajectory(coin, hadamard(), t):
+    for arrays in trajectory(coin, t):
         pass
     return arrays[outcome.value].copy()
 

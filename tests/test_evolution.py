@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinwalk import CoinOperator, CoinSpinor, ExperimentConfig, hadamard
-from twinwalk.evolution import trajectory
+from twinwalk import CoinSpinor, ExperimentConfig
+from twinwalk.evolution import H, trajectory
 from twinwalk.experiment import trajectory_distribution
 from twinwalk.oracle import dense_trajectory
 from testutil import (
-    coin_operators,
     coin_spinors,
     dense_diagonal,
     evolve_tables,
@@ -39,51 +38,16 @@ def rounding(t):
 
 
 def test_hadamard_columns():
-    h = hadamard()
-    assert (h.u00, h.u10) == pytest.approx((S, S))
-    assert (h.u01, h.u11) == pytest.approx((S, -S))
+    # one step from a basis coin reads off that column of the coin matrix:
+    # coin 0 lands one site right (index 1), coin 1 one site left (index 0)
+    for coin, column in ((COIN_RIGHT, (S, S)), (COIN_LEFT, (S, -S))):
+        *_, (a0, a1) = trajectory(coin, 1)
+        assert (a0[1], a1[0]) == pytest.approx(column)
 
 
 def test_hadamard_is_involution():
-    h = hadamard()
-    square = (
-        h.u00 * h.u00 + h.u01 * h.u10,
-        h.u00 * h.u01 + h.u01 * h.u11,
-        h.u10 * h.u00 + h.u11 * h.u10,
-        h.u10 * h.u01 + h.u11 * h.u11,
-    )
-    assert square == pytest.approx((1.0, 0.0, 0.0, 1.0), abs=1e-15)
-
-
-@pytest.mark.parametrize(
-    "entries",
-    [
-        (1.0, 0.0, 0.0, 2.0),
-        (1.0, 1.0, 1.0, -1.0),
-        (0.5, 0.5, 0.5, 0.5),
-    ],
-)
-def test_rejects_non_unitary_coin(entries):
-    with pytest.raises(ValueError):
-        CoinOperator(*entries)
-
-
-def test_accepts_general_unitary_coin():
-    theta = 0.3
-    CoinOperator(
-        math.cos(theta),
-        math.sin(theta),
-        -math.sin(theta),
-        math.cos(theta),
-    )
-
-
-def test_general_coin_drives_a_valid_walk():
-    rotation = CoinOperator(math.cos(1.1), math.sin(1.1), -math.sin(1.1), math.cos(1.1))
-    for a0, a1 in trajectory(COIN_RIGHT, rotation, 50):
-        pass
-    assert norm(a0, a1) == pytest.approx(1.0, abs=1e-12)
-    assert len(a0) == len(a1) == 51
+    h = np.array([[H, H], [H, -H]])
+    assert h @ h == pytest.approx(np.eye(2), abs=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -100,46 +64,45 @@ def norm(a0, a1):
 
 def test_step_increments_counter():
     # the step-t pair has t + 1 slots, one per reachable site
-    lengths = [(len(a0), len(a1)) for a0, a1 in trajectory(COIN_RIGHT, hadamard(), 4)]
+    lengths = [(len(a0), len(a1)) for a0, a1 in trajectory(COIN_RIGHT, 4)]
     assert lengths == [(t + 1, t + 1) for t in range(5)]
 
 
 def test_evolve_zero_steps_returns_initial():
     coin = CoinSpinor(S, -1j * S)
-    pairs = [(a0.tolist(), a1.tolist()) for a0, a1 in trajectory(coin, hadamard(), 0)]
+    pairs = [(a0.tolist(), a1.tolist()) for a0, a1 in trajectory(coin, 0)]
     assert pairs == [([coin.amp0], [coin.amp1])]
 
 
 def test_evolve_rejects_negative_count():
     with pytest.raises(ValueError, match="non-negative"):
-        next(trajectory(COIN_RIGHT, hadamard(), -1))
+        next(trajectory(COIN_RIGHT, -1))
 
 
 def test_evolve_snapshots_match_repeated_step():
     # a shorter run's steps are exactly the first steps of a longer run
-    h = hadamard()
-    short = [(a0.copy(), a1.copy()) for a0, a1 in trajectory(COIN_RIGHT, h, 3)]
-    long = itertools.islice(trajectory(COIN_RIGHT, h, 10), 4)
+    short = [(a0.copy(), a1.copy()) for a0, a1 in trajectory(COIN_RIGHT, 3)]
+    long = itertools.islice(trajectory(COIN_RIGHT, 10), 4)
     for (s0, s1), (l0, l1) in zip(short, long, strict=True):
         assert np.array_equal(s0, l0) and np.array_equal(s1, l1)
     assert max_table_diff(evolve_tables(COIN_RIGHT, 3)[3], dict(THREE_STEP)) < 1e-12
 
 
 def test_norm_conserved_along_1000_step_trajectory():
-    drift = max(abs(norm(a0, a1) - 1.0) for a0, a1 in trajectory(COIN_RIGHT, hadamard(), 1000))
+    drift = max(abs(norm(a0, a1) - 1.0) for a0, a1 in trajectory(COIN_RIGHT, 1000))
     assert drift < 1e-12
 
 
 def test_single_walker_first_step():
     # the one-walker walk is the same trajectory, read as one walker's sites
-    *_, (a0, a1) = trajectory(COIN_RIGHT, hadamard(), 1)
+    *_, (a0, a1) = trajectory(COIN_RIGHT, 1)
     table = {(2 * k - 1, c): amp for c, amps in enumerate((a0, a1)) for k, amp in enumerate(amps)}
     assert max_table_diff(table, dict(ONE_STEP)) < 1e-12
 
 
 def test_single_walker_balanced_coin_symmetric_at_1000_steps():
     coin = CoinSpinor(S, 1j * S)
-    for a0, a1 in trajectory(coin, hadamard(), 1000):
+    for a0, a1 in trajectory(coin, 1000):
         pass
     dist = trajectory_distribution(a0, a1)
     for x, p in dist.items():
@@ -152,14 +115,14 @@ def test_all_right_amplitude_is_power_of_half(t):
     assert table[(t, 0)] == pytest.approx(2 ** (-t / 2), abs=1e-12)
 
 
-@given(coin=coin_spinors(), operator=coin_operators(), steps=st.integers(0, 12))
+@given(coin=coin_spinors(), steps=st.integers(0, 12))
 @settings(deadline=None, max_examples=60)
-def test_step_is_linear(coin, operator, steps):
+def test_step_is_linear(coin, steps):
     # the run from a0|0> + a1|1> is a0 (run from |0>) + a1 (run from |1>)
     runs = zip(
-        trajectory(coin, operator, steps),
-        trajectory(CoinSpinor(1.0, 0.0), operator, steps),
-        trajectory(CoinSpinor(0.0, 1.0), operator, steps),
+        trajectory(coin, steps),
+        trajectory(CoinSpinor(1.0, 0.0), steps),
+        trajectory(CoinSpinor(0.0, 1.0), steps),
     )
     for (a0, a1), (r0, r1), (l0, l1) in runs:
         assert np.max(np.abs(a0 - (coin.amp0 * r0 + coin.amp1 * l0))) < 1e-12
@@ -173,9 +136,9 @@ def test_two_walker_amplitudes_equal_single_walker(coin, steps):
     # diagonal must hold the one-walker trajectory's amplitudes, to rounding,
     # and nothing may leave it
     config = ExperimentConfig(coin_init=coin, steps=max(steps, 1))
-    states = zip(trajectory(coin, hadamard(), steps), dense_trajectory(config, steps, steps))
+    states = zip(trajectory(coin, steps), dense_trajectory(config, steps, steps))
     for t, ((a0, a1), dense) in enumerate(states):
-        assert np.max(np.abs(dense_diagonal(dense, 0, t) - np.array([a0, a1]))) <= rounding(t)
+        assert np.max(np.abs(dense_diagonal(dense, t) - np.array([a0, a1]))) <= rounding(t)
         assert dense.off_diagonal_mass() == 0.0
 
 
@@ -190,23 +153,16 @@ def test_mirror_symmetry_between_opposite_basis_coins():
             )
 
 
-@given(
-    coin=coin_spinors(),
-    operator=coin_operators(),
-    steps=st.integers(min_value=0, max_value=40),
-    start=st.integers(min_value=-50, max_value=50),
-)
+@given(coin=coin_spinors(), steps=st.integers(min_value=0, max_value=40))
 @settings(deadline=None, max_examples=40)
-def test_trajectory_layout_matches_sparse_step(coin, operator, steps, start):
-    """Index k of the step-t arrays holds site start - t + 2k of the dense oracle."""
-    config = ExperimentConfig(
-        coin_init=coin, steps=max(steps, 1), start_position=start, coin_operator=operator
-    )
-    dense_states = dense_trajectory(config, steps, steps + abs(start))
-    arrays = trajectory(coin, operator, steps)
+def test_trajectory_layout_matches_sparse_step(coin, steps):
+    """Index k of the step-t arrays holds site -t + 2k of the dense oracle."""
+    config = ExperimentConfig(coin_init=coin, steps=max(steps, 1))
+    dense_states = dense_trajectory(config, steps, steps)
+    arrays = trajectory(coin, steps)
     for t, (dense, (a0, a1)) in enumerate(zip(dense_states, arrays, strict=True)):
         assert len(a0) == len(a1) == t + 1
-        diagonal = dense_diagonal(dense, start, t)
+        diagonal = dense_diagonal(dense, t)
         assert np.max(np.abs(diagonal - np.array([a0, a1]))) <= rounding(t)
         # no dense mass outside the sites the layout stores
         assert np.sum(np.abs(diagonal) ** 2) == pytest.approx(dense.norm(), abs=1e-14)
@@ -214,6 +170,6 @@ def test_trajectory_layout_matches_sparse_step(coin, operator, steps, start):
 
 def test_trajectory_rejects_bad_input():
     with pytest.raises(ValueError):
-        next(trajectory(COIN_RIGHT, hadamard(), -1))
+        next(trajectory(COIN_RIGHT, -1))
     with pytest.raises(ValueError):
-        next(trajectory(CoinSpinor(1.0, 1.0), hadamard(), 3))
+        next(trajectory(CoinSpinor(1.0, 1.0), 3))

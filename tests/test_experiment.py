@@ -1,6 +1,5 @@
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinwalk import (
-    CoinOperator,
     CoinOutcome,
     CoinSpinor,
     ExperimentConfig,
@@ -17,19 +15,17 @@ from twinwalk import (
     canonical_initial_states,
     default_window,
     distribution_symmetry,
-    hadamard,
     run_timeline,
     timeline_and_distribution,
 )
 import twinwalk.experiment
-from twinwalk.entanglement import COEFF_EPS
+from twinwalk.entanglement import COEFF_EPS, branch_entropy
 from twinwalk.evolution import trajectory
 from twinwalk.experiment import trajectory_distribution
 from twinwalk.figures import build_figure_bundle
 from twinwalk.oracle import dense_evolve, dense_trajectory
 from twinwalk.states import NORM_TOL, NormalizationError
 from testutil import (
-    coin_operators,
     coin_spinors,
     dense_diagonal,
     dense_marginal,
@@ -98,7 +94,6 @@ def test_canonical_presets():
     for config in configs.values():
         config.coin_init.require_normalized()
         assert config.steps == 1000
-        assert config.start_position == 0
 
 
 def test_config_validation():
@@ -198,17 +193,13 @@ def assert_matches_dense_oracle(config):
     tensor's diagonal, so ``branch_entropy``'s cut and support are compared
     on the oracle's amplitudes.  The dense lattice covers the whole cone.
     """
-    start, steps = config.start_position, config.steps
+    steps = config.steps
     timeline = run_timeline(config)
-    arrays = itertools.islice(
-        trajectory(config.coin_init, config.coin_operator, steps), 1, None
-    )
-    dense_states = itertools.islice(
-        dense_trajectory(config, steps, steps + abs(start)), 1, None
-    )
+    arrays = itertools.islice(trajectory(config.coin_init, steps), 1, None)
+    dense_states = itertools.islice(dense_trajectory(config, steps, steps), 1, None)
     assert [r.step for r in timeline] == list(range(1, steps + 1))
     for record, (a0, a1), dense in zip(timeline, arrays, dense_states, strict=True):
-        diagonal = dense_diagonal(dense, start, record.step)
+        diagonal = dense_diagonal(dense, record.step)
         assert np.max(np.abs(diagonal - np.array([a0, a1]))) <= 1e-13
         assert abs(record.p0 - dense.branch_probability(CoinOutcome.C0)) <= 1e-13
         assert abs(record.p1 - dense.branch_probability(CoinOutcome.C1)) <= 1e-13
@@ -227,43 +218,28 @@ def assert_matches_dense_oracle(config):
                 assert ratio == got / record.max_entropy
 
 
-@given(
-    coin=coin_spinors(),
-    operator=coin_operators(),
-    steps=st.integers(min_value=1, max_value=200),
-    start=st.integers(min_value=-20, max_value=20),
-)
+@given(coin=coin_spinors(), steps=st.integers(min_value=1, max_value=200))
 @settings(deadline=None, max_examples=30)
-def test_array_timeline_matches_dict_engine(coin, operator, steps, start):
-    """Random coins and operators, T <= 200, against the dense oracle."""
-    config = ExperimentConfig(
-        coin_init=coin, steps=steps, start_position=start, coin_operator=operator
-    )
-    assert_matches_dense_oracle(config)
-    # the start only labels sites, so the small starts drawn here stand for all
-    assert run_timeline(config) == run_timeline(replace(config, start_position=0))
+def test_array_timeline_matches_dict_engine(coin, steps):
+    """Random coins, T <= 200, against the dense oracle."""
+    assert_matches_dense_oracle(ExperimentConfig(coin_init=coin, steps=steps))
 
 
 def test_array_timeline_keeps_branch_the_sparse_spectrum_rejects():
-    # a near-identity coin leaves one dominant site per branch; at t = 115 the
-    # coin-1 branch has just over NORM_TOL of its mass in coefficients below
-    # COEFF_EPS, and its entropy is that of the one kept coefficient
-    theta = 1.1920928959999971e-07
-    c = math.sqrt(1.0 - theta * theta)
-    config = ExperimentConfig(
-        coin_init=CoinSpinor(0.6178215519319035j, 0.7863183388224225j),
-        steps=115,
-        coin_operator=CoinOperator(c, theta, -theta, c),
-    )
-    for a0, a1 in trajectory(config.coin_init, config.coin_operator, 115):
-        pass
-    weight = float(np.sum(np.abs(a1) ** 2))
-    cut = np.abs(a1) < COEFF_EPS * math.sqrt(weight)
-    assert float(np.sum(np.abs(a1[cut]) ** 2)) / weight > NORM_TOL
-    last = run_timeline(config)[-1]
-    assert last.support1 == 1
-    assert 0.0 <= last.entropy1 < 1e-11
-    assert_matches_dense_oracle(config)
+    # one dominant site plus 200 sites just below the COEFF_EPS cut: just over
+    # NORM_TOL of the branch's mass is cut, and its entropy is that of the one
+    # kept coefficient
+    amps = np.full(201, 0.99 * COEFF_EPS * 1j, dtype=np.complex128)
+    amps[100] = 0.6 - 0.8j
+    amps *= 0.7
+    weight, entropy, support = branch_entropy(amps)
+    cut = np.abs(amps) < COEFF_EPS * math.sqrt(weight)
+    assert float(np.sum(np.abs(amps[cut]) ** 2)) / weight > NORM_TOL
+    assert support == 1
+    assert 0.0 <= entropy < 1e-11
+    _, want, want_support = pre_fusion_branch_entropy(amps)
+    assert support == want_support
+    assert abs(entropy - want) <= 1e-12
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -274,7 +250,7 @@ def test_array_timeline_matches_dict_engine_on_presets(name):
 
 def test_array_timeline_reports_absent_branch():
     # (|0> + |1>)/sqrt(2) under the Hadamard coin is |0> after one step
-    config = ExperimentConfig(coin_init=CoinSpinor(S, S), steps=4, start_position=3)
+    config = ExperimentConfig(coin_init=CoinSpinor(S, S), steps=4)
     first = run_timeline(config)[0]
     assert (first.p1, first.entropy1, first.ratio1, first.support1) == (
         0.0, None, None, None
@@ -282,9 +258,9 @@ def test_array_timeline_reports_absent_branch():
     assert_matches_dense_oracle(config)
 
 
-def final_distribution(coin, operator, steps):
+def final_distribution(coin, steps):
     """One-walker distribution read off the last arrays of a trajectory."""
-    for a0, a1 in trajectory(coin, operator, steps):
+    for a0, a1 in trajectory(coin, steps):
         pass
     return trajectory_distribution(a0, a1)
 
@@ -300,7 +276,7 @@ def test_single_walker_distribution_matches_dict_engine(name, steps):
     """The one-walker distribution against the dense oracle's walker-1 marginal."""
     config = canonical_initial_states(steps=max(steps, 1))[name]
     dense = dense_evolve(config, steps, steps)
-    got = final_distribution(config.coin_init, hadamard(), steps)
+    got = final_distribution(config.coin_init, steps)
     assert_distributions_close(got, dense_marginal(dense), 1e-15)
 
 
@@ -310,13 +286,13 @@ def test_timeline_and_distribution_is_one_pass_of_both(name, steps):
     config = canonical_initial_states(steps=steps)[name]
     timeline, distribution = timeline_and_distribution(config)
     assert timeline == run_timeline(config)
-    assert distribution == final_distribution(config.coin_init, hadamard(), steps)
+    assert distribution == final_distribution(config.coin_init, steps)
 
 
-@given(coin=coin_spinors(), operator=coin_operators(), steps=st.integers(1, 30))
+@given(coin=coin_spinors(), steps=st.integers(1, 30))
 @settings(deadline=None, max_examples=50)
-def test_timeline_and_distribution_follows_the_configured_coin(coin, operator, steps):
-    config = ExperimentConfig(coin_init=coin, steps=steps, coin_operator=operator)
+def test_timeline_and_distribution_follows_the_configured_coin(coin, steps):
+    config = ExperimentConfig(coin_init=coin, steps=steps)
     _, distribution = timeline_and_distribution(config)
     dense = dense_evolve(config, steps, steps)
     assert_distributions_close(distribution, dense_marginal(dense), 1e-14)

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinwalk import CoinOutcome, CoinSpinor, ExperimentConfig, hadamard, run_timeline
+from twinwalk import CoinOutcome, CoinSpinor, ExperimentConfig, run_timeline
 from twinwalk.entanglement import branch_entropy
 from twinwalk.evolution import trajectory
 from twinwalk.oracle import dense_trajectory, path_sum_table
-from testutil import coin_arrays, coin_operators, coin_spinors
+from testutil import coin_arrays, coin_spinors
 
 S = math.sqrt(0.5)
 COIN_RIGHT = CoinSpinor(1.0, 0.0)
@@ -17,7 +17,7 @@ COIN_RIGHT = CoinSpinor(1.0, 0.0)
 
 def walk(coin, steps):
     """Copies of the coin-0 and coin-1 arrays after ``steps`` steps."""
-    for a0, a1 in trajectory(coin, hadamard(), steps):
+    for a0, a1 in trajectory(coin, steps):
         pass
     return a0.copy(), a1.copy()
 
@@ -99,10 +99,10 @@ def test_branches_reconstruct_the_state(arrays, exponent):
         assert scaled[2] == kept
 
 
-@given(coin=coin_spinors(), operator=coin_operators(), steps=st.integers(1, 20))
+@given(coin=coin_spinors(), steps=st.integers(1, 20))
 @settings(deadline=None)
-def test_outcome_probabilities_are_complete(coin, operator, steps):
-    config = ExperimentConfig(coin_init=coin, steps=steps, coin_operator=operator)
+def test_outcome_probabilities_are_complete(coin, steps):
+    config = ExperimentConfig(coin_init=coin, steps=steps)
     for record in run_timeline(config):
         assert record.p0 + record.p1 == pytest.approx(1.0, abs=1e-12)
         assert record.p0 >= 0.0 and record.p1 >= 0.0

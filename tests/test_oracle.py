@@ -68,16 +68,6 @@ def test_dense_norm_is_conserved():
 def test_dense_radius_validation():
     with pytest.raises(ValueError):
         dense_evolve(config_for(COIN_RIGHT), 5, 4)
-    shifted = ExperimentConfig(coin_init=COIN_RIGHT, steps=1, start_position=3)
-    with pytest.raises(ValueError):
-        dense_evolve(shifted, 2, 4)
-
-
-def test_dense_respects_start_position():
-    shifted = ExperimentConfig(coin_init=COIN_RIGHT, steps=1, start_position=3)
-    state = dense_evolve(shifted, 1, 5)
-    assert state.amplitude(0, 4, 4) == pytest.approx(S, abs=1e-12)
-    assert state.amplitude(1, 2, 2) == pytest.approx(S, abs=1e-12)
 
 
 def test_reduced_entropy_worked_values():
@@ -161,9 +151,7 @@ def test_mirror_symmetry_via_path_sum():
 
 
 def test_dense_trajectory_matches_dense_evolve():
-    config = ExperimentConfig(
-        coin_init=random_coin_states(1, seed=5)[0], steps=1, start_position=-3
-    )
+    config = config_for(random_coin_states(1, seed=5)[0])
     radius = 17
     states = list(dense_trajectory(config, 12, radius))
     assert [state.step for state in states] == list(range(13))
@@ -173,12 +161,10 @@ def test_dense_trajectory_matches_dense_evolve():
 
 
 @pytest.mark.parametrize(
-    "start,t,radius",
-    [(0, -1, 4), (0, 5, 4), (3, 2, 4)],
-    ids=["negative-steps", "radius-below-steps", "radius-below-shifted-cone"],
+    "t,radius", [(-1, 4), (5, 4)], ids=["negative-steps", "radius-below-steps"]
 )
-def test_dense_trajectory_rejects_like_dense_evolve(start, t, radius):
-    config = ExperimentConfig(coin_init=COIN_RIGHT, steps=1, start_position=start)
+def test_dense_trajectory_rejects_like_dense_evolve(t, radius):
+    config = config_for(COIN_RIGHT)
     with pytest.raises(ValueError) as streamed:
         dense_trajectory(config, t, radius)
     with pytest.raises(ValueError) as single:

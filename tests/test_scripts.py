@@ -12,18 +12,27 @@ from twinwalk import PRESET_NAMES
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_ratio_convergence(*args):
+def run_from_source(*args):
+    """Run ``python *args`` with the source checkout's ``src`` on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "ratio_convergence.py"), *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
     )
+
+
+def run_ratio_convergence(*args):
+    return run_from_source(str(ROOT / "scripts" / "ratio_convergence.py"), *args)
+
+
+@pytest.mark.parametrize("flag, expected", [("--version", "0.1.0"), ("--help", "Usage:")])
+def test_module_entry_point_runs_from_source(flag, expected):
+    result = run_from_source("-m", "twinwalk", flag)
+    assert result.returncode == 0, result.stderr
+    assert expected in result.stdout
+    assert "Traceback" not in result.stderr
 
 
 def test_ratio_convergence_prints_one_row_per_preset():

@@ -5,25 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinwalk import (
-    CoinSpinor,
-    ExperimentConfig,
-    canonical_initial_states,
-    hadamard,
-    run_timeline,
-)
+from twinwalk import CoinSpinor, canonical_initial_states
 from twinwalk.evolution import trajectory
 from twinwalk.experiment import trajectory_distribution
-from twinwalk.oracle import dense_evolve
 from twinwalk.states import SUPPORT_EPS, NormalizationError
-from testutil import coin_operators, coin_spinors
+from testutil import coin_spinors
 
 S = math.sqrt(0.5)
 
 
 def walk(coin, steps):
     """Copies of the coin-0 and coin-1 arrays after ``steps`` steps."""
-    for a0, a1 in trajectory(coin, hadamard(), steps):
+    for a0, a1 in trajectory(coin, steps):
         pass
     return a0.copy(), a1.copy()
 
@@ -54,25 +47,14 @@ def test_point_start_balanced_imaginary_coin():
     assert a1[0] == pytest.approx(1j * S)
 
 
-def test_point_start_respects_position():
-    # the start position only labels sites: the dense oracle puts all mass on
-    # |-7, -7>, and the timeline is the one from the origin
-    config = ExperimentConfig(coin_init=CoinSpinor(1.0, 0.0), steps=5, start_position=-7)
-    mass_by_site = np.sum(np.abs(dense_evolve(config, 0, 7).amplitudes) ** 2, axis=0)
-    assert mass_by_site[0, 0] == 1.0
-    assert np.sum(mass_by_site) == 1.0
-    origin = ExperimentConfig(coin_init=CoinSpinor(1.0, 0.0), steps=5)
-    assert run_timeline(config) == run_timeline(origin)
-
-
 def test_rejects_unnormalized_coin():
     with pytest.raises(NormalizationError):
-        next(trajectory(CoinSpinor(1.0, 1.0), hadamard(), 0))
+        next(trajectory(CoinSpinor(1.0, 1.0), 0))
 
 
 def test_rejects_non_finite_coin():
     with pytest.raises(NormalizationError):
-        next(trajectory(CoinSpinor(float("nan"), 0.0), hadamard(), 0))
+        next(trajectory(CoinSpinor(float("nan"), 0.0), 0))
 
 
 def test_norm_of_fresh_state():
@@ -128,12 +110,11 @@ def test_support_after_three_steps():
 
 @given(
     coin=coin_spinors(),
-    operator=coin_operators(),
     steps=st.integers(min_value=0, max_value=12),
 )
 @settings(deadline=None)
-def test_evolution_preserves_norm_parity_completeness(coin, operator, steps):
-    for t, (a0, a1) in enumerate(trajectory(coin, operator, steps)):
+def test_evolution_preserves_norm_parity_completeness(coin, steps):
+    for t, (a0, a1) in enumerate(trajectory(coin, steps)):
         assert mass(a0, a1) == pytest.approx(1.0, abs=1e-12)
         # parity: t + 1 slots for the sites -t, -t + 2, ..., t; coin 0 cannot
         # sit at the left edge nor coin 1 at the right edge after a step

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from twinwalk import CoinOperator, CoinSpinor
+from twinwalk import CoinSpinor
 from twinwalk.entanglement import COEFF_EPS
 from twinwalk.measurement import PROB_EPS
 from twinwalk.verification import AmpTable, _engine_amplitude_tables
@@ -30,21 +29,6 @@ def coin_spinors(draw) -> CoinSpinor:
     return CoinSpinor(
         complex(parts[0], parts[1]) / scale,
         complex(parts[2], parts[3]) / scale,
-    )
-
-
-@st.composite
-def coin_operators(draw) -> CoinOperator:
-    """Random 2x2 unitary: a global phase times an SU(2) rotation."""
-    angles = st.floats(min_value=0.0, max_value=2 * math.pi)
-    theta, alpha, beta, phi = (draw(angles) for _ in range(4))
-    c, s = math.cos(theta), math.sin(theta)
-    phase = cmath.exp(1j * phi)
-    return CoinOperator(
-        phase * c * cmath.exp(1j * alpha),
-        phase * s * cmath.exp(1j * beta),
-        -phase * s * cmath.exp(-1j * beta),
-        phase * c * cmath.exp(-1j * alpha),
     )
 
 
@@ -86,9 +70,9 @@ def pre_fusion_branch_entropy(amps):
     return weight, max(0.0, float(-np.sum(p * np.log2(p)))), len(kept)
 
 
-def dense_diagonal(dense, start: int, t: int) -> np.ndarray:
-    """(2, t + 1) dense-oracle amplitudes of |c>|x, x> at x = start - t + 2k."""
-    sites = start - t + 2 * np.arange(t + 1) + dense.lattice_radius
+def dense_diagonal(dense, t: int) -> np.ndarray:
+    """(2, t + 1) dense-oracle amplitudes of |c>|x, x> at x = -t + 2k."""
+    sites = -t + 2 * np.arange(t + 1) + dense.lattice_radius
     return dense.amplitudes[:, sites, sites]
 
 
