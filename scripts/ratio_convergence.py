@@ -10,9 +10,9 @@ convergence values correlate with.
 import argparse
 
 from twinwalk import (
+    PRESETS,
     CoinOutcome,
     asymptotic_ratio,
-    canonical_initial_states,
     default_window,
     distribution_symmetry,
     timeline_and_distribution,
@@ -33,8 +33,8 @@ def main() -> int:
 
     print(f"steps={args.steps}  window={window} (trailing mean)")
     print(f"{'preset':<7}{'ratio c0':>12}{'ratio c1':>12}{'mean x/t':>12}{'mirror TV':>12}")
-    for name, config in canonical_initial_states(steps=args.steps).items():
-        timeline, distribution = timeline_and_distribution(config)
+    for name, coin_init in PRESETS.items():
+        timeline, distribution = timeline_and_distribution(coin_init, args.steps)
         r0 = asymptotic_ratio(timeline, CoinOutcome.C0, window)
         r1 = asymptotic_ratio(timeline, CoinOutcome.C1, window)
         report = distribution_symmetry(distribution, args.steps)

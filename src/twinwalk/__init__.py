@@ -9,11 +9,9 @@ number of steps.
 """
 
 from .experiment import (
-    PRESET_NAMES,
-    ExperimentConfig,
+    PRESETS,
     TimelineRecord,
     asymptotic_ratio,
-    canonical_initial_states,
     default_window,
     distribution_symmetry,
     run_timeline,
@@ -27,11 +25,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CoinOutcome",
     "CoinSpinor",
-    "ExperimentConfig",
-    "PRESET_NAMES",
+    "PRESETS",
     "TimelineRecord",
     "asymptotic_ratio",
-    "canonical_initial_states",
     "default_window",
     "distribution_symmetry",
     "run_timeline",

@@ -11,16 +11,13 @@ import click
 
 from . import __version__
 from .experiment import (
-    ExperimentConfig,
-    PRESET_NAMES,
+    PRESETS,
     TimelineRecord,
-    asymptotic_ratio,
-    canonical_initial_states,
     default_window,
     run_timeline,
+    window_ratios,
 )
 from .figures import write_figure_bundle
-from .measurement import CoinOutcome
 from .render import render_timeline_csv, write_text_atomic
 from .states import CoinSpinor
 from .verification import DEFAULT_SEED, MAX_DEPTH, MAX_RANDOM_STATES, run_checks
@@ -63,9 +60,6 @@ class RunSpec:
 
     def coin(self) -> CoinSpinor:
         return CoinSpinor(complex(self.re0, self.im0), complex(self.re1, self.im1))
-
-    def to_config(self) -> ExperimentConfig:
-        return ExperimentConfig(coin_init=self.coin(), steps=self.steps)
 
 
 def _is_integer(value: object) -> bool:
@@ -120,12 +114,6 @@ def _summary(
     timeline: list[TimelineRecord],
     window: int,
 ) -> dict:
-    ratios = {}
-    for outcome in CoinOutcome:
-        try:
-            ratios[str(outcome)] = asymptotic_ratio(timeline, outcome, window)
-        except ValueError:
-            ratios[str(outcome)] = None
     return {
         "preset": preset,
         "coin": {
@@ -136,7 +124,7 @@ def _summary(
         },
         "steps": spec.steps,
         "window": window,
-        "asymptotic_ratio": ratios,
+        "asymptotic_ratio": window_ratios(timeline, window),
     }
 
 
@@ -153,7 +141,7 @@ def main() -> None:
 @main.command()
 @click.option(
     "--preset",
-    type=click.Choice(PRESET_NAMES),
+    type=click.Choice(tuple(PRESETS)),
     default=None,
     help="Built-in initial coin state.",
 )
@@ -228,7 +216,7 @@ def run(
         if spec_path is not None:
             base = parse_run_spec(spec_path)
         elif preset is not None:
-            coin_state = canonical_initial_states(steps=1)[preset].coin_init
+            coin_state = PRESETS[preset]
             base = RunSpec(
                 re0=coin_state.amp0.real,
                 im0=coin_state.amp0.imag,
@@ -246,13 +234,15 @@ def run(
             output=str(out) if out is not None else base.output,
             format=output_format if output_format is not None else base.format,
         )
-        config = spec.to_config()
+        if spec.steps < 1:
+            raise ValueError(f"steps must be >= 1, got {spec.steps}")
+        spec.coin().require_normalized()
         resolved_window = window if window is not None else default_window(spec.steps)
         if not 1 <= resolved_window <= spec.steps:
             raise ValueError(
                 f"window must be within 1..{spec.steps}, got {resolved_window}"
             )
-        timeline = run_timeline(config)
+        timeline = run_timeline(spec.coin(), spec.steps)
         summary = _summary(preset, spec, timeline, resolved_window)
         if save_spec is not None:
             write_run_spec(spec, save_spec)

@@ -12,6 +12,9 @@ at each t both branch arrays are measured with the fused ``branch_entropy``.
 ``timeline_and_distribution`` also reads the one-walker distribution off the
 final arrays of that pass, so a preset that needs both (the figure bundle,
 ``scripts/ratio_convergence.py``) is evolved once.
+
+A walk is fixed by its initial coin and run for a step count; both are
+passed straight in.  ``PRESETS`` holds the five built-in coins.
 """
 
 from __future__ import annotations
@@ -26,20 +29,18 @@ from .evolution import trajectory
 from .measurement import CoinOutcome
 from .states import CoinSpinor, mirror_total_variation
 
-PRESET_NAMES = ("4a", "4b", "4c", "4d", "4e")
+_S = math.sqrt(0.5)
 
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything needed to reproduce one walk-and-measure timeline."""
-
-    coin_init: CoinSpinor
-    steps: int = 1000
-
-    def __post_init__(self) -> None:
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        self.coin_init.require_normalized()
+#: the five built-in initial coins; both walkers start at the origin
+PRESETS: dict[str, CoinSpinor] = {
+    "4a": CoinSpinor(1.0 + 0j, 0j),
+    "4b": CoinSpinor(0j, 1.0 + 0j),
+    "4c": CoinSpinor(complex(_S, 0.0), complex(0.0, _S)),
+    "4d": CoinSpinor(complex(0.0, _S), complex(_S, 0.0)),
+    "4e": CoinSpinor(
+        complex(math.sqrt(0.85), 0.0), complex(-math.sqrt(0.15), 0.0)
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -74,17 +75,21 @@ class SymmetryReport:
 
 
 def run_timeline(
-    config: ExperimentConfig, *, final: list[np.ndarray] | None = None
+    coin_init: CoinSpinor, steps: int, *, final: list[np.ndarray] | None = None
 ) -> list[TimelineRecord]:
-    """Records for t = 1..steps, each computed from the t-step state.
+    """Records for t = 1..steps of the walk from ``coin_init``, each from the
+    t-step state.
 
-    When ``final`` is given, the coin-0 and coin-1 arrays after ``steps``
-    steps are appended to it, so a caller that also needs the final state
-    (see ``timeline_and_distribution``) does not evolve the walk a second
-    time.
+    ``steps`` below 1 is rejected before anything is evolved; the coin's
+    normalization is checked once, by ``trajectory``.  When ``final`` is
+    given, the coin-0 and coin-1 arrays after ``steps`` steps are appended to
+    it, so a caller that also needs the final state (see
+    ``timeline_and_distribution``) does not evolve the walk a second time.
     """
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
     records = []
-    states = trajectory(config.coin_init, config.steps)
+    states = trajectory(coin_init, steps)
     a0, a1 = next(states)
     for t, (a0, a1) in enumerate(states, start=1):
         p0, entropy0, support0 = branch_entropy(a0)
@@ -109,15 +114,16 @@ def run_timeline(
 
 
 def timeline_and_distribution(
-    config: ExperimentConfig,
+    coin_init: CoinSpinor, steps: int
 ) -> tuple[list[TimelineRecord], dict[int, float]]:
-    """``run_timeline`` plus the one-walker distribution after ``steps`` steps.
+    """``run_timeline(coin_init, steps)`` plus the one-walker distribution
+    after ``steps`` steps.
 
     Both come from the same trajectory, so the walk is evolved once.  Each
     walker's marginal is the one-walker Hadamard walk from the origin.
     """
     final: list[np.ndarray] = []
-    records = run_timeline(config, final=final)
+    records = run_timeline(coin_init, steps, final=final)
     return records, trajectory_distribution(*final)
 
 
@@ -144,25 +150,17 @@ def asymptotic_ratio(
     return sum(ratios) / len(ratios)
 
 
-def canonical_initial_states(steps: int = 1000) -> dict[str, ExperimentConfig]:
-    """The five built-in initial conditions, keyed by preset name.
-
-    All place both walkers at the origin and differ only in the coin state.
-    """
-    s = math.sqrt(0.5)
-    coins = {
-        "4a": CoinSpinor(1.0 + 0j, 0j),
-        "4b": CoinSpinor(0j, 1.0 + 0j),
-        "4c": CoinSpinor(complex(s, 0.0), complex(0.0, s)),
-        "4d": CoinSpinor(complex(0.0, s), complex(s, 0.0)),
-        "4e": CoinSpinor(
-            complex(math.sqrt(0.85), 0.0), complex(-math.sqrt(0.15), 0.0)
-        ),
-    }
-    return {
-        name: ExperimentConfig(coin_init=coin, steps=steps)
-        for name, coin in coins.items()
-    }
+def window_ratios(
+    timeline: list[TimelineRecord], window: int
+) -> dict[str, float | None]:
+    """``asymptotic_ratio`` of both outcomes keyed "c0"/"c1"; None where it fails."""
+    ratios: dict[str, float | None] = {}
+    for outcome in CoinOutcome:
+        try:
+            ratios[str(outcome)] = asymptotic_ratio(timeline, outcome, window)
+        except ValueError:
+            ratios[str(outcome)] = None
+    return ratios
 
 
 def distribution_symmetry(distribution: dict[int, float], steps: int) -> SymmetryReport:

@@ -16,12 +16,12 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .experiment import (
+    PRESETS,
     TimelineRecord,
-    asymptotic_ratio,
-    canonical_initial_states,
     default_window,
     distribution_symmetry,
     timeline_and_distribution,
+    window_ratios,
 )
 from .measurement import CoinOutcome
 from .render import format_number, write_text_atomic
@@ -53,15 +53,6 @@ class FigureFile:
 
 def _figure_name(number: int) -> str:
     return f"fig{number:02d}.csv"
-
-
-def _ratio_or_none(
-    timeline: list[TimelineRecord], outcome: CoinOutcome, window: int
-) -> float | None:
-    try:
-        return asymptotic_ratio(timeline, outcome, window)
-    except ValueError:
-        return None
 
 
 def _outcome_csv(timeline: list[TimelineRecord], outcome: CoinOutcome) -> str:
@@ -117,20 +108,16 @@ def build_figure_bundle(
     window = default_window(steps) if window is None else window
     if not 1 <= window <= steps:
         raise ValueError(f"window must be within 1..{steps}, got {window}")
-    configs = canonical_initial_states(steps=steps)
     files: list[FigureFile] = []
     for preset, first in _FIGURE_GROUPS:
-        config = configs[preset]
-        timeline, distribution = timeline_and_distribution(config)
-        ratios = {
-            str(outcome): _ratio_or_none(timeline, outcome, window)
-            for outcome in CoinOutcome
-        }
+        coin_init = PRESETS[preset]
+        timeline, distribution = timeline_and_distribution(coin_init, steps)
+        ratios = window_ratios(timeline, window)
         coin = {
-            "re0": config.coin_init.amp0.real,
-            "im0": config.coin_init.amp0.imag,
-            "re1": config.coin_init.amp1.real,
-            "im1": config.coin_init.amp1.imag,
+            "re0": coin_init.amp0.real,
+            "im0": coin_init.amp0.imag,
+            "re1": coin_init.amp1.real,
+            "im1": coin_init.amp1.imag,
         }
         for offset, outcome in ((0, CoinOutcome.C0), (1, CoinOutcome.C1)):
             number = first + offset

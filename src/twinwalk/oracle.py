@@ -18,7 +18,8 @@ zero eigenvalue, which the ``EIGVAL_EPS`` filter discards anyway.
 
 Both oracles are deliberately brute force (quadratic memory / exponential
 time) and exist to catch index and normalization bugs in the fast path, not
-to scale.
+to scale.  They take the initial coin itself and build their own Hadamard
+matrix; nothing here imports the engine or the driver they check.
 """
 
 from __future__ import annotations
@@ -27,11 +28,9 @@ import math
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .experiment import ExperimentConfig
 from .measurement import PROB_EPS, CoinOutcome, EmptyBranchError
 from .states import CoinSpinor
 
@@ -69,31 +68,34 @@ class DenseTensorState:
 
 
 def dense_trajectory(
-    config: ExperimentConfig, t_max: int, radius: int
+    coin_init: CoinSpinor, t_max: int, radius: int
 ) -> Iterator[DenseTensorState]:
-    """Yield the dense state after 0, 1, ..., t_max steps from the origin.
+    """Yield the dense state after 0, 1, ..., t_max steps from the origin,
+    starting with the coin in ``coin_init``.
 
     Each step applies a complex128 Hadamard matrix, built here rather than
     taken from the engine, to the whole tensor with explicit three-index
     bookkeeping.  The conditional move acts only on diagonal sites |i, i> and
     displaces both walker indices together, so support stays on the diagonal.
     The radius must cover the ballistic cone so no amplitude reaches the
-    lattice edge; the bounds are checked at the call, before any step runs.
+    lattice edge.  The bounds and the coin's normalization are checked at the
+    call, before any step runs.
     """
     if t_max < 0:
         raise ValueError(f"step count must be non-negative, got {t_max}")
     if radius < t_max:
         raise ValueError(f"lattice radius {radius} cannot cover a {t_max}-step walk")
-    return _dense_steps(config, t_max, radius)
+    coin_init.require_normalized()
+    return _dense_steps(coin_init, t_max, radius)
 
 
 def _dense_steps(
-    config: ExperimentConfig, t_max: int, radius: int
+    coin_init: CoinSpinor, t_max: int, radius: int
 ) -> Iterator[DenseTensorState]:
     n = 2 * radius + 1
     amplitudes = np.zeros((2, n, n), dtype=np.complex128)
-    amplitudes[0, radius, radius] = config.coin_init.amp0
-    amplitudes[1, radius, radius] = config.coin_init.amp1
+    amplitudes[0, radius, radius] = coin_init.amp0
+    amplitudes[1, radius, radius] = coin_init.amp1
     s = math.sqrt(0.5)
     coin = np.array(((s, s), (s, -s)), dtype=np.complex128)
     idx = np.arange(n)
@@ -108,9 +110,10 @@ def _dense_steps(
         yield DenseTensorState(step=t, lattice_radius=radius, amplitudes=amplitudes)
 
 
-def dense_evolve(config: ExperimentConfig, t: int, radius: int) -> DenseTensorState:
-    """The dense state after t steps: the last state of ``dense_trajectory``."""
-    return deque(dense_trajectory(config, t, radius), maxlen=1)[0]
+def dense_evolve(coin_init: CoinSpinor, t: int, radius: int) -> DenseTensorState:
+    """The dense state after t steps from ``coin_init``: the last state of
+    ``dense_trajectory``, with the same eager checks."""
+    return deque(dense_trajectory(coin_init, t, radius), maxlen=1)[0]
 
 
 def reduced_entropy(state: DenseTensorState, outcome: CoinOutcome) -> float:
@@ -137,14 +140,18 @@ def reduced_entropy(state: DenseTensorState, outcome: CoinOutcome) -> float:
     return max(0.0, float(-np.sum(eigenvalues * np.log2(eigenvalues))))
 
 
-@lru_cache(maxsize=64)
-def _history_table(coin_init: CoinSpinor, t: int) -> dict[tuple[int, int], complex]:
-    """Explicit sum over all 2^t coin histories, vectorised across paths.
+def path_sum_table(coin_init: CoinSpinor, t: int) -> dict[tuple[int, int], complex]:
+    """All t-step amplitudes keyed (position, coin index), start at the origin.
 
+    An explicit sum over all 2^t coin histories, vectorised across paths.
     Path k takes coin ``(k >> (t - 1 - j)) & 1`` at step j.  Its weight is
     the first step's amplitude times ``h[current, previous]`` for each later
     step, multiplied in step order; its displacement is the sum of its moves.
     """
+    if not 0 <= t <= MAX_PATH_SUM_STEPS:
+        raise ValueError(
+            f"path summation supports 0 <= t <= {MAX_PATH_SUM_STEPS}, got {t}"
+        )
     s = math.sqrt(0.5)
     h = np.array(((s, s), (s, -s)))
     a = (complex(coin_init.amp0), complex(coin_init.amp1))
@@ -168,15 +175,6 @@ def _history_table(coin_init: CoinSpinor, t: int) -> dict[tuple[int, int], compl
         (int(k) // 2 - t, int(k) % 2): complex(real[k], imag[k])
         for k in np.flatnonzero(hits)
     }
-
-
-def path_sum_table(coin_init: CoinSpinor, t: int) -> dict[tuple[int, int], complex]:
-    """All t-step amplitudes keyed (position, coin index), start at the origin."""
-    if not 0 <= t <= MAX_PATH_SUM_STEPS:
-        raise ValueError(
-            f"path summation supports 0 <= t <= {MAX_PATH_SUM_STEPS}, got {t}"
-        )
-    return dict(_history_table(coin_init, t))
 
 
 def path_sum_amplitude(

@@ -40,12 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evolution
-from .experiment import (
-    ExperimentConfig,
-    canonical_initial_states,
-    run_timeline,
-    trajectory_distribution,
-)
+from .experiment import PRESETS, run_timeline, trajectory_distribution
 from .measurement import CoinOutcome
 from .oracle import dense_trajectory, path_sum_table, reduced_entropy
 from .states import CoinSpinor
@@ -125,8 +120,7 @@ def _check_three_step_amplitudes() -> CheckResult:
         2: {(2, 0): q, (0, 0): q, (0, 1): q, (-2, 1): -q},
         3: {(3, 0): e, (1, 0): 2 * e, (-1, 0): -e, (1, 1): e, (-3, 1): e},
     }
-    coin = canonical_initial_states(steps=3)["4a"].coin_init
-    tables = _engine_amplitude_tables(coin, 3)
+    tables = _engine_amplitude_tables(PRESETS["4a"], 3)
     worst = max(
         _table_difference(tables[t], {k: complex(v) for k, v in exp.items()})
         for t, exp in expected.items()
@@ -135,7 +129,7 @@ def _check_three_step_amplitudes() -> CheckResult:
 
 
 def _check_three_step_entropies() -> list[CheckResult]:
-    timeline = run_timeline(canonical_initial_states(steps=3)["4a"])
+    timeline = run_timeline(PRESETS["4a"], 3)
     by_step = {record.step: record for record in timeline}
     checks = [
         CheckResult(
@@ -177,8 +171,7 @@ def _check_long_run_invariants(steps: int = 1000) -> list[CheckResult]:
     the site check counts steps whose arrays are not t + 1 long or whose
     vacated edge slots (coin 0 at index 0, coin 1 at index t) are not exactly 0.
     """
-    config = canonical_initial_states(steps=steps)["4a"]
-    states = evolution.trajectory(config.coin_init, steps)
+    states = evolution.trajectory(PRESETS["4a"], steps)
     worst_drift = 0.0
     cone_violations = 0
     for t, (a0, a1) in enumerate(itertools.islice(states, 1, None), start=1):
@@ -202,10 +195,9 @@ def _check_long_run_invariants(steps: int = 1000) -> list[CheckResult]:
 
 def _dense_error(coin: CoinSpinor, tables: list[AmpTable], t_max: int) -> float:
     """Worst deviation of the engine tables and the timeline from the dense oracle."""
-    config = ExperimentConfig(coin_init=coin, steps=t_max)
-    dense_states = itertools.islice(dense_trajectory(config, t_max, t_max), 1, None)
+    dense_states = itertools.islice(dense_trajectory(coin, t_max, t_max), 1, None)
     worst = 0.0
-    for record, dense in zip(run_timeline(config), dense_states, strict=True):
+    for record, dense in zip(run_timeline(coin, t_max), dense_states, strict=True):
         t = record.step
         engine = np.array(
             [[tables[t].get((x, c), 0j) for x in range(-t, t + 1)] for c in (0, 1)]
@@ -249,11 +241,7 @@ def run_checks(
         raise ValueError(
             f"random_states must be at most {MAX_RANDOM_STATES}, got {random_states}"
         )
-    coins = [
-        config.coin_init
-        for config in canonical_initial_states(steps=max(1, max_step)).values()
-    ]
-    coins.extend(random_coin_states(random_states, seed))
+    coins = [*PRESETS.values(), *random_coin_states(random_states, seed)]
     checks = [_check_three_step_amplitudes()]
     checks.extend(_check_three_step_entropies())
     checks.extend(_check_long_run_invariants())

@@ -17,9 +17,9 @@ import pytest
 from click.testing import CliRunner
 
 from twinwalk import (
+    PRESETS,
     CoinOutcome,
     asymptotic_ratio,
-    canonical_initial_states,
     run_timeline,
     timeline_and_distribution,
 )
@@ -59,9 +59,9 @@ def criterion(label):
 def full_scale():
     """1000-step timelines for all five presets, with per-run wall time."""
     out = {}
-    for name, config in canonical_initial_states(steps=1000).items():
+    for name, coin in PRESETS.items():
         started = time.perf_counter()
-        timeline = run_timeline(config)
+        timeline = run_timeline(coin, 1000)
         out[name] = (timeline, time.perf_counter() - started)
     return out
 
@@ -87,13 +87,12 @@ def test_criterion_1_analytic_fixtures():
                 (-3, 1): E3,
             },
         }
-        config = canonical_initial_states(steps=3)["4a"]
-        tables = evolve_tables(config.coin_init, 3)
+        tables = evolve_tables(PRESETS["4a"], 3)
         for t, table in expected.items():
             diff = max_table_diff(tables[t], {k: complex(v) for k, v in table.items()})
             assert diff < 1e-12, f"t={t} amplitude mismatch {diff}"
 
-        timeline = run_timeline(config)
+        timeline = run_timeline(PRESETS["4a"], 3)
         t1, t2, t3 = timeline
         assert abs(t1.entropy0) < 1e-9 and abs(t1.entropy1) < 1e-9
         assert abs(t2.entropy0 - 1.0) < 1e-9 and abs(t2.entropy1 - 1.0) < 1e-9
@@ -149,9 +148,7 @@ def test_criterion_2_initial_condition_equivalence(full_scale):
 def test_criterion_3_oracle_equivalence():
     with criterion("3 (dense and path-sum oracle equivalence)"):
         started = time.perf_counter()
-        coins = [
-            c.coin_init for c in canonical_initial_states(steps=1).values()
-        ]
+        coins = list(PRESETS.values())
         coins.extend(random_coin_states(20))
         for coin in coins:
             # engine tables and timeline records vs the dense oracle, t = 1..10
@@ -165,8 +162,7 @@ def test_criterion_3_oracle_equivalence():
 
 def test_criterion_4_property_suite(full_scale):
     with criterion("4 (norm, parity, bounds, swap and mirror symmetry)"):
-        config = canonical_initial_states(steps=1000)["4a"]
-        for t, (a0, a1) in enumerate(trajectory(config.coin_init, 1000)):
+        for t, (a0, a1) in enumerate(trajectory(PRESETS["4a"], 1000)):
             mass = np.abs(a0) ** 2 + np.abs(a1) ** 2
             assert abs(float(np.sum(mass)) - 1.0) < 1e-12
             # parity and light cone: one slot per site -t, -t + 2, ..., t, and
@@ -192,12 +188,10 @@ def test_criterion_4_property_suite(full_scale):
             assert abs(a.entropy0 - b.entropy1) < 1e-10
             assert abs(a.entropy1 - b.entropy0) < 1e-10
 
-        _, distribution = timeline_and_distribution(
-            canonical_initial_states(steps=1000)["4c"]
-        )
+        _, distribution = timeline_and_distribution(PRESETS["4c"], 1000)
         assert mirror_total_variation(distribution) < 1e-10
 
-        dense = dense_evolve(canonical_initial_states(steps=1)["4a"], 120, 122)
+        dense = dense_evolve(PRESETS["4a"], 120, 122)
         assert dense.off_diagonal_mass() < 1e-14
 
 

@@ -258,7 +258,43 @@ def test_run_rejects_mistyped_spec_field(runner, tmp_path, field, value):
     # a ClickException: exit code 1 and an error line, not a traceback
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
-    assert f"Error: {field}" in result.output or "unknown coin operator" in result.output
+    assert f"Error: {field}" in result.output
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (["--preset", "4a", "--steps", "0"], "steps must be >= 1, got 0"),
+        (["--preset", "4a", "--steps", "-3"], "steps must be >= 1, got -3"),
+        (
+            ["--preset", "4a", "--steps", "0", "--window", "3"],
+            "steps must be >= 1, got 0",
+        ),
+        (
+            ["--coin", "1", "0", "1", "0", "--steps", "5", "--window", "9"],
+            "coin state must be normalized",
+        ),
+        # --steps replaces the spec's 0 before anything is checked
+        (["--spec", "SPEC", "--steps", "5"], None),
+    ],
+    ids=[
+        "zero-steps",
+        "negative-steps",
+        "steps-before-window",
+        "coin-before-window",
+        "spec-steps-overridden",
+    ],
+)
+def test_run_reports_the_first_bad_input(runner, tmp_path, args, error):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**VALID_SPEC, "steps": 0}))
+    args = [str(spec_path) if arg == "SPEC" else arg for arg in args]
+    result = runner.invoke(main, ["run", *args])
+    if error is None:
+        assert result.exit_code == 0, result.output
+    else:
+        assert result.exit_code == 1
+        assert result.output.startswith(f"Error: {error}")
 
 
 def test_run_accepts_integer_coin_fields(runner, tmp_path):

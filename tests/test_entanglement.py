@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twinwalk import CoinOutcome, CoinSpinor, canonical_initial_states, run_timeline
+from twinwalk import PRESETS, CoinOutcome, CoinSpinor, run_timeline
 from twinwalk.entanglement import (
     COEFF_EPS,
     branch_entropy,
@@ -114,7 +114,7 @@ def test_ratio_values():
 
 
 def test_branch_entanglement_bundles_all_three():
-    first, _, third = run_timeline(canonical_initial_states(steps=3)["4a"])
+    first, _, third = run_timeline(PRESETS["4a"], 3)
     assert third.entropy0 == pytest.approx(THREE_STEP_ENTROPY, abs=1e-12)
     assert third.max_entropy == math.log2(3)
     assert third.ratio0 == pytest.approx(THREE_STEP_RATIO, abs=1e-12)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinwalk import CoinSpinor, ExperimentConfig
+from twinwalk import CoinSpinor
 from twinwalk.evolution import H, trajectory
 from twinwalk.experiment import trajectory_distribution
 from twinwalk.oracle import dense_trajectory
@@ -135,8 +135,7 @@ def test_two_walker_amplitudes_equal_single_walker(coin, steps):
     # the dense oracle moves two walkers on the full product lattice; its
     # diagonal must hold the one-walker trajectory's amplitudes, to rounding,
     # and nothing may leave it
-    config = ExperimentConfig(coin_init=coin, steps=max(steps, 1))
-    states = zip(trajectory(coin, steps), dense_trajectory(config, steps, steps))
+    states = zip(trajectory(coin, steps), dense_trajectory(coin, steps, steps))
     for t, ((a0, a1), dense) in enumerate(states):
         assert np.max(np.abs(dense_diagonal(dense, t) - np.array([a0, a1]))) <= rounding(t)
         assert dense.off_diagonal_mass() == 0.0
@@ -157,8 +156,7 @@ def test_mirror_symmetry_between_opposite_basis_coins():
 @settings(deadline=None, max_examples=40)
 def test_trajectory_layout_matches_sparse_step(coin, steps):
     """Index k of the step-t arrays holds site -t + 2k of the dense oracle."""
-    config = ExperimentConfig(coin_init=coin, steps=max(steps, 1))
-    dense_states = dense_trajectory(config, steps, steps)
+    dense_states = dense_trajectory(coin, steps, steps)
     arrays = trajectory(coin, steps)
     for t, (dense, (a0, a1)) in enumerate(zip(dense_states, arrays, strict=True)):
         assert len(a0) == len(a1) == t + 1

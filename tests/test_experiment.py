@@ -7,12 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinwalk import (
+    PRESETS,
     CoinOutcome,
     CoinSpinor,
-    ExperimentConfig,
-    PRESET_NAMES,
     asymptotic_ratio,
-    canonical_initial_states,
     default_window,
     distribution_symmetry,
     run_timeline,
@@ -37,12 +35,11 @@ S = math.sqrt(0.5)
 
 @pytest.fixture(scope="module")
 def short_timelines():
-    configs = canonical_initial_states(steps=150)
-    return {name: run_timeline(config) for name, config in configs.items()}
+    return {name: run_timeline(coin, 150) for name, coin in PRESETS.items()}
 
 
 def test_three_step_timeline_worked_values():
-    timeline = run_timeline(canonical_initial_states(steps=3)["4a"])
+    timeline = run_timeline(PRESETS["4a"], 3)
     assert [r.step for r in timeline] == [1, 2, 3]
     t1, t2, t3 = timeline
     assert (t1.entropy0, t1.entropy1) == pytest.approx((0.0, 0.0), abs=1e-9)
@@ -54,20 +51,20 @@ def test_three_step_timeline_worked_values():
 
 
 def test_ratio_absent_at_first_step():
-    timeline = run_timeline(canonical_initial_states(steps=1)["4a"])
+    timeline = run_timeline(PRESETS["4a"], 1)
     assert timeline[0].ratio0 is None
     assert timeline[0].ratio1 is None
     assert timeline[0].max_entropy == 0.0
 
 
 def test_asymptotic_ratio_is_plain_mean():
-    timeline = run_timeline(canonical_initial_states(steps=12)["4a"])
+    timeline = run_timeline(PRESETS["4a"], 12)
     expected = sum(r.ratio0 for r in timeline[-5:]) / 5
     assert asymptotic_ratio(timeline, CoinOutcome.C0, 5) == expected
 
 
 def test_asymptotic_ratio_window_validation():
-    timeline = run_timeline(canonical_initial_states(steps=12)["4a"])
+    timeline = run_timeline(PRESETS["4a"], 12)
     with pytest.raises(ValueError):
         asymptotic_ratio(timeline, CoinOutcome.C0, 0)
     with pytest.raises(ValueError):
@@ -83,24 +80,22 @@ def test_default_window_is_last_tenth():
 
 
 def test_canonical_presets():
-    configs = canonical_initial_states(steps=1000)
-    assert tuple(configs) == PRESET_NAMES
-    assert configs["4a"].coin_init == CoinSpinor(1.0 + 0j, 0j)
-    assert configs["4b"].coin_init == CoinSpinor(0j, 1.0 + 0j)
-    assert configs["4c"].coin_init.amp1 == pytest.approx(1j * S)
-    assert configs["4d"].coin_init.amp0 == pytest.approx(1j * S)
-    assert configs["4e"].coin_init.amp0 == pytest.approx(math.sqrt(0.85))
-    assert configs["4e"].coin_init.amp1 == pytest.approx(-math.sqrt(0.15))
-    for config in configs.values():
-        config.coin_init.require_normalized()
-        assert config.steps == 1000
+    assert tuple(PRESETS) == ("4a", "4b", "4c", "4d", "4e")
+    assert PRESETS["4a"] == CoinSpinor(1.0 + 0j, 0j)
+    assert PRESETS["4b"] == CoinSpinor(0j, 1.0 + 0j)
+    assert PRESETS["4c"].amp1 == pytest.approx(1j * S)
+    assert PRESETS["4d"].amp0 == pytest.approx(1j * S)
+    assert PRESETS["4e"].amp0 == pytest.approx(math.sqrt(0.85))
+    assert PRESETS["4e"].amp1 == pytest.approx(-math.sqrt(0.15))
+    for coin in PRESETS.values():
+        coin.require_normalized()
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ExperimentConfig(coin_init=CoinSpinor(1.0, 0.0), steps=0)
+    with pytest.raises(ValueError, match="steps must be >= 1, got 0"):
+        run_timeline(CoinSpinor(1.0, 0.0), 0)
     with pytest.raises(NormalizationError):
-        ExperimentConfig(coin_init=CoinSpinor(1.0, 1.0), steps=5)
+        run_timeline(CoinSpinor(1.0, 1.0), 5)
 
 
 def test_probabilities_sum_to_one(short_timelines):
@@ -151,14 +146,11 @@ def test_phase_swapped_balanced_coins_agree(short_timelines):
 
 
 def test_timeline_is_deterministic():
-    config = canonical_initial_states(steps=40)["4e"]
-    assert run_timeline(config) == run_timeline(config)
+    assert run_timeline(PRESETS["4e"], 40) == run_timeline(PRESETS["4e"], 40)
 
 
 def symmetry_report(coin, steps):
-    _, distribution = timeline_and_distribution(
-        ExperimentConfig(coin_init=coin, steps=steps)
-    )
+    _, distribution = timeline_and_distribution(coin, steps)
     return distribution_symmetry(distribution, steps)
 
 
@@ -186,17 +178,16 @@ def test_symmetry_report_rejects_zero_steps():
         symmetry_report(CoinSpinor(1.0, 0.0), 0)
 
 
-def assert_matches_dense_oracle(config):
+def assert_matches_dense_oracle(coin, steps):
     """Amplitudes, weights, entropies and supports at every t against the dense oracle.
 
     The reference entropy is the pre-fusion arithmetic applied to the dense
     tensor's diagonal, so ``branch_entropy``'s cut and support are compared
     on the oracle's amplitudes.  The dense lattice covers the whole cone.
     """
-    steps = config.steps
-    timeline = run_timeline(config)
-    arrays = itertools.islice(trajectory(config.coin_init, steps), 1, None)
-    dense_states = itertools.islice(dense_trajectory(config, steps, steps), 1, None)
+    timeline = run_timeline(coin, steps)
+    arrays = itertools.islice(trajectory(coin, steps), 1, None)
+    dense_states = itertools.islice(dense_trajectory(coin, steps, steps), 1, None)
     assert [r.step for r in timeline] == list(range(1, steps + 1))
     for record, (a0, a1), dense in zip(timeline, arrays, dense_states, strict=True):
         diagonal = dense_diagonal(dense, record.step)
@@ -222,7 +213,7 @@ def assert_matches_dense_oracle(config):
 @settings(deadline=None, max_examples=30)
 def test_array_timeline_matches_dict_engine(coin, steps):
     """Random coins, T <= 200, against the dense oracle."""
-    assert_matches_dense_oracle(ExperimentConfig(coin_init=coin, steps=steps))
+    assert_matches_dense_oracle(coin, steps)
 
 
 def test_array_timeline_keeps_branch_the_sparse_spectrum_rejects():
@@ -242,20 +233,20 @@ def test_array_timeline_keeps_branch_the_sparse_spectrum_rejects():
     assert abs(entropy - want) <= 1e-12
 
 
-@pytest.mark.parametrize("name", PRESET_NAMES)
+@pytest.mark.parametrize("name", tuple(PRESETS))
 def test_array_timeline_matches_dict_engine_on_presets(name):
     """The five presets at T = 200 against the dense oracle."""
-    assert_matches_dense_oracle(canonical_initial_states(steps=200)[name])
+    assert_matches_dense_oracle(PRESETS[name], 200)
 
 
 def test_array_timeline_reports_absent_branch():
     # (|0> + |1>)/sqrt(2) under the Hadamard coin is |0> after one step
-    config = ExperimentConfig(coin_init=CoinSpinor(S, S), steps=4)
-    first = run_timeline(config)[0]
+    coin = CoinSpinor(S, S)
+    first = run_timeline(coin, 4)[0]
     assert (first.p1, first.entropy1, first.ratio1, first.support1) == (
         0.0, None, None, None
     )
-    assert_matches_dense_oracle(config)
+    assert_matches_dense_oracle(coin, 4)
 
 
 def final_distribution(coin, steps):
@@ -271,30 +262,27 @@ def assert_distributions_close(got, expected, tol):
 
 
 @pytest.mark.parametrize("steps", [0, 1, 2, 57, 200])
-@pytest.mark.parametrize("name", PRESET_NAMES)
-def test_single_walker_distribution_matches_dict_engine(name, steps):
+@pytest.mark.parametrize("name", tuple(PRESETS))
+def test_single_walker_distribution_matches_dense_marginal(name, steps):
     """The one-walker distribution against the dense oracle's walker-1 marginal."""
-    config = canonical_initial_states(steps=max(steps, 1))[name]
-    dense = dense_evolve(config, steps, steps)
-    got = final_distribution(config.coin_init, steps)
+    dense = dense_evolve(PRESETS[name], steps, steps)
+    got = final_distribution(PRESETS[name], steps)
     assert_distributions_close(got, dense_marginal(dense), 1e-15)
 
 
 @pytest.mark.parametrize("steps", [1, 2, 257])
-@pytest.mark.parametrize("name", PRESET_NAMES)
+@pytest.mark.parametrize("name", tuple(PRESETS))
 def test_timeline_and_distribution_is_one_pass_of_both(name, steps):
-    config = canonical_initial_states(steps=steps)[name]
-    timeline, distribution = timeline_and_distribution(config)
-    assert timeline == run_timeline(config)
-    assert distribution == final_distribution(config.coin_init, steps)
+    timeline, distribution = timeline_and_distribution(PRESETS[name], steps)
+    assert timeline == run_timeline(PRESETS[name], steps)
+    assert distribution == final_distribution(PRESETS[name], steps)
 
 
 @given(coin=coin_spinors(), steps=st.integers(1, 30))
 @settings(deadline=None, max_examples=50)
 def test_timeline_and_distribution_follows_the_configured_coin(coin, steps):
-    config = ExperimentConfig(coin_init=coin, steps=steps)
-    _, distribution = timeline_and_distribution(config)
-    dense = dense_evolve(config, steps, steps)
+    _, distribution = timeline_and_distribution(coin, steps)
+    dense = dense_evolve(coin, steps, steps)
     assert_distributions_close(distribution, dense_marginal(dense), 1e-14)
 
 

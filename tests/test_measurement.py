@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinwalk import CoinOutcome, CoinSpinor, ExperimentConfig, run_timeline
+from twinwalk import CoinOutcome, CoinSpinor, run_timeline
 from twinwalk.entanglement import branch_entropy
 from twinwalk.evolution import trajectory
 from twinwalk.oracle import dense_trajectory, path_sum_table
@@ -34,13 +34,13 @@ def branch(coin, steps, outcome=0):
 
 
 def test_probabilities_after_one_step():
-    first = run_timeline(ExperimentConfig(coin_init=COIN_RIGHT, steps=1))[0]
+    first = run_timeline(COIN_RIGHT, 1)[0]
     assert first.p0 == pytest.approx(0.5, abs=1e-12)
     assert first.p1 == pytest.approx(0.5, abs=1e-12)
 
 
 def test_probabilities_after_three_steps():
-    third = run_timeline(ExperimentConfig(coin_init=COIN_RIGHT, steps=3))[-1]
+    third = run_timeline(COIN_RIGHT, 3)[-1]
     # cross-checked against the path-sum oracle below
     assert third.p0 == pytest.approx(0.75, abs=1e-12)
     assert third.p1 == pytest.approx(0.25, abs=1e-12)
@@ -102,8 +102,7 @@ def test_branches_reconstruct_the_state(arrays, exponent):
 @given(coin=coin_spinors(), steps=st.integers(1, 20))
 @settings(deadline=None)
 def test_outcome_probabilities_are_complete(coin, steps):
-    config = ExperimentConfig(coin_init=coin, steps=steps)
-    for record in run_timeline(config):
+    for record in run_timeline(coin, steps):
         assert record.p0 + record.p1 == pytest.approx(1.0, abs=1e-12)
         assert record.p0 >= 0.0 and record.p1 >= 0.0
 
@@ -136,8 +135,7 @@ def test_reembedded_branch_measures_to_itself():
 def test_coin_marginals_match_single_walker(coin):
     # the coin marginals of the one-walker trajectory are the branch weights
     # of the dense two-walker state
-    config = ExperimentConfig(coin_init=coin, steps=10)
-    pairs = zip(run_timeline(config), list(dense_trajectory(config, 10, 10))[1:])
+    pairs = zip(run_timeline(coin, 10), list(dense_trajectory(coin, 10, 10))[1:])
     for record, dense in pairs:
         assert record.p0 == pytest.approx(dense.branch_probability(CoinOutcome.C0), abs=1e-12)
         assert record.p1 == pytest.approx(dense.branch_probability(CoinOutcome.C1), abs=1e-12)

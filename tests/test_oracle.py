@@ -1,10 +1,13 @@
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from twinwalk import CoinOutcome, CoinSpinor, ExperimentConfig, canonical_initial_states
+import twinwalk.oracle
+from twinwalk import PRESETS, CoinOutcome, CoinSpinor
 from twinwalk.measurement import EmptyBranchError
 from twinwalk.oracle import (
     EIGVAL_EPS,
@@ -25,12 +28,8 @@ COIN_RIGHT = CoinSpinor(1.0, 0.0)
 COIN_LEFT = CoinSpinor(0.0, 1.0)
 
 
-def config_for(coin, steps=1):
-    return ExperimentConfig(coin_init=coin, steps=steps)
-
-
 def test_dense_one_step_amplitudes():
-    state = dense_evolve(config_for(COIN_RIGHT), 1, 2)
+    state = dense_evolve(COIN_RIGHT, 1, 2)
     assert state.amplitude(0, 1, 1) == pytest.approx(S, abs=1e-12)
     assert state.amplitude(1, -1, -1) == pytest.approx(S, abs=1e-12)
     assert state.amplitude(0, -1, -1) == 0.0
@@ -39,7 +38,7 @@ def test_dense_one_step_amplitudes():
 
 
 def test_dense_three_steps_match_worked_state():
-    state = dense_evolve(config_for(COIN_RIGHT), 3, 4)
+    state = dense_evolve(COIN_RIGHT, 3, 4)
     expected = {
         (3, 0): E3,
         (1, 0): 2 * E3,
@@ -56,38 +55,34 @@ def test_dense_three_steps_match_worked_state():
 
 @pytest.mark.parametrize("t", [1, 5, 12, 25])
 def test_dense_off_diagonal_mass_is_zero(t):
-    state = dense_evolve(config_for(COIN_RIGHT), t, t + 2)
+    state = dense_evolve(COIN_RIGHT, t, t + 2)
     assert state.off_diagonal_mass() < 1e-14
 
 
 def test_dense_norm_is_conserved():
-    state = dense_evolve(config_for(canonical_initial_states(1)["4e"].coin_init), 40, 40)
+    state = dense_evolve(PRESETS["4e"], 40, 40)
     assert state.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dense_radius_validation():
     with pytest.raises(ValueError):
-        dense_evolve(config_for(COIN_RIGHT), 5, 4)
+        dense_evolve(COIN_RIGHT, 5, 4)
 
 
 def test_reduced_entropy_worked_values():
-    cfg = config_for(COIN_RIGHT)
-    assert reduced_entropy(dense_evolve(cfg, 1, 2), CoinOutcome.C0) == pytest.approx(
-        0.0, abs=1e-9
-    )
-    assert reduced_entropy(dense_evolve(cfg, 2, 3), CoinOutcome.C0) == pytest.approx(
-        1.0, abs=1e-9
-    )
-    entropy3 = reduced_entropy(dense_evolve(cfg, 3, 4), CoinOutcome.C0)
+    def entropy(t, outcome):
+        return reduced_entropy(dense_evolve(COIN_RIGHT, t, t + 1), outcome)
+
+    assert entropy(1, CoinOutcome.C0) == pytest.approx(0.0, abs=1e-9)
+    assert entropy(2, CoinOutcome.C0) == pytest.approx(1.0, abs=1e-9)
+    entropy3 = entropy(3, CoinOutcome.C0)
     assert entropy3 == pytest.approx(1.2516, abs=5e-5)
     assert entropy3 == pytest.approx(1.2516291673878228, abs=1e-9)
-    assert reduced_entropy(dense_evolve(cfg, 3, 4), CoinOutcome.C1) == pytest.approx(
-        1.0, abs=1e-9
-    )
+    assert entropy(3, CoinOutcome.C1) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_reduced_entropy_rejects_empty_branch():
-    state = dense_evolve(config_for(COIN_RIGHT), 0, 2)
+    state = dense_evolve(COIN_RIGHT, 0, 2)
     with pytest.raises(EmptyBranchError):
         reduced_entropy(state, CoinOutcome.C1)
 
@@ -125,13 +120,13 @@ def test_path_sum_depth_cap():
 
 def test_dense_matches_engine_for_presets():
     t_max = 6
-    for config in canonical_initial_states(steps=t_max).values():
-        tables = evolve_tables(config.coin_init, t_max)
-        assert _dense_error(config.coin_init, tables, t_max) < 1e-10
+    for coin in PRESETS.values():
+        tables = evolve_tables(coin, t_max)
+        assert _dense_error(coin, tables, t_max) < 1e-10
 
 
 def test_path_sum_matches_engine():
-    coins = [c.coin_init for c in canonical_initial_states(steps=1).values()]
+    coins = list(PRESETS.values())
     coins.extend(random_coin_states(3, seed=7))
     for coin in coins:
         tables = evolve_tables(coin, 8)
@@ -151,25 +146,43 @@ def test_mirror_symmetry_via_path_sum():
 
 
 def test_dense_trajectory_matches_dense_evolve():
-    config = config_for(random_coin_states(1, seed=5)[0])
+    coin = random_coin_states(1, seed=5)[0]
     radius = 17
-    states = list(dense_trajectory(config, 12, radius))
+    states = list(dense_trajectory(coin, 12, radius))
     assert [state.step for state in states] == list(range(13))
     for t, state in enumerate(states):
         assert state.lattice_radius == radius
-        assert np.array_equal(state.amplitudes, dense_evolve(config, t, radius).amplitudes)
+        assert np.array_equal(state.amplitudes, dense_evolve(coin, t, radius).amplitudes)
 
 
 @pytest.mark.parametrize(
-    "t,radius", [(-1, 4), (5, 4)], ids=["negative-steps", "radius-below-steps"]
+    "coin,t,radius",
+    [(COIN_RIGHT, -1, 4), (COIN_RIGHT, 5, 4), (CoinSpinor(1.0, 1.0), 3, 3)],
+    ids=["negative-steps", "radius-below-steps", "unnormalized-coin"],
 )
-def test_dense_trajectory_rejects_like_dense_evolve(t, radius):
-    config = config_for(COIN_RIGHT)
+def test_dense_trajectory_rejects_like_dense_evolve(coin, t, radius):
     with pytest.raises(ValueError) as streamed:
-        dense_trajectory(config, t, radius)
+        dense_trajectory(coin, t, radius)
     with pytest.raises(ValueError) as single:
-        dense_evolve(config, t, radius)
+        dense_evolve(coin, t, radius)
     assert str(streamed.value) == str(single.value)
+
+
+def test_oracle_imports_neither_engine_nor_driver():
+    # a reference that shares code with what it checks would share its bugs
+    tree = ast.parse(Path(twinwalk.oracle.__file__).read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            prefix = "twinwalk." if node.level else ""
+            module = (prefix + (node.module or "")).rstrip(".")
+            modules.add(module)
+            modules.update(f"{module}.{alias.name}" for alias in node.names)
+    for name in ("experiment", "evolution", "entanglement"):
+        found = sorted(m for m in modules if m.split(".")[:2] == ["twinwalk", name])
+        assert not found, f"oracle imports {found}"
 
 
 def full_matrix_entropy(state, outcome):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from twinwalk import PRESET_NAMES
+from twinwalk import PRESETS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,7 +39,7 @@ def test_ratio_convergence_prints_one_row_per_preset():
     result = run_ratio_convergence("--steps", "40")
     assert result.returncode == 0, result.stderr
     rows = [line.split()[0] for line in result.stdout.splitlines()[2:]]
-    assert rows == list(PRESET_NAMES)
+    assert rows == list(PRESETS)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinwalk import CoinSpinor, canonical_initial_states
+from twinwalk import PRESETS, CoinSpinor
 from twinwalk.evolution import trajectory
 from twinwalk.experiment import trajectory_distribution
 from twinwalk.states import SUPPORT_EPS, NormalizationError
@@ -89,8 +89,7 @@ def test_distribution_of_initial_state():
 
 
 def test_distribution_symmetric_for_balanced_coin_100_steps():
-    coin = canonical_initial_states(steps=1)["4c"].coin_init
-    dist = trajectory_distribution(*walk(coin, 100))
+    dist = trajectory_distribution(*walk(PRESETS["4c"], 100))
     for x, p in dist.items():
         assert p == pytest.approx(dist.get(-x, 0.0), abs=1e-12)
 
