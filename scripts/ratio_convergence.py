@@ -17,6 +17,7 @@ from twinwalk import (
     distribution_symmetry,
     timeline_and_distribution,
 )
+from twinwalk.experiment import MAX_STEPS
 
 
 def main() -> int:
@@ -27,6 +28,8 @@ def main() -> int:
     # the ratio is undefined at t = 1 (log2 1 = 0), so a window must stop short of it
     if args.steps < 2:
         parser.error(f"--steps must be at least 2, got {args.steps}")
+    if args.steps > MAX_STEPS:
+        parser.error(f"--steps must be at most {MAX_STEPS}, got {args.steps}")
     window = default_window(args.steps) if args.window is None else args.window
     if not 1 <= window < args.steps:
         parser.error(f"--window must be within 1..{args.steps - 1}, got {window}")

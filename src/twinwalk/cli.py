@@ -11,6 +11,7 @@ import click
 
 from . import __version__
 from .experiment import (
+    MAX_STEPS,
     PRESETS,
     TimelineRecord,
     default_window,
@@ -236,6 +237,8 @@ def run(
         )
         if spec.steps < 1:
             raise ValueError(f"steps must be >= 1, got {spec.steps}")
+        if spec.steps > MAX_STEPS:
+            raise ValueError(f"steps must be at most {MAX_STEPS}, got {spec.steps}")
         spec.coin().require_normalized()
         resolved_window = window if window is not None else default_window(spec.steps)
         if not 1 <= resolved_window <= spec.steps:

@@ -7,11 +7,14 @@ snapshot (no sampling anywhere).  Alongside the two-walker timelines this
 module computes the one-walker distribution diagnostics that the ratio
 convergence correlates with.
 
-Every timeline is one pass of ``run_timeline`` over ``evolution.trajectory``:
-at each t both branch arrays are measured with the fused ``branch_entropy``.
-``timeline_and_distribution`` also reads the one-walker distribution off the
-final arrays of that pass, so a preset that needs both (the figure bundle,
-``scripts/ratio_convergence.py``) is evolved once.
+Every timeline is one pass of ``run_timeline`` over
+``evolution.trajectory_blocks``: each block holds K consecutive steps (K = 8
+at 1000 steps), and all 2K branch rows of a block, coin 0 and coin 1, are
+measured together in one fused ``entanglement.branch_entropies`` pass; only
+the records are built step by step.  ``timeline_and_distribution`` also reads
+the one-walker distribution off the final arrays of that pass, so a preset
+that needs both (the figure bundle, ``scripts/ratio_convergence.py``) is
+evolved once.  Step counts above ``MAX_STEPS`` are refused up front.
 
 A walk is fixed by its initial coin and run for a step count; both are
 passed straight in.  ``PRESETS`` holds the five built-in coins.
@@ -24,12 +27,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import branch_entropy, entanglement_ratio, max_entanglement
-from .evolution import trajectory
+from .entanglement import branch_entropies, entanglement_ratio, max_entanglement
+from .evolution import trajectory_blocks
 from .measurement import CoinOutcome
 from .states import CoinSpinor, mirror_total_variation
 
 _S = math.sqrt(0.5)
+
+#: longest timeline ``run_timeline`` accepts, checked before anything is
+#: allocated.  The work grows as steps^2 (step t touches t + 1 sites): 8000
+#: steps take about 1.5 s on a 2-vCPU machine, so 10^6 would take six hours.
+MAX_STEPS = 1_000_000
 
 #: the five built-in initial coins; both walkers start at the origin
 PRESETS: dict[str, CoinSpinor] = {
@@ -80,36 +88,43 @@ def run_timeline(
     """Records for t = 1..steps of the walk from ``coin_init``, each from the
     t-step state.
 
-    ``steps`` below 1 is rejected before anything is evolved; the coin's
-    normalization is checked once, by ``trajectory``.  When ``final`` is
-    given, the coin-0 and coin-1 arrays after ``steps`` steps are appended to
-    it, so a caller that also needs the final state (see
+    ``steps`` outside 1..MAX_STEPS is rejected before anything is evolved or
+    allocated; the coin's normalization is checked once, by
+    ``trajectory_blocks``.  Each block of steps is measured in one
+    ``branch_entropies`` pass over its coin-0 and coin-1 rows.  When
+    ``final`` is given, the coin-0 and coin-1 arrays after ``steps`` steps
+    are appended to it, so a caller that also needs the final state (see
     ``timeline_and_distribution``) does not evolve the walk a second time.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
+    if steps > MAX_STEPS:
+        raise ValueError(f"steps must be at most {MAX_STEPS}, got {steps}")
     records = []
-    states = trajectory(coin_init, steps)
-    a0, a1 = next(states)
-    for t, (a0, a1) in enumerate(states, start=1):
-        p0, entropy0, support0 = branch_entropy(a0)
-        p1, entropy1, support1 = branch_entropy(a1)
-        records.append(
-            TimelineRecord(
-                step=t,
-                p0=p0,
-                p1=p1,
-                entropy0=entropy0,
-                entropy1=entropy1,
-                max_entropy=max_entanglement(t),
-                ratio0=None if entropy0 is None else entanglement_ratio(entropy0, t),
-                ratio1=None if entropy1 is None else entanglement_ratio(entropy1, t),
-                support0=support0,
-                support1=support1,
+    blocks = trajectory_blocks(coin_init, steps)
+    next(blocks)  # step 0 is not measured
+    for first, rows in blocks:
+        count = rows.shape[1]
+        weights, entropies, supports = branch_entropies(rows)
+        for j in range(count):
+            t = first + j
+            entropy0, entropy1 = entropies[j], entropies[count + j]
+            records.append(
+                TimelineRecord(
+                    step=t,
+                    p0=weights[j],
+                    p1=weights[count + j],
+                    entropy0=entropy0,
+                    entropy1=entropy1,
+                    max_entropy=max_entanglement(t),
+                    ratio0=None if entropy0 is None else entanglement_ratio(entropy0, t),
+                    ratio1=None if entropy1 is None else entanglement_ratio(entropy1, t),
+                    support0=supports[j],
+                    support1=supports[count + j],
+                )
             )
-        )
     if final is not None:
-        final.extend((a0, a1))
+        final.extend((rows[0, -1], rows[1, -1]))
     return records
 
 

@@ -55,48 +55,51 @@ def _figure_name(number: int) -> str:
     return f"fig{number:02d}.csv"
 
 
-def _outcome_csv(timeline: list[TimelineRecord], outcome: CoinOutcome) -> str:
-    lines = [",".join(OUTCOME_COLUMNS)]
-    for record in timeline:
-        entropy = record.entropy0 if outcome is CoinOutcome.C0 else record.entropy1
-        ratio = record.ratio0 if outcome is CoinOutcome.C0 else record.ratio1
-        lines.append(
-            ",".join(
-                (
-                    str(record.step),
-                    format_number(entropy),
-                    format_number(record.max_entropy),
-                    format_number(ratio),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+def _formatted_columns(timeline: list[TimelineRecord]) -> dict[str, list[str]]:
+    """Every per-step number of a timeline rendered once, keyed by field name."""
+    columns = {
+        name: [format_number(getattr(record, name)) for record in timeline]
+        for name in ("entropy0", "entropy1", "max_entropy", "ratio0", "ratio1")
+    }
+    columns["step"] = [str(record.step) for record in timeline]
+    return columns
+
+
+def _csv(header: tuple[str, ...], rows) -> str:
+    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
+
+
+def _outcome_csv(columns: dict[str, list[str]], outcome: CoinOutcome) -> str:
+    return _csv(
+        OUTCOME_COLUMNS,
+        zip(
+            columns["step"],
+            columns[f"entropy{outcome.value}"],
+            columns["max_entropy"],
+            columns[f"ratio{outcome.value}"],
+        ),
+    )
 
 
 def _comparison_csv(
-    timeline: list[TimelineRecord], distribution: dict[int, float]
+    columns: dict[str, list[str]], distribution: dict[int, float]
 ) -> str:
     positions = sorted(x for x, p in distribution.items() if p > SUPPORT_EPS)
-    lines = [",".join(COMPARISON_COLUMNS)]
-    for i in range(max(len(timeline), len(positions))):
-        record = timeline[i] if i < len(timeline) else None
-        position = positions[i] if i < len(positions) else None
-        lines.append(
-            ",".join(
-                (
-                    str(record.step) if record else "",
-                    format_number(record.entropy0) if record else "",
-                    format_number(record.entropy1) if record else "",
-                    format_number(record.ratio0) if record else "",
-                    format_number(record.ratio1) if record else "",
-                    str(position) if position is not None else "",
-                    format_number(distribution[position])
-                    if position is not None
-                    else "",
-                )
-            )
+    series = list(
+        zip(
+            columns["step"],
+            columns["entropy0"],
+            columns["entropy1"],
+            columns["ratio0"],
+            columns["ratio1"],
         )
-    return "\n".join(lines) + "\n"
+    )
+    places = [(str(x), format_number(distribution[x])) for x in positions]
+    # the longer list sets the row count; the other's fields are left empty
+    length = max(len(series), len(places))
+    series += [("",) * 5] * (length - len(series))
+    places += [("", "")] * (length - len(places))
+    return _csv(COMPARISON_COLUMNS, (a + b for a, b in zip(series, places)))
 
 
 def build_figure_bundle(
@@ -113,6 +116,7 @@ def build_figure_bundle(
         coin_init = PRESETS[preset]
         timeline, distribution = timeline_and_distribution(coin_init, steps)
         ratios = window_ratios(timeline, window)
+        columns = _formatted_columns(timeline)
         coin = {
             "re0": coin_init.amp0.real,
             "im0": coin_init.amp0.imag,
@@ -124,7 +128,7 @@ def build_figure_bundle(
             files.append(
                 FigureFile(
                     name=_figure_name(number),
-                    text=_outcome_csv(timeline, outcome),
+                    text=_outcome_csv(columns, outcome),
                     manifest_entry={
                         "figure": number,
                         "preset": preset,
@@ -143,7 +147,7 @@ def build_figure_bundle(
         files.append(
             FigureFile(
                 name=_figure_name(number),
-                text=_comparison_csv(timeline, distribution),
+                text=_comparison_csv(columns, distribution),
                 manifest_entry={
                     "figure": number,
                     "preset": preset,

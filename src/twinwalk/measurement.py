@@ -2,7 +2,7 @@
 
 Measuring the coin after t steps leaves one of two branches, each the
 coin-c array of the trajectory rescaled to unit weight.
-``entanglement.branch_entropy`` measures both from the unnormalized arrays;
+``entanglement.branch_entropies`` measures both from the unnormalized arrays;
 a branch no heavier than ``PROB_EPS`` is reported absent.
 """
 

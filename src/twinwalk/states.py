@@ -8,6 +8,7 @@ state a ``CoinSpinor`` holds.  Everything after that is the arrays that
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -36,9 +37,13 @@ class CoinSpinor:
     def require_normalized(self, tol: float = NORM_TOL) -> None:
         if not (cmath.isfinite(self.amp0) and cmath.isfinite(self.amp1)):
             raise NormalizationError(f"coin amplitudes must be finite, got {self!r}")
-        if abs(self.norm_sq - 1.0) > tol:
+        try:
+            norm_sq = self.norm_sq
+        except OverflowError:  # finite amplitudes whose squares overflow
+            norm_sq = math.inf
+        if abs(norm_sq - 1.0) > tol:
             raise NormalizationError(
-                f"coin state must be normalized: |amp0|^2 + |amp1|^2 = {self.norm_sq!r}"
+                f"coin state must be normalized: |amp0|^2 + |amp1|^2 = {norm_sq!r}"
             )
 
 

@@ -117,6 +117,51 @@ def test_run_rejects_unnormalized_coin(runner):
     assert "normalized" in result.output
 
 
+@pytest.mark.parametrize(
+    "coin", [("1e200", "0", "0", "0"), ("1e308", "1e308", "0", "0")], ids=["1e200", "1e308"]
+)
+def test_run_rejects_coin_whose_norm_overflows(runner, coin):
+    # finite amplitudes whose squared norm does not fit in a float
+    result = runner.invoke(main, ["run", "--coin", *coin, "--steps", "5"])
+    assert result.exit_code == 1
+    assert "normalized" in result.output
+    assert "Traceback" not in result.output
+
+
+def must_not_evolve(*args, **kwargs):
+    raise AssertionError("evolved before the input was validated")
+
+
+def forbid_evolution(monkeypatch):
+    """Make every path that evolves a walk fail the test."""
+    for module, name in (
+        (twinwalk.evolution, "trajectory"),
+        (twinwalk.evolution, "trajectory_blocks"),
+        (twinwalk.experiment, "trajectory_blocks"),
+    ):
+        monkeypatch.setattr(module, name, must_not_evolve)
+
+
+@pytest.mark.parametrize("steps", [1_000_001, 10**11])
+def test_run_rejects_steps_above_ceiling(runner, monkeypatch, steps):
+    forbid_evolution(monkeypatch)
+    result = runner.invoke(main, ["run", "--preset", "4a", "--steps", str(steps)])
+    assert result.exit_code == 1
+    assert f"steps must be at most 1000000, got {steps}" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("steps", [1_000_001, 10**11])
+def test_figures_rejects_steps_above_ceiling(runner, monkeypatch, tmp_path, steps):
+    forbid_evolution(monkeypatch)
+    out_dir = tmp_path / "x"
+    result = runner.invoke(main, ["figures", "--out-dir", str(out_dir), "--steps", str(steps)])
+    assert result.exit_code == 1
+    assert f"steps must be at most 1000000, got {steps}" in result.output
+    assert "Traceback" not in result.output
+    assert not out_dir.exists()
+
+
 def test_run_rejects_window_larger_than_steps(runner):
     result = runner.invoke(
         main, ["run", "--preset", "4a", "--steps", "5", "--window", "9"]
@@ -423,13 +468,16 @@ def test_verify_detects_corrupted_engine(runner, monkeypatch):
 
 
 def test_verify_detects_corrupted_timeline(runner, monkeypatch):
-    true_trajectory = twinwalk.experiment.trajectory
+    # the blocks run_timeline measures, with every coin-1 row damped
+    true_blocks = twinwalk.experiment.trajectory_blocks
 
-    def damped_trajectory(coin_init, n):
-        for a0, a1 in true_trajectory(coin_init, n):
-            yield a0, 0.9 * a1
+    def damped_blocks(coin_init, n):
+        for first, rows in true_blocks(coin_init, n):
+            damped = rows.copy()
+            damped[1] *= 0.9
+            yield first, damped
 
-    monkeypatch.setattr(twinwalk.experiment, "trajectory", damped_trajectory)
+    monkeypatch.setattr(twinwalk.experiment, "trajectory_blocks", damped_blocks)
     result = runner.invoke(main, ["verify", "--depth", "4", "--random-states", "1"])
     assert result.exit_code != 0
     assert "FAIL  array amplitudes and timeline vs dense oracle" in result.output
@@ -437,10 +485,7 @@ def test_verify_detects_corrupted_timeline(runner, monkeypatch):
 
 @pytest.mark.parametrize("depth", [201, 10**9])
 def test_verify_rejects_depth_above_ceiling(runner, monkeypatch, depth):
-    def must_not_evolve(*args, **kwargs):
-        raise AssertionError("evolved before the depth was validated")
-
-    monkeypatch.setattr(twinwalk.evolution, "trajectory", must_not_evolve)
+    forbid_evolution(monkeypatch)
     monkeypatch.setattr(twinwalk.verification, "dense_trajectory", must_not_evolve)
     result = runner.invoke(main, ["verify", "--depth", str(depth)])
     assert result.exit_code == 1
@@ -492,8 +537,7 @@ def test_verify_rejects_random_states_above_ceiling(runner, monkeypatch, count):
         raise AssertionError("ran before the random-state count was validated")
 
     monkeypatch.setattr(twinwalk.verification, "random_coin_states", must_not_run)
-    monkeypatch.setattr(twinwalk.evolution, "trajectory", must_not_run)
-    monkeypatch.setattr(twinwalk.experiment, "trajectory", must_not_run)
+    forbid_evolution(monkeypatch)
     result = runner.invoke(main, ["verify", "--random-states", str(count)])
     assert result.exit_code == 1
     assert "random_states must be at most 1000" in result.output

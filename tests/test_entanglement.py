@@ -9,14 +9,19 @@ from hypothesis import strategies as st
 from twinwalk import PRESETS, CoinOutcome, CoinSpinor, run_timeline
 from twinwalk.entanglement import (
     COEFF_EPS,
-    branch_entropy,
+    branch_entropies,
     entanglement_ratio,
     max_entanglement,
 )
 from twinwalk.evolution import trajectory
 from twinwalk.measurement import PROB_EPS
 from twinwalk.verification import _dense_error, random_coin_states
-from testutil import coin_arrays, evolve_tables, pre_fusion_branch_entropy
+from testutil import (
+    branch_entropy,
+    coin_arrays,
+    evolve_tables,
+    pre_fusion_branch_entropy,
+)
 
 S = math.sqrt(0.5)
 THREE_STEP_ENTROPY = 1.2516291673878228
@@ -239,3 +244,31 @@ def test_fused_branch_entropy_matches_pre_fusion_arithmetic(amps):
     assert kept == ref_kept
     if ref_entropy is not None:
         assert entropy == pytest.approx(ref_entropy, abs=1e-13)
+
+
+@given(
+    arrays=st.lists(branch_arrays(), min_size=1, max_size=6),
+    zero_rows=st.lists(st.integers(0, 6), max_size=3),
+)
+@settings(deadline=None, max_examples=100)
+def test_branch_entropies_measures_each_row_alone(arrays, zero_rows):
+    """A block of rows, zero-padded to one width and with all-zero rows at
+    any position, gives each row the entropy it has alone."""
+    width = max(len(amps) for amps in arrays)
+    for position in zero_rows:
+        arrays.insert(min(position, len(arrays)), np.zeros(0, dtype=np.complex128))
+    rows = np.zeros((len(arrays), width), dtype=np.complex128)
+    for row, amps in zip(rows, arrays):
+        row[: len(amps)] = amps
+    weights, entropies, supports = branch_entropies(rows)
+    assert len(weights) == len(entropies) == len(supports) == len(arrays)
+    for amps, weight, entropy, kept in zip(arrays, weights, entropies, supports):
+        ref_weight, ref_entropy, ref_kept = pre_fusion_branch_entropy(amps)
+        summation = width * 2.3e-16
+        assert weight == pytest.approx(ref_weight, rel=summation, abs=0.0)
+        if abs(ref_weight - PROB_EPS) <= summation * PROB_EPS:
+            continue  # absence is a coin toss within rounding of the cut
+        assert (entropy is None) == (ref_entropy is None)
+        assert kept == ref_kept
+        if ref_entropy is not None:
+            assert entropy == pytest.approx(ref_entropy, abs=1e-13)

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinwalk import CoinSpinor
-from twinwalk.evolution import H, trajectory
+from twinwalk import PRESETS, CoinSpinor
+from twinwalk.evolution import H, block_steps, trajectory, trajectory_blocks
 from twinwalk.experiment import trajectory_distribution
 from twinwalk.oracle import dense_trajectory
+from twinwalk.verification import random_coin_states
 from testutil import (
     coin_spinors,
     dense_diagonal,
@@ -171,3 +172,52 @@ def test_trajectory_rejects_bad_input():
         next(trajectory(COIN_RIGHT, -1))
     with pytest.raises(ValueError):
         next(trajectory(CoinSpinor(1.0, 1.0), 3))
+
+
+@pytest.mark.parametrize(
+    "n, k", [(0, 1), (1, 1), (3, 3), (90, 90), (1000, 8), (2000, 4), (4095, 2), (4096, 1), (10**6, 1)]
+)
+def test_block_steps_follow_the_block_budget(n, k):
+    # K rows of both components at full width fit BLOCK_BYTES, 1 <= K <= n
+    assert block_steps(n) == k
+
+
+def per_step_reference(coin, n):
+    """The one-step-at-a-time recurrence that ``trajectory`` must reproduce bit for bit."""
+    a0 = np.zeros(n + 1, dtype=np.complex128)
+    a1 = np.zeros(n + 1, dtype=np.complex128)
+    a0[0], a1[0] = coin.amp0, coin.amp1
+    yield a0[:1], a1[:1]
+    for t in range(1, n + 1):
+        b0 = H * a0[:t] + H * a1[:t]
+        b1 = H * a0[:t] - H * a1[:t]
+        a0[1 : t + 1] = b0
+        a0[0] = 0.0
+        a1[:t] = b1
+        a1[t] = 0.0
+        yield a0[: t + 1], a1[: t + 1]
+
+
+@pytest.mark.parametrize("n", [1500, 37])
+def test_trajectory_is_bitwise_the_per_step_recurrence(n):
+    # the block step computes H * a0 + H * a1 and H * a0 - H * a1 as before,
+    # so no amplitude may move by even one bit
+    for coin in [*PRESETS.values(), *random_coin_states(5, seed=1500)]:
+        pairs = zip(trajectory(coin, n), per_step_reference(coin, n), strict=True)
+        for (a0, a1), (r0, r1) in pairs:
+            assert a0.tobytes() == r0.tobytes() and a1.tobytes() == r1.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 90, 91, 1001])
+def test_block_rows_are_zero_past_their_step(n):
+    k = block_steps(n)
+    expected_first = 0
+    for first, rows in trajectory_blocks(PRESETS["4e"], n):
+        count = rows.shape[1]
+        assert first == expected_first
+        assert count == (1 if first == 0 else min(k, n - first + 1))
+        assert rows.shape == (2, count, first + count)
+        for j in range(count):
+            assert not rows[:, j, first + j + 1 :].any()
+        expected_first = first + count
+    assert expected_first == n + 1

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,14 +17,17 @@ from twinwalk import (
     run_timeline,
     timeline_and_distribution,
 )
+import twinwalk.evolution
 import twinwalk.experiment
-from twinwalk.entanglement import COEFF_EPS, branch_entropy
-from twinwalk.evolution import trajectory
-from twinwalk.experiment import trajectory_distribution
+from twinwalk.entanglement import COEFF_EPS
+from twinwalk.evolution import block_steps, trajectory
+from twinwalk.experiment import MAX_STEPS, trajectory_distribution
 from twinwalk.figures import build_figure_bundle
 from twinwalk.oracle import dense_evolve, dense_trajectory
+from twinwalk.measurement import PROB_EPS
 from twinwalk.states import NORM_TOL, NormalizationError
 from testutil import (
+    branch_entropy,
     coin_spinors,
     dense_diagonal,
     dense_marginal,
@@ -96,6 +100,16 @@ def test_config_validation():
         run_timeline(CoinSpinor(1.0, 0.0), 0)
     with pytest.raises(NormalizationError):
         run_timeline(CoinSpinor(1.0, 1.0), 5)
+
+
+def test_run_timeline_rejects_steps_above_ceiling(monkeypatch):
+    def must_not_evolve(*args, **kwargs):
+        raise AssertionError("evolved before the step count was validated")
+
+    monkeypatch.setattr(twinwalk.experiment, "trajectory_blocks", must_not_evolve)
+    for steps in (MAX_STEPS + 1, 10**11):
+        with pytest.raises(ValueError, match=f"steps must be at most 1000000, got {steps}"):
+            run_timeline(CoinSpinor(1.0, 0.0), steps)
 
 
 def test_probabilities_sum_to_one(short_timelines):
@@ -182,7 +196,7 @@ def assert_matches_dense_oracle(coin, steps):
     """Amplitudes, weights, entropies and supports at every t against the dense oracle.
 
     The reference entropy is the pre-fusion arithmetic applied to the dense
-    tensor's diagonal, so ``branch_entropy``'s cut and support are compared
+    tensor's diagonal, so ``branch_entropies``'s cut and support are compared
     on the oracle's amplitudes.  The dense lattice covers the whole cone.
     """
     timeline = run_timeline(coin, steps)
@@ -287,13 +301,82 @@ def test_timeline_and_distribution_follows_the_configured_coin(coin, steps):
 
 
 def test_figure_bundle_evolves_each_preset_once(monkeypatch):
-    true_trajectory = twinwalk.experiment.trajectory
+    true_blocks = twinwalk.experiment.trajectory_blocks
     calls = []
 
-    def counted_trajectory(*args, **kwargs):
+    def counted_blocks(*args, **kwargs):
         calls.append(args)
-        return true_trajectory(*args, **kwargs)
+        return true_blocks(*args, **kwargs)
 
-    monkeypatch.setattr(twinwalk.experiment, "trajectory", counted_trajectory)
+    monkeypatch.setattr(twinwalk.experiment, "trajectory_blocks", counted_blocks)
     build_figure_bundle(1000)
     assert len(calls) == 4
+
+
+def assert_matches_per_step_reference(coin, steps):
+    """``run_timeline`` against the pre-fusion arithmetic on every trajectory pair.
+
+    Tolerances are those of the fused-versus-pre-fusion entropy test: the
+    weight to n eps relative, the entropy to 1e-13, supports equal.
+    """
+    timeline = run_timeline(coin, steps)
+    states = itertools.islice(trajectory(coin, steps), 1, None)
+    assert [r.step for r in timeline] == list(range(1, steps + 1))
+    for record, (a0, a1) in zip(timeline, states, strict=True):
+        for weight, entropy, support, amps in (
+            (record.p0, record.entropy0, record.support0, a0),
+            (record.p1, record.entropy1, record.support1, a1),
+        ):
+            ref_weight, ref_entropy, ref_support = pre_fusion_branch_entropy(amps)
+            summation = len(amps) * 2.3e-16
+            assert weight == pytest.approx(ref_weight, rel=summation, abs=0.0)
+            if abs(ref_weight - PROB_EPS) <= summation * PROB_EPS:
+                continue  # absence is a coin toss within rounding of the cut
+            assert (entropy is None) == (ref_entropy is None)
+            assert support == ref_support
+            if ref_entropy is not None:
+                assert entropy == pytest.approx(ref_entropy, abs=1e-13)
+
+
+FORCED_K = 5
+
+
+@pytest.mark.parametrize(
+    "steps", [1, 2, FORCED_K - 1, FORCED_K, FORCED_K + 1, 2 * FORCED_K + 1]
+)
+def test_timeline_matches_per_step_reference_at_block_edges(monkeypatch, steps):
+    # K forced to 5 so that short runs end mid-block, on a block edge and
+    # just past one
+    monkeypatch.setattr(twinwalk.evolution, "block_steps", lambda n: FORCED_K)
+    for coin in (*PRESETS.values(), CoinSpinor(S, S)):
+        assert_matches_per_step_reference(coin, steps)
+
+
+@pytest.mark.parametrize("steps", [1000, 1001, 1007, 2001])
+def test_timeline_matches_per_step_reference_at_derived_block_edges(steps):
+    # K = 8 at T = 1000 and 1007, 4 at T = 2001: whole blocks, one step
+    # past them, and one step short of a whole last block
+    assert steps % block_steps(steps) in (0, 1, block_steps(steps) - 1)
+    assert_matches_per_step_reference(PRESETS["4e"], steps)
+
+
+@given(coin=coin_spinors(), steps=st.integers(min_value=1, max_value=300))
+@settings(deadline=None, max_examples=30)
+def test_timeline_matches_per_step_reference(coin, steps):
+    assert_matches_per_step_reference(coin, steps)
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+def test_exactly_zero_branch_is_absent_without_warning(steps):
+    # (|0> + |1>)/sqrt(2) under the Hadamard coin is |0> after one step:
+    # branch 1 is exactly zero there, inside a block of measured rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first = run_timeline(CoinSpinor(S, S), steps)[0]
+    assert (first.p1, first.entropy1, first.ratio1, first.support1) == (
+        0.0, None, None, None
+    )
+    assert first.p0 == pytest.approx(1.0, abs=1e-15)
+    assert (first.entropy0, first.support0) == (0.0, 1)
+    # a point branch's entropy is +0.0: -0.0 would render as "-0"
+    assert math.copysign(1.0, first.entropy0) == 1.0

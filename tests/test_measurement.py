@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinwalk import CoinOutcome, CoinSpinor, run_timeline
-from twinwalk.entanglement import branch_entropy
 from twinwalk.evolution import trajectory
 from twinwalk.oracle import dense_trajectory, path_sum_table
-from testutil import coin_arrays, coin_spinors
+from testutil import branch_entropy, coin_arrays, coin_spinors
 
 S = math.sqrt(0.5)
 COIN_RIGHT = CoinSpinor(1.0, 0.0)

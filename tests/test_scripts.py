@@ -51,6 +51,8 @@ def test_ratio_convergence_prints_one_row_per_preset():
         (["--steps", "40", "--window", "100"], "--window must be within 1..39, got 100"),
         # a window of all 40 steps reaches t = 1, where the ratio is undefined
         (["--steps", "40", "--window", "40"], "--window must be within 1..39, got 40"),
+        (["--steps", "1000001"], "--steps must be at most 1000000, got 1000001"),
+        (["--steps", str(10**11)], f"--steps must be at most 1000000, got {10**11}"),
     ],
 )
 def test_ratio_convergence_rejects_bad_arguments(args, message):

@@ -9,7 +9,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from twinwalk import CoinSpinor
-from twinwalk.entanglement import COEFF_EPS
+from twinwalk.entanglement import COEFF_EPS, branch_entropies
 from twinwalk.measurement import PROB_EPS
 from twinwalk.verification import AmpTable, _engine_amplitude_tables
 
@@ -58,8 +58,15 @@ def coin_arrays(draw, max_step: int = 8) -> tuple[np.ndarray, np.ndarray]:
     return arrays[0], arrays[1]
 
 
+def branch_entropy(amps):
+    """Weight, entropy and kept count of one branch array: the one-row case
+    of ``branch_entropies``."""
+    (weight,), (entropy,), (kept,) = branch_entropies(np.asarray(amps)[np.newaxis])
+    return weight, entropy, kept
+
+
 def pre_fusion_branch_entropy(amps):
-    """The abs/sum/divide/mask arithmetic branch_entropy used before fusion."""
+    """The abs/sum/divide/mask arithmetic of the branch entropy before fusion."""
     moduli = np.abs(amps)
     weight = float(np.sum(moduli * moduli))
     if weight <= PROB_EPS:
