@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Headline experiment: converged entanglement ratios for the five presets.
 
-For every built-in initial condition this runs the full two-walker walk once,
-averages the per-outcome entanglement ratio over the trailing window, and
-prints it next to the one-walker distribution diagnostics that the
-convergence values correlate with.
+All five built-in initial conditions are measured from one real Hadamard
+run.  For each, this averages the per-outcome entanglement ratio over the
+trailing window and prints it next to the one-walker distribution
+diagnostics that the convergence values correlate with.
 """
 
 import argparse
@@ -15,7 +15,7 @@ from twinwalk import (
     asymptotic_ratio,
     default_window,
     distribution_symmetry,
-    timeline_and_distribution,
+    timelines_and_distributions,
 )
 from twinwalk.experiment import MAX_STEPS
 
@@ -36,8 +36,8 @@ def main() -> int:
 
     print(f"steps={args.steps}  window={window} (trailing mean)")
     print(f"{'preset':<7}{'ratio c0':>12}{'ratio c1':>12}{'mean x/t':>12}{'mirror TV':>12}")
-    for name, coin_init in PRESETS.items():
-        timeline, distribution = timeline_and_distribution(coin_init, args.steps)
+    results = timelines_and_distributions(list(PRESETS.values()), args.steps)
+    for name, (timeline, distribution) in zip(PRESETS, results):
         r0 = asymptotic_ratio(timeline, CoinOutcome.C0, window)
         r1 = asymptotic_ratio(timeline, CoinOutcome.C1, window)
         report = distribution_symmetry(distribution, args.steps)

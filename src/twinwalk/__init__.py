@@ -16,6 +16,7 @@ from .experiment import (
     distribution_symmetry,
     run_timeline,
     timeline_and_distribution,
+    timelines_and_distributions,
 )
 from .measurement import CoinOutcome
 from .states import CoinSpinor
@@ -32,4 +33,5 @@ __all__ = [
     "distribution_symmetry",
     "run_timeline",
     "timeline_and_distribution",
+    "timelines_and_distributions",
 ]

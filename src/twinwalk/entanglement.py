@@ -12,17 +12,16 @@ steps a single coin branch can occupy at most t diagonal sites, so no more
 than log2(t) bits of entanglement are attainable.  The attained/attainable
 ratio is the quantity whose large-t convergence the experiment driver tracks.
 
-``branch_entropies`` measures many unnormalized branch rows (a block of
-``evolution.trajectory_blocks``, both coin components) in one fused pass.
-Per row, with m = |b| and weight w = m . m, the sites kept are
-m >= COEFF_EPS sqrt(w) and, with q = m^2 over them, E = log2 w - (q . log2 q) / w.
-That form holds when only exact zeros are cut; the code evaluates
--(q . (log2 q - log2 w)) / w, which is -sum p log2 p over the kept p = q / w
-even when a cut site carries mass (up to SUPPORT_EPS w each), so a truncated
-branch gets the entropy of its kept coefficients.  The whole block takes one
-mask, one compress and one log2; the per-row sums come from
-``np.add.reduceat`` over the compressed sites, which are row-major, so each
-row's sites are contiguous.
+``branch_entropies`` measures many unnormalized branches in one fused pass,
+each given as a row of site weights |b_x|^2 (``experiment`` forms them from
+the real run without complex numbers) and the row's sum w.  Each row is
+divided by its w, which also clears any common scale of the row; the sites
+kept are those with p >= COEFF_EPS^2, and E = -sum p log2 p over them.  When
+a cut site carries mass (up to SUPPORT_EPS w each) the kept p do not quite
+sum to 1, and a truncated branch gets the entropy of its kept coefficients.
+The whole block takes one divide, one mask, one compress and one log2; the
+per-row sums come from ``np.add.reduceat`` over the compressed sites, which
+are row-major, so each row's sites are contiguous.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import math
 
 import numpy as np
 
-from .measurement import PROB_EPS
 from .states import SUPPORT_EPS
 
 #: Schmidt coefficients below this are dropped before taking logs
@@ -39,43 +37,49 @@ COEFF_EPS = math.sqrt(SUPPORT_EPS)
 
 
 def branch_entropies(
-    rows: np.ndarray,
-) -> tuple[list[float], list[float | None], list[int | None]]:
-    """Weights, entropies in bits and kept Schmidt coefficients of branch rows.
+    site_weights: np.ndarray,
+    weights: np.ndarray,
+    present: np.ndarray,
+    work: np.ndarray | None = None,
+) -> tuple[list[float | None], list[int | None]]:
+    """Entropies in bits and kept Schmidt coefficients of branch rows.
 
-    ``rows`` holds unnormalized diagonal amplitudes along its last axis, one
-    branch per row; the results are in row-major order of the other axes.
-    A branch no heavier than PROB_EPS (an all-zero row included) is absent:
-    its entropy and count are None.  Only the Schmidt coefficients
-    ``|b| / sqrt(weight)`` of at least COEFF_EPS enter the entropy; the
-    coefficients themselves are never formed (see the module docstring).
+    Row r of ``site_weights`` holds the site weights |b_x|^2 of one branch,
+    all times one positive factor, and ``weights[r]`` their sum times the
+    same factor; neither result depends on it.  A branch not marked
+    ``present`` is absent: its entropy and count are None.  Only sites with a
+    weight of at least COEFF_EPS^2 times the branch weight enter the entropy
+    (see the module docstring).  ``work``, when given, is working space of
+    at least three times ``site_weights.size`` floats that the pass fills in
+    place of allocating its own.
     """
-    *lead, width = rows.shape
-    moduli = np.abs(rows).reshape(math.prod(lead), width)
-    weights = np.matmul(moduli[:, None, :], moduli[:, :, None])[:, 0, 0]
-    present = weights > PROB_EPS
-    # an absent row keeps no site: its cut is infinite
-    cut = np.where(present, COEFF_EPS * np.sqrt(weights), np.inf)
-    keep = moduli >= cut[:, None]
-    q = moduli[keep]
-    q *= q
+    rows, width = site_weights.shape
+    size = rows * width
+    if work is None:
+        work = np.empty(3 * size)
+    # an absent row keeps no site: divided by an infinite weight, it is all 0
+    normalized = np.divide(
+        site_weights,
+        np.where(present, weights, np.inf)[:, None],
+        out=work[:size].reshape(rows, width),
+    )
+    keep = normalized >= COEFF_EPS * COEFF_EPS
     counts = keep.sum(axis=1, dtype=np.int32)
+    kept = int(counts.sum())
+    p = np.compress(keep.ravel(), normalized.ravel(), out=work[size : size + kept])
     kept_counts = counts[present]
-    present_weights = weights[present]
     values: list[float] = []
     if len(kept_counts):
         # every present row keeps at least its largest site, so no start repeats
         starts = np.cumsum(kept_counts) - kept_counts
-        terms = np.log2(q)
-        terms -= np.repeat(np.log2(present_weights), kept_counts)
-        terms *= q
+        terms = np.log2(p, out=work[2 * size : 2 * size + kept])
+        terms *= p
         sums = np.add.reduceat(terms, starts)
         # 0.0 - x rather than -x, so that a point branch gets +0.0, not -0.0
-        values = np.maximum(0.0 - sums / present_weights, 0.0).tolist()
+        values = np.maximum(0.0 - sums, 0.0).tolist()
     entropies = iter(values)
     flags = present.tolist()
     return (
-        weights.tolist(),
         [next(entropies) if flag else None for flag in flags],
         [count if flag else None for count, flag in zip(counts.tolist(), flags)],
     )

@@ -4,9 +4,9 @@ Each of the four plotted initial conditions contributes three figures: one
 per coin outcome (entropy against the attainable bound, plus their ratio) and
 one comparison figure carrying the one-walker position distribution next to
 both branch series.  Rendering is plain CSV with deterministic formatting;
-the manifest records what every file contains.  Each plotted preset is
-evolved once: its timeline and its final one-walker distribution come from
-the same trajectory.
+the manifest records what every file contains.  The four plotted presets
+are measured from one real run (``timelines_and_distributions``): their
+timelines and final one-walker distributions all come from one evolution.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .experiment import (
     TimelineRecord,
     default_window,
     distribution_symmetry,
-    timeline_and_distribution,
+    timelines_and_distributions,
     window_ratios,
 )
 from .measurement import CoinOutcome
@@ -112,9 +112,11 @@ def build_figure_bundle(
     if not 1 <= window <= steps:
         raise ValueError(f"window must be within 1..{steps}, got {window}")
     files: list[FigureFile] = []
-    for preset, first in _FIGURE_GROUPS:
+    results = timelines_and_distributions(
+        [PRESETS[preset] for preset, _ in _FIGURE_GROUPS], steps
+    )
+    for (preset, first), (timeline, distribution) in zip(_FIGURE_GROUPS, results):
         coin_init = PRESETS[preset]
-        timeline, distribution = timeline_and_distribution(coin_init, steps)
         ratios = window_ratios(timeline, window)
         columns = _formatted_columns(timeline)
         coin = {

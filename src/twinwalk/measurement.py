@@ -2,8 +2,8 @@
 
 Measuring the coin after t steps leaves one of two branches, each the
 coin-c array of the trajectory rescaled to unit weight.
-``entanglement.branch_entropies`` measures both from the unnormalized arrays;
-a branch no heavier than ``PROB_EPS`` is reported absent.
+``entanglement.branch_entropies`` measures both from their unnormalized site
+weights; a branch no heavier than ``PROB_EPS`` is reported absent.
 """
 
 from __future__ import annotations

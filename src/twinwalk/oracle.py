@@ -9,6 +9,14 @@ same numbers:
 * a path summation that expands the t-step amplitude as a sum over all 2^t
   coin histories with Hadamard matrix-element weights.
 
+A third reference, ``exact_run``, is exact at any scale: under Hadamard
+2^(t/2) times every amplitude of the run from |0> is an integer, so the run
+is an integer recurrence, and ``exact_branches`` turns its rows into the
+branch weights of any coin as exact rationals, rounded once, with entropies
+summed by ``math.fsum``.  The run from |1> is its mirror image:
+B0(t)[k] = (-1)^(t+1) A1(t)[t - k] (a test checks this against the integer
+run from |1> itself).
+
 ``dense_trajectory`` streams the dense states after 0..t_max steps, so a
 sweep over every t costs t_max tensor steps; ``dense_evolve`` is its last
 state.  ``reduced_entropy`` drops the all-zero rows and columns of the branch
@@ -16,9 +24,10 @@ matrix before forming the reduced density matrix.  That crop is exact: a zero
 column adds nothing to any entry of M M^dagger, and a zero row adds only a
 zero eigenvalue, which the ``EIGVAL_EPS`` filter discards anyway.
 
-Both oracles are deliberately brute force (quadratic memory / exponential
-time) and exist to catch index and normalization bugs in the fast path, not
-to scale.  They take the initial coin itself and build their own Hadamard
+The dense and path-sum oracles are deliberately brute force (quadratic
+memory / exponential time) and exist to catch index and normalization bugs in
+the fast path, not to scale; the exact run is quadratic in time, in Python
+integers.  They take the initial coin itself and build their own Hadamard
 matrix; nothing here imports the engine or the driver they check.
 """
 
@@ -32,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measurement import PROB_EPS, CoinOutcome, EmptyBranchError
-from .states import CoinSpinor
+from .states import SUPPORT_EPS, CoinSpinor
 
 #: reduced-density-matrix eigenvalues below this count as zero
 EIGVAL_EPS = 1e-14
@@ -183,3 +192,104 @@ def path_sum_amplitude(
     """Amplitude of |outcome>(x)|x, x> after t steps, summed over coin histories."""
     table = path_sum_table(coin_init, t)
     return table.get((x, outcome.value), 0j)
+
+
+def exact_run(
+    t_max: int, start: int = 0
+) -> Iterator[tuple[list[int], list[int]]]:
+    """Integer rows ``(n0, n1)`` after 0..t_max Hadamard steps from the coin
+    basis state ``start`` at the origin.
+
+    ``n_c[k]`` is 2^(t/2) times the coin-c amplitude at site -t + 2k.  One
+    step is n0'[k + 1] = n0[k] + n1[k] and n1'[k] = n0[k] - n1[k]: the
+    Hadamard step times sqrt 2, with no rounding anywhere.
+    """
+    if t_max < 0:
+        raise ValueError(f"step count must be non-negative, got {t_max}")
+    n0, n1 = ([1], [0]) if start == 0 else ([0], [1])
+    yield n0, n1
+    for _ in range(t_max):
+        n0, n1 = (
+            [0] + [a + b for a, b in zip(n0, n1)],
+            [a - b for a, b in zip(n0, n1)] + [0],
+        )
+        yield n0, n1
+
+
+def _coin_mixing(coin: CoinSpinor) -> tuple[int, int, int, int]:
+    """|alpha|^2, |beta|^2 and 2 Re(alpha conj(beta)) of the coin's floats,
+    exactly, as integers over one common denominator: ``(a, b, r, scale)``."""
+    # imported here: the CLI loads this module at start-up and never needs it
+    from fractions import Fraction
+
+    alpha, beta = coin.amp0, coin.amp1
+    a = Fraction(alpha.real) ** 2 + Fraction(alpha.imag) ** 2
+    b = Fraction(beta.real) ** 2 + Fraction(beta.imag) ** 2
+    r = 2 * (
+        Fraction(alpha.real) * Fraction(beta.real)
+        + Fraction(alpha.imag) * Fraction(beta.imag)
+    )
+    scale = math.lcm(a.denominator, b.denominator, r.denominator)
+    return int(a * scale), int(b * scale), int(r * scale), scale
+
+
+def exact_branches(
+    coin: CoinSpinor, n0: list[int], n1: list[int]
+) -> tuple[tuple[float, float | None, int | None], ...]:
+    """Weight, entropy in bits and kept count of both coin branches of the
+    walk from ``coin``, at the step whose ``exact_run(t, 0)`` rows are n0, n1.
+
+    The walk is alpha A + beta B with B the mirror image of A, so branch 0
+    weighs |alpha n0[k] + beta m0[k]|^2 / 2^t at index k, with
+    m0[k] = (-1)^(t+1) n1[t - k], and branch 1 weighs
+    |beta n0[k] - alpha m0[k]|^2 / 2^t at the mirrored index.  The coin's
+    floats are exact dyadic rationals, so every weight is an exact rational
+    until it is rounded, once.  A branch no heavier than PROB_EPS is absent;
+    sites lighter than SUPPORT_EPS times the branch weight are cut; the
+    entropy is -sum q log2 q over the kept q = weight / branch weight.
+    """
+    t = len(n0) - 1
+    sign = 1 if t % 2 else -1
+    m0 = [sign * n1[t - k] for k in range(t + 1)]
+    a, b, r, scale = _coin_mixing(coin)
+    cut_numerator, cut_denominator = (math.sqrt(SUPPORT_EPS) ** 2).as_integer_ratio()
+    results = []
+    for cx, cy, cz in ((a, b, r), (b, a, -r)):
+        numerators = [cx * u * u + cy * v * v + cz * u * v for u, v in zip(n0, m0)]
+        total = sum(numerators)
+        weight = total / (scale << t)
+        if weight <= PROB_EPS:
+            results.append((weight, None, None))
+            continue
+        kept = [q for q in numerators if q * cut_denominator >= cut_numerator * total]
+        terms = [q / total for q in kept]
+        entropy = max(0.0, 0.0 - math.fsum(q * math.log2(q) for q in terms))
+        results.append((weight, entropy, len(kept)))
+    return results[0], results[1]
+
+
+def exact_distribution(
+    coin: CoinSpinor, n0: list[int], n1: list[int]
+) -> dict[int, float]:
+    """One-walker position distribution of the walk from ``coin`` at the step
+    whose ``exact_run(t, 0)`` rows are n0, n1, each probability an exact
+    rational rounded once; sites of probability exactly 0 are left out.
+
+    Both coin components come from the mirror identity: the run from |1> has
+    m0[k] = (-1)^(t+1) n1[t - k] and m1[k] = (-1)^t n0[t - k].
+    """
+    t = len(n0) - 1
+    sign = 1 if t % 2 else -1
+    m0 = [sign * n1[t - k] for k in range(t + 1)]
+    m1 = [-sign * n0[t - k] for k in range(t + 1)]
+    ca, cb, cr, scale = _coin_mixing(coin)
+    distribution = {}
+    for k in range(t + 1):
+        numerator = (
+            ca * (n0[k] ** 2 + n1[k] ** 2)
+            + cb * (m0[k] ** 2 + m1[k] ** 2)
+            + cr * (n0[k] * m0[k] + n1[k] * m1[k])
+        )
+        if numerator:
+            distribution[2 * k - t] = numerator / (scale << t)
+    return distribution

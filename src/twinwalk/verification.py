@@ -23,10 +23,10 @@ array amplitudes and timeline vs dense oracle, t <= D  amplitude tables    1e-10
 array amplitudes vs path-sum oracle, t <= min(D, 12)   amplitude tables    1e-12
 =====================================================  ==================  =====
 
-The "array trajectory" is ``evolution.trajectory``, the engine that
-``run_timeline`` runs on; "amplitude tables" are its arrays read as
-{(site, coin): amplitude} maps, and "timeline records" are ``run_timeline``
-output.  D is the oracle depth, 3 <= D <= ``MAX_DEPTH``; the oracle sweeps
+The "array trajectory" is ``evolution.trajectory``, the complex view
+alpha A + beta B of the one real run that ``run_timeline`` measures;
+"amplitude tables" are its arrays read as {(site, coin): amplitude} maps, and
+"timeline records" are ``run_timeline`` output.  D is the oracle depth, 3 <= D <= ``MAX_DEPTH``; the oracle sweeps
 cover the five presets plus 0..``MAX_RANDOM_STATES`` random coins.
 """
 

@@ -97,24 +97,12 @@ def test_run_json_document(runner, tmp_path):
     assert document["spec"]["steps"] == 3
 
 
-def test_run_rejects_zero_steps(runner):
-    result = runner.invoke(main, ["run", "--preset", "4a", "--steps", "0"])
-    assert result.exit_code != 0
-    assert "steps" in result.output
-
-
 def test_run_requires_exactly_one_source(runner):
     assert runner.invoke(main, ["run"]).exit_code != 0
     result = runner.invoke(
         main, ["run", "--preset", "4a", "--coin", "1", "0", "0", "0"]
     )
     assert result.exit_code != 0
-
-
-def test_run_rejects_unnormalized_coin(runner):
-    result = runner.invoke(main, ["run", "--coin", "1", "0", "1", "0", "--steps", "3"])
-    assert result.exit_code != 0
-    assert "normalized" in result.output
 
 
 @pytest.mark.parametrize(
@@ -136,8 +124,8 @@ def forbid_evolution(monkeypatch):
     """Make every path that evolves a walk fail the test."""
     for module, name in (
         (twinwalk.evolution, "trajectory"),
-        (twinwalk.evolution, "trajectory_blocks"),
-        (twinwalk.experiment, "trajectory_blocks"),
+        (twinwalk.evolution, "branch_blocks"),
+        (twinwalk.experiment, "branch_blocks"),
     ):
         monkeypatch.setattr(module, name, must_not_evolve)
 
@@ -319,6 +307,14 @@ def test_run_rejects_mistyped_spec_field(runner, tmp_path, field, value):
             ["--coin", "1", "0", "1", "0", "--steps", "5", "--window", "9"],
             "coin state must be normalized",
         ),
+        (
+            ["--coin", "1", "0", "1", "0", "--steps", "3"],
+            "coin state must be normalized: |amp0|^2 + |amp1|^2 = 2.0",
+        ),
+        (
+            ["--coin", "1", "0", "1", "0", "--steps", "0"],
+            "steps must be >= 1, got 0",
+        ),
         # --steps replaces the spec's 0 before anything is checked
         (["--spec", "SPEC", "--steps", "5"], None),
     ],
@@ -327,6 +323,8 @@ def test_run_rejects_mistyped_spec_field(runner, tmp_path, field, value):
         "negative-steps",
         "steps-before-window",
         "coin-before-window",
+        "unnormalized-coin",
+        "steps-before-coin",
         "spec-steps-overridden",
     ],
 )
@@ -340,6 +338,8 @@ def test_run_reports_the_first_bad_input(runner, tmp_path, args, error):
     else:
         assert result.exit_code == 1
         assert result.output.startswith(f"Error: {error}")
+        assert result.output.count("Error:") == 1
+        assert "Traceback" not in result.output
 
 
 def test_run_accepts_integer_coin_fields(runner, tmp_path):
@@ -468,16 +468,14 @@ def test_verify_detects_corrupted_engine(runner, monkeypatch):
 
 
 def test_verify_detects_corrupted_timeline(runner, monkeypatch):
-    # the blocks run_timeline measures, with every coin-1 row damped
-    true_blocks = twinwalk.experiment.trajectory_blocks
+    # the blocks run_timeline measures, with every B0 row damped
+    true_blocks = twinwalk.experiment.branch_blocks
 
-    def damped_blocks(coin_init, n):
-        for first, rows in true_blocks(coin_init, n):
-            damped = rows.copy()
-            damped[1] *= 0.9
-            yield first, damped
+    def damped_blocks(n):
+        for first, lo, a0, b0 in true_blocks(n):
+            yield first, lo, a0, 0.9 * b0
 
-    monkeypatch.setattr(twinwalk.experiment, "trajectory_blocks", damped_blocks)
+    monkeypatch.setattr(twinwalk.experiment, "branch_blocks", damped_blocks)
     result = runner.invoke(main, ["verify", "--depth", "4", "--random-states", "1"])
     assert result.exit_code != 0
     assert "FAIL  array amplitudes and timeline vs dense oracle" in result.output

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from twinwalk import PRESETS, CoinOutcome, CoinSpinor, run_timeline
 from twinwalk.entanglement import (
     COEFF_EPS,
-    branch_entropies,
     entanglement_ratio,
     max_entanglement,
 )
@@ -18,6 +17,7 @@ from twinwalk.measurement import PROB_EPS
 from twinwalk.verification import _dense_error, random_coin_states
 from testutil import (
     branch_entropy,
+    row_entropies,
     coin_arrays,
     evolve_tables,
     pre_fusion_branch_entropy,
@@ -260,7 +260,7 @@ def test_branch_entropies_measures_each_row_alone(arrays, zero_rows):
     rows = np.zeros((len(arrays), width), dtype=np.complex128)
     for row, amps in zip(rows, arrays):
         row[: len(amps)] = amps
-    weights, entropies, supports = branch_entropies(rows)
+    weights, entropies, supports = row_entropies(rows)
     assert len(weights) == len(entropies) == len(supports) == len(arrays)
     for amps, weight, entropy, kept in zip(arrays, weights, entropies, supports):
         ref_weight, ref_entropy, ref_kept = pre_fusion_branch_entropy(amps)

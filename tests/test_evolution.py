@@ -6,11 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinwalk import PRESETS, CoinSpinor
-from twinwalk.evolution import H, block_steps, trajectory, trajectory_blocks
+from twinwalk import PRESETS, CoinOutcome, CoinSpinor, run_timeline
+from twinwalk.evolution import (
+    FLUSH_FLOOR,
+    FLUSH_FROM,
+    H,
+    SCALE_STEPS,
+    block_steps,
+    branch_blocks,
+    row_exponent,
+    trajectory,
+)
 from twinwalk.experiment import trajectory_distribution
-from twinwalk.oracle import dense_trajectory
-from twinwalk.verification import random_coin_states
+from twinwalk.oracle import dense_trajectory, reduced_entropy
 from testutil import (
     coin_spinors,
     dense_diagonal,
@@ -175,49 +183,104 @@ def test_trajectory_rejects_bad_input():
 
 
 @pytest.mark.parametrize(
-    "n, k", [(0, 1), (1, 1), (3, 3), (90, 90), (1000, 8), (2000, 4), (4095, 2), (4096, 1), (10**6, 1)]
+    "n, k", [(0, 1), (1, 1), (3, 3), (90, 90), (1000, 16), (2000, 8), (4095, 4), (4096, 3), (10**6, 1)]
 )
 def test_block_steps_follow_the_block_budget(n, k):
-    # K rows of both components at full width fit BLOCK_BYTES, 1 <= K <= n
+    # K float64 rows of both components at full width fit BLOCK_BYTES, 1 <= K <= n
     assert block_steps(n) == k
 
 
-def per_step_reference(coin, n):
-    """The one-step-at-a-time recurrence that ``trajectory`` must reproduce bit for bit."""
-    a0 = np.zeros(n + 1, dtype=np.complex128)
-    a1 = np.zeros(n + 1, dtype=np.complex128)
-    a0[0], a1[0] = coin.amp0, coin.amp1
-    yield a0[:1], a1[:1]
+def full_rows(first, lo, rows):
+    """Each row of a ``branch_blocks`` array placed in a zero row of its step."""
+    for j, row in enumerate(rows):
+        full = np.zeros(first + j + 1)
+        stop = min(lo + len(row), len(full))
+        full[lo:stop] = row[: stop - lo]
+        yield full
+
+
+def per_step_reference(n):
+    """The run one step at a time over whole rows, as ``branch_blocks`` must
+    reproduce it bit for bit: the same sums, signs, rescaling and flush, with
+    the flush applied to every entry rather than worked in from the edges.
+
+    Yields the A0 and B0 rows of each step, as stored.
+    """
+    a0 = np.zeros(n + 1)
+    c1 = np.zeros(n + 1)  # (-1)^(t+1) A1
+    a0[0] = 1.0
+    yield a0[:1].copy(), c1[:1].copy()
     for t in range(1, n + 1):
-        b0 = H * a0[:t] + H * a1[:t]
-        b1 = H * a0[:t] - H * a1[:t]
-        a0[1 : t + 1] = b0
-        a0[0] = 0.0
-        a1[:t] = b1
-        a1[t] = 0.0
-        yield a0[: t + 1], a1[: t + 1]
+        a, b = a0[:t].copy(), c1[:t].copy()
+        a0[1 : t + 1], c1[:t] = (a - b, b + a) if t % 2 else (a + b, b - a)
+        a0[0] = c1[t] = 0.0
+        if row_exponent(t) == 0:
+            a0[: t + 1] *= 2.0 ** -(SCALE_STEPS // 2)
+            c1[: t + 1] *= 2.0 ** -(SCALE_STEPS // 2)
+        if t >= FLUSH_FROM:
+            floor = FLUSH_FLOOR * 2.0 ** (row_exponent(t) / 2)
+            a0[np.abs(a0) < floor] = 0.0
+            c1[np.abs(c1) < floor] = 0.0
+        yield a0[: t + 1].copy(), c1[: t + 1][::-1].copy()
 
 
 @pytest.mark.parametrize("n", [1500, 37])
 def test_trajectory_is_bitwise_the_per_step_recurrence(n):
-    # the block step computes H * a0 + H * a1 and H * a0 - H * a1 as before,
-    # so no amplitude may move by even one bit
-    for coin in [*PRESETS.values(), *random_coin_states(5, seed=1500)]:
-        pairs = zip(trajectory(coin, n), per_step_reference(coin, n), strict=True)
-        for (a0, a1), (r0, r1) in pairs:
-            assert a0.tobytes() == r0.tobytes() and a1.tobytes() == r1.tobytes()
+    # blocks, windows, the carried row and the edge-wise flush may not move
+    # a single entry of the run
+    rows = (
+        pair
+        for first, lo, a0, b0 in branch_blocks(n)
+        for pair in zip(full_rows(first, lo, a0), full_rows(first, lo, b0))
+    )
+    for (a0, b0), (r0, rb) in zip(rows, per_step_reference(n), strict=True):
+        assert np.array_equal(a0, r0) and np.array_equal(b0, rb)
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 90, 91, 1001])
 def test_block_rows_are_zero_past_their_step(n):
     k = block_steps(n)
     expected_first = 0
-    for first, rows in trajectory_blocks(PRESETS["4e"], n):
-        count = rows.shape[1]
+    for first, lo, a0, b0 in branch_blocks(n):
+        count, width = a0.shape
         assert first == expected_first
         assert count == (1 if first == 0 else min(k, n - first + 1))
-        assert rows.shape == (2, count, first + count)
+        assert b0.shape == a0.shape and 0 <= lo and lo + width <= first + count
         for j in range(count):
-            assert not rows[:, j, first + j + 1 :].any()
+            past = first + j + 1 - lo
+            assert not a0[j, past:].any() and not b0[j, past:].any()
         expected_first = first + count
     assert expected_first == n + 1
+
+
+def test_every_amplitude_is_zero_or_above_the_flush_floor():
+    # the run is one fixed sequence of rows, so checking it through t = 2500
+    # covers every run before the flush starts and well after it
+    n = 2500
+    for first, lo, a0, b0 in branch_blocks(n):
+        for j, rows in enumerate(zip(a0, b0)):
+            t = first + j
+            # the rows carry the true amplitudes times 2^(m/2)
+            floor = FLUSH_FLOOR * 2.0 ** (row_exponent(t) / 2)
+            for row in rows:
+                assert not np.any(np.abs(row[row != 0.0]) < floor), t
+    # the flush acts: the last block's window no longer reaches the edges
+    assert lo > 0 and lo + a0.shape[1] < n + 1
+
+
+def test_mirror_sign_on_both_row_parities():
+    # B0 is the coin-0 row of the run from |1>, on odd and even steps alike;
+    # a wrong sign on one parity keeps every weight sum but not the entropies
+    steps = 13
+    dense = list(dense_trajectory(COIN_LEFT, steps, steps))
+    for first, lo, a0, b0 in branch_blocks(steps):
+        for j, row in enumerate(full_rows(first, lo, b0)):
+            t = first + j
+            true_row = row * 2.0 ** (-row_exponent(t) / 2)
+            assert np.max(np.abs(true_row - dense_diagonal(dense[t], t)[0])) <= rounding(t), t
+    coin = PRESETS["4e"]
+    dense_coin = list(dense_trajectory(coin, steps, steps))
+    for record in run_timeline(coin, steps):
+        state = dense_coin[record.step]
+        assert record.entropy0 == pytest.approx(reduced_entropy(state, CoinOutcome.C0), abs=1e-12)
+        assert record.entropy1 == pytest.approx(reduced_entropy(state, CoinOutcome.C1), abs=1e-12)

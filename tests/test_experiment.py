@@ -16,6 +16,7 @@ from twinwalk import (
     distribution_symmetry,
     run_timeline,
     timeline_and_distribution,
+    timelines_and_distributions,
 )
 import twinwalk.evolution
 import twinwalk.experiment
@@ -23,9 +24,10 @@ from twinwalk.entanglement import COEFF_EPS
 from twinwalk.evolution import block_steps, trajectory
 from twinwalk.experiment import MAX_STEPS, trajectory_distribution
 from twinwalk.figures import build_figure_bundle
-from twinwalk.oracle import dense_evolve, dense_trajectory
+from twinwalk.oracle import dense_evolve, dense_trajectory, exact_distribution, exact_run
 from twinwalk.measurement import PROB_EPS
 from twinwalk.states import NORM_TOL, NormalizationError
+from twinwalk.verification import random_coin_states
 from testutil import (
     branch_entropy,
     coin_spinors,
@@ -106,7 +108,7 @@ def test_run_timeline_rejects_steps_above_ceiling(monkeypatch):
     def must_not_evolve(*args, **kwargs):
         raise AssertionError("evolved before the step count was validated")
 
-    monkeypatch.setattr(twinwalk.experiment, "trajectory_blocks", must_not_evolve)
+    monkeypatch.setattr(twinwalk.experiment, "branch_blocks", must_not_evolve)
     for steps in (MAX_STEPS + 1, 10**11):
         with pytest.raises(ValueError, match=f"steps must be at most 1000000, got {steps}"):
             run_timeline(CoinSpinor(1.0, 0.0), steps)
@@ -278,10 +280,18 @@ def assert_distributions_close(got, expected, tol):
 @pytest.mark.parametrize("steps", [0, 1, 2, 57, 200])
 @pytest.mark.parametrize("name", tuple(PRESETS))
 def test_single_walker_distribution_matches_dense_marginal(name, steps):
-    """The one-walker distribution against the dense oracle's walker-1 marginal."""
-    dense = dense_evolve(PRESETS[name], steps, steps)
+    """The one-walker distribution against the exact one, and against the
+    dense oracle's walker-1 marginal.
+
+    Each dense step scales the norm by 2 H^2 = 1 + 2.2e-16, since H is a
+    rounded sqrt(1/2), so the dense marginal is off by up to steps eps
+    relative, and the tolerance against it grows with the step count.
+    """
+    *_, (n0, n1) = exact_run(steps)
     got = final_distribution(PRESETS[name], steps)
-    assert_distributions_close(got, dense_marginal(dense), 1e-15)
+    assert_distributions_close(got, exact_distribution(PRESETS[name], n0, n1), 1e-15)
+    dense = dense_evolve(PRESETS[name], steps, steps)
+    assert_distributions_close(got, dense_marginal(dense), 1e-15 + steps * 2.3e-16)
 
 
 @pytest.mark.parametrize("steps", [1, 2, 257])
@@ -301,23 +311,45 @@ def test_timeline_and_distribution_follows_the_configured_coin(coin, steps):
 
 
 def test_figure_bundle_evolves_each_preset_once(monkeypatch):
-    true_blocks = twinwalk.experiment.trajectory_blocks
+    # one real run serves all four plotted presets
+    true_blocks = twinwalk.experiment.branch_blocks
     calls = []
 
     def counted_blocks(*args, **kwargs):
         calls.append(args)
         return true_blocks(*args, **kwargs)
 
-    monkeypatch.setattr(twinwalk.experiment, "trajectory_blocks", counted_blocks)
+    monkeypatch.setattr(twinwalk.experiment, "branch_blocks", counted_blocks)
     build_figure_bundle(1000)
-    assert len(calls) == 4
+    assert calls == [(1000,)]
+
+
+@pytest.mark.parametrize("steps", [1, 17, 1000, 2500])
+def test_coins_measured_together_equal_each_coin_alone(steps):
+    coins = [*PRESETS.values(), CoinSpinor(S, S), *random_coin_states(3, seed=11)]
+    together = timelines_and_distributions(coins, steps)
+    for coin, (timeline, distribution) in zip(coins, together, strict=True):
+        alone, alone_distribution = timeline_and_distribution(coin, steps)
+        assert distribution == alone_distribution
+        for got, want in zip(timeline, alone, strict=True):
+            assert (got.step, got.support0, got.support1) == (
+                want.step, want.support0, want.support1
+            )
+            assert abs(got.p0 - want.p0) <= 1e-15 and abs(got.p1 - want.p1) <= 1e-15
+            for a, b in ((got.entropy0, want.entropy0), (got.entropy1, want.entropy1)):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert abs(a - b) <= 1e-15
 
 
 def assert_matches_per_step_reference(coin, steps):
     """``run_timeline`` against the pre-fusion arithmetic on every trajectory pair.
 
     Tolerances are those of the fused-versus-pre-fusion entropy test: the
-    weight to n eps relative, the entropy to 1e-13, supports equal.
+    weight to n eps relative, the entropy to 1e-13, supports equal.  The
+    timeline's weight mixes the row sums of A0^2, B0^2 and A0 B0 rather than
+    summing the trajectory's |amplitude|^2, and the trajectory view rounds
+    its own products, so 16 eps absolute of that rounding is allowed on top.
     """
     timeline = run_timeline(coin, steps)
     states = itertools.islice(trajectory(coin, steps), 1, None)
@@ -329,8 +361,9 @@ def assert_matches_per_step_reference(coin, steps):
         ):
             ref_weight, ref_entropy, ref_support = pre_fusion_branch_entropy(amps)
             summation = len(amps) * 2.3e-16
-            assert weight == pytest.approx(ref_weight, rel=summation, abs=0.0)
-            if abs(ref_weight - PROB_EPS) <= summation * PROB_EPS:
+            mixing = 16 * 2.3e-16
+            assert weight == pytest.approx(ref_weight, rel=summation, abs=mixing)
+            if abs(ref_weight - PROB_EPS) <= summation * PROB_EPS + mixing:
                 continue  # absence is a coin toss within rounding of the cut
             assert (entropy is None) == (ref_entropy is None)
             assert support == ref_support
@@ -352,10 +385,10 @@ def test_timeline_matches_per_step_reference_at_block_edges(monkeypatch, steps):
         assert_matches_per_step_reference(coin, steps)
 
 
-@pytest.mark.parametrize("steps", [1000, 1001, 1007, 2001])
+@pytest.mark.parametrize("steps", [1008, 1009, 1007, 2001])
 def test_timeline_matches_per_step_reference_at_derived_block_edges(steps):
-    # K = 8 at T = 1000 and 1007, 4 at T = 2001: whole blocks, one step
-    # past them, and one step short of a whole last block
+    # K = 16 at T = 1007..1009, 8 at T = 2001: whole blocks, one step past
+    # them, and one step short of a whole last block
     assert steps % block_steps(steps) in (0, 1, block_steps(steps) - 1)
     assert_matches_per_step_reference(PRESETS["4e"], steps)
 

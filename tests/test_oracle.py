@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import twinwalk.oracle
-from twinwalk import PRESETS, CoinOutcome, CoinSpinor
+from twinwalk import PRESETS, CoinOutcome, CoinSpinor, timelines_and_distributions
 from twinwalk.measurement import EmptyBranchError
 from twinwalk.oracle import (
     EIGVAL_EPS,
@@ -15,6 +15,8 @@ from twinwalk.oracle import (
     DenseTensorState,
     dense_evolve,
     dense_trajectory,
+    exact_branches,
+    exact_run,
     path_sum_amplitude,
     path_sum_table,
     reduced_entropy,
@@ -241,3 +243,55 @@ def test_path_sum_matches_naive_history_sum():
             table = path_sum_table(coin, t)
             assert set(table) == set(expected)
             assert max_table_diff(table, expected) < 1e-14
+
+
+def test_exact_run_from_one_is_the_mirror_of_the_run_from_zero():
+    # the identity the exact references (and the engine) read B off A with
+    for t, ((n0, n1), (m0, m1)) in enumerate(zip(exact_run(300), exact_run(300, 1))):
+        sign = 1 if t % 2 else -1
+        assert m0 == [sign * n1[t - k] for k in range(t + 1)]
+        assert m1 == [-sign * n0[t - k] for k in range(t + 1)]
+
+
+def test_exact_run_is_the_unitary_hadamard_walk():
+    # 2^(t/2) times the amplitudes: integer rows of squared norm 2^t, and the
+    # worked three-step state
+    for t, (n0, n1) in enumerate(exact_run(200)):
+        assert sum(v * v for v in n0 + n1) == 2**t
+    *_, (n0, n1) = exact_run(3)
+    assert (n0, n1) == ([0, -1, 2, 1], [1, 0, 1, 0])
+
+
+#: sampled steps: the first ones, block edges at T = 1000 (K = 16) and of
+#: the run's rescaling every 32 steps, the first flushed steps (997 on) and
+#: the end
+EXACT_STEPS = (1, 2, 3, 4, 15, 16, 17, 31, 32, 33, 63, 64, 65, 255, 256, 500, 996, 997, 998, 999, 1000)
+
+
+def assert_matches_exact(records, coin, rows):
+    for record in records:
+        exact = exact_branches(coin, *rows[record.step])
+        got = (
+            (record.p0, record.entropy0, record.support0),
+            (record.p1, record.entropy1, record.support1),
+        )
+        for (weight, entropy, support), (want_weight, want_entropy, want_support) in zip(got, exact):
+            assert abs(weight - want_weight) <= 1e-12, record.step
+            assert support == want_support, record.step
+            assert (entropy is None) == (want_entropy is None), record.step
+            if entropy is not None:
+                assert abs(entropy - want_entropy) <= 1e-12, record.step
+
+
+def test_timelines_match_the_exact_run():
+    """Weights, entropies, supports and absent branches of the five presets
+    (T = 1000), and of 4e and a random coin at T = 2500, where the flush has
+    long been acting, against exact rationals of the integer run."""
+    wanted = set(EXACT_STEPS) | {2499, 2500}
+    rows = {t: row for t, row in enumerate(exact_run(2500)) if t in wanted}
+    coins = list(PRESETS.values())
+    for coin, (timeline, _) in zip(coins, timelines_and_distributions(coins, 1000)):
+        assert_matches_exact([timeline[t - 1] for t in EXACT_STEPS], coin, rows)
+    long_coins = [PRESETS["4e"], *random_coin_states(1, seed=2500)]
+    for coin, (timeline, _) in zip(long_coins, timelines_and_distributions(long_coins, 2500)):
+        assert_matches_exact(timeline[-2:], coin, rows)

@@ -1,12 +1,14 @@
 """Smoke tests: the runnable scripts still run against the package."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import twinwalk.experiment
 from twinwalk import PRESETS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -61,3 +63,21 @@ def test_ratio_convergence_rejects_bad_arguments(args, message):
     assert message in result.stderr
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
+
+
+def test_ratio_convergence_evolves_once(monkeypatch, capsys):
+    # all five presets come from one real run
+    true_blocks = twinwalk.experiment.branch_blocks
+    calls = []
+
+    def counted_blocks(n):
+        calls.append(n)
+        return true_blocks(n)
+
+    monkeypatch.setattr(twinwalk.experiment, "branch_blocks", counted_blocks)
+    monkeypatch.setattr(sys, "argv", ["ratio_convergence.py", "--steps", "40"])
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_path(str(ROOT / "scripts" / "ratio_convergence.py"), run_name="__main__")
+    assert exited.value.code == 0
+    assert calls == [40]
+    assert len(capsys.readouterr().out.splitlines()) == 2 + len(PRESETS)

@@ -58,10 +58,19 @@ def coin_arrays(draw, max_step: int = 8) -> tuple[np.ndarray, np.ndarray]:
     return arrays[0], arrays[1]
 
 
+def row_entropies(rows):
+    """Weights, entropies and kept counts of branch amplitude rows, measured
+    by ``branch_entropies`` from their site weights |b|^2."""
+    site_weights = np.abs(np.asarray(rows)) ** 2
+    weights = site_weights.sum(axis=-1)
+    entropies, kept = branch_entropies(site_weights, weights, weights > PROB_EPS)
+    return weights.tolist(), entropies, kept
+
+
 def branch_entropy(amps):
     """Weight, entropy and kept count of one branch array: the one-row case
     of ``branch_entropies``."""
-    (weight,), (entropy,), (kept,) = branch_entropies(np.asarray(amps)[np.newaxis])
+    (weight,), (entropy,), (kept,) = row_entropies(np.asarray(amps)[np.newaxis])
     return weight, entropy, kept
 
 
