@@ -179,9 +179,9 @@ def coin_rows(
     out: np.ndarray,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Coin-0 and coin-1 amplitudes of the walk from ``coin_init`` at each
-    step t of one ``branch_blocks`` block, as length-(t + 1) arrays; coin 0
-    is a view into ``out``, a complex array of at least the block's shape
-    per coin, and coin 1 a copy.
+    step t of one ``branch_blocks`` block, as length-(t + 1) views into
+    ``out``, a complex array of at least the block's shape per coin; coin 1
+    is a reversed view.
 
     Coin 0 is alpha A0 + beta B0.  By the mirror identity coin 1 at index k
     is (-1)^t (beta A0 - alpha B0) at index t - k.  Each row's scale 2^(m/2)
@@ -218,10 +218,7 @@ def coin_rows(
         else:
             window[...] = 0.0
     for j, t in enumerate(steps.tolist()):
-        # coin 1 is mirrored into a contiguous array: numpy's complex abs
-        # rounds differently on strided data, which would break the exact
-        # mirror symmetry of a symmetric coin's distribution
-        yield amps[0, j, : t + 1], amps[1, j, t::-1].copy()
+        yield amps[0, j, : t + 1], amps[1, j, t::-1]
 
 
 def trajectory(coin_init: CoinSpinor, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -229,8 +226,8 @@ def trajectory(coin_init: CoinSpinor, n: int) -> Iterator[tuple[np.ndarray, np.n
 
     The pair yielded for step t has length t + 1, index k holding site
     ``-t + 2k``: the complex view ``coin_rows`` of the one real run of
-    ``branch_blocks``.  The coin-0 array is a view into a buffer that a
-    later step overwrites.  The coin's normalization is checked first.
+    ``branch_blocks``.  Both arrays are views into a buffer that a later
+    step overwrites.  The coin's normalization is checked first.
     """
     coin_init.require_normalized()
     blocks = branch_blocks(n)

@@ -266,10 +266,12 @@ def distribution_symmetry(distribution: dict[int, float], steps: int) -> Symmetr
 def trajectory_distribution(a0: np.ndarray, a1: np.ndarray) -> dict[int, float]:
     """Position distribution of one ``trajectory`` step started at the origin.
 
-    Sites never reached (probability exactly 0) are left out.
+    Sites never reached (probability exactly 0) are left out.  Each
+    coin's |a|^2 is re^2 + im^2, which rounds the same whatever the arrays'
+    memory layout.
     """
     t = len(a0) - 1
-    probabilities = np.abs(a0) ** 2 + np.abs(a1) ** 2
+    probabilities = (a0.real**2 + a0.imag**2) + (a1.real**2 + a1.imag**2)
     return {
         x: p
         for x, p in zip(range(-t, t + 1, 2), probabilities.tolist())

@@ -63,7 +63,7 @@ class DenseTensorState:
         return complex(self.amplitudes[coin, x1 + r, x2 + r])
 
     def norm(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
+        return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
     def off_diagonal_mass(self) -> float:
         """Probability mass on sites with walker1 != walker2 (should be 0)."""
@@ -73,7 +73,8 @@ class DenseTensorState:
         return float(np.sum(mass))
 
     def branch_probability(self, outcome: CoinOutcome) -> float:
-        return float(np.sum(np.abs(self.amplitudes[outcome.value]) ** 2))
+        matrix = self.amplitudes[outcome.value]
+        return float(np.vdot(matrix, matrix).real)
 
 
 def dense_trajectory(
@@ -110,7 +111,7 @@ def _dense_steps(
     idx = np.arange(n)
     yield DenseTensorState(step=0, lattice_radius=radius, amplitudes=amplitudes)
     for t in range(1, t_max + 1):
-        mixed = np.tensordot(coin, amplitudes, axes=([1], [0]))
+        mixed = (coin @ amplitudes.reshape(2, -1)).reshape(amplitudes.shape)
         diag0 = mixed[0, idx, idx]
         diag1 = mixed[1, idx, idx]
         amplitudes = np.zeros_like(amplitudes)
@@ -129,19 +130,21 @@ def reduced_entropy(state: DenseTensorState, outcome: CoinOutcome) -> float:
     """Branch entropy in bits from the reduced density matrix of walker 1.
 
     The coin is projected onto ``outcome``, the walker amplitude matrix is
-    renormalized, walker 2 is traced out, and the entropy is computed from the
-    eigenvalues of the resulting Hermitian matrix (cropped exactly, see the
-    module docstring).  The eigen-decomposition does not assume the matrix is
-    diagonal, so it stays independent of the fast path's Schmidt shortcut.
+    renormalized by ``branch_probability``, walker 2 is traced out, and the
+    entropy is computed from the eigenvalues of the resulting Hermitian
+    matrix (cropped exactly, see the module docstring).  The
+    eigen-decomposition does not assume the matrix is diagonal, so it stays
+    independent of the fast path's Schmidt shortcut.
     """
     matrix = state.amplitudes[outcome.value]
-    weight = float(np.sum(np.abs(matrix) ** 2))
+    weight = state.branch_probability(outcome)
     if weight <= PROB_EPS:
         raise EmptyBranchError(
             f"outcome {outcome} has probability {weight!r} at step {state.step}"
         )
-    rows = np.flatnonzero(np.any(matrix != 0, axis=1))
-    cols = np.flatnonzero(np.any(matrix != 0, axis=0))
+    nonzero = matrix != 0
+    rows = np.flatnonzero(nonzero.any(axis=1))
+    cols = np.flatnonzero(nonzero.any(axis=0))
     normalized = matrix[np.ix_(rows, cols)] / math.sqrt(weight)
     rho = normalized @ normalized.conj().T
     eigenvalues = np.linalg.eigvalsh(rho)

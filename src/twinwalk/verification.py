@@ -17,17 +17,22 @@ attainable bound at t=2 and t=3                        timeline records    5e-4
 norm drift over 1000 steps                             array trajectory    1e-12
 light-cone violations over 1000 steps                  array trajectory    0
 distribution completeness at t=1000                    array trajectory    1e-12
-array amplitudes and timeline vs dense oracle, t <= D  amplitude tables    1e-10
+array amplitudes and timeline vs dense oracle, t <= D  array trajectory    1e-10
                                                        and timeline
                                                        records
 array amplitudes vs path-sum oracle, t <= min(D, 12)   amplitude tables    1e-12
+unscaled run rows vs exact integer run, t <= D         run rows            1e-14
 =====================================================  ==================  =====
 
 The "array trajectory" is ``evolution.trajectory``, the complex view
 alpha A + beta B of the one real run that ``run_timeline`` measures;
-"amplitude tables" are its arrays read as {(site, coin): amplitude} maps, and
-"timeline records" are ``run_timeline`` output.  D is the oracle depth, 3 <= D <= ``MAX_DEPTH``; the oracle sweeps
-cover the five presets plus 0..``MAX_RANDOM_STATES`` random coins.
+"amplitude tables" are its arrays read as {(site, coin): amplitude} maps,
+built only to the path-sum depth; "timeline records" are ``run_timeline``
+output; "run rows" are the A0 and B0 rows of ``evolution.branch_blocks``
+with their 2^(m/2) scale divided out.  D is the oracle depth,
+3 <= D <= ``MAX_DEPTH``; the dense and path-sum sweeps cover the five presets
+plus 0..``MAX_RANDOM_STATES`` random coins, one coin at a time, and the
+exact-run check, which needs no coin, runs once.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import numpy as np
 from . import evolution
 from .experiment import PRESETS, run_timeline, trajectory_distribution
 from .measurement import CoinOutcome
-from .oracle import dense_trajectory, path_sum_table, reduced_entropy
+from .oracle import dense_trajectory, exact_run, path_sum_table, reduced_entropy
 from .states import CoinSpinor
 
 DEFAULT_SEED = 20100901
@@ -55,7 +60,7 @@ PATH_SUM_DEPTH_CAP = 12
 MAX_DEPTH = 200
 
 #: most random coins ``run_checks`` accepts on top of the five presets; each
-#: costs a dense and a path-sum sweep (about 3 ms at depth 10)
+#: costs a dense and a path-sum sweep (about 3.5 ms at depth 10)
 MAX_RANDOM_STATES = 1000
 
 AmpTable = dict[tuple[int, int], complex]
@@ -175,7 +180,7 @@ def _check_long_run_invariants(steps: int = 1000) -> list[CheckResult]:
     worst_drift = 0.0
     cone_violations = 0
     for t, (a0, a1) in enumerate(itertools.islice(states, 1, None), start=1):
-        mass = np.sum(np.abs(a0) ** 2) + np.sum(np.abs(a1) ** 2)
+        mass = np.vdot(a0, a0).real + np.vdot(a1, a1).real
         worst_drift = max(worst_drift, abs(float(mass) - 1.0))
         if len(a0) != t + 1 or len(a1) != t + 1 or a0[0] != 0 or a1[t] != 0:
             cone_violations += 1
@@ -193,17 +198,27 @@ def _check_long_run_invariants(steps: int = 1000) -> list[CheckResult]:
     ]
 
 
-def _dense_error(coin: CoinSpinor, tables: list[AmpTable], t_max: int) -> float:
-    """Worst deviation of the engine tables and the timeline from the dense oracle."""
+def _dense_error(coin: CoinSpinor, t_max: int) -> float:
+    """Worst deviation of the array trajectory and the timeline from the dense
+    oracle for t = 1..t_max; inf if a step's arrays are not t + 1 long.
+
+    Index k of the step-t arrays is site -t + 2k of the dense diagonal; the
+    diagonal's other sites, which the layout cannot store, are compared
+    against zero.
+    """
     dense_states = itertools.islice(dense_trajectory(coin, t_max, t_max), 1, None)
+    arrays = itertools.islice(evolution.trajectory(coin, t_max), 1, None)
     worst = 0.0
-    for record, dense in zip(run_timeline(coin, t_max), dense_states, strict=True):
+    for record, (a0, a1), dense in zip(
+        run_timeline(coin, t_max), arrays, dense_states, strict=True
+    ):
         t = record.step
-        engine = np.array(
-            [[tables[t].get((x, c), 0j) for x in range(-t, t + 1)] for c in (0, 1)]
-        )
+        if len(a0) != t + 1 or len(a1) != t + 1:
+            return math.inf
         sites = np.arange(-t, t + 1) + dense.lattice_radius
-        diff = engine - dense.amplitudes[:, sites, sites]
+        diff = dense.amplitudes[:, sites, sites]
+        diff[0, ::2] -= a0
+        diff[1, ::2] -= a1
         # hypot rounds exactly as Python's complex abs; np.abs can differ by an ulp
         worst = max(worst, float(np.max(np.hypot(diff.real, diff.imag))))
         for outcome, weight, entropy in (
@@ -214,6 +229,44 @@ def _dense_error(coin: CoinSpinor, tables: list[AmpTable], t_max: int) -> float:
             if entropy is not None:
                 worst = max(worst, abs(entropy - reduced_entropy(dense, outcome)))
     return worst
+
+
+def _exact_run_error(t_max: int) -> float:
+    """Worst deviation of the unscaled ``evolution.branch_blocks`` rows from
+    ``oracle.exact_run`` times 2^(-t/2), for t = 0..t_max.
+
+    Row t of A0 is n0 2^(-t/2) and row t of B0 is the mirror
+    (-1)^(t+1) n1[t - k] 2^(-t/2) of the integer rows n0, n1; every index
+    outside a block's window, and past a row's step, is compared against 0.
+    Blocks that do not cover t = 0..t_max in order, or a window outside its
+    rows, give inf.
+    """
+    exact = list(exact_run(t_max))
+    worst = 0.0
+    done = 0
+    for first, lo, a0, b0 in evolution.branch_blocks(t_max):
+        count, width = a0.shape
+        length = first + count
+        if (
+            first != done
+            or b0.shape != a0.shape
+            or length > t_max + 1
+            or not 0 <= lo <= length - width
+        ):
+            return math.inf
+        done = length
+        steps = np.arange(first, length)
+        want = np.zeros((2, count, length))
+        for j, t in enumerate(steps.tolist()):
+            n0, n1 = exact[t]
+            want[0, j, : t + 1] = n0
+            want[1, j, : t + 1] = n1[::-1] if t % 2 else [-v for v in reversed(n1)]
+        want *= 2.0 ** (-steps / 2)[:, None]
+        got = np.zeros((2, count, length))
+        got[:, :, lo : lo + width] = a0, b0
+        got *= 2.0 ** (-evolution.row_exponent(steps) / 2)[:, None]
+        worst = max(worst, float(np.max(np.abs(got - want))))
+    return worst if done == t_max + 1 else math.inf
 
 
 def _path_sum_error(coin: CoinSpinor, tables: list[AmpTable], t_max: int) -> float:
@@ -248,8 +301,8 @@ def run_checks(
     path_sum_depth = min(max_step, PATH_SUM_DEPTH_CAP)
     dense_worst = path_sum_worst = 0.0
     for coin in coins:
-        tables = _engine_amplitude_tables(coin, max_step)
-        dense_worst = max(dense_worst, _dense_error(coin, tables, max_step))
+        dense_worst = max(dense_worst, _dense_error(coin, max_step))
+        tables = _engine_amplitude_tables(coin, path_sum_depth)
         path_sum_worst = max(
             path_sum_worst, _path_sum_error(coin, tables, path_sum_depth)
         )
@@ -265,6 +318,13 @@ def run_checks(
             f"array amplitudes vs path-sum oracle, t <= {path_sum_depth}",
             path_sum_worst,
             1e-12,
+        )
+    )
+    checks.append(
+        CheckResult(
+            f"unscaled run rows vs exact integer run, t <= {max_step}",
+            _exact_run_error(max_step),
+            1e-14,
         )
     )
     return checks

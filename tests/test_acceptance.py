@@ -151,8 +151,8 @@ def test_criterion_3_oracle_equivalence():
         coins = list(PRESETS.values())
         coins.extend(random_coin_states(20))
         for coin in coins:
-            # engine tables and timeline records vs the dense oracle, t = 1..10
-            assert _dense_error(coin, evolve_tables(coin, 10), 10) < 1e-10
+            # engine arrays and timeline records vs the dense oracle, t = 1..10
+            assert _dense_error(coin, 10) < 1e-10
             # engine tables vs the path sum, t = 0..12
             assert _path_sum_error(coin, evolve_tables(coin, 12), 12) < 1e-12
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -465,6 +466,57 @@ def test_verify_detects_corrupted_engine(runner, monkeypatch):
         "array amplitudes vs path-sum oracle",
     ):
         assert f"FAIL  {check}" in result.output
+
+
+def test_dense_error_is_inf_for_arrays_of_the_wrong_length(monkeypatch):
+    true_trajectory = twinwalk.evolution.trajectory
+
+    def padded_trajectory(coin_init, n):
+        for a0, a1 in true_trajectory(coin_init, n):
+            yield np.append(a0, 0j), np.append(a1, 0j)
+
+    monkeypatch.setattr(twinwalk.evolution, "trajectory", padded_trajectory)
+    coin = twinwalk.experiment.PRESETS["4a"]
+    assert twinwalk.verification._dense_error(coin, 4) == math.inf
+
+
+@pytest.mark.parametrize("corruption", ["mirror-sign", "rescale"])
+def test_verify_detects_corrupted_run_rows(runner, monkeypatch, corruption):
+    # B0 stored without its (-1)^(t+1) on even steps, or a rescale by
+    # 2^-15 instead of 2^-16 at t = 32
+    true_blocks = twinwalk.evolution.branch_blocks
+
+    def corrupted_blocks(n):
+        for first, lo, a0, b0 in true_blocks(n):
+            steps = first + np.arange(len(a0))[:, None]
+            if corruption == "mirror-sign":
+                b0 = np.where(steps % 2 == 0, -b0, b0)
+            else:
+                late = steps >= twinwalk.evolution.SCALE_STEPS
+                a0, b0 = np.where(late, 2.0 * a0, a0), np.where(late, 2.0 * b0, b0)
+            yield first, lo, a0, b0
+
+    monkeypatch.setattr(twinwalk.evolution, "branch_blocks", corrupted_blocks)
+    result = runner.invoke(main, ["verify", "--depth", "40", "--random-states", "1"])
+    assert result.exit_code == 1
+    assert "FAIL  unscaled run rows vs exact integer run, t <= 40" in result.output
+
+
+def test_verify_builds_amplitude_tables_only_to_the_path_sum_depth(monkeypatch):
+    true_tables = twinwalk.verification._engine_amplitude_tables
+    depths = []
+
+    def recorded_tables(coin_init, t_max):
+        depths.append(t_max)
+        return true_tables(coin_init, t_max)
+
+    monkeypatch.setattr(
+        twinwalk.verification, "_engine_amplitude_tables", recorded_tables
+    )
+    checks = twinwalk.verification.run_checks(max_step=40, random_states=1)
+    assert all(check.passed for check in checks)
+    assert depths
+    assert max(depths) <= twinwalk.verification.PATH_SUM_DEPTH_CAP
 
 
 def test_verify_detects_corrupted_timeline(runner, monkeypatch):

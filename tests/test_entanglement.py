@@ -19,7 +19,6 @@ from testutil import (
     branch_entropy,
     row_entropies,
     coin_arrays,
-    evolve_tables,
     pre_fusion_branch_entropy,
 )
 
@@ -175,12 +174,12 @@ def test_entropy_invariant_under_relabeling(arrays, shift):
 def test_entropy_matches_dense_oracle_for_random_coins():
     t_max = 10
     for coin in random_coin_states(50, seed=424242):
-        assert _dense_error(coin, evolve_tables(coin, t_max), t_max) < 1e-10
+        assert _dense_error(coin, t_max) < 1e-10
 
 
 @given(arrays=coin_arrays(max_step=30))
 @settings(deadline=None)
-def test_branch_entropy_matches_sparse_path(arrays):
+def test_branch_entropy_matches_pre_fusion_path(arrays):
     """Walk-like branches against the pre-fusion normalize/cut/-sum p log2 p."""
     for amps in arrays:
         weight, entropy, kept = branch_entropy(amps)

@@ -163,7 +163,7 @@ def test_mirror_symmetry_between_opposite_basis_coins():
 
 @given(coin=coin_spinors(), steps=st.integers(min_value=0, max_value=40))
 @settings(deadline=None, max_examples=40)
-def test_trajectory_layout_matches_sparse_step(coin, steps):
+def test_trajectory_layout_matches_dense_diagonal(coin, steps):
     """Index k of the step-t arrays holds site -t + 2k of the dense oracle."""
     dense_states = dense_trajectory(coin, steps, steps)
     arrays = trajectory(coin, steps)

@@ -227,12 +227,12 @@ def assert_matches_dense_oracle(coin, steps):
 
 @given(coin=coin_spinors(), steps=st.integers(min_value=1, max_value=200))
 @settings(deadline=None, max_examples=30)
-def test_array_timeline_matches_dict_engine(coin, steps):
+def test_array_timeline_matches_dense_oracle(coin, steps):
     """Random coins, T <= 200, against the dense oracle."""
     assert_matches_dense_oracle(coin, steps)
 
 
-def test_array_timeline_keeps_branch_the_sparse_spectrum_rejects():
+def test_array_timeline_keeps_a_branch_cut_beyond_norm_tol():
     # one dominant site plus 200 sites just below the COEFF_EPS cut: just over
     # NORM_TOL of the branch's mass is cut, and its entropy is that of the one
     # kept coefficient
@@ -250,7 +250,7 @@ def test_array_timeline_keeps_branch_the_sparse_spectrum_rejects():
 
 
 @pytest.mark.parametrize("name", tuple(PRESETS))
-def test_array_timeline_matches_dict_engine_on_presets(name):
+def test_array_timeline_matches_dense_oracle_on_presets(name):
     """The five presets at T = 200 against the dense oracle."""
     assert_matches_dense_oracle(PRESETS[name], 200)
 
@@ -292,6 +292,24 @@ def test_single_walker_distribution_matches_dense_marginal(name, steps):
     assert_distributions_close(got, exact_distribution(PRESETS[name], n0, n1), 1e-15)
     dense = dense_evolve(PRESETS[name], steps, steps)
     assert_distributions_close(got, dense_marginal(dense), 1e-15 + steps * 2.3e-16)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 17, 1000, 2500])
+def test_symmetric_coins_have_an_exactly_mirrored_distribution(steps):
+    # coin 1 arrives as a reversed view, and each site's |a|^2 must round
+    # as it would on contiguous data
+    for _, distribution in timelines_and_distributions(
+        [PRESETS["4c"], PRESETS["4d"]], steps
+    ):
+        assert distribution_symmetry(distribution, steps).mirror_distance == 0.0
+
+
+def test_trajectory_distribution_ignores_memory_layout():
+    *_, (a0, a1) = trajectory(PRESETS["4e"], 301)
+    assert not a1.flags.c_contiguous
+    assert trajectory_distribution(a0, a1) == trajectory_distribution(
+        a0.copy(), a1.copy()
+    )
 
 
 @pytest.mark.parametrize("steps", [1, 2, 257])
