@@ -15,11 +15,9 @@ from .experiment import (
     default_window,
     distribution_symmetry,
     run_timeline,
-    timeline_and_distribution,
     timelines_and_distributions,
 )
-from .measurement import CoinOutcome
-from .states import CoinSpinor
+from .states import CoinOutcome, CoinSpinor
 
 __version__ = "0.1.0"
 
@@ -32,6 +30,5 @@ __all__ = [
     "default_window",
     "distribution_symmetry",
     "run_timeline",
-    "timeline_and_distribution",
     "timelines_and_distributions",
 ]

@@ -10,7 +10,8 @@ coefficients,
 in bits, and is compared against the dimensionality bound log2(t): after t
 steps a single coin branch can occupy at most t diagonal sites, so no more
 than log2(t) bits of entanglement are attainable.  The attained/attainable
-ratio is the quantity whose large-t convergence the experiment driver tracks.
+ratio, which ``experiment`` forms per record, is the quantity whose large-t
+convergence the experiment driver tracks.
 
 ``branch_entropies`` measures many unnormalized branches in one fused pass,
 each given as a row of site weights |b_x|^2 (``experiment`` forms them from
@@ -95,10 +96,3 @@ def max_entanglement(step: int) -> float:
         raise ValueError(f"the bound is defined for step >= 1, got {step}")
     return math.log2(step)
 
-
-def entanglement_ratio(entropy: float, step: int) -> float | None:
-    """Attained entropy over the attainable bound; None when the bound is zero."""
-    bound = max_entanglement(step)
-    if bound == 0.0:
-        return None
-    return entropy / bound

@@ -17,8 +17,9 @@ where A and B are the real runs from |0> and |1>, and B is A mirrored:
 into the rows of one preallocated ``(2, K + 1, n + 1)`` buffer (K follows
 from n and ``BLOCK_BYTES``), and yields each block as the coin-0 rows A0 and
 B0 over the block's window.  Those two rows are all a measurement needs:
-coin 0 of the walk is alpha A0 + beta B0, and coin 1 is the same pair
-mirrored (``coin_rows``).
+coin 0 of the walk is alpha A0 + beta B0, and coin 1 at index k is
+(-1)^t (beta A0 - alpha B0) at index t - k, so every weight, entropy and
+distribution ``experiment`` reports is a real function of A0 and B0.
 
 The run carries 2^(t/2) A(t), whose step needs no multiply:
 n0'[k + 1] = n0[k] + n1[k] and n1'[k] = n0[k] - n1[k] (the recurrence
@@ -28,21 +29,17 @@ step t is A(t) times 2^(m / 2), m = ``row_exponent(t)``.  The run also keeps,
 per component, a live window of entries at least ``FLUSH_FLOOR`` in true
 magnitude and sets every entry outside it to exactly 0, so no product of two
 amplitudes goes subnormal; the flushed tails lie some 130 orders of magnitude
-below anything a measurement keeps.  ``trajectory`` is the complex per-step
-view alpha A + beta B of the same run.  ``twinwalk verify`` and the tests
-check it against the dense-tensor, path-sum and exact-integer oracles in
-``oracle``.
+below anything a measurement keeps.  ``twinwalk verify`` and the tests check
+the rows, and what ``experiment`` reads off them, against the dense-tensor,
+path-sum and exact-integer oracles in ``oracle``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterator
 
 import numpy as np
-
-from .states import CoinSpinor
 
 #: the Hadamard coin's matrix elements are +-H = 2^(-1/2); the run leaves
 #: them out of its step and keeps track of the power of 2 they amount to
@@ -172,66 +169,3 @@ def branch_blocks(n: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
         amps[:, 0, : last + 1] = amps[:, count, : last + 1]
         done = last
 
-
-def coin_rows(
-    coin_init: CoinSpinor,
-    block: tuple[int, int, np.ndarray, np.ndarray],
-    out: np.ndarray,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Coin-0 and coin-1 amplitudes of the walk from ``coin_init`` at each
-    step t of one ``branch_blocks`` block, as length-(t + 1) views into
-    ``out``, a complex array of at least the block's shape per coin; coin 1
-    is a reversed view.
-
-    Coin 0 is alpha A0 + beta B0.  By the mirror identity coin 1 at index k
-    is (-1)^t (beta A0 - alpha B0) at index t - k.  Each row's scale 2^(m/2)
-    is divided out of the coin's amplitudes.
-    """
-    first, lo, a0, b0 = block
-    count, width = a0.shape
-    steps = first + np.arange(count)
-    scale = 2.0 ** (-row_exponent(steps) / 2)
-    sign = np.where(steps % 2 == 1, -scale, scale)
-    alpha, beta = coin_init.amp0, coin_init.amp1
-    amps = out[:, :count, : first + count]
-    amps[:, :, :lo] = 0.0
-    amps[:, :, lo + width :] = 0.0
-    # real and imaginary parts of alpha A0 + beta B0 and of the unmirrored
-    # (-1)^t (beta A0 - alpha B0), each a real combination of the two rows;
-    # terms with a zero coefficient are left out
-    for part, (x, y) in zip(
-        (amps[0].real, amps[0].imag, amps[1].real, amps[1].imag),
-        (
-            (alpha.real * scale, beta.real * scale),
-            (alpha.imag * scale, beta.imag * scale),
-            (beta.real * sign, -alpha.real * sign),
-            (beta.imag * sign, -alpha.imag * sign),
-        ),
-    ):
-        window = part[:, lo : lo + width]
-        if x.any():
-            np.multiply(a0, x[:, None], out=window)
-            if y.any():
-                window += b0 * y[:, None]
-        elif y.any():
-            np.multiply(b0, y[:, None], out=window)
-        else:
-            window[...] = 0.0
-    for j, t in enumerate(steps.tolist()):
-        yield amps[0, j, : t + 1], amps[1, j, t::-1]
-
-
-def trajectory(coin_init: CoinSpinor, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Coin-0 and coin-1 amplitude arrays after 0..n Hadamard steps from the origin.
-
-    The pair yielded for step t has length t + 1, index k holding site
-    ``-t + 2k``: the complex view ``coin_rows`` of the one real run of
-    ``branch_blocks``.  Both arrays are views into a buffer that a later
-    step overwrites.  The coin's normalization is checked first.
-    """
-    coin_init.require_normalized()
-    blocks = branch_blocks(n)
-    step_zero = next(blocks)  # checks n
-    out = np.zeros((2, block_steps(n), n + 1), dtype=np.complex128)
-    for block in itertools.chain([step_zero], blocks):
-        yield from coin_rows(coin_init, block, out)

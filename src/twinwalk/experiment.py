@@ -13,11 +13,12 @@ measures any list of coins from each block of ``evolution.branch_blocks``
 are stacked once into X = A0^2, Y = B0^2 and Z = A0 B0; a coin's site
 weights are a fixed mix of the three (``_branch_mixing``), and one
 ``entanglement.branch_entropies`` pass measures both branches of a coin over
-the whole block; only the records are built step by step.  The one-walker
-distribution is read off the final rows of the same run, so the figure
-bundle and ``scripts/ratio_convergence.py`` evolve once for all their
-presets.  ``run_timeline`` and ``timeline_and_distribution`` are its
-one-coin calls.  Step counts above ``MAX_STEPS`` are refused up front.
+the whole block; only the records are built step by step.  Each coin's
+one-walker distribution is read off the site weights of its final row, so the
+figure bundle and ``scripts/ratio_convergence.py`` evolve once for all their
+presets.  No complex array is formed anywhere.  ``run_timeline`` is the
+one-coin call without the distribution.  Step counts above ``MAX_STEPS`` are
+refused up front.
 
 A walk is fixed by its initial coin and run for a step count; both are
 passed straight in.  ``PRESETS`` holds the five built-in coins.
@@ -31,9 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import branch_entropies, max_entanglement
-from .evolution import branch_blocks, coin_rows, row_exponent
-from .measurement import PROB_EPS, CoinOutcome
-from .states import CoinSpinor, mirror_total_variation
+from .evolution import branch_blocks, row_exponent
+from .states import PROB_EPS, CoinOutcome, CoinSpinor, mirror_total_variation
 
 _S = math.sqrt(0.5)
 
@@ -106,11 +106,30 @@ def _branch_mixing(coins: list[CoinSpinor]) -> np.ndarray:
     return np.array(mixing).reshape(-1, 3)
 
 
-def _measure(
+def _distribution(
+    w0: np.ndarray, w1: np.ndarray, t: int, lo: int, exponent: int
+) -> dict[int, float]:
+    """One-walker distribution after t steps from both branches' site weights
+    w0, w1 over a final row's window at ``lo``: |coin 1 at k|^2 is branch 1's
+    weight at t - k (see ``_branch_mixing``), so site -t + 2k has probability
+    (w0[k] + w1[t - k]) 2^exponent.  Sites of probability exactly 0 are left
+    out."""
+    width = len(w0)
+    p = np.zeros(t + 1)
+    p[lo : lo + width] = w0
+    p[t + 1 - lo - width : t + 1 - lo] += w1[::-1]
+    return {
+        x: v
+        for x, v in zip(range(-t, t + 1, 2), np.ldexp(p, exponent).tolist())
+        if v != 0.0
+    }
+
+
+def timelines_and_distributions(
     coins: list[CoinSpinor], steps: int
-) -> tuple[list[list[TimelineRecord]], tuple[int, int, np.ndarray, np.ndarray]]:
-    """Records for t = 1..steps of the walk from each coin, all from one real
-    run, and the run's final step as a one-row ``branch_blocks`` block.
+) -> list[tuple[list[TimelineRecord], dict[int, float]]]:
+    """For each coin, records for t = 1..steps of the walk from it plus its
+    one-walker distribution after ``steps`` steps, all from one real run.
 
     ``steps`` outside 1..MAX_STEPS is rejected before anything is evolved or
     allocated, and every coin's normalization is checked before the run.
@@ -121,7 +140,8 @@ def _measure(
     by coin keeps the block's working memory that of one coin.  A branch's
     weight is the same mix of the row sums of X, Y and Z, taken with plain
     multiplies and adds rather than a fused multiply-add, so a branch whose
-    terms cancel exactly weighs exactly 0.
+    terms cancel exactly weighs exactly 0.  The distribution comes from the
+    site weights of the last block's final row (``_distribution``).
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -131,6 +151,7 @@ def _measure(
         coin.require_normalized()
     mixing = _branch_mixing(coins)
     timelines: list[list[TimelineRecord]] = [[] for _ in coins]
+    distributions: list[dict[int, float]] = []
     stack, ones = None, np.ones(steps + 1)
     # minus the exponent m of each step's row scale 2^(m/2)
     unscale = -row_exponent(np.arange(steps + 1))
@@ -176,47 +197,24 @@ def _measure(
                         entropy0=entropy0,
                         entropy1=entropy1,
                         max_entropy=bound,
-                        # entanglement_ratio, with the bound computed once
+                        # the bound is 0 at t = 1, where no ratio is defined
                         ratio0=None if entropy0 is None or t == 1 else entropy0 / bound,
                         ratio1=None if entropy1 is None or t == 1 else entropy1 / bound,
                         support0=supports[j],
                         support1=supports[count + j],
                     )
                 )
-    return timelines, (steps, lo, a0[-1:], b0[-1:])
-
-
-def timelines_and_distributions(
-    coins: list[CoinSpinor], steps: int
-) -> list[tuple[list[TimelineRecord], dict[int, float]]]:
-    """For each coin, records for t = 1..steps of the walk from it plus its
-    one-walker distribution after ``steps`` steps, all from one real run
-    (see ``_measure``)."""
-    timelines, final = _measure(coins, steps)
-    out = np.empty((2, 1, steps + 1), dtype=np.complex128)
-    return [
-        (records, trajectory_distribution(*next(coin_rows(coin, final, out))))
-        for coin, records in zip(coins, timelines)
-    ]
+            if first + count > steps:
+                w0, w1 = site_weights.reshape(2, count, width)[:, -1]
+                distributions.append(_distribution(w0, w1, steps, lo, unscale[steps]))
+    return list(zip(timelines, distributions))
 
 
 def run_timeline(coin_init: CoinSpinor, steps: int) -> list[TimelineRecord]:
     """Records for t = 1..steps of the walk from ``coin_init``: the one-coin
     case of ``timelines_and_distributions``, without the distribution."""
-    (records,), _ = _measure([coin_init], steps)
+    ((records, _),) = timelines_and_distributions([coin_init], steps)
     return records
-
-
-def timeline_and_distribution(
-    coin_init: CoinSpinor, steps: int
-) -> tuple[list[TimelineRecord], dict[int, float]]:
-    """``run_timeline(coin_init, steps)`` plus the one-walker distribution
-    after ``steps`` steps, from the same run.
-
-    Each walker's marginal is the one-walker Hadamard walk from the origin.
-    """
-    (result,) = timelines_and_distributions([coin_init], steps)
-    return result
 
 
 def default_window(steps: int) -> int:
@@ -262,18 +260,3 @@ def distribution_symmetry(distribution: dict[int, float], steps: int) -> Symmetr
         mirror_distance=mirror_total_variation(distribution),
     )
 
-
-def trajectory_distribution(a0: np.ndarray, a1: np.ndarray) -> dict[int, float]:
-    """Position distribution of one ``trajectory`` step started at the origin.
-
-    Sites never reached (probability exactly 0) are left out.  Each
-    coin's |a|^2 is re^2 + im^2, which rounds the same whatever the arrays'
-    memory layout.
-    """
-    t = len(a0) - 1
-    probabilities = (a0.real**2 + a0.imag**2) + (a1.real**2 + a1.imag**2)
-    return {
-        x: p
-        for x, p in zip(range(-t, t + 1, 2), probabilities.tolist())
-        if p != 0.0
-    }

@@ -23,9 +23,8 @@ from .experiment import (
     timelines_and_distributions,
     window_ratios,
 )
-from .measurement import CoinOutcome
 from .render import format_number, write_text_atomic
-from .states import SUPPORT_EPS
+from .states import SUPPORT_EPS, CoinOutcome
 
 #: preset plotted and the number of its first figure; each preset spans three
 _FIGURE_GROUPS = (("4a", 1), ("4b", 4), ("4c", 7), ("4e", 10))

@@ -40,14 +40,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import PROB_EPS, CoinOutcome, EmptyBranchError
-from .states import SUPPORT_EPS, CoinSpinor
+from .states import PROB_EPS, SUPPORT_EPS, CoinOutcome, CoinSpinor
 
 #: reduced-density-matrix eigenvalues below this count as zero
 EIGVAL_EPS = 1e-14
 
 #: the path sum costs 2^t; refuse anything bigger
 MAX_PATH_SUM_STEPS = 20
+
+
+class EmptyBranchError(ValueError):
+    """The requested outcome carries no usable probability at this step."""
 
 
 @dataclass(frozen=True, eq=False)

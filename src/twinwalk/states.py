@@ -1,8 +1,10 @@
-"""Coin states, the normalization tolerance and position-distribution symmetry.
+"""Coin states and outcomes, the tolerances and position-distribution symmetry.
 
 A walk starts from a point: both walkers at the origin, with the coin in the
-state a ``CoinSpinor`` holds.  Everything after that is the arrays that
-``evolution.trajectory`` yields.
+state a ``CoinSpinor`` holds.  Everything after that is the one real run that
+``evolution.branch_blocks`` yields.  Measuring the coin after t steps leaves
+one of two branches (``CoinOutcome``); a branch no heavier than ``PROB_EPS``
+is reported absent.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from enum import Enum
 from typing import Mapping
 
 #: tolerance on the squared norm of anything that must be normalized
@@ -17,6 +20,9 @@ NORM_TOL = 1e-12
 
 #: probability mass below which a site does not count as support
 SUPPORT_EPS = 1e-14
+
+#: branches lighter than this are reported absent instead of renormalized
+PROB_EPS = 1e-12
 
 
 class NormalizationError(ValueError):
@@ -45,6 +51,16 @@ class CoinSpinor:
             raise NormalizationError(
                 f"coin state must be normalized: |amp0|^2 + |amp1|^2 = {norm_sq!r}"
             )
+
+
+class CoinOutcome(Enum):
+    """The two coin readouts; the value doubles as the coin index."""
+
+    C0 = 0
+    C1 = 1
+
+    def __str__(self) -> str:
+        return f"c{self.value}"
 
 
 def mirror_total_variation(dist: Mapping[int, float]) -> float:

@@ -5,34 +5,33 @@ one of the independent oracles and reports the worst error it measured, so a
 corrupted engine shows up as a concrete number rather than a silent drift.
 The checks, in order, with the engine output each reads and its tolerance:
 
-=====================================================  ==================  =====
-check                                                  engine              tol
-=====================================================  ==================  =====
-three-step amplitudes vs closed form                   amplitude tables    1e-12
-branch entropies t=1 (product states)                  timeline records    1e-9
-branch entropies t=2 (maximally entangled)             timeline records    1e-9
-branch entropy t=3 coin-0                              timeline records    5e-5
-branch entropy t=3 coin-1                              timeline records    1e-9
-attainable bound at t=2 and t=3                        timeline records    5e-4
-norm drift over 1000 steps                             array trajectory    1e-12
-light-cone violations over 1000 steps                  array trajectory    0
-distribution completeness at t=1000                    array trajectory    1e-12
-array amplitudes and timeline vs dense oracle, t <= D  array trajectory    1e-10
-                                                       and timeline
-                                                       records
-array amplitudes vs path-sum oracle, t <= min(D, 12)   amplitude tables    1e-12
-unscaled run rows vs exact integer run, t <= D         run rows            1e-14
-=====================================================  ==================  =====
+====================================================  ====================  =====
+check                                                 engine                tol
+====================================================  ====================  =====
+three-step amplitudes vs closed form                  run rows              1e-12
+branch entropies t=1 (product states)                 timeline records      1e-9
+branch entropies t=2 (maximally entangled)            timeline records      1e-9
+branch entropy t=3 coin-0                             timeline records      5e-5
+branch entropy t=3 coin-1                             timeline records      1e-9
+attainable bound at t=2 and t=3                       timeline records      5e-4
+norm drift over 1000 steps                            run rows              1e-12
+light-cone violations over 1000 steps                 run rows              0
+distribution completeness at t=1000                   final distribution    1e-12
+timeline and distribution vs dense oracle, t <= D     timeline records and  1e-10
+                                                      final distribution
+timeline vs path-sum oracle, t <= min(D, 12)          timeline records      1e-12
+unscaled run rows vs exact integer run, t <= D        run rows              1e-14
+====================================================  ====================  =====
 
-The "array trajectory" is ``evolution.trajectory``, the complex view
-alpha A + beta B of the one real run that ``run_timeline`` measures;
-"amplitude tables" are its arrays read as {(site, coin): amplitude} maps,
-built only to the path-sum depth; "timeline records" are ``run_timeline``
-output; "run rows" are the A0 and B0 rows of ``evolution.branch_blocks``
-with their 2^(m/2) scale divided out.  D is the oracle depth,
-3 <= D <= ``MAX_DEPTH``; the dense and path-sum sweeps cover the five presets
-plus 0..``MAX_RANDOM_STATES`` random coins, one coin at a time, and the
-exact-run check, which needs no coin, runs once.
+"Run rows" are the A0 and B0 rows of ``evolution.branch_blocks``, the one
+real run behind every output, with their 2^(m/2) scale divided out (the
+run's coin-1 row A1 is read as the mirror of B0); "timeline records" and
+"final distribution" are what ``experiment.timelines_and_distributions``
+returns for a coin.  D is the oracle depth, 3 <= D <= ``MAX_DEPTH``; the
+dense and path-sum sweeps cover the five presets plus
+0..``MAX_RANDOM_STATES`` random coins, ``COINS_PER_RUN`` coins to a run, and
+the checks of the run rows, which need no coin, read the run from |0>
+(preset 4a).
 """
 
 from __future__ import annotations
@@ -41,14 +40,14 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from . import evolution
-from .experiment import PRESETS, run_timeline, trajectory_distribution
-from .measurement import CoinOutcome
+from .experiment import PRESETS, TimelineRecord, run_timeline, timelines_and_distributions
 from .oracle import dense_trajectory, exact_run, path_sum_table, reduced_entropy
-from .states import CoinSpinor
+from .states import PROB_EPS, CoinOutcome, CoinSpinor
 
 DEFAULT_SEED = 20100901
 
@@ -63,7 +62,8 @@ MAX_DEPTH = 200
 #: costs a dense and a path-sum sweep (about 3.5 ms at depth 10)
 MAX_RANDOM_STATES = 1000
 
-AmpTable = dict[tuple[int, int], complex]
+#: coins measured from one run in the oracle sweeps
+COINS_PER_RUN = 16
 
 
 @dataclass(frozen=True)
@@ -95,48 +95,72 @@ def random_coin_states(count: int, seed: int = DEFAULT_SEED) -> list[CoinSpinor]
     return coins
 
 
-def _engine_amplitude_tables(coin: CoinSpinor, t_max: int) -> list[AmpTable]:
-    """Element t holds the engine's {(site, coin index): amplitude} map at step t.
+class _MalformedRun(Exception):
+    """Blocks of ``evolution.branch_blocks`` that break its layout."""
 
-    Index k of the step-t arrays of ``evolution.trajectory`` is site -t + 2k;
-    exact zeros are kept.
+
+def _run_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each block of ``evolution.branch_blocks(n)`` as its steps and a
+    ``(2, count, first + count)`` array of its A0 and B0 rows as stored, every
+    index outside the block's window 0.
+
+    Raises ``_MalformedRun`` unless the blocks cover t = 0..n in order, each
+    window inside its rows.
     """
-    return [
-        {
-            (2 * k - t, c): amp
-            for c, amps in enumerate((a0.tolist(), a1.tolist()))
-            for k, amp in enumerate(amps)
-        }
-        for t, (a0, a1) in enumerate(evolution.trajectory(coin, t_max))
-    ]
+    done = 0
+    for first, lo, a0, b0 in evolution.branch_blocks(n):
+        count, width = a0.shape
+        length = first + count
+        if (
+            first != done
+            or b0.shape != a0.shape
+            or length > n + 1
+            or not 0 <= lo <= length - width
+        ):
+            raise _MalformedRun
+        done = length
+        rows = np.zeros((2, count, length))
+        rows[:, :, lo : lo + width] = a0, b0
+        yield np.arange(first, length), rows
+    if done != n + 1:
+        raise _MalformedRun
 
 
-def _table_difference(left: AmpTable, right: AmpTable) -> float:
-    keys = set(left) | set(right)
-    return max(abs(left.get(k, 0j) - right.get(k, 0j)) for k in keys)
+def _unscaled(steps: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``_run_blocks`` rows with their 2^(m/2) scale divided out."""
+    return rows * 2.0 ** (-evolution.row_exponent(steps) / 2)[:, None]
 
 
 def _check_three_step_amplitudes() -> CheckResult:
+    """The unscaled run from |0> at t = 1..3, A1 read as the mirror
+    (-1)^(t+1) B0[t - k] of B0, against the worked coin-0 and coin-1
+    amplitudes, index k holding site -t + 2k."""
     s = math.sqrt(0.5)
     q = 0.5
     e = s / 2.0
     expected = {
-        1: {(1, 0): s, (-1, 1): s},
-        2: {(2, 0): q, (0, 0): q, (0, 1): q, (-2, 1): -q},
-        3: {(3, 0): e, (1, 0): 2 * e, (-1, 0): -e, (1, 1): e, (-3, 1): e},
+        1: ([0, s], [s, 0]),
+        2: ([0, q, q], [-q, q, 0]),
+        3: ([0, -e, 2 * e, e], [e, 0, e, 0]),
     }
-    tables = _engine_amplitude_tables(PRESETS["4a"], 3)
-    worst = max(
-        _table_difference(tables[t], {k: complex(v) for k, v in exp.items()})
-        for t, exp in expected.items()
-    )
+    worst = 0.0
+    try:
+        for steps, rows in _run_blocks(3):
+            amplitudes = _unscaled(steps, rows)
+            for j, t in enumerate(steps.tolist()):
+                if t in expected:
+                    a0 = amplitudes[0, j, : t + 1]
+                    a1 = (-1) ** (t + 1) * amplitudes[1, j, t::-1]
+                    worst = max(worst, float(np.max(np.abs(np.array([a0, a1]) - expected[t]))))
+    except _MalformedRun:
+        worst = math.inf
     return CheckResult("three-step amplitudes vs closed form", worst, 1e-12)
 
 
 def _check_three_step_entropies() -> list[CheckResult]:
     timeline = run_timeline(PRESETS["4a"], 3)
     by_step = {record.step: record for record in timeline}
-    checks = [
+    return [
         CheckResult(
             "branch entropies t=1 (product states)",
             max(abs(by_step[1].entropy0), abs(by_step[1].entropy1)),
@@ -166,61 +190,57 @@ def _check_three_step_entropies() -> list[CheckResult]:
             5e-4,
         ),
     ]
-    return checks
 
 
 def _check_long_run_invariants(steps: int = 1000) -> list[CheckResult]:
-    """Norm, light cone and completeness of one array trajectory of preset 4a.
+    """Norm and light cone of the run rows, and completeness of preset 4a's
+    final distribution, over ``steps`` steps.
 
-    In the parity-compacted layout a wrong-parity site cannot be stored, so
-    the site check counts steps whose arrays are not t + 1 long or whose
-    vacated edge slots (coin 0 at index 0, coin 1 at index t) are not exactly 0.
+    A row's norm is (sum A0^2 + sum B0^2) 2^(-m), since B0 is A1 mirrored.
+    A light-cone violation is a step t >= 1 whose rows hold a nonzero entry
+    at index 0, the slot a step vacates (A0 at site -t, and B0 mirroring A1
+    at site t), or past index t.  Blocks that break the layout make both inf.
     """
-    states = evolution.trajectory(PRESETS["4a"], steps)
     worst_drift = 0.0
-    cone_violations = 0
-    for t, (a0, a1) in enumerate(itertools.islice(states, 1, None), start=1):
-        mass = np.vdot(a0, a0).real + np.vdot(a1, a1).real
-        worst_drift = max(worst_drift, abs(float(mass) - 1.0))
-        if len(a0) != t + 1 or len(a1) != t + 1 or a0[0] != 0 or a1[t] != 0:
-            cone_violations += 1
-    completeness = abs(sum(trajectory_distribution(a0, a1).values()) - 1.0)
+    cone_violations = 0.0
+    try:
+        for t, rows in _run_blocks(steps):
+            mass = np.ldexp(np.square(rows).sum(axis=2).sum(axis=0), -evolution.row_exponent(t))
+            worst_drift = max(worst_drift, float(np.max(np.abs(mass - 1.0))))
+            # only the block's last count - 1 indices lie past any row's step:
+            # index t[0] + 1 + i is past row j's step when i >= j
+            count = len(t)
+            tail = rows[:, :, t[0] + 1 :] != 0.0
+            past = (tail & (np.arange(count - 1) >= np.arange(count)[:, None])).any(axis=(0, 2))
+            vacated = (rows[:, :, 0] != 0.0).any(axis=0) & (t >= 1)
+            cone_violations += int(np.count_nonzero(past | vacated))
+    except _MalformedRun:
+        worst_drift = cone_violations = math.inf
+    ((_, distribution),) = timelines_and_distributions([PRESETS["4a"]], steps)
+    completeness = abs(sum(distribution.values()) - 1.0)
     return [
-        CheckResult(
-            f"norm drift over {steps} steps", worst_drift, 1e-12
-        ),
-        CheckResult(
-            f"light-cone violations over {steps} steps", float(cone_violations), 0.0
-        ),
-        CheckResult(
-            f"distribution completeness at t={steps}", completeness, 1e-12
-        ),
+        CheckResult(f"norm drift over {steps} steps", worst_drift, 1e-12),
+        CheckResult(f"light-cone violations over {steps} steps", float(cone_violations), 0.0),
+        CheckResult(f"distribution completeness at t={steps}", completeness, 1e-12),
     ]
 
 
-def _dense_error(coin: CoinSpinor, t_max: int) -> float:
-    """Worst deviation of the array trajectory and the timeline from the dense
-    oracle for t = 1..t_max; inf if a step's arrays are not t + 1 long.
+def _dense_error(
+    coin: CoinSpinor, timeline: list[TimelineRecord], distribution: dict[int, float]
+) -> float:
+    """Worst deviation of a coin's timeline (weights and entropies) and of
+    its final distribution from the dense oracle, for t = 1..len(timeline);
+    inf if the records are not those steps in order.
 
-    Index k of the step-t arrays is site -t + 2k of the dense diagonal; the
-    diagonal's other sites, which the layout cannot store, are compared
-    against zero.
+    The dense distribution is walker 1's marginal of the whole tensor; sites
+    missing from either distribution are compared as 0.
     """
-    dense_states = itertools.islice(dense_trajectory(coin, t_max, t_max), 1, None)
-    arrays = itertools.islice(evolution.trajectory(coin, t_max), 1, None)
+    t_max = len(timeline)
+    if [record.step for record in timeline] != list(range(1, t_max + 1)):
+        return math.inf
     worst = 0.0
-    for record, (a0, a1), dense in zip(
-        run_timeline(coin, t_max), arrays, dense_states, strict=True
-    ):
-        t = record.step
-        if len(a0) != t + 1 or len(a1) != t + 1:
-            return math.inf
-        sites = np.arange(-t, t + 1) + dense.lattice_radius
-        diff = dense.amplitudes[:, sites, sites]
-        diff[0, ::2] -= a0
-        diff[1, ::2] -= a1
-        # hypot rounds exactly as Python's complex abs; np.abs can differ by an ulp
-        worst = max(worst, float(np.max(np.hypot(diff.real, diff.imag))))
+    dense_states = itertools.islice(dense_trajectory(coin, t_max, t_max), 1, None)
+    for record, dense in zip(timeline, dense_states):
         for outcome, weight, entropy in (
             (CoinOutcome.C0, record.p0, record.entropy0),
             (CoinOutcome.C1, record.p1, record.entropy1),
@@ -228,53 +248,67 @@ def _dense_error(coin: CoinSpinor, t_max: int) -> float:
             worst = max(worst, abs(weight - dense.branch_probability(outcome)))
             if entropy is not None:
                 worst = max(worst, abs(entropy - reduced_entropy(dense, outcome)))
-    return worst
+    marginal = np.square(np.abs(dense.amplitudes)).sum(axis=(0, 2))
+    got = np.zeros_like(marginal)
+    for x, p in distribution.items():
+        if not -t_max <= x <= t_max:
+            return math.inf
+        got[x + t_max] = p
+    return max(worst, float(np.max(np.abs(got - marginal))))
 
 
 def _exact_run_error(t_max: int) -> float:
-    """Worst deviation of the unscaled ``evolution.branch_blocks`` rows from
-    ``oracle.exact_run`` times 2^(-t/2), for t = 0..t_max.
+    """Worst deviation of the unscaled run rows from ``oracle.exact_run``
+    times 2^(-t/2), for t = 0..t_max.
 
     Row t of A0 is n0 2^(-t/2) and row t of B0 is the mirror
     (-1)^(t+1) n1[t - k] 2^(-t/2) of the integer rows n0, n1; every index
     outside a block's window, and past a row's step, is compared against 0.
-    Blocks that do not cover t = 0..t_max in order, or a window outside its
-    rows, give inf.
+    Blocks that break the layout give inf.
     """
     exact = list(exact_run(t_max))
     worst = 0.0
-    done = 0
-    for first, lo, a0, b0 in evolution.branch_blocks(t_max):
-        count, width = a0.shape
-        length = first + count
-        if (
-            first != done
-            or b0.shape != a0.shape
-            or length > t_max + 1
-            or not 0 <= lo <= length - width
-        ):
+    try:
+        for steps, rows in _run_blocks(t_max):
+            want = np.zeros_like(rows)
+            for j, t in enumerate(steps.tolist()):
+                n0, n1 = exact[t]
+                want[0, j, : t + 1] = n0
+                want[1, j, : t + 1] = n1[::-1] if t % 2 else [-v for v in reversed(n1)]
+            want *= 2.0 ** (-steps / 2)[:, None]
+            worst = max(worst, float(np.max(np.abs(_unscaled(steps, rows) - want))))
+    except _MalformedRun:
+        return math.inf
+    return worst
+
+
+def _path_sum_error(coin: CoinSpinor, timeline: list[TimelineRecord]) -> float:
+    """Worst deviation of a coin's timeline weights and entropies from those
+    summed from ``oracle.path_sum_table``, for t = 1..len(timeline); inf if
+    the records are not those steps in order, or a branch is absent on one
+    side only.
+
+    A branch weighs the sum of its |amplitude|^2, and its entropy is
+    -sum q log2 q over every q = |amplitude|^2 / weight > 0.
+    """
+    worst = 0.0
+    for t, record in enumerate(timeline, start=1):
+        if record.step != t:
             return math.inf
-        done = length
-        steps = np.arange(first, length)
-        want = np.zeros((2, count, length))
-        for j, t in enumerate(steps.tolist()):
-            n0, n1 = exact[t]
-            want[0, j, : t + 1] = n0
-            want[1, j, : t + 1] = n1[::-1] if t % 2 else [-v for v in reversed(n1)]
-        want *= 2.0 ** (-steps / 2)[:, None]
-        got = np.zeros((2, count, length))
-        got[:, :, lo : lo + width] = a0, b0
-        got *= 2.0 ** (-evolution.row_exponent(steps) / 2)[:, None]
-        worst = max(worst, float(np.max(np.abs(got - want))))
-    return worst if done == t_max + 1 else math.inf
-
-
-def _path_sum_error(coin: CoinSpinor, tables: list[AmpTable], t_max: int) -> float:
-    """Worst deviation of the engine tables from the path sum for t = 0..t_max."""
-    return max(
-        _table_difference(tables[t], path_sum_table(coin, t))
-        for t in range(t_max + 1)
-    )
+        table = path_sum_table(coin, t)
+        for c, weight, entropy in (
+            (0, record.p0, record.entropy0),
+            (1, record.p1, record.entropy1),
+        ):
+            probabilities = [abs(a) ** 2 for (_, coin_index), a in table.items() if coin_index == c]
+            want = sum(probabilities)
+            if (entropy is None) != (want <= PROB_EPS):
+                return math.inf
+            worst = max(worst, abs(weight - want))
+            if entropy is not None:
+                want_entropy = -sum(p / want * math.log2(p / want) for p in probabilities if p > 0.0)
+                worst = max(worst, abs(entropy - max(0.0, want_entropy)))
+    return worst
 
 
 def run_checks(
@@ -300,22 +334,27 @@ def run_checks(
     checks.extend(_check_long_run_invariants())
     path_sum_depth = min(max_step, PATH_SUM_DEPTH_CAP)
     dense_worst = path_sum_worst = 0.0
-    for coin in coins:
-        dense_worst = max(dense_worst, _dense_error(coin, max_step))
-        tables = _engine_amplitude_tables(coin, path_sum_depth)
-        path_sum_worst = max(
-            path_sum_worst, _path_sum_error(coin, tables, path_sum_depth)
-        )
+    # one run measures a few coins at a time: at any depth and coin count the
+    # records held at once stay few
+    for start in range(0, len(coins), COINS_PER_RUN):
+        chunk = coins[start : start + COINS_PER_RUN]
+        for coin, (timeline, distribution) in zip(
+            chunk, timelines_and_distributions(chunk, max_step)
+        ):
+            dense_worst = max(dense_worst, _dense_error(coin, timeline, distribution))
+            path_sum_worst = max(
+                path_sum_worst, _path_sum_error(coin, timeline[:path_sum_depth])
+            )
     checks.append(
         CheckResult(
-            f"array amplitudes and timeline vs dense oracle, t <= {max_step}",
+            f"timeline and distribution vs dense oracle, t <= {max_step}",
             dense_worst,
             1e-10,
         )
     )
     checks.append(
         CheckResult(
-            f"array amplitudes vs path-sum oracle, t <= {path_sum_depth}",
+            f"timeline vs path-sum oracle, t <= {path_sum_depth}",
             path_sum_worst,
             1e-12,
         )

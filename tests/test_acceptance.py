@@ -21,15 +21,13 @@ from twinwalk import (
     CoinOutcome,
     asymptotic_ratio,
     run_timeline,
-    timeline_and_distribution,
+    timelines_and_distributions,
 )
 from twinwalk.cli import main
-from twinwalk.evolution import trajectory
-from twinwalk.experiment import trajectory_distribution
-from twinwalk.oracle import dense_evolve
+from twinwalk.oracle import dense_evolve, path_sum_table
 from twinwalk.states import SUPPORT_EPS, mirror_total_variation
-from twinwalk.verification import _dense_error, _path_sum_error, random_coin_states
-from testutil import evolve_tables, max_table_diff
+from twinwalk.verification import random_coin_states
+from testutil import dense_error, engine_trajectory, evolve_tables, max_table_diff, path_sum_error
 
 S = math.sqrt(0.5)
 E3 = S / 2
@@ -151,10 +149,13 @@ def test_criterion_3_oracle_equivalence():
         coins = list(PRESETS.values())
         coins.extend(random_coin_states(20))
         for coin in coins:
-            # engine arrays and timeline records vs the dense oracle, t = 1..10
-            assert _dense_error(coin, 10) < 1e-10
-            # engine tables vs the path sum, t = 0..12
-            assert _path_sum_error(coin, evolve_tables(coin, 12), 12) < 1e-12
+            # timeline records and distribution vs the dense oracle, t = 1..10
+            assert dense_error(coin, 10) < 1e-10
+            # timeline weights and entropies vs the path sum, t = 1..12
+            assert path_sum_error(coin, 12) < 1e-12
+            # the run's amplitudes composed for the coin vs the path sum
+            tables = evolve_tables(coin, 12)
+            assert max(max_table_diff(tables[t], path_sum_table(coin, t)) for t in range(13)) < 1e-12
 
         elapsed = time.perf_counter() - started
         assert elapsed < 60.0, f"oracle sweep took {elapsed:.1f} s"
@@ -162,7 +163,7 @@ def test_criterion_3_oracle_equivalence():
 
 def test_criterion_4_property_suite(full_scale):
     with criterion("4 (norm, parity, bounds, swap and mirror symmetry)"):
-        for t, (a0, a1) in enumerate(trajectory(PRESETS["4a"], 1000)):
+        for t, (a0, a1) in enumerate(engine_trajectory(PRESETS["4a"], 1000)):
             mass = np.abs(a0) ** 2 + np.abs(a1) ** 2
             assert abs(float(np.sum(mass)) - 1.0) < 1e-12
             # parity and light cone: one slot per site -t, -t + 2, ..., t, and
@@ -171,7 +172,8 @@ def test_criterion_4_property_suite(full_scale):
             if t >= 1:
                 assert a0[0] == 0 and a1[t] == 0
             assert int(np.count_nonzero(mass > SUPPORT_EPS)) <= t + 1
-        assert abs(sum(trajectory_distribution(a0, a1).values()) - 1.0) < 1e-12
+        ((_, distribution),) = timelines_and_distributions([PRESETS["4a"]], 1000)
+        assert abs(sum(distribution.values()) - 1.0) < 1e-12
 
         for name, (timeline, _) in full_scale.items():
             for record in timeline:
@@ -188,7 +190,7 @@ def test_criterion_4_property_suite(full_scale):
             assert abs(a.entropy0 - b.entropy1) < 1e-10
             assert abs(a.entropy1 - b.entropy0) < 1e-10
 
-        _, distribution = timeline_and_distribution(PRESETS["4c"], 1000)
+        ((_, distribution),) = timelines_and_distributions([PRESETS["4c"]], 1000)
         assert mirror_total_variation(distribution) < 1e-10
 
         dense = dense_evolve(PRESETS["4a"], 120, 122)

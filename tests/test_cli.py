@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 
@@ -12,6 +11,7 @@ import twinwalk.verification
 from twinwalk.cli import RunSpec, main, parse_run_spec, write_run_spec
 from twinwalk.figures import MANIFEST_NAME
 from twinwalk.render import TIMELINE_HEADER
+from testutil import step_rows
 
 
 @pytest.fixture
@@ -124,7 +124,6 @@ def must_not_evolve(*args, **kwargs):
 def forbid_evolution(monkeypatch):
     """Make every path that evolves a walk fail the test."""
     for module, name in (
-        (twinwalk.evolution, "trajectory"),
         (twinwalk.evolution, "branch_blocks"),
         (twinwalk.experiment, "branch_blocks"),
     ):
@@ -450,34 +449,62 @@ def test_verify_rejects_negative_random_states(runner):
     assert "Traceback" not in result.output
 
 
+def corrupt_run(monkeypatch, corrupted, modules=(twinwalk.evolution,)):
+    """Replace ``branch_blocks`` in ``modules`` by ``corrupted(true, n)``."""
+    true_blocks = twinwalk.evolution.branch_blocks
+    for module in modules:
+        monkeypatch.setattr(module, "branch_blocks", lambda n: corrupted(true_blocks, n))
+
+
 def test_verify_detects_corrupted_engine(runner, monkeypatch):
-    # two coin steps per yielded step, as a doubled step would give
-    true_trajectory = twinwalk.evolution.trajectory
+    # two coin steps per yielded step, as a doubled step would give: the
+    # rows of every second step of a 2n-step run, cut to t + 1 sites, in the
+    # run verify reads and the one the timelines measure
+    def doubled_blocks(true_blocks, n):
+        for t, a0, b0 in step_rows(true_blocks(2 * n)):
+            if t % 2 == 0:
+                yield t // 2, 0, a0[None, : t // 2 + 1], b0[None, : t // 2 + 1]
 
-    def doubled_trajectory(coin_init, n):
-        return itertools.islice(true_trajectory(coin_init, 2 * n), 0, None, 2)
-
-    monkeypatch.setattr(twinwalk.evolution, "trajectory", doubled_trajectory)
+    corrupt_run(monkeypatch, doubled_blocks, (twinwalk.evolution, twinwalk.experiment))
     result = runner.invoke(main, ["verify", "--depth", "4", "--random-states", "1"])
     assert result.exit_code != 0
     for check in (
         "three-step amplitudes vs closed form",
-        "array amplitudes and timeline vs dense oracle",
-        "array amplitudes vs path-sum oracle",
+        "timeline and distribution vs dense oracle",
+        "timeline vs path-sum oracle",
     ):
         assert f"FAIL  {check}" in result.output
 
 
-def test_dense_error_is_inf_for_arrays_of_the_wrong_length(monkeypatch):
-    true_trajectory = twinwalk.evolution.trajectory
-
-    def padded_trajectory(coin_init, n):
-        for a0, a1 in true_trajectory(coin_init, n):
-            yield np.append(a0, 0j), np.append(a1, 0j)
-
-    monkeypatch.setattr(twinwalk.evolution, "trajectory", padded_trajectory)
+def test_dense_error_is_inf_for_arrays_of_the_wrong_length():
+    # a timeline one record too long or too short, or a distribution with a
+    # site outside the light cone, is not compared but reported as inf
     coin = twinwalk.experiment.PRESETS["4a"]
-    assert twinwalk.verification._dense_error(coin, 4) == math.inf
+    ((timeline, distribution),) = twinwalk.experiment.timelines_and_distributions([coin], 5)
+    dense_error = twinwalk.verification._dense_error
+    assert dense_error(coin, timeline, distribution) < 1e-10
+    assert dense_error(coin, timeline + timeline[-1:], distribution) == math.inf
+    assert dense_error(coin, timeline[:-1], distribution) == math.inf
+    assert dense_error(coin, timeline, {**distribution, 7: 0.0}) == math.inf
+
+
+def test_verify_detects_run_rows_of_the_wrong_length(runner, monkeypatch):
+    # every block one index wider than its rows, zero-padded
+    def padded_blocks(true_blocks, n):
+        for first, lo, a0, b0 in true_blocks(n):
+            pad = ((0, 0), (0, 1))
+            yield first, lo, np.pad(a0, pad), np.pad(b0, pad)
+
+    corrupt_run(monkeypatch, padded_blocks)
+    result = runner.invoke(main, ["verify", "--depth", "4", "--random-states", "1"])
+    assert result.exit_code == 1
+    for check in (
+        "three-step amplitudes vs closed form",
+        "norm drift over 1000 steps",
+        "light-cone violations over 1000 steps",
+        "unscaled run rows vs exact integer run, t <= 4",
+    ):
+        assert f"FAIL  {check}" in result.output
 
 
 @pytest.mark.parametrize("corruption", ["mirror-sign", "rescale"])
@@ -503,16 +530,15 @@ def test_verify_detects_corrupted_run_rows(runner, monkeypatch, corruption):
 
 
 def test_verify_builds_amplitude_tables_only_to_the_path_sum_depth(monkeypatch):
-    true_tables = twinwalk.verification._engine_amplitude_tables
+    # the path-sum oracle's tables cost 2^t; none is built past the cap
+    true_table = twinwalk.verification.path_sum_table
     depths = []
 
-    def recorded_tables(coin_init, t_max):
-        depths.append(t_max)
-        return true_tables(coin_init, t_max)
+    def recorded_table(coin_init, t):
+        depths.append(t)
+        return true_table(coin_init, t)
 
-    monkeypatch.setattr(
-        twinwalk.verification, "_engine_amplitude_tables", recorded_tables
-    )
+    monkeypatch.setattr(twinwalk.verification, "path_sum_table", recorded_table)
     checks = twinwalk.verification.run_checks(max_step=40, random_states=1)
     assert all(check.passed for check in checks)
     assert depths
@@ -530,7 +556,7 @@ def test_verify_detects_corrupted_timeline(runner, monkeypatch):
     monkeypatch.setattr(twinwalk.experiment, "branch_blocks", damped_blocks)
     result = runner.invoke(main, ["verify", "--depth", "4", "--random-states", "1"])
     assert result.exit_code != 0
-    assert "FAIL  array amplitudes and timeline vs dense oracle" in result.output
+    assert "FAIL  timeline and distribution vs dense oracle" in result.output
 
 
 @pytest.mark.parametrize("depth", [201, 10**9])
@@ -548,16 +574,14 @@ def test_verify_rejects_depth_above_ceiling(runner, monkeypatch, depth):
 def test_verify_detects_stale_light_cone_slot(runner, monkeypatch):
     # a vacated coin-0 edge slot that keeps a leftover value too small to
     # move the norm: only the light-cone check can see it
-    true_trajectory = twinwalk.evolution.trajectory
-
-    def stale_edge_trajectory(coin_init, n):
-        for t, (a0, a1) in enumerate(true_trajectory(coin_init, n)):
-            if t >= 1:
+    def stale_edge_blocks(true_blocks, n):
+        for first, lo, a0, b0 in true_blocks(n):
+            if first >= 1 and lo == 0:
                 a0 = a0.copy()
-                a0[0] = 1e-20
-            yield a0, a1
+                a0[:, 0] = 1e-20
+            yield first, lo, a0, b0
 
-    monkeypatch.setattr(twinwalk.evolution, "trajectory", stale_edge_trajectory)
+    corrupt_run(monkeypatch, stale_edge_blocks)
     result = runner.invoke(main, ["verify", "--depth", "4", "--random-states", "1"])
     assert result.exit_code == 1
     assert "FAIL  light-cone violations over 1000 steps" in result.output
@@ -567,18 +591,17 @@ def test_verify_detects_stale_light_cone_slot(runner, monkeypatch):
 
 def test_verify_detects_late_norm_loss(runner, monkeypatch):
     # mass lost only after t = 500, beyond the depth of every oracle check
-    true_trajectory = twinwalk.evolution.trajectory
+    def leaking_blocks(true_blocks, n):
+        for first, lo, a0, b0 in true_blocks(n):
+            steps = first + np.arange(len(b0))[:, None]
+            yield first, lo, a0, np.where(steps > 500, b0 * (1.0 - 1e-9), b0)
 
-    def leaking_trajectory(coin_init, n):
-        for t, (a0, a1) in enumerate(true_trajectory(coin_init, n)):
-            yield a0, (a1 * (1.0 - 1e-9) if t > 500 else a1)
-
-    monkeypatch.setattr(twinwalk.evolution, "trajectory", leaking_trajectory)
+    corrupt_run(monkeypatch, leaking_blocks)
     result = runner.invoke(main, ["verify", "--depth", "4", "--random-states", "1"])
     assert result.exit_code == 1
     assert "FAIL  norm drift over 1000 steps" in result.output
-    assert "PASS  array amplitudes and timeline vs dense oracle" in result.output
-    assert "PASS  array amplitudes vs path-sum oracle" in result.output
+    assert "PASS  timeline and distribution vs dense oracle" in result.output
+    assert "PASS  timeline vs path-sum oracle" in result.output
 
 
 @pytest.mark.parametrize("count", [1001, 10**9])

@@ -7,18 +7,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twinwalk import PRESETS, CoinOutcome, CoinSpinor, run_timeline
-from twinwalk.entanglement import (
-    COEFF_EPS,
-    entanglement_ratio,
-    max_entanglement,
-)
-from twinwalk.evolution import trajectory
-from twinwalk.measurement import PROB_EPS
-from twinwalk.verification import _dense_error, random_coin_states
+from twinwalk.entanglement import COEFF_EPS, max_entanglement
+from twinwalk.states import PROB_EPS
+from twinwalk.verification import random_coin_states
 from testutil import (
     branch_entropy,
+    dense_error,
     row_entropies,
     coin_arrays,
+    oracle_trajectory,
     pre_fusion_branch_entropy,
 )
 
@@ -28,10 +25,10 @@ THREE_STEP_RATIO = 0.7896900821428475
 
 
 def branch_at(t, outcome=CoinOutcome.C0, coin=CoinSpinor(1.0, 0.0)):
-    """Unnormalized amplitudes of one coin branch after t steps."""
-    for arrays in trajectory(coin, t):
-        pass
-    return arrays[outcome.value].copy()
+    """Unnormalized amplitudes of one coin branch after t steps, from the
+    exact integer run."""
+    *_, arrays = oracle_trajectory(coin, t)
+    return arrays[outcome.value]
 
 
 def spectrum(amps):
@@ -108,21 +105,15 @@ def test_max_entanglement_rejects_non_positive_steps(t):
         max_entanglement(t)
 
 
-def test_ratio_values():
-    assert entanglement_ratio(1.0, 2) == 1.0
-    assert entanglement_ratio(1.2516, 3) == pytest.approx(0.7896, abs=1e-3)
-    assert entanglement_ratio(THREE_STEP_ENTROPY, 3) == pytest.approx(
-        THREE_STEP_RATIO, abs=1e-12
-    )
-    assert entanglement_ratio(0.0, 1) is None
-
-
 def test_branch_entanglement_bundles_all_three():
-    first, _, third = run_timeline(PRESETS["4a"], 3)
+    first, second, third = run_timeline(PRESETS["4a"], 3)
     assert third.entropy0 == pytest.approx(THREE_STEP_ENTROPY, abs=1e-12)
     assert third.max_entropy == math.log2(3)
     assert third.ratio0 == pytest.approx(THREE_STEP_RATIO, abs=1e-12)
-    assert first.ratio0 is None
+    assert third.ratio0 == pytest.approx(0.7896, abs=1e-3)
+    # two maximally entangled branches at the bound log2(2) = 1
+    assert second.ratio0 == second.ratio1 == 1.0
+    assert first.ratio0 is None and first.ratio1 is None
 
 
 @pytest.mark.parametrize("d", range(1, 9))
@@ -174,7 +165,7 @@ def test_entropy_invariant_under_relabeling(arrays, shift):
 def test_entropy_matches_dense_oracle_for_random_coins():
     t_max = 10
     for coin in random_coin_states(50, seed=424242):
-        assert _dense_error(coin, t_max) < 1e-10
+        assert dense_error(coin, t_max) < 1e-10
 
 
 @given(arrays=coin_arrays(max_step=30))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinwalk import PRESETS, CoinOutcome, CoinSpinor, run_timeline
+from twinwalk import PRESETS, CoinOutcome, CoinSpinor, run_timeline, timelines_and_distributions
 from twinwalk.evolution import (
     FLUSH_FLOOR,
     FLUSH_FROM,
@@ -15,15 +15,18 @@ from twinwalk.evolution import (
     block_steps,
     branch_blocks,
     row_exponent,
-    trajectory,
 )
-from twinwalk.experiment import trajectory_distribution
 from twinwalk.oracle import dense_trajectory, reduced_entropy
+from twinwalk.states import NormalizationError
 from testutil import (
     coin_spinors,
     dense_diagonal,
+    engine_trajectory,
     evolve_tables,
+    exact_rows,
     max_table_diff,
+    run_rows,
+    table_of,
 )
 
 S = math.sqrt(0.5)
@@ -41,7 +44,7 @@ def rounding(t):
     """Bound on |array - dense| after t steps.
 
     The dense oracle mixes the coin with a tensor contraction that rounds
-    differently from the array step, by about one ulp a step.
+    differently from the run, by about one ulp a step.
     """
     return 4 * (t + 1) * np.finfo(np.float64).eps
 
@@ -50,7 +53,7 @@ def test_hadamard_columns():
     # one step from a basis coin reads off that column of the coin matrix:
     # coin 0 lands one site right (index 1), coin 1 one site left (index 0)
     for coin, column in ((COIN_RIGHT, (S, S)), (COIN_LEFT, (S, -S))):
-        *_, (a0, a1) = trajectory(coin, 1)
+        *_, (a0, a1) = engine_trajectory(coin, 1)
         assert (a0[1], a1[0]) == pytest.approx(column)
 
 
@@ -73,47 +76,46 @@ def norm(a0, a1):
 
 def test_step_increments_counter():
     # the step-t pair has t + 1 slots, one per reachable site
-    lengths = [(len(a0), len(a1)) for a0, a1 in trajectory(COIN_RIGHT, 4)]
+    lengths = [(len(a0), len(a1)) for a0, a1 in engine_trajectory(COIN_RIGHT, 4)]
     assert lengths == [(t + 1, t + 1) for t in range(5)]
 
 
 def test_evolve_zero_steps_returns_initial():
     coin = CoinSpinor(S, -1j * S)
-    pairs = [(a0.tolist(), a1.tolist()) for a0, a1 in trajectory(coin, 0)]
+    pairs = [(a0.tolist(), a1.tolist()) for a0, a1 in engine_trajectory(coin, 0)]
     assert pairs == [([coin.amp0], [coin.amp1])]
 
 
 def test_evolve_rejects_negative_count():
     with pytest.raises(ValueError, match="non-negative"):
-        next(trajectory(COIN_RIGHT, -1))
+        next(branch_blocks(-1))
 
 
 def test_evolve_snapshots_match_repeated_step():
     # a shorter run's steps are exactly the first steps of a longer run
-    short = [(a0.copy(), a1.copy()) for a0, a1 in trajectory(COIN_RIGHT, 3)]
-    long = itertools.islice(trajectory(COIN_RIGHT, 10), 4)
-    for (s0, s1), (l0, l1) in zip(short, long, strict=True):
-        assert np.array_equal(s0, l0) and np.array_equal(s1, l1)
+    short = list(run_rows(3))
+    long = itertools.islice(run_rows(10), 4)
+    for (t, s0, s1), (u, l0, l1) in zip(short, long, strict=True):
+        assert t == u and np.array_equal(s0, l0) and np.array_equal(s1, l1)
     assert max_table_diff(evolve_tables(COIN_RIGHT, 3)[3], dict(THREE_STEP)) < 1e-12
 
 
 def test_norm_conserved_along_1000_step_trajectory():
-    drift = max(abs(norm(a0, a1) - 1.0) for a0, a1 in trajectory(COIN_RIGHT, 1000))
+    # the run from |0> is A; its coin-1 row is B0 mirrored, with the same norm
+    drift = max(abs(norm(a0, b0) - 1.0) for _, a0, b0 in run_rows(1000))
     assert drift < 1e-12
 
 
 def test_single_walker_first_step():
-    # the one-walker walk is the same trajectory, read as one walker's sites
-    *_, (a0, a1) = trajectory(COIN_RIGHT, 1)
+    # the one-walker walk is the same run, read as one walker's sites
+    *_, (a0, a1) = engine_trajectory(COIN_RIGHT, 1)
     table = {(2 * k - 1, c): amp for c, amps in enumerate((a0, a1)) for k, amp in enumerate(amps)}
     assert max_table_diff(table, dict(ONE_STEP)) < 1e-12
 
 
 def test_single_walker_balanced_coin_symmetric_at_1000_steps():
     coin = CoinSpinor(S, 1j * S)
-    for a0, a1 in trajectory(coin, 1000):
-        pass
-    dist = trajectory_distribution(a0, a1)
+    ((_, dist),) = timelines_and_distributions([coin], 1000)
     for x, p in dist.items():
         assert abs(p - dist.get(-x, 0.0)) < 1e-12
 
@@ -127,13 +129,15 @@ def test_all_right_amplitude_is_power_of_half(t):
 @given(coin=coin_spinors(), steps=st.integers(0, 12))
 @settings(deadline=None, max_examples=60)
 def test_step_is_linear(coin, steps):
-    # the run from a0|0> + a1|1> is a0 (run from |0>) + a1 (run from |1>)
+    # the run from a0|0> + a1|1> is a0 (run from |0>) + a1 (run from |1>):
+    # the coin's arrays composed from the engine's rows against the exact
+    # integer runs from |0> and from |1>, each run on its own
     runs = zip(
-        trajectory(coin, steps),
-        trajectory(CoinSpinor(1.0, 0.0), steps),
-        trajectory(CoinSpinor(0.0, 1.0), steps),
+        engine_trajectory(coin, steps),
+        exact_rows(steps, 0),
+        exact_rows(steps, 1),
     )
-    for (a0, a1), (r0, r1), (l0, l1) in runs:
+    for (a0, a1), (_, r0, r1), (_, l0, l1) in runs:
         assert np.max(np.abs(a0 - (coin.amp0 * r0 + coin.amp1 * l0))) < 1e-12
         assert np.max(np.abs(a1 - (coin.amp0 * r1 + coin.amp1 * l1))) < 1e-12
 
@@ -142,17 +146,18 @@ def test_step_is_linear(coin, steps):
 @settings(deadline=None)
 def test_two_walker_amplitudes_equal_single_walker(coin, steps):
     # the dense oracle moves two walkers on the full product lattice; its
-    # diagonal must hold the one-walker trajectory's amplitudes, to rounding,
-    # and nothing may leave it
-    states = zip(trajectory(coin, steps), dense_trajectory(coin, steps, steps))
+    # diagonal must hold the one-walker walk's amplitudes, to rounding, and
+    # nothing may leave it
+    states = zip(engine_trajectory(coin, steps), dense_trajectory(coin, steps, steps))
     for t, ((a0, a1), dense) in enumerate(states):
         assert np.max(np.abs(dense_diagonal(dense, t) - np.array([a0, a1]))) <= rounding(t)
         assert dense.off_diagonal_mass() == 0.0
 
 
 def test_mirror_symmetry_between_opposite_basis_coins():
+    # the engine's run from |0> against the exact integer run from |1>
     right = evolve_tables(COIN_RIGHT, 12)
-    left = evolve_tables(COIN_LEFT, 12)
+    left = [table_of(a0, a1) for _, a0, a1 in exact_rows(12, 1)]
     for t in range(13):
         keys = {(x, c) for x, c in right[t]} | {(-x, 1 - c) for x, c in left[t]}
         for x, c in keys:
@@ -166,7 +171,7 @@ def test_mirror_symmetry_between_opposite_basis_coins():
 def test_trajectory_layout_matches_dense_diagonal(coin, steps):
     """Index k of the step-t arrays holds site -t + 2k of the dense oracle."""
     dense_states = dense_trajectory(coin, steps, steps)
-    arrays = trajectory(coin, steps)
+    arrays = engine_trajectory(coin, steps)
     for t, (dense, (a0, a1)) in enumerate(zip(dense_states, arrays, strict=True)):
         assert len(a0) == len(a1) == t + 1
         diagonal = dense_diagonal(dense, t)
@@ -177,9 +182,11 @@ def test_trajectory_layout_matches_dense_diagonal(coin, steps):
 
 def test_trajectory_rejects_bad_input():
     with pytest.raises(ValueError):
-        next(trajectory(COIN_RIGHT, -1))
+        next(branch_blocks(-1))
     with pytest.raises(ValueError):
-        next(trajectory(CoinSpinor(1.0, 1.0), 3))
+        run_timeline(COIN_RIGHT, 0)
+    with pytest.raises(NormalizationError):
+        run_timeline(CoinSpinor(1.0, 1.0), 3)
 
 
 @pytest.mark.parametrize(

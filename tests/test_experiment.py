@@ -15,24 +15,25 @@ from twinwalk import (
     default_window,
     distribution_symmetry,
     run_timeline,
-    timeline_and_distribution,
     timelines_and_distributions,
 )
 import twinwalk.evolution
 import twinwalk.experiment
 from twinwalk.entanglement import COEFF_EPS
-from twinwalk.evolution import block_steps, trajectory
-from twinwalk.experiment import MAX_STEPS, trajectory_distribution
+from twinwalk.evolution import block_steps
+from twinwalk.experiment import MAX_STEPS
 from twinwalk.figures import build_figure_bundle
 from twinwalk.oracle import dense_evolve, dense_trajectory, exact_distribution, exact_run
-from twinwalk.measurement import PROB_EPS
-from twinwalk.states import NORM_TOL, NormalizationError
+from twinwalk.states import NORM_TOL, PROB_EPS, NormalizationError
 from twinwalk.verification import random_coin_states
 from testutil import (
     branch_entropy,
     coin_spinors,
     dense_diagonal,
     dense_marginal,
+    engine_trajectory,
+    final_distribution,
+    oracle_trajectory,
     pre_fusion_branch_entropy,
 )
 
@@ -166,7 +167,7 @@ def test_timeline_is_deterministic():
 
 
 def symmetry_report(coin, steps):
-    _, distribution = timeline_and_distribution(coin, steps)
+    ((_, distribution),) = timelines_and_distributions([coin], steps)
     return distribution_symmetry(distribution, steps)
 
 
@@ -197,12 +198,13 @@ def test_symmetry_report_rejects_zero_steps():
 def assert_matches_dense_oracle(coin, steps):
     """Amplitudes, weights, entropies and supports at every t against the dense oracle.
 
-    The reference entropy is the pre-fusion arithmetic applied to the dense
+    The amplitudes are the coin's, composed from the engine's run rows.  The
+    reference entropy is the pre-fusion arithmetic applied to the dense
     tensor's diagonal, so ``branch_entropies``'s cut and support are compared
     on the oracle's amplitudes.  The dense lattice covers the whole cone.
     """
     timeline = run_timeline(coin, steps)
-    arrays = itertools.islice(trajectory(coin, steps), 1, None)
+    arrays = itertools.islice(engine_trajectory(coin, steps), 1, None)
     dense_states = itertools.islice(dense_trajectory(coin, steps, steps), 1, None)
     assert [r.step for r in timeline] == list(range(1, steps + 1))
     for record, (a0, a1), dense in zip(timeline, arrays, dense_states, strict=True):
@@ -265,13 +267,6 @@ def test_array_timeline_reports_absent_branch():
     assert_matches_dense_oracle(coin, 4)
 
 
-def final_distribution(coin, steps):
-    """One-walker distribution read off the last arrays of a trajectory."""
-    for a0, a1 in trajectory(coin, steps):
-        pass
-    return trajectory_distribution(a0, a1)
-
-
 def assert_distributions_close(got, expected, tol):
     for x in set(expected) | set(got):
         assert abs(got.get(x, 0.0) - expected.get(x, 0.0)) <= tol
@@ -296,34 +291,30 @@ def test_single_walker_distribution_matches_dense_marginal(name, steps):
 
 @pytest.mark.parametrize("steps", [1, 2, 17, 1000, 2500])
 def test_symmetric_coins_have_an_exactly_mirrored_distribution(steps):
-    # coin 1 arrives as a reversed view, and each site's |a|^2 must round
-    # as it would on contiguous data
+    # site k adds branch 1's weight at index t - k to branch 0's at k; for
+    # these coins both branches weigh alike, so the sum must round the same
+    # at k and at t - k
     for _, distribution in timelines_and_distributions(
         [PRESETS["4c"], PRESETS["4d"]], steps
     ):
         assert distribution_symmetry(distribution, steps).mirror_distance == 0.0
 
 
-def test_trajectory_distribution_ignores_memory_layout():
-    *_, (a0, a1) = trajectory(PRESETS["4e"], 301)
-    assert not a1.flags.c_contiguous
-    assert trajectory_distribution(a0, a1) == trajectory_distribution(
-        a0.copy(), a1.copy()
-    )
-
-
 @pytest.mark.parametrize("steps", [1, 2, 257])
 @pytest.mark.parametrize("name", tuple(PRESETS))
 def test_timeline_and_distribution_is_one_pass_of_both(name, steps):
-    timeline, distribution = timeline_and_distribution(PRESETS[name], steps)
+    # the timeline that comes with the distribution is run_timeline's, and
+    # the distribution is the exact one
+    ((timeline, distribution),) = timelines_and_distributions([PRESETS[name]], steps)
     assert timeline == run_timeline(PRESETS[name], steps)
-    assert distribution == final_distribution(PRESETS[name], steps)
+    *_, (n0, n1) = exact_run(steps)
+    assert_distributions_close(distribution, exact_distribution(PRESETS[name], n0, n1), 1e-15)
 
 
 @given(coin=coin_spinors(), steps=st.integers(1, 30))
 @settings(deadline=None, max_examples=50)
 def test_timeline_and_distribution_follows_the_configured_coin(coin, steps):
-    _, distribution = timeline_and_distribution(coin, steps)
+    ((_, distribution),) = timelines_and_distributions([coin], steps)
     dense = dense_evolve(coin, steps, steps)
     assert_distributions_close(distribution, dense_marginal(dense), 1e-14)
 
@@ -347,7 +338,7 @@ def test_coins_measured_together_equal_each_coin_alone(steps):
     coins = [*PRESETS.values(), CoinSpinor(S, S), *random_coin_states(3, seed=11)]
     together = timelines_and_distributions(coins, steps)
     for coin, (timeline, distribution) in zip(coins, together, strict=True):
-        alone, alone_distribution = timeline_and_distribution(coin, steps)
+        ((alone, alone_distribution),) = timelines_and_distributions([coin], steps)
         assert distribution == alone_distribution
         for got, want in zip(timeline, alone, strict=True):
             assert (got.step, got.support0, got.support1) == (
@@ -361,16 +352,17 @@ def test_coins_measured_together_equal_each_coin_alone(steps):
 
 
 def assert_matches_per_step_reference(coin, steps):
-    """``run_timeline`` against the pre-fusion arithmetic on every trajectory pair.
+    """``run_timeline`` against the pre-fusion arithmetic on the coin's
+    amplitudes at every step, composed from the exact integer run.
 
     Tolerances are those of the fused-versus-pre-fusion entropy test: the
     weight to n eps relative, the entropy to 1e-13, supports equal.  The
     timeline's weight mixes the row sums of A0^2, B0^2 and A0 B0 rather than
-    summing the trajectory's |amplitude|^2, and the trajectory view rounds
-    its own products, so 16 eps absolute of that rounding is allowed on top.
+    summing |amplitude|^2, and the composed amplitudes round their own
+    products, so 16 eps absolute of that rounding is allowed on top.
     """
     timeline = run_timeline(coin, steps)
-    states = itertools.islice(trajectory(coin, steps), 1, None)
+    states = itertools.islice(oracle_trajectory(coin, steps), 1, None)
     assert [r.step for r in timeline] == list(range(1, steps + 1))
     for record, (a0, a1) in zip(timeline, states, strict=True):
         for weight, entropy, support, amps in (

@@ -6,19 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinwalk import CoinOutcome, CoinSpinor, run_timeline
-from twinwalk.evolution import trajectory
 from twinwalk.oracle import dense_trajectory, path_sum_table
-from testutil import branch_entropy, coin_arrays, coin_spinors
+from testutil import branch_entropy, coin_arrays, coin_spinors, oracle_trajectory
 
 S = math.sqrt(0.5)
 COIN_RIGHT = CoinSpinor(1.0, 0.0)
 
 
 def walk(coin, steps):
-    """Copies of the coin-0 and coin-1 arrays after ``steps`` steps."""
-    for a0, a1 in trajectory(coin, steps):
-        pass
-    return a0.copy(), a1.copy()
+    """The coin-0 and coin-1 arrays after ``steps`` steps, from the exact
+    integer run."""
+    *_, (a0, a1) = oracle_trajectory(coin, steps)
+    return a0, a1
 
 
 def branch(coin, steps, outcome=0):
@@ -132,7 +131,7 @@ def test_reembedded_branch_measures_to_itself():
 @given(coin=coin_spinors())
 @settings(deadline=None, max_examples=40)
 def test_coin_marginals_match_single_walker(coin):
-    # the coin marginals of the one-walker trajectory are the branch weights
+    # the coin marginals of the one-walker walk are the branch weights
     # of the dense two-walker state
     pairs = zip(run_timeline(coin, 10), list(dense_trajectory(coin, 10, 10))[1:])
     for record, dense in pairs:

@@ -10,21 +10,23 @@ from hypothesis import strategies as st
 
 import twinwalk.oracle
 from twinwalk import PRESETS, CoinOutcome, CoinSpinor, timelines_and_distributions
-from twinwalk.measurement import PROB_EPS, EmptyBranchError
 from twinwalk.oracle import (
+    EmptyBranchError,
     EIGVAL_EPS,
     MAX_PATH_SUM_STEPS,
     DenseTensorState,
     dense_evolve,
     dense_trajectory,
     exact_branches,
+    exact_distribution,
     exact_run,
     path_sum_amplitude,
     path_sum_table,
     reduced_entropy,
 )
-from twinwalk.verification import _dense_error, random_coin_states
-from testutil import coin_spinors, evolve_tables, max_table_diff
+from twinwalk.states import PROB_EPS
+from twinwalk.verification import random_coin_states
+from testutil import coin_spinors, dense_error, evolve_tables, max_table_diff
 
 S = math.sqrt(0.5)
 E3 = S / 2
@@ -125,7 +127,7 @@ def test_path_sum_depth_cap():
 def test_dense_matches_engine_for_presets():
     t_max = 6
     for coin in PRESETS.values():
-        assert _dense_error(coin, t_max) < 1e-10
+        assert dense_error(coin, t_max) < 1e-10
 
 
 def test_path_sum_matches_engine():
@@ -186,6 +188,45 @@ def test_oracle_imports_neither_engine_nor_driver():
     for name in ("experiment", "evolution", "entanglement"):
         found = sorted(m for m in modules if m.split(".")[:2] == ["twinwalk", name])
         assert not found, f"oracle imports {found}"
+
+
+#: numpy's complex dtypes and their aliases, by name
+COMPLEX_DTYPES = {
+    "complex64", "complex128", "complex256", "complex_", "complexfloating",
+    "csingle", "cdouble", "clongdouble", "cfloat", "clongfloat",
+}
+
+
+def complex_dtype_names(source: str) -> list[str]:
+    """Complex dtypes a module names: as an attribute or bare name, as a
+    string, or as the builtin ``complex`` passed for ``dtype``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in COMPLEX_DTYPES:
+            found.append(node.attr)
+        elif isinstance(node, ast.Name) and node.id in COMPLEX_DTYPES:
+            found.append(node.id)
+        elif isinstance(node, ast.Constant) and node.value in COMPLEX_DTYPES:
+            found.append(node.value)
+        elif (
+            isinstance(node, ast.keyword)
+            and node.arg == "dtype"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "complex"
+        ):
+            found.append("dtype=complex")
+    return found
+
+
+def test_only_the_oracle_names_a_complex_dtype():
+    # one state representation: the engine, the measurement and every check
+    # read the one real run; only the independent references go complex
+    package = Path(twinwalk.oracle.__file__).parent
+    assert complex_dtype_names(Path(twinwalk.oracle.__file__).read_text(encoding="utf-8"))
+    for path in sorted(package.glob("*.py")):
+        if path.name != "oracle.py":
+            found = complex_dtype_names(path.read_text(encoding="utf-8"))
+            assert not found, f"{path.name} names {found}"
 
 
 def full_matrix_entropy(state, outcome):
@@ -310,15 +351,29 @@ def assert_matches_exact(records, coin, rows):
                 assert abs(entropy - want_entropy) <= 1e-12, record.step
 
 
+def assert_distribution_matches_exact(got, coin, rows):
+    want = exact_distribution(coin, *rows)
+    assert set(got) <= set(want)
+    for x, p in want.items():
+        assert abs(got.get(x, 0.0) - p) <= 1e-15, x
+
+
 def test_timelines_match_the_exact_run():
     """Weights, entropies, supports and absent branches of the five presets
     (T = 1000), and of 4e and a random coin at T = 2500, where the flush has
-    long been acting, against exact rationals of the integer run."""
+    long been acting, against exact rationals of the integer run; and the
+    final one-walker distributions of the five presets at both T, and of the
+    random coin at T = 2500, to 1e-15.  Shorter runs' distributions are held
+    to the exact ones in ``test_experiment``."""
     wanted = set(EXACT_STEPS) | {2499, 2500}
     rows = {t: row for t, row in enumerate(exact_run(2500)) if t in wanted}
     coins = list(PRESETS.values())
-    for coin, (timeline, _) in zip(coins, timelines_and_distributions(coins, 1000)):
+    for coin, (timeline, distribution) in zip(coins, timelines_and_distributions(coins, 1000)):
         assert_matches_exact([timeline[t - 1] for t in EXACT_STEPS], coin, rows)
-    long_coins = [PRESETS["4e"], *random_coin_states(1, seed=2500)]
-    for coin, (timeline, _) in zip(long_coins, timelines_and_distributions(long_coins, 2500)):
-        assert_matches_exact(timeline[-2:], coin, rows)
+        assert_distribution_matches_exact(distribution, coin, rows[1000])
+    long_coins = [*PRESETS.values(), *random_coin_states(1, seed=2500)]
+    for coin, (timeline, distribution) in zip(long_coins, timelines_and_distributions(long_coins, 2500)):
+        if coin in (PRESETS["4e"], long_coins[-1]):
+            assert_matches_exact(timeline[-2:], coin, rows)
+        assert_distribution_matches_exact(distribution, coin, rows[2500])
+

@@ -1,4 +1,5 @@
-"""Shared hypothesis strategies, amplitude-table and oracle helpers for the tests."""
+"""Shared hypothesis strategies, run-row, amplitude-table and oracle helpers
+for the tests."""
 
 from __future__ import annotations
 
@@ -8,15 +9,14 @@ import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from twinwalk import CoinSpinor
+from twinwalk import CoinSpinor, timelines_and_distributions
 from twinwalk.entanglement import COEFF_EPS, branch_entropies
-from twinwalk.measurement import PROB_EPS
-from twinwalk.verification import AmpTable, _engine_amplitude_tables
+from twinwalk.evolution import branch_blocks, row_exponent
+from twinwalk.oracle import exact_run
+from twinwalk.states import PROB_EPS
+from twinwalk.verification import _dense_error, _path_sum_error
 
-#: engine amplitude tables at t = 0..t_max from a point start at the origin,
-#: built as ``twinwalk verify`` builds them; exact zeros are kept, so read them
-#: with ``.get(key, 0j)`` or compare them with ``max_table_diff``
-evolve_tables = _engine_amplitude_tables
+AmpTable = dict[tuple[int, int], complex]
 
 unit_floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
@@ -36,7 +36,7 @@ def coin_spinors(draw) -> CoinSpinor:
 def coin_arrays(draw, max_step: int = 8) -> tuple[np.ndarray, np.ndarray]:
     """Normalized coin-0 and coin-1 arrays of one step t <= max_step.
 
-    Both have length t + 1, as ``trajectory`` yields them, with up to six
+    Both have length t + 1, index k holding site -t + 2k, with up to six
     random occupied sites.
     """
     t = draw(st.integers(min_value=0, max_value=max_step))
@@ -99,8 +99,111 @@ def dense_marginal(dense) -> dict[int, float]:
     return {x - r: p for x, p in enumerate(mass.tolist()) if p != 0.0}
 
 
+def step_rows(blocks):
+    """``(t, A0, B0)`` for each step of ``branch_blocks`` blocks: copies of
+    the rows as stored, of length t + 1."""
+    for first, lo, a0, b0 in blocks:
+        count, width = a0.shape
+        rows = np.zeros((2, count, first + count))
+        rows[:, :, lo : lo + width] = a0, b0
+        for j in range(count):
+            t = first + j
+            yield t, rows[0, j, : t + 1], rows[1, j, : t + 1]
+
+
+def run_rows(n: int):
+    """``(t, A0, B0)`` for t = 0..n: the coin-0 rows of the engine's real runs
+    from |0> and |1>, with their 2^(m/2) scale divided out."""
+    for t, a0, b0 in step_rows(branch_blocks(n)):
+        scale = 2.0 ** (-row_exponent(t) / 2)
+        yield t, a0 * scale, b0 * scale
+
+
+def coin_amplitudes(coin: CoinSpinor, t: int, a0, b0) -> tuple[np.ndarray, np.ndarray]:
+    """Coin-0 and coin-1 amplitudes of the walk from ``coin`` after t steps,
+    alpha A + beta B, from the coin-0 rows A0 and B0 of the runs from |0>
+    and |1>.  By the mirror identity coin 1 at index k is
+    (-1)^t (beta A0 - alpha B0) at index t - k."""
+    alpha, beta = complex(coin.amp0), complex(coin.amp1)
+    a0, b0 = np.asarray(a0, dtype=float), np.asarray(b0, dtype=float)
+    sign = -1.0 if t % 2 else 1.0
+    return alpha * a0 + beta * b0, (sign * (beta * a0 - alpha * b0))[::-1].copy()
+
+
+def engine_trajectory(coin: CoinSpinor, n: int):
+    """Coin-0 and coin-1 amplitude arrays after 0..n steps, composed from the
+    engine's rows (``run_rows``); index k of step t holds site -t + 2k."""
+    for t, a0, b0 in run_rows(n):
+        yield coin_amplitudes(coin, t, a0, b0)
+
+
+def exact_rows(n: int, start: int = 0):
+    """``(t, A0, A1)`` for t = 0..n of the run from the coin basis state
+    ``start``: ``oracle.exact_run`` times 2^(-t/2), each entry a correctly
+    rounded quotient times sqrt(1/2) on odd steps."""
+    for t, (n0, n1) in enumerate(exact_run(n, start)):
+        divisor = 1 << (t // 2)
+        factor = math.sqrt(0.5) if t % 2 else 1.0
+        yield t, *(np.array([v / divisor for v in row]) * factor for row in (n0, n1))
+
+
+def oracle_trajectory(coin: CoinSpinor, n: int):
+    """Coin-0 and coin-1 amplitude arrays after 0..n steps, alpha A + beta B
+    with A the exact integer run from |0> and B its mirror image
+    B0(t)[k] = (-1)^(t+1) A1(t)[t - k]: independent of the engine."""
+    for t, a0, a1 in exact_rows(n):
+        b0 = (-1.0 if t % 2 == 0 else 1.0) * a1[::-1]
+        yield coin_amplitudes(coin, t, a0, b0)
+
+
+def array_distribution(a0, a1) -> dict[int, float]:
+    """Position distribution of one step's coin-0 and coin-1 arrays; sites of
+    probability exactly 0 are left out."""
+    t = len(a0) - 1
+    probabilities = np.abs(np.asarray(a0)) ** 2 + np.abs(np.asarray(a1)) ** 2
+    return {x: p for x, p in zip(range(-t, t + 1, 2), probabilities.tolist()) if p != 0.0}
+
+
+def final_distribution(coin: CoinSpinor, steps: int) -> dict[int, float]:
+    """The one-walker distribution that ``timelines_and_distributions``
+    returns after ``steps`` steps; at 0 steps, which it does not measure, the
+    point start's, read off the engine's run."""
+    if steps == 0:
+        *_, (a0, a1) = engine_trajectory(coin, 0)
+        return array_distribution(a0, a1)
+    ((_, distribution),) = timelines_and_distributions([coin], steps)
+    return distribution
+
+
+def table_of(a0, a1) -> AmpTable:
+    """One step's arrays as a {(site, coin index): amplitude} map, exact
+    zeros kept."""
+    t = len(a0) - 1
+    return {(2 * k - t, c): complex(amp) for c, amps in enumerate((a0, a1)) for k, amp in enumerate(amps)}
+
+
+def evolve_tables(coin: CoinSpinor, t_max: int) -> list[AmpTable]:
+    """Amplitude tables at t = 0..t_max of the engine's run composed for
+    ``coin``; read them with ``.get(key, 0j)`` or ``max_table_diff``."""
+    return [table_of(a0, a1) for a0, a1 in engine_trajectory(coin, t_max)]
+
+
 def max_table_diff(left: AmpTable, right: AmpTable) -> float:
     keys = set(left) | set(right)
     if not keys:
         return 0.0
     return max(abs(left.get(k, 0j) - right.get(k, 0j)) for k in keys)
+
+
+def dense_error(coin: CoinSpinor, t_max: int) -> float:
+    """``twinwalk verify``'s dense-oracle error of the timeline and final
+    distribution of a ``t_max``-step walk from ``coin``."""
+    ((timeline, distribution),) = timelines_and_distributions([coin], t_max)
+    return _dense_error(coin, timeline, distribution)
+
+
+def path_sum_error(coin: CoinSpinor, t_max: int) -> float:
+    """``twinwalk verify``'s path-sum error of the timeline of a
+    ``t_max``-step walk from ``coin``."""
+    ((timeline, _),) = timelines_and_distributions([coin], t_max)
+    return _path_sum_error(coin, timeline)
