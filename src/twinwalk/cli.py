@@ -255,7 +255,7 @@ def run(
                 {
                     "spec": asdict(spec),
                     "summary": summary,
-                    "timeline": [asdict(r) for r in timeline],
+                    "timeline": [r._asdict() for r in timeline],
                 }
             ) + "\n"
             if destination is None:

@@ -10,10 +10,11 @@ convergence correlates with.
 Every timeline comes from one real run: ``timelines_and_distributions``
 measures any list of coins from each block of ``evolution.branch_blocks``
 (K consecutive steps, K = 16 at 1000 steps).  The block's A0 and B0 rows
-are stacked once into X = A0^2, Y = B0^2 and Z = A0 B0; a coin's site
-weights are a fixed mix of the three (``_branch_mixing``), and one
-``entanglement.branch_entropies`` pass measures both branches of a coin over
-the whole block; only the records are built step by step.  Each coin's
+are stacked once into X = A0^2, Y = B0^2 and Z = A0 B0, and a branch's site
+weights are a fixed mix of the three (``_branch_mixing``).  Coins that share
+a mix share its measurement, so each distinct mix is measured once per
+block: one matmul and one ``entanglement.branch_entropies`` pass for each
+pair of them, and the block's records are built together.  Each coin's
 one-walker distribution is read off the site weights of its final row, so the
 figure bundle and ``scripts/ratio_convergence.py`` evolve once for all their
 presets.  No complex array is formed anywhere.  ``run_timeline`` is the
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,9 +57,8 @@ PRESETS: dict[str, CoinSpinor] = {
 }
 
 
-@dataclass(frozen=True)
-class TimelineRecord:
-    """Per-step measurement summary.
+class TimelineRecord(NamedTuple):
+    """Per-step measurement summary, a named tuple.
 
     Entropies and ratios are None when the corresponding branch is absent;
     the ratio is also None at t = 1 where the attainable bound is zero.
@@ -86,10 +87,10 @@ class SymmetryReport:
     mirror_distance: float
 
 
-def _branch_mixing(coins: list[CoinSpinor]) -> np.ndarray:
-    """(2C, 3) coefficients of X = A0^2, Y = B0^2 and Z = A0 B0 in the site
-    weights of each coin's branches: row 2i is coin i's branch 0, row 2i + 1
-    its branch 1.
+def _branch_mixing(coins: list[CoinSpinor]) -> list[tuple[float, float, float]]:
+    """Coefficients of X = A0^2, Y = B0^2 and Z = A0 B0 in the site weights of
+    each coin's branches: row 2i is coin i's branch 0, row 2i + 1 its branch
+    1.  No coefficient is -0.0, so rows equal in value are equal tuples.
 
     Branch 0 weighs |alpha|^2 X + |beta|^2 Y + 2 Re(alpha conj(beta)) Z at
     each site.  Branch 1 is the same form with |alpha|^2 and |beta|^2 swapped
@@ -101,9 +102,9 @@ def _branch_mixing(coins: list[CoinSpinor]) -> np.ndarray:
         alpha, beta = coin.amp0, coin.amp1
         a = alpha.real * alpha.real + alpha.imag * alpha.imag
         b = beta.real * beta.real + beta.imag * beta.imag
-        r = 2.0 * (alpha.real * beta.real + alpha.imag * beta.imag)
-        mixing += [(a, b, r), (b, a, -r)]
-    return np.array(mixing).reshape(-1, 3)
+        r = 2.0 * (alpha.real * beta.real + alpha.imag * beta.imag) + 0.0
+        mixing += [(a, b, r), (b, a, 0.0 - r)]
+    return mixing
 
 
 def _distribution(
@@ -134,14 +135,18 @@ def timelines_and_distributions(
     ``steps`` outside 1..MAX_STEPS is rejected before anything is evolved or
     allocated, and every coin's normalization is checked before the run.
     Each block of ``evolution.branch_blocks`` is stacked into X, Y and Z over
-    its window once, for all coins.  Per coin, one matmul with its two rows
-    of ``_branch_mixing`` turns them into the site weights of both its
-    branches, and one ``branch_entropies`` pass measures them; measuring coin
-    by coin keeps the block's working memory that of one coin.  A branch's
-    weight is the same mix of the row sums of X, Y and Z, taken with plain
-    multiplies and adds rather than a fused multiply-add, so a branch whose
-    terms cancel exactly weighs exactly 0.  The distribution comes from the
-    site weights of the last block's final row (``_distribution``).
+    its window once, for all coins.  A branch depends only on its row of
+    ``_branch_mixing``, so each distinct row is measured once: two rows at a
+    time, one matmul turns X, Y and Z into their site weights and one
+    ``branch_entropies`` pass measures them, which keeps the block's working
+    memory that of one coin.  Rows go in pairs because a row of a (2, 3)
+    product rounds the same whatever its partner and a lone (1, 3) product
+    does not; an odd last row is paired with a zero row, an absent branch.
+    A branch's weight is the same mix of the row sums of X, Y and Z, taken
+    with plain multiplies and adds rather than a fused multiply-add, so a
+    branch whose terms cancel exactly weighs exactly 0.  The distribution
+    comes from the site weights of the last block's final row
+    (``_distribution``).
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -149,9 +154,11 @@ def timelines_and_distributions(
         raise ValueError(f"steps must be at most {MAX_STEPS}, got {steps}")
     for coin in coins:
         coin.require_normalized()
-    mixing = _branch_mixing(coins)
+    distinct: dict[tuple[float, float, float], int] = {}
+    index = [distinct.setdefault(row, len(distinct)) for row in _branch_mixing(coins)]
+    rows = np.array([*distinct, *[(0.0, 0.0, 0.0)] * (len(distinct) % 2)]).reshape(-1, 3)
+    branches = list(zip(index[::2], index[1::2]))
     timelines: list[list[TimelineRecord]] = [[] for _ in coins]
-    distributions: list[dict[int, float]] = []
     stack, ones = None, np.ones(steps + 1)
     # minus the exponent m of each step's row scale 2^(m/2)
     unscale = -row_exponent(np.arange(steps + 1))
@@ -159,9 +166,9 @@ def timelines_and_distributions(
     next(blocks)  # step 0 is not measured
     for first, lo, a0, b0 in blocks:
         count, width = a0.shape
-        # one buffer for X, Y, Z, a coin's site weights and the entropy pass's
-        # working space, allocated once: the first block has the most rows,
-        # the last the widest
+        # one buffer for X, Y, Z, a pair's site weights and the entropy
+        # pass's working space, allocated once: the first block has the most
+        # rows, the last the widest
         if stack is None:
             stack = np.empty(11 * count * (steps + 1))
         size = count * width
@@ -174,40 +181,37 @@ def timelines_and_distributions(
         # the rows carry 2^m times the true X, Y and Z; the entropy does not
         # see that scale, and the weights are cleared of it exactly
         sums = (parts.reshape(-1, width) @ ones[:width]).reshape(3, count)
-        scaled = (mixing[:, :, None] * sums).sum(axis=1)
+        scaled = (rows[:, :, None] * sums).sum(axis=1)
         weights = np.ldexp(scaled, unscale[first : first + count])
         present = weights > PROB_EPS
-        steps_and_bounds = [(t, max_entanglement(t)) for t in range(first, first + count)]
-        for i, records in enumerate(timelines):
-            np.matmul(mixing[2 * i : 2 * i + 2], parts.reshape(3, -1), out=site_weights)
-            entropies, supports = branch_entropies(
-                site_weights.reshape(-1, width),
-                scaled[2 * i : 2 * i + 2].ravel(),
-                present[2 * i : 2 * i + 2].ravel(),
-                work,
+        entropies, supports, finals = [], [], []
+        for pair in range(0, len(rows), 2):
+            two = slice(pair, pair + 2)
+            np.matmul(rows[two], parts.reshape(3, -1), out=site_weights)
+            pair_entropies, pair_supports = branch_entropies(
+                site_weights.reshape(-1, width), scaled[two].ravel(), present[two].ravel(), work
             )
-            p = weights[2 * i : 2 * i + 2].ravel().tolist()
-            for j, (t, bound) in enumerate(steps_and_bounds):
-                entropy0, entropy1 = entropies[j], entropies[count + j]
-                records.append(
-                    TimelineRecord(
-                        step=t,
-                        p0=p[j],
-                        p1=p[count + j],
-                        entropy0=entropy0,
-                        entropy1=entropy1,
-                        max_entropy=bound,
-                        # the bound is 0 at t = 1, where no ratio is defined
-                        ratio0=None if entropy0 is None or t == 1 else entropy0 / bound,
-                        ratio1=None if entropy1 is None or t == 1 else entropy1 / bound,
-                        support0=supports[j],
-                        support1=supports[count + j],
-                    )
-                )
+            entropies += pair_entropies[:count], pair_entropies[count:]
+            supports += pair_supports[:count], pair_supports[count:]
             if first + count > steps:
-                w0, w1 = site_weights.reshape(2, count, width)[:, -1]
-                distributions.append(_distribution(w0, w1, steps, lo, unscale[steps]))
-    return list(zip(timelines, distributions))
+                finals.extend(site_weights.reshape(2, count, width)[:, -1].copy())
+        block = range(first, first + count)
+        bounds = [max_entanglement(t) for t in block]
+        # the bound is 0 at t = 1, where no ratio is defined
+        ratios = [
+            [None if e is None or t == 1 else e / b for e, t, b in zip(row, block, bounds)]
+            for row in entropies
+        ]
+        p = weights.tolist()
+        for records, (i, j) in zip(timelines, branches):
+            records.extend(map(
+                TimelineRecord, block, p[i], p[j], entropies[i], entropies[j],
+                bounds, ratios[i], ratios[j], supports[i], supports[j],
+            ))
+    return [
+        (records, _distribution(finals[i], finals[j], steps, lo, unscale[steps]))
+        for records, (i, j) in zip(timelines, branches)
+    ]
 
 
 def run_timeline(coin_init: CoinSpinor, steps: int) -> list[TimelineRecord]:

@@ -6,7 +6,8 @@ one comparison figure carrying the one-walker position distribution next to
 both branch series.  Rendering is plain CSV with deterministic formatting;
 the manifest records what every file contains.  The four plotted presets
 are measured from one real run (``timelines_and_distributions``): their
-timelines and final one-walker distributions all come from one evolution.
+timelines and final one-walker distributions all come from one evolution,
+with one matmul per pair of distinct branches, not per preset.
 """
 
 from __future__ import annotations
@@ -54,14 +55,12 @@ def _figure_name(number: int) -> str:
     return f"fig{number:02d}.csv"
 
 
-def _formatted_columns(timeline: list[TimelineRecord]) -> dict[str, list[str]]:
-    """Every per-step number of a timeline rendered once, keyed by field name."""
-    columns = {
-        name: [format_number(getattr(record, name)) for record in timeline]
-        for name in ("entropy0", "entropy1", "max_entropy", "ratio0", "ratio1")
-    }
-    columns["step"] = [str(record.step) for record in timeline]
-    return columns
+def _formatted_columns(
+    timeline: list[TimelineRecord], names: tuple[str, ...]
+) -> dict[str, list[str]]:
+    """Each named field of a timeline's records, rendered once per step."""
+    fields = dict(zip(TimelineRecord._fields, zip(*timeline)))
+    return {name: list(map(format_number, fields[name])) for name in names}
 
 
 def _csv(header: tuple[str, ...], rows) -> str:
@@ -114,10 +113,13 @@ def build_figure_bundle(
     results = timelines_and_distributions(
         [PRESETS[preset] for preset, _ in _FIGURE_GROUPS], steps
     )
+    # every timeline has the same steps and bounds: render those once
+    shared = _formatted_columns(results[0][0], ("max_entropy",))
+    shared["step"] = [str(t) for t in range(1, steps + 1)]
     for (preset, first), (timeline, distribution) in zip(_FIGURE_GROUPS, results):
         coin_init = PRESETS[preset]
         ratios = window_ratios(timeline, window)
-        columns = _formatted_columns(timeline)
+        columns = shared | _formatted_columns(timeline, ("entropy0", "entropy1", "ratio0", "ratio1"))
         coin = {
             "re0": coin_init.amp0.real,
             "im0": coin_init.amp0.imag,

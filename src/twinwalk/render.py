@@ -10,6 +10,10 @@ from .experiment import TimelineRecord
 
 TIMELINE_HEADER = "step,p0,p1,entropy0,entropy1,max_entropy,ratio0,ratio1"
 
+#: ``timeline_row`` of a record whose first eight fields hold no None, in one
+#: formatting call; %.12g renders a float exactly as format(value, ".12g")
+_ROW_FORMAT = "%d" + ",%.12g" * 7
+
 
 def format_number(value: float | None) -> str:
     """12-significant-digit rendering; absent values become empty fields."""
@@ -35,7 +39,10 @@ def timeline_row(record: TimelineRecord) -> str:
 
 def render_timeline_csv(timeline: list[TimelineRecord]) -> str:
     lines = [TIMELINE_HEADER]
-    lines.extend(timeline_row(record) for record in timeline)
+    lines.extend(
+        timeline_row(record) if None in record[:8] else _ROW_FORMAT % record[:8]
+        for record in timeline
+    )
     return "\n".join(lines) + "\n"
 
 

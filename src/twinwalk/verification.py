@@ -3,6 +3,8 @@
 Each check compares the engine against closed-form values, an invariant or
 one of the independent oracles and reports the worst error it measured, so a
 corrupted engine shows up as a concrete number rather than a silent drift.
+Errors are folded with ``np.maximum`` or ``np.max``, which keep a NaN
+(Python's ``max`` drops one that comes second), so a NaN fails its check.
 The checks, in order, with the engine output each reads and its tolerance:
 
 ====================================================  ====================  =====
@@ -151,7 +153,7 @@ def _check_three_step_amplitudes() -> CheckResult:
                 if t in expected:
                     a0 = amplitudes[0, j, : t + 1]
                     a1 = (-1) ** (t + 1) * amplitudes[1, j, t::-1]
-                    worst = max(worst, float(np.max(np.abs(np.array([a0, a1]) - expected[t]))))
+                    worst = np.maximum(worst, np.max(np.abs(np.array([a0, a1]) - expected[t])))
     except _MalformedRun:
         worst = math.inf
     return CheckResult("three-step amplitudes vs closed form", worst, 1e-12)
@@ -163,12 +165,12 @@ def _check_three_step_entropies() -> list[CheckResult]:
     return [
         CheckResult(
             "branch entropies t=1 (product states)",
-            max(abs(by_step[1].entropy0), abs(by_step[1].entropy1)),
+            np.maximum(abs(by_step[1].entropy0), abs(by_step[1].entropy1)),
             1e-9,
         ),
         CheckResult(
             "branch entropies t=2 (maximally entangled)",
-            max(abs(by_step[2].entropy0 - 1.0), abs(by_step[2].entropy1 - 1.0)),
+            np.maximum(abs(by_step[2].entropy0 - 1.0), abs(by_step[2].entropy1 - 1.0)),
             1e-9,
         ),
         CheckResult(
@@ -183,7 +185,7 @@ def _check_three_step_entropies() -> list[CheckResult]:
         ),
         CheckResult(
             "attainable bound at t=2 and t=3",
-            max(
+            np.maximum(
                 abs(by_step[2].max_entropy - 1.0),
                 abs(by_step[3].max_entropy - 1.585),
             ),
@@ -206,7 +208,7 @@ def _check_long_run_invariants(steps: int = 1000) -> list[CheckResult]:
     try:
         for t, rows in _run_blocks(steps):
             mass = np.ldexp(np.square(rows).sum(axis=2).sum(axis=0), -evolution.row_exponent(t))
-            worst_drift = max(worst_drift, float(np.max(np.abs(mass - 1.0))))
+            worst_drift = np.maximum(worst_drift, np.max(np.abs(mass - 1.0)))
             # only the block's last count - 1 indices lie past any row's step:
             # index t[0] + 1 + i is past row j's step when i >= j
             count = len(t)
@@ -238,23 +240,23 @@ def _dense_error(
     t_max = len(timeline)
     if [record.step for record in timeline] != list(range(1, t_max + 1)):
         return math.inf
-    worst = 0.0
+    errors = []
     dense_states = itertools.islice(dense_trajectory(coin, t_max, t_max), 1, None)
     for record, dense in zip(timeline, dense_states):
         for outcome, weight, entropy in (
             (CoinOutcome.C0, record.p0, record.entropy0),
             (CoinOutcome.C1, record.p1, record.entropy1),
         ):
-            worst = max(worst, abs(weight - dense.branch_probability(outcome)))
+            errors.append(abs(weight - dense.branch_probability(outcome)))
             if entropy is not None:
-                worst = max(worst, abs(entropy - reduced_entropy(dense, outcome)))
+                errors.append(abs(entropy - reduced_entropy(dense, outcome)))
     marginal = np.square(np.abs(dense.amplitudes)).sum(axis=(0, 2))
     got = np.zeros_like(marginal)
     for x, p in distribution.items():
         if not -t_max <= x <= t_max:
             return math.inf
         got[x + t_max] = p
-    return max(worst, float(np.max(np.abs(got - marginal))))
+    return np.max([*errors, np.max(np.abs(got - marginal))])
 
 
 def _exact_run_error(t_max: int) -> float:
@@ -276,7 +278,7 @@ def _exact_run_error(t_max: int) -> float:
                 want[0, j, : t + 1] = n0
                 want[1, j, : t + 1] = n1[::-1] if t % 2 else [-v for v in reversed(n1)]
             want *= 2.0 ** (-steps / 2)[:, None]
-            worst = max(worst, float(np.max(np.abs(_unscaled(steps, rows) - want))))
+            worst = np.maximum(worst, np.max(np.abs(_unscaled(steps, rows) - want)))
     except _MalformedRun:
         return math.inf
     return worst
@@ -291,7 +293,7 @@ def _path_sum_error(coin: CoinSpinor, timeline: list[TimelineRecord]) -> float:
     A branch weighs the sum of its |amplitude|^2, and its entropy is
     -sum q log2 q over every q = |amplitude|^2 / weight > 0.
     """
-    worst = 0.0
+    errors = [0.0]
     for t, record in enumerate(timeline, start=1):
         if record.step != t:
             return math.inf
@@ -304,11 +306,11 @@ def _path_sum_error(coin: CoinSpinor, timeline: list[TimelineRecord]) -> float:
             want = sum(probabilities)
             if (entropy is None) != (want <= PROB_EPS):
                 return math.inf
-            worst = max(worst, abs(weight - want))
+            errors.append(abs(weight - want))
             if entropy is not None:
                 want_entropy = -sum(p / want * math.log2(p / want) for p in probabilities if p > 0.0)
-                worst = max(worst, abs(entropy - max(0.0, want_entropy)))
-    return worst
+                errors.append(abs(entropy - max(0.0, want_entropy)))
+    return np.max(errors)
 
 
 def run_checks(
@@ -341,8 +343,8 @@ def run_checks(
         for coin, (timeline, distribution) in zip(
             chunk, timelines_and_distributions(chunk, max_step)
         ):
-            dense_worst = max(dense_worst, _dense_error(coin, timeline, distribution))
-            path_sum_worst = max(
+            dense_worst = np.maximum(dense_worst, _dense_error(coin, timeline, distribution))
+            path_sum_worst = np.maximum(
                 path_sum_worst, _path_sum_error(coin, timeline[:path_sum_depth])
             )
     checks.append(

@@ -604,6 +604,45 @@ def test_verify_detects_late_norm_loss(runner, monkeypatch):
     assert "PASS  timeline vs path-sum oracle" in result.output
 
 
+def test_verify_fails_a_nan_in_the_run_rows(runner, monkeypatch):
+    # a NaN mid-window in the B0 row of t = 600, in the run verify reads and
+    # the one the timelines measure: Python's max(0.0, nan) is 0.0, so a
+    # fold with it would pass the norm drift
+    def nan_blocks(true_blocks, n):
+        for first, lo, a0, b0 in true_blocks(n):
+            if first <= 600 < first + len(b0):
+                b0 = b0.copy()
+                b0[600 - first, b0.shape[1] // 2] = math.nan
+            yield first, lo, a0, b0
+
+    corrupt_run(monkeypatch, nan_blocks, (twinwalk.evolution, twinwalk.experiment))
+    result = runner.invoke(main, ["verify", "--depth", "4", "--random-states", "0"])
+    assert result.exit_code == 1
+    (drift,) = [line for line in result.output.splitlines() if "norm drift" in line]
+    assert drift.startswith("FAIL") and "max_error=nan" in drift
+
+
+def test_verify_fails_a_nan_timeline_weight(runner, monkeypatch):
+    # every coin's branch-0 weight at t = 5 read as NaN, entropies intact
+    true_timelines = twinwalk.verification.timelines_and_distributions
+
+    def nan_weight_timelines(coins, steps):
+        results = true_timelines(coins, steps)
+        for timeline, _ in results:
+            if len(timeline) >= 5:
+                timeline[4] = timeline[4]._replace(p0=math.nan)
+        return results
+
+    monkeypatch.setattr(
+        twinwalk.verification, "timelines_and_distributions", nan_weight_timelines
+    )
+    result = runner.invoke(main, ["verify", "--depth", "6", "--random-states", "0"])
+    assert result.exit_code == 1
+    assert "FAIL  timeline and distribution vs dense oracle, t <= 6" in result.output
+    assert "FAIL  timeline vs path-sum oracle, t <= 6" in result.output
+    assert result.output.count("FAIL") == 2
+
+
 @pytest.mark.parametrize("count", [1001, 10**9])
 def test_verify_rejects_random_states_above_ceiling(runner, monkeypatch, count):
     def must_not_run(*args, **kwargs):

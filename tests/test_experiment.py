@@ -351,6 +351,53 @@ def test_coins_measured_together_equal_each_coin_alone(steps):
                     assert abs(a - b) <= 1e-15
 
 
+FIGURE_PRESETS = [PRESETS[name] for name in ("4a", "4b", "4c", "4e")]
+
+
+@pytest.mark.parametrize("steps", [1, 17, 1000])
+@pytest.mark.parametrize(
+    "coins",
+    [
+        # opposite coins: 4b's branches are 4a's swapped
+        [PRESETS["4a"], PRESETS["4b"]],
+        # balanced coins, whose two branches are one
+        [PRESETS["4c"], PRESETS["4d"]],
+        [CoinSpinor(0.6, -0.8), CoinSpinor(0.8, 0.6)],
+        # parts written as -0.0, folded into the key of 0.0
+        [CoinSpinor(complex(0.6, -0.0), complex(-0.8, 0.0)), CoinSpinor(complex(-0.0, 0.0), 1.0)],
+        # five distinct branches, the last paired with a zero row
+        FIGURE_PRESETS,
+    ],
+    ids=["4a+4b", "4c+4d", "real-opposites", "negative-zero", "figure-presets"],
+)
+def test_shared_branches_are_bitwise_those_of_each_coin_alone(coins, steps):
+    # repr tells every float apart, -0.0 from 0.0 included
+    together = timelines_and_distributions(coins, steps)
+    for coin, shared in zip(coins, together, strict=True):
+        alone = timelines_and_distributions([coin], steps)[0]
+        assert shared == alone
+        assert repr(shared) == repr(alone)
+
+
+def test_figure_presets_measure_each_distinct_branch_once(monkeypatch):
+    # the eight branches of the four plotted presets are five distinct
+    # mixing rows, measured in three pairs: six rows per block, not eight
+    true_entropies = twinwalk.experiment.branch_entropies
+    pass_rows = []
+
+    def counted_entropies(site_weights, weights, present, work=None):
+        pass_rows.append(len(site_weights))
+        return true_entropies(site_weights, weights, present, work)
+
+    monkeypatch.setattr(twinwalk.experiment, "branch_entropies", counted_entropies)
+    steps = 1000
+    timelines_and_distributions(FIGURE_PRESETS, steps)
+    # each pass takes two branches over every step of its block
+    blocks = len(pass_rows) // 3
+    assert len(pass_rows) == 3 * blocks and blocks == -(-steps // block_steps(steps))
+    assert sum(pass_rows) == 6 * steps
+
+
 def assert_matches_per_step_reference(coin, steps):
     """``run_timeline`` against the pre-fusion arithmetic on the coin's
     amplitudes at every step, composed from the exact integer run.

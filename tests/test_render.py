@@ -1,0 +1,60 @@
+"""The timeline record type and the renderers' one-call formatting, held
+against the per-field path it stands in for."""
+
+import dataclasses
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twinwalk import TimelineRecord
+from twinwalk.experiment import MAX_STEPS
+from twinwalk.figures import _formatted_columns
+from twinwalk.render import TIMELINE_HEADER, format_number, render_timeline_csv, timeline_row
+
+FIELDS = (
+    "step", "p0", "p1", "entropy0", "entropy1",
+    "max_entropy", "ratio0", "ratio1", "support0", "support1",
+)
+
+#: values whose rendering is easy to get wrong: absent, signed zeros,
+#: infinities, NaN, subnormals and the extremes of the exponent range
+EDGE_NUMBERS = (
+    None, 0.0, -0.0, math.inf, -math.inf, math.nan,
+    5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300,
+)
+
+numbers = st.one_of(st.sampled_from(EDGE_NUMBERS), st.floats())
+counts = st.one_of(st.none(), st.integers(0, MAX_STEPS))
+records = st.builds(
+    TimelineRecord,
+    st.integers(1, MAX_STEPS),
+    *[numbers] * 7,
+    counts,
+    counts,
+)
+
+
+def test_timeline_record_is_an_immutable_tuple_in_field_order():
+    record = TimelineRecord(3, 0.5, 0.5, 1.25, 1.0, 1.5, 0.8, 0.6, 4, 2)
+    assert TimelineRecord._fields == FIELDS
+    assert tuple(record) == (3, 0.5, 0.5, 1.25, 1.0, 1.5, 0.8, 0.6, 4, 2)
+    assert record == TimelineRecord(*record) and hash(record) == hash(TimelineRecord(*record))
+    with pytest.raises(AttributeError):
+        record.p0 = 0.25
+    assert not dataclasses.is_dataclass(record)
+
+
+@given(timeline=st.lists(records, max_size=20))
+@settings(deadline=None, max_examples=200)
+def test_renderers_match_the_per_field_path(timeline):
+    assert render_timeline_csv(timeline) == "\n".join(
+        [TIMELINE_HEADER, *map(timeline_row, timeline)]
+    ) + "\n"
+    if timeline:
+        names = FIELDS[1:8]
+        assert _formatted_columns(timeline, names) == {
+            name: [format_number(getattr(record, name)) for record in timeline]
+            for name in names
+        }
