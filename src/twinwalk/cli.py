@@ -4,35 +4,27 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import click
 
 from . import __version__
 from .experiment import (
-    MAX_STEPS,
     PRESETS,
     TimelineRecord,
-    default_window,
+    check_walk,
+    resolve_window,
     run_timeline,
     window_ratios,
 )
 from .figures import write_figure_bundle
 from .render import render_timeline_csv, write_text_atomic
-from .states import CoinSpinor
+from .states import CoinSpinor, coin_fields
 from .verification import DEFAULT_SEED, MAX_DEPTH, MAX_RANDOM_STATES, run_checks
 
 _FORMATS = ("csv", "json")
-_SPEC_FIELDS = (
-    "re0",
-    "im0",
-    "re1",
-    "im1",
-    "steps",
-    "output",
-    "format",
-)
+_COIN_FIELDS = ("re0", "im0", "re1", "im1")
 
 
 @dataclass(frozen=True)
@@ -48,7 +40,7 @@ class RunSpec:
     format: str = "csv"
 
     def __post_init__(self) -> None:
-        for name in ("re0", "im0", "re1", "im1"):
+        for name in _COIN_FIELDS:
             value = getattr(self, name)
             if not _is_finite_real(value):
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
@@ -83,7 +75,7 @@ def parse_run_spec(path: Path) -> RunSpec:
         raise ValueError(f"cannot read run spec {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"run spec {path} must be a JSON object")
-    unknown = sorted(set(payload) - set(_SPEC_FIELDS) - {"start", "coin_operator"})
+    unknown = sorted(set(payload) - {f.name for f in fields(RunSpec)} - {"start", "coin_operator"})
     if unknown:
         raise ValueError(f"run spec {path} has unknown fields: {unknown}")
     # specs from earlier versions carry these two; neither changes a computed
@@ -94,7 +86,7 @@ def parse_run_spec(path: Path) -> RunSpec:
     coin_operator = payload.pop("coin_operator", "hadamard")
     if coin_operator != "hadamard":
         raise ValueError(f"coin_operator must be 'hadamard', got {coin_operator!r}")
-    missing = [k for k in ("re0", "im0", "re1", "im1") if k not in payload]
+    missing = [k for k in _COIN_FIELDS if k not in payload]
     if missing:
         raise ValueError(f"run spec {path} is missing coin fields: {missing}")
     try:
@@ -104,9 +96,7 @@ def parse_run_spec(path: Path) -> RunSpec:
 
 
 def write_run_spec(spec: RunSpec, path: Path) -> None:
-    write_text_atomic(
-        Path(path), json.dumps(asdict(spec), indent=2, sort_keys=True) + "\n"
-    )
+    write_text_atomic(Path(path), _dump(asdict(spec)) + "\n")
 
 
 def _summary(
@@ -117,12 +107,7 @@ def _summary(
 ) -> dict:
     return {
         "preset": preset,
-        "coin": {
-            "re0": spec.re0,
-            "im0": spec.im0,
-            "re1": spec.re1,
-            "im1": spec.im1,
-        },
+        "coin": {name: getattr(spec, name) for name in _COIN_FIELDS},
         "steps": spec.steps,
         "window": window,
         "asymptotic_ratio": window_ratios(timeline, window),
@@ -215,63 +200,31 @@ def run(
         )
     try:
         if spec_path is not None:
-            base = parse_run_spec(spec_path)
+            spec = parse_run_spec(spec_path)
         elif preset is not None:
-            coin_state = PRESETS[preset]
-            base = RunSpec(
-                re0=coin_state.amp0.real,
-                im0=coin_state.amp0.imag,
-                re1=coin_state.amp1.real,
-                im1=coin_state.amp1.imag,
-            )
+            spec = RunSpec(**coin_fields(PRESETS[preset]))
         else:
-            base = RunSpec(re0=coin[0], im0=coin[1], re1=coin[2], im1=coin[3])
-        spec = RunSpec(
-            re0=base.re0,
-            im0=base.im0,
-            re1=base.re1,
-            im1=base.im1,
-            steps=steps if steps is not None else base.steps,
-            output=str(out) if out is not None else base.output,
-            format=output_format if output_format is not None else base.format,
-        )
-        if spec.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {spec.steps}")
-        if spec.steps > MAX_STEPS:
-            raise ValueError(f"steps must be at most {MAX_STEPS}, got {spec.steps}")
-        spec.coin().require_normalized()
-        resolved_window = window if window is not None else default_window(spec.steps)
-        if not 1 <= resolved_window <= spec.steps:
-            raise ValueError(
-                f"window must be within 1..{spec.steps}, got {resolved_window}"
-            )
+            spec = RunSpec(*coin)
+        overrides = {"steps": steps, "output": out and str(out), "format": output_format}
+        spec = replace(spec, **{k: v for k, v in overrides.items() if v is not None})
+        check_walk([spec.coin()], spec.steps)
+        resolved_window = resolve_window(spec.steps, window)
         timeline = run_timeline(spec.coin(), spec.steps)
         summary = _summary(preset, spec, timeline, resolved_window)
         if save_spec is not None:
             write_run_spec(spec, save_spec)
-        destination = Path(spec.output) if spec.output else None
         if spec.format == "json":
-            document = _dump(
-                {
-                    "spec": asdict(spec),
-                    "summary": summary,
-                    "timeline": [r._asdict() for r in timeline],
-                }
-            ) + "\n"
-            if destination is None:
-                click.echo(document, nl=False)
-            else:
-                write_text_atomic(destination, document)
-                click.echo(_dump(summary))
+            records = [r._asdict() for r in timeline]
+            document = _dump({"spec": asdict(spec), "summary": summary, "timeline": records}) + "\n"
         else:
-            text = render_timeline_csv(timeline)
-            if destination is None:
-                click.echo(text, nl=False)
-                click.echo("")
-                click.echo(_dump(summary))
-            else:
-                write_text_atomic(destination, text)
-                click.echo(_dump(summary))
+            document = render_timeline_csv(timeline)
+        if spec.output:
+            write_text_atomic(Path(spec.output), document)
+        else:
+            click.echo(document, nl=spec.format == "csv")
+        # a JSON document on stdout already holds the summary
+        if spec.output or spec.format == "csv":
+            click.echo(_dump(summary))
         if summary_out is not None:
             write_text_atomic(summary_out, _dump(summary) + "\n")
     except (ValueError, OSError) as exc:

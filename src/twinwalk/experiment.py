@@ -18,8 +18,8 @@ pair of them, and the block's records are built together.  Each coin's
 one-walker distribution is read off the site weights of its final row, so the
 figure bundle and ``scripts/ratio_convergence.py`` evolve once for all their
 presets.  No complex array is formed anywhere.  ``run_timeline`` is the
-one-coin call without the distribution.  Step counts above ``MAX_STEPS`` are
-refused up front.
+one-coin call without the distribution.  ``check_walk`` (steps, then coins)
+and ``resolve_window`` are the one home of the input rules.
 
 A walk is fixed by its initial coin and run for a step count; both are
 passed straight in.  ``PRESETS`` holds the five built-in coins.
@@ -126,16 +126,26 @@ def _distribution(
     }
 
 
+def check_walk(coins: list[CoinSpinor], steps: int) -> None:
+    """Reject a walk before anything is evolved: first ``steps`` outside
+    1..MAX_STEPS, then any coin that is not normalized."""
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    if steps > MAX_STEPS:
+        raise ValueError(f"steps must be at most {MAX_STEPS}, got {steps}")
+    for coin in coins:
+        coin.require_normalized()
+
+
 def timelines_and_distributions(
     coins: list[CoinSpinor], steps: int
 ) -> list[tuple[list[TimelineRecord], dict[int, float]]]:
     """For each coin, records for t = 1..steps of the walk from it plus its
     one-walker distribution after ``steps`` steps, all from one real run.
 
-    ``steps`` outside 1..MAX_STEPS is rejected before anything is evolved or
-    allocated, and every coin's normalization is checked before the run.
-    Each block of ``evolution.branch_blocks`` is stacked into X, Y and Z over
-    its window once, for all coins.  A branch depends only on its row of
+    ``check_walk`` runs before anything is evolved or allocated.  Each block
+    of ``evolution.branch_blocks`` is stacked into X, Y and Z over its window
+    once, for all coins.  A branch depends only on its row of
     ``_branch_mixing``, so each distinct row is measured once: two rows at a
     time, one matmul turns X, Y and Z into their site weights and one
     ``branch_entropies`` pass measures them, which keeps the block's working
@@ -148,12 +158,7 @@ def timelines_and_distributions(
     comes from the site weights of the last block's final row
     (``_distribution``).
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if steps > MAX_STEPS:
-        raise ValueError(f"steps must be at most {MAX_STEPS}, got {steps}")
-    for coin in coins:
-        coin.require_normalized()
+    check_walk(coins, steps)
     distinct: dict[tuple[float, float, float], int] = {}
     index = [distinct.setdefault(row, len(distinct)) for row in _branch_mixing(coins)]
     rows = np.array([*distinct, *[(0.0, 0.0, 0.0)] * (len(distinct) % 2)]).reshape(-1, 3)
@@ -226,15 +231,20 @@ def default_window(steps: int) -> int:
     return max(1, steps // 10)
 
 
+def resolve_window(steps: int, window: int | None) -> int:
+    """``window``, or ``default_window(steps)`` when it is None, once it is
+    checked to lie within 1..steps."""
+    window = default_window(steps) if window is None else window
+    if not 1 <= window <= steps:
+        raise ValueError(f"window must be within 1..{steps}, got {window}")
+    return window
+
+
 def asymptotic_ratio(
     timeline: list[TimelineRecord], outcome: CoinOutcome, window: int
 ) -> float:
     """Mean entanglement ratio of one outcome over the last ``window`` records."""
-    if window < 1 or window > len(timeline):
-        raise ValueError(
-            f"window must be within 1..{len(timeline)}, got {window}"
-        )
-    tail = timeline[-window:]
+    tail = timeline[-resolve_window(len(timeline), window):]
     ratios = [
         record.ratio0 if outcome is CoinOutcome.C0 else record.ratio1
         for record in tail

@@ -19,13 +19,14 @@ from pathlib import Path
 from .experiment import (
     PRESETS,
     TimelineRecord,
-    default_window,
+    check_walk,
     distribution_symmetry,
+    resolve_window,
     timelines_and_distributions,
     window_ratios,
 )
 from .render import format_number, write_text_atomic
-from .states import SUPPORT_EPS, CoinOutcome
+from .states import SUPPORT_EPS, CoinOutcome, coin_fields
 
 #: preset plotted and the number of its first figure; each preset spans three
 _FIGURE_GROUPS = (("4a", 1), ("4b", 4), ("4c", 7), ("4e", 10))
@@ -104,28 +105,18 @@ def build_figure_bundle(
     steps: int = 1000, window: int | None = None
 ) -> tuple[list[FigureFile], dict]:
     """Render all twelve figure files and the manifest, in memory."""
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    window = default_window(steps) if window is None else window
-    if not 1 <= window <= steps:
-        raise ValueError(f"window must be within 1..{steps}, got {window}")
+    coins = [PRESETS[preset] for preset, _ in _FIGURE_GROUPS]
+    check_walk(coins, steps)
+    window = resolve_window(steps, window)
     files: list[FigureFile] = []
-    results = timelines_and_distributions(
-        [PRESETS[preset] for preset, _ in _FIGURE_GROUPS], steps
-    )
+    results = timelines_and_distributions(coins, steps)
     # every timeline has the same steps and bounds: render those once
     shared = _formatted_columns(results[0][0], ("max_entropy",))
     shared["step"] = [str(t) for t in range(1, steps + 1)]
     for (preset, first), (timeline, distribution) in zip(_FIGURE_GROUPS, results):
-        coin_init = PRESETS[preset]
         ratios = window_ratios(timeline, window)
         columns = shared | _formatted_columns(timeline, ("entropy0", "entropy1", "ratio0", "ratio1"))
-        coin = {
-            "re0": coin_init.amp0.real,
-            "im0": coin_init.amp0.imag,
-            "re1": coin_init.amp1.real,
-            "im1": coin_init.amp1.imag,
-        }
+        coin = coin_fields(PRESETS[preset])
         for offset, outcome in ((0, CoinOutcome.C0), (1, CoinOutcome.C1)):
             number = first + offset
             files.append(

@@ -40,17 +40,27 @@ class CoinSpinor:
     def norm_sq(self) -> float:
         return abs(self.amp0) ** 2 + abs(self.amp1) ** 2
 
-    def require_normalized(self, tol: float = NORM_TOL) -> None:
+    def require_normalized(self) -> None:
         if not (cmath.isfinite(self.amp0) and cmath.isfinite(self.amp1)):
             raise NormalizationError(f"coin amplitudes must be finite, got {self!r}")
         try:
             norm_sq = self.norm_sq
         except OverflowError:  # finite amplitudes whose squares overflow
             norm_sq = math.inf
-        if abs(norm_sq - 1.0) > tol:
+        if abs(norm_sq - 1.0) > NORM_TOL:
             raise NormalizationError(
                 f"coin state must be normalized: |amp0|^2 + |amp1|^2 = {norm_sq!r}"
             )
+
+
+def coin_fields(coin: CoinSpinor) -> dict[str, float]:
+    """A coin as the flat reals ``re0, im0, re1, im1`` of run specs and manifests."""
+    return {
+        "re0": coin.amp0.real,
+        "im0": coin.amp0.imag,
+        "re1": coin.amp1.real,
+        "im1": coin.amp1.imag,
+    }
 
 
 class CoinOutcome(Enum):

@@ -343,10 +343,18 @@ def test_run_reports_the_first_bad_input(runner, tmp_path, args, error):
 
 
 def test_run_accepts_integer_coin_fields(runner, tmp_path):
+    # the summary echoes the spec's values in their JSON form: 1, not 1.0
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({**VALID_SPEC, "re0": 1, "im0": 0}))
     result = runner.invoke(main, ["run", "--spec", str(spec_path)])
     assert result.exit_code == 0, result.output
+    assert '"re0": 1,' in result.output and '"im0": 0,' in result.output
+    _, summary = split_csv_and_summary(result.output)
+    assert summary["coin"] == {"re0": 1, "im0": 0, "re1": 0.0, "im1": 0.0}
+    result = runner.invoke(main, ["run", "--spec", str(spec_path), "--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert '"re0": 1,' in result.output and '"re0": 1.0' not in result.output
+    assert json.loads(result.output)["summary"]["coin"]["im0"] == 0
 
 
 def test_figures_manifest_lists_only_written_files(runner, tmp_path):
@@ -414,11 +422,24 @@ def test_figures_determinism(runner, tmp_path):
         assert a.read_bytes() == b.read_bytes()
 
 
-def test_figures_rejects_bad_steps(runner, tmp_path):
-    result = runner.invoke(
-        main, ["figures", "--out-dir", str(tmp_path / "x"), "--steps", "0"]
-    )
-    assert result.exit_code != 0
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (["--steps", "0"], "steps must be >= 1, got 0"),
+        (["--steps", "0", "--window", "9"], "steps must be >= 1, got 0"),
+        (["--steps", "5", "--window", "9"], "window must be within 1..5, got 9"),
+    ],
+    ids=["zero-steps", "steps-before-window", "window-above-steps"],
+)
+def test_figures_reports_the_first_bad_input(runner, monkeypatch, tmp_path, args, error):
+    forbid_evolution(monkeypatch)
+    out_dir = tmp_path / "x"
+    result = runner.invoke(main, ["figures", "--out-dir", str(out_dir), *args])
+    assert result.exit_code == 1
+    assert result.output.startswith(f"Error: {error}")
+    assert result.output.count("Error:") == 1
+    assert "Traceback" not in result.output
+    assert not out_dir.exists()
 
 
 def test_figures_single_step_edge(runner, tmp_path):
@@ -557,6 +578,29 @@ def test_verify_detects_corrupted_timeline(runner, monkeypatch):
     result = runner.invoke(main, ["verify", "--depth", "4", "--random-states", "1"])
     assert result.exit_code != 0
     assert "FAIL  timeline and distribution vs dense oracle" in result.output
+
+
+def test_verify_fails_an_absent_early_branch(runner, monkeypatch):
+    # every B0 row zeroed in the run the timelines measure: branch 1 of the
+    # t = 1..3 records is absent, so its entropy is None
+    def zeroed_blocks(true_blocks, n):
+        for first, lo, a0, b0 in true_blocks(n):
+            yield first, lo, a0, 0.0 * b0
+
+    corrupt_run(monkeypatch, zeroed_blocks, (twinwalk.experiment,))
+    result = runner.invoke(main, ["verify", "--depth", "4", "--random-states", "0"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    lines = result.output.splitlines()
+    assert len([line for line in lines if line.startswith(("PASS", "FAIL"))]) == 12
+    for check in (
+        "branch entropies t=1 (product states)",
+        "branch entropies t=2 (maximally entangled)",
+        "branch entropy t=3 coin-1",
+    ):
+        assert f"FAIL  {check}" in result.output
+    assert lines[-1].endswith("/12 checks passed")
 
 
 @pytest.mark.parametrize("depth", [201, 10**9])

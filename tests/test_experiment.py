@@ -1,6 +1,8 @@
+import ast
 import itertools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +105,35 @@ def test_config_validation():
         run_timeline(CoinSpinor(1.0, 0.0), 0)
     with pytest.raises(NormalizationError):
         run_timeline(CoinSpinor(1.0, 1.0), 5)
+
+
+#: the message of every step and window rule, each raised from ``experiment``
+RULE_MESSAGES = ("steps must be >= 1", "steps must be at most", "window must be within")
+
+
+def rule_messages(source: str) -> list[str]:
+    """The rule messages found in a module's string literals, f-string
+    parts included."""
+    return [
+        message
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        for message in RULE_MESSAGES
+        if message in node.value
+    ]
+
+
+def test_only_the_experiment_states_the_step_and_window_rules():
+    # one owner per input rule: the CLI and the figure bundle call
+    # ``check_walk`` and ``resolve_window`` rather than keep copies
+    package = Path(twinwalk.experiment.__file__).parent
+    assert sorted(rule_messages(Path(twinwalk.experiment.__file__).read_text(encoding="utf-8"))) == sorted(
+        RULE_MESSAGES
+    )
+    for path in sorted(package.glob("*.py")):
+        if path.name != "experiment.py":
+            found = rule_messages(path.read_text(encoding="utf-8"))
+            assert not found, f"{path.name} states {found}"
 
 
 def test_run_timeline_rejects_steps_above_ceiling(monkeypatch):
