@@ -20,14 +20,15 @@ divided by its w, which also clears any common scale of the row; the sites
 kept are those with p >= COEFF_EPS^2, and E = -sum p log2 p over them.  When
 a cut site carries mass (up to SUPPORT_EPS w each) the kept p do not quite
 sum to 1, and a truncated branch gets the entropy of its kept coefficients.
-The whole block takes one divide, one mask, one compress and one log2; the
-per-row sums come from ``np.add.reduceat`` over the compressed sites, which
-are row-major, so each row's sites are contiguous.
+The whole block takes one divide, one mask, one boolean-index selection and
+one log2; the per-row sums come from ``np.add.reduceat`` over the selected
+sites, which are row-major, so each row's sites are contiguous.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate, compress
 
 import numpy as np
 
@@ -51,38 +52,32 @@ def branch_entropies(
     ``present`` is absent: its entropy and count are None.  Only sites with a
     weight of at least COEFF_EPS^2 times the branch weight enter the entropy
     (see the module docstring).  ``work``, when given, is working space of
-    at least three times ``site_weights.size`` floats that the pass fills in
-    place of allocating its own.
+    at least ``site_weights.size`` floats that the pass fills in place of
+    allocating its own.
     """
-    rows, width = site_weights.shape
-    size = rows * width
     if work is None:
-        work = np.empty(3 * size)
+        work = np.empty(site_weights.size)
     # an absent row keeps no site: divided by an infinite weight, it is all 0
     normalized = np.divide(
         site_weights,
         np.where(present, weights, np.inf)[:, None],
-        out=work[:size].reshape(rows, width),
+        out=work[: site_weights.size].reshape(site_weights.shape),
     )
     keep = normalized >= COEFF_EPS * COEFF_EPS
-    counts = keep.sum(axis=1, dtype=np.int32)
-    kept = int(counts.sum())
-    p = np.compress(keep.ravel(), normalized.ravel(), out=work[size : size + kept])
-    kept_counts = counts[present]
-    values: list[float] = []
-    if len(kept_counts):
-        # every present row keeps at least its largest site, so no start repeats
-        starts = np.cumsum(kept_counts) - kept_counts
-        terms = np.log2(p, out=work[2 * size : 2 * size + kept])
-        terms *= p
-        sums = np.add.reduceat(terms, starts)
-        # 0.0 - x rather than -x, so that a point branch gets +0.0, not -0.0
-        values = np.maximum(0.0 - sums, 0.0).tolist()
-    entropies = iter(values)
+    counts = keep.sum(axis=1, dtype=np.int32).tolist()
     flags = present.tolist()
+    # the selection is a copy, so the log2 may overwrite ``normalized``
+    p = normalized[keep]
+    # where each present row's sites start; every present row keeps at least
+    # its largest site, so no start repeats
+    starts = list(accumulate(compress(counts, flags), initial=0))[:-1]
+    terms = np.log2(p, out=work[: len(p)])
+    terms *= p
+    # 0.0 - x rather than -x, so that a point branch gets +0.0, not -0.0
+    entropies = iter(np.maximum(0.0 - np.add.reduceat(terms, starts), 0.0).tolist())
     return (
         [next(entropies) if flag else None for flag in flags],
-        [count if flag else None for count, flag in zip(counts.tolist(), flags)],
+        [count if flag else None for count, flag in zip(counts, flags)],
     )
 
 

@@ -15,9 +15,9 @@ where A and B are the real runs from |0> and |1>, and B is A mirrored:
 
 ``branch_blocks`` evolves A alone, in float64, K consecutive steps at a time
 into the rows of one preallocated ``(2, K + 1, n + 1)`` buffer (K follows
-from n and ``BLOCK_BYTES``), and yields each block as the coin-0 rows A0 and
-B0 over the block's window.  Those two rows are all a measurement needs:
-coin 0 of the walk is alpha A0 + beta B0, and coin 1 at index k is
+from n and ``BLOCK_BYTES``; three rows when K = 1), and yields each block as
+the coin-0 rows A0 and B0 over the block's window.  Those two rows are all
+a measurement needs: coin 0 of the walk is alpha A0 + beta B0, and coin 1 at index k is
 (-1)^t (beta A0 - alpha B0) at index t - k, so every weight, entropy and
 distribution ``experiment`` reports is a real function of A0 and B0.
 
@@ -82,10 +82,10 @@ def _trim(row: np.ndarray, lo: int, hi: int, floor: float) -> tuple[int, int]:
     The tails beyond the light cone decay monotonically outward, so a window
     edge at or above the floor has nothing below it further in.
     """
-    while lo < hi and abs(row[lo]) < floor:
+    while lo < hi and abs(row.item(lo)) < floor:
         row[lo] = 0.0
         lo += 1
-    while hi > lo and abs(row[hi - 1]) < floor:
+    while hi > lo and abs(row.item(hi - 1)) < floor:
         row[hi - 1] = 0.0
         hi -= 1
     return lo, hi
@@ -107,18 +107,25 @@ def branch_blocks(n: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
         raise ValueError(f"step count must be non-negative, got {n}")
     k = block_steps(n)
     # A0 and (-1)^(t+1) A1 rows, so that the second, mirrored, is B0 as it
-    # stands; row 0 holds the last step of the previous block, rows 1..K the
-    # new ones.  A step rewrites its row over every index up to its step, and
-    # a row only ever holds earlier steps, so every row is zero past its step.
-    amps = np.zeros((2, k + 1, n + 1))
+    # stands.  Row 0 holds step 0; a block's steps go to rows 1..K, or with
+    # K = 1 to rows 1 and 2 in turn, and its first step reads the row the
+    # block before wrote last.  A step rewrites its row over every index up
+    # to its step but index 0 of A0, which stays 0, and a row only ever holds
+    # earlier steps, so every row is zero past its step.
+    amps = np.zeros((2, max(k, 2) + 1, n + 1))
     rows0, rows1 = list(amps[0]), list(amps[1])
-    # the yielded rows, contiguous: numpy runs a whole block in one loop then
-    out = np.empty((2, k * (n + 1)))
+    # the yielded B0 rows, contiguous: numpy runs a whole block in one loop then
+    out = np.empty(k * (n + 1))
     amps[0, 0, 0] = 1.0
     yield 0, 0, amps[0, :1, :1], np.zeros((1, 1))
+    floors = [FLUSH_FLOOR * 2.0 ** (m / 2) for m in range(SCALE_STEPS)]
+    # b0[j, i] = A1[t, t - window_lo - i] (-1)^(t+1) with t = first + j: the
+    # stored coin-1 row reversed about its own step, one row and one index
+    # further on per row
+    flipped_strides = (amps.strides[1] + amps.strides[2], -amps.strides[2])
     # live windows of A0 and A1 at the last step: every entry outside is 0
     lo0, hi0, lo1, hi1 = 0, 1, 0, 1
-    done = 0
+    src = done = 0
     while done < n:
         count = min(k, n - done)
         first, last = done + 1, done + count
@@ -128,9 +135,9 @@ def branch_blocks(n: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
         lo, hi = min(lo0, lo1), max(hi0, hi1)
         window_lo = max(0, min(lo, first - hi - count + 1))
         window_hi = min(last + 1, max(hi + count, last + 1 - lo))
-        for j in range(count):
-            t = first + j
-            a, b, dst0, dst1 = rows0[j][:t], rows1[j][:t], rows0[j + 1], rows1[j + 1]
+        start = 2 if src == 1 else 1
+        for t, row in zip(range(first, last + 1), range(start, start + count)):
+            a, b, dst0, dst1 = rows0[src][:t], rows1[src][:t], rows0[row], rows1[row]
             # coin 0 moves right (one index up), coin 1 left (same index); the
             # coin-1 row is stored times (-1)^(t+1), which flips with each step
             if t % 2:
@@ -139,33 +146,22 @@ def branch_blocks(n: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
             else:
                 np.add(a, b, out=dst0[1 : t + 1])
                 np.subtract(b, a, out=dst1[:t])
-            dst0[0] = dst1[t] = 0.0
-            m = row_exponent(t)
+            src, m = row, t % SCALE_STEPS  # m = row_exponent(t)
             if m == 0:
-                amps[:, j + 1, : t + 1] *= 2.0 ** -(SCALE_STEPS // 2)
+                amps[:, row, : t + 1] *= 2.0 ** -(SCALE_STEPS // 2)
             lo = lo0 if lo0 < lo1 else lo1
             hi = hi0 if hi0 > hi1 else hi1
             lo0, hi0, lo1, hi1 = lo + 1, hi + 1, lo, hi
             if t >= FLUSH_FROM:
-                floor = FLUSH_FLOOR * 2.0 ** (m / 2)
-                lo0, hi0 = _trim(dst0, lo0, hi0, floor)
-                lo1, hi1 = _trim(dst1, lo1, hi1, floor)
-        # b0[j, i] = A1[t, t - window_lo - i] (-1)^(t+1) with t = first + j:
-        # the stored coin-1 row reversed about its own step.  Past a row's
-        # start the view reads on into the previous buffer row, at indices
-        # beyond that row's step, which are zero; numpy checks that every
-        # read stays inside ``amps``.
+                lo0, hi0 = _trim(dst0, lo0, hi0, floors[m])
+                lo1, hi1 = _trim(dst1, lo1, hi1, floors[m])
+        # past a row's start the flipped view reads on into the previous
+        # buffer row, at indices beyond that row's step, which are zero (a
+        # one-row block reads only its own row); numpy checks that every
+        # read stays inside ``amps``
         width = window_hi - window_lo
-        flipped = np.ndarray(
-            (count, width),
-            buffer=amps,
-            offset=amps[1, 1, first - window_lo :].ctypes.data - amps.ctypes.data,
-            strides=(amps.strides[1] + amps.strides[2], -amps.strides[2]),
-        )
-        a0, b0 = out[:, : count * width].reshape(2, count, width)
-        np.copyto(a0, amps[0, 1 : count + 1, window_lo:window_hi])
-        np.copyto(b0, flipped)
-        yield first, window_lo, a0, b0
-        amps[:, 0, : last + 1] = amps[:, count, : last + 1]
+        offset = amps.strides[0] + start * amps.strides[1] + (first - window_lo) * amps.strides[2]
+        b0 = out[: count * width].reshape(count, width)
+        np.copyto(b0, np.ndarray((count, width), buffer=amps, offset=offset, strides=flipped_strides))
+        yield first, window_lo, amps[0, start : start + count, window_lo:window_hi], b0
         done = last
-

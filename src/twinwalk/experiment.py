@@ -14,12 +14,19 @@ are stacked once into X = A0^2, Y = B0^2 and Z = A0 B0, and a branch's site
 weights are a fixed mix of the three (``_branch_mixing``).  Coins that share
 a mix share its measurement, so each distinct mix is measured once per
 block: one matmul and one ``entanglement.branch_entropies`` pass for each
-pair of them, and the block's records are built together.  Each coin's
+pair of them.  The weights, entropies and supports of each mix are gathered
+a block at a time and the records built at the end.  Each coin's
 one-walker distribution is read off the site weights of its final row, so the
 figure bundle and ``scripts/ratio_convergence.py`` evolve once for all their
 presets.  No complex array is formed anywhere.  ``run_timeline`` is the
 one-coin call without the distribution.  ``check_walk`` (steps, then coins)
 and ``resolve_window`` are the one home of the input rules.
+
+The records are bitwise fixed for one block shape only: a weight is a BLAS
+row sum, which rounds a row by its alignment (``np.stack([x, x, x]) @ ones``
+need not give three equal rows), so another ``evolution.BLOCK_BYTES`` may
+move a weight or an entropy by an ulp or two (a test holds K = 2 and 32 at
+T = 2000 to 1e-15 relative).  Two runs agree bitwise only on equal blocks.
 
 A walk is fixed by its initial coin and run for a step count; both are
 passed straight in.  ``PRESETS`` holds the five built-in coins.
@@ -162,8 +169,13 @@ def timelines_and_distributions(
     distinct: dict[tuple[float, float, float], int] = {}
     index = [distinct.setdefault(row, len(distinct)) for row in _branch_mixing(coins)]
     rows = np.array([*distinct, *[(0.0, 0.0, 0.0)] * (len(distinct) % 2)]).reshape(-1, 3)
-    branches = list(zip(index[::2], index[1::2]))
-    timelines: list[list[TimelineRecord]] = [[] for _ in coins]
+    mixing, pairs = rows[:, :, None], range(0, len(rows), 2)
+    # per mixing row, at t = 0..steps: the weight, and from t = 1 on the
+    # entropy and support, filled a block at a time
+    weights = np.empty((len(rows), steps + 1))
+    entropies: list[list[float | None]] = [[] for _ in rows]
+    supports: list[list[int | None]] = [[] for _ in rows]
+    finals: list[np.ndarray] = []
     stack, ones = None, np.ones(steps + 1)
     # minus the exponent m of each step's row scale 2^(m/2)
     unscale = -row_exponent(np.arange(steps + 1))
@@ -175,47 +187,45 @@ def timelines_and_distributions(
         # pass's working space, allocated once: the first block has the most
         # rows, the last the widest
         if stack is None:
-            stack = np.empty(11 * count * (steps + 1))
+            stack = np.empty(7 * count * (steps + 1))
         size = count * width
         parts = stack[: 3 * size].reshape(3, count, width)
         site_weights = stack[3 * size : 5 * size].reshape(2, -1)
-        work = stack[5 * size : 11 * size]
+        work = stack[5 * size : 7 * size]
         np.square(a0, out=parts[0])
         np.square(b0, out=parts[1])
         np.multiply(a0, b0, out=parts[2])
         # the rows carry 2^m times the true X, Y and Z; the entropy does not
         # see that scale, and the weights are cleared of it exactly
         sums = (parts.reshape(-1, width) @ ones[:width]).reshape(3, count)
-        scaled = (rows[:, :, None] * sums).sum(axis=1)
-        weights = np.ldexp(scaled, unscale[first : first + count])
-        present = weights > PROB_EPS
-        entropies, supports, finals = [], [], []
-        for pair in range(0, len(rows), 2):
+        scaled = np.add.reduce(mixing * sums, axis=1)
+        block = slice(first, first + count)
+        present = np.ldexp(scaled, unscale[block], out=weights[:, block]) > PROB_EPS
+        for pair in pairs:
             two = slice(pair, pair + 2)
             np.matmul(rows[two], parts.reshape(3, -1), out=site_weights)
             pair_entropies, pair_supports = branch_entropies(
                 site_weights.reshape(-1, width), scaled[two].ravel(), present[two].ravel(), work
             )
-            entropies += pair_entropies[:count], pair_entropies[count:]
-            supports += pair_supports[:count], pair_supports[count:]
+            for row, half in ((pair, slice(count)), (pair + 1, slice(count, None))):
+                entropies[row] += pair_entropies[half]
+                supports[row] += pair_supports[half]
             if first + count > steps:
                 finals.extend(site_weights.reshape(2, count, width)[:, -1].copy())
-        block = range(first, first + count)
-        bounds = [max_entanglement(t) for t in block]
-        # the bound is 0 at t = 1, where no ratio is defined
-        ratios = [
-            [None if e is None or t == 1 else e / b for e, t, b in zip(row, block, bounds)]
-            for row in entropies
-        ]
-        p = weights.tolist()
-        for records, (i, j) in zip(timelines, branches):
-            records.extend(map(
-                TimelineRecord, block, p[i], p[j], entropies[i], entropies[j],
-                bounds, ratios[i], ratios[j], supports[i], supports[j],
-            ))
+    p = weights[:, 1:].tolist()
+    bounds = list(map(max_entanglement, range(1, steps + 1)))
+    # the bound is 0 at t = 1, where no ratio is defined
+    ratios = [[None] + [None if e is None else e / b for e, b in zip(row[1:], bounds[1:])]
+              for row in entropies]
     return [
-        (records, _distribution(finals[i], finals[j], steps, lo, unscale[steps]))
-        for records, (i, j) in zip(timelines, branches)
+        (
+            list(map(TimelineRecord._make, zip(
+                range(1, steps + 1), p[i], p[j], entropies[i], entropies[j],
+                bounds, ratios[i], ratios[j], supports[i], supports[j],
+            ))),
+            _distribution(finals[i], finals[j], steps, lo, unscale[steps]),
+        )
+        for i, j in zip(index[::2], index[1::2])
     ]
 
 

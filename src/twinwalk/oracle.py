@@ -146,9 +146,7 @@ def reduced_entropy(state: DenseTensorState, outcome: CoinOutcome) -> float:
             f"outcome {outcome} has probability {weight!r} at step {state.step}"
         )
     nonzero = matrix != 0
-    rows = np.flatnonzero(nonzero.any(axis=1))
-    cols = np.flatnonzero(nonzero.any(axis=0))
-    normalized = matrix[np.ix_(rows, cols)] / math.sqrt(weight)
+    normalized = matrix[nonzero.any(axis=1)][:, nonzero.any(axis=0)] / math.sqrt(weight)
     rho = normalized @ normalized.conj().T
     eigenvalues = np.linalg.eigvalsh(rho)
     eigenvalues = eigenvalues[eigenvalues > EIGVAL_EPS]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
 from pathlib import Path
@@ -47,18 +48,18 @@ def render_timeline_csv(timeline: list[TimelineRecord]) -> str:
 
 
 def write_text_atomic(path: Path, text: str) -> None:
-    """Write-then-rename so partial runs never leave truncated files."""
+    """Write-then-rename so partial runs never leave truncated files; an
+    ``OSError`` names ``path``, not the temporary file, and leaves none."""
     path = Path(path)
-    handle, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
     try:
-        with os.fdopen(handle, "w", encoding="utf-8", newline="\n") as tmp:
-            tmp.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
+        handle, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
         try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(handle, "w", encoding="utf-8", newline="\n") as tmp:
+                tmp.write(text)
+            os.replace(tmp_name, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp_name)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc

@@ -70,6 +70,24 @@ def test_run_writes_file_and_summary(runner, tmp_path):
     assert file_summary["window"] == 2
 
 
+@pytest.mark.parametrize("option", ["--out", "--summary-out", "--save-spec"])
+@pytest.mark.parametrize("target", ["missing-directory", "existing-directory"])
+def test_run_write_error_names_the_requested_path(runner, tmp_path, option, target):
+    # the file cannot be made (its directory is missing) or cannot replace
+    # what is there (a directory); the error names the path asked for, not
+    # the temporary file written beside it, and leaves no temporary file
+    path = tmp_path / "missing" / "x.out"
+    if target == "existing-directory":
+        path = tmp_path / "x.out"
+        path.mkdir()
+    result = runner.invoke(main, ["run", "--preset", "4a", "--steps", "5", option, str(path)])
+    assert result.exit_code == 1
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and errors[0].endswith(f": '{path}'"), result.output
+    assert "Traceback" not in result.output
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+
+
 def test_run_explicit_coin_matches_preset(runner, tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

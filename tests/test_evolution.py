@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twinwalk.evolution
 from twinwalk import PRESETS, CoinOutcome, CoinSpinor, run_timeline, timelines_and_distributions
 from twinwalk.evolution import (
     FLUSH_FLOOR,
@@ -233,8 +234,8 @@ def per_step_reference(n):
 
 @pytest.mark.parametrize("n", [1500, 37])
 def test_trajectory_is_bitwise_the_per_step_recurrence(n):
-    # blocks, windows, the carried row and the edge-wise flush may not move
-    # a single entry of the run
+    # blocks, windows, the row a block starts from and the edge-wise flush
+    # may not move a single entry of the run
     rows = (
         pair
         for first, lo, a0, b0 in branch_blocks(n)
@@ -242,6 +243,22 @@ def test_trajectory_is_bitwise_the_per_step_recurrence(n):
     )
     for (a0, b0), (r0, rb) in zip(rows, per_step_reference(n), strict=True):
         assert np.array_equal(a0, r0) and np.array_equal(b0, rb)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_trajectory_is_bytewise_the_per_step_recurrence_at_any_block_size(monkeypatch, k):
+    # K = 1 blocks start from the row the last block wrote, in turn rows 1
+    # and 2; K = 2 and 3 start from row K.  Through the flush's first steps,
+    # every entry, the sign of each zero included, is the recurrence's.
+    monkeypatch.setattr(twinwalk.evolution, "block_steps", lambda n: k)
+    n = FLUSH_FROM + 40
+    rows = (
+        pair
+        for first, lo, a0, b0 in branch_blocks(n)
+        for pair in zip(full_rows(first, lo, a0), full_rows(first, lo, b0))
+    )
+    for (a0, b0), (r0, rb) in zip(rows, per_step_reference(n), strict=True):
+        assert a0.tobytes() == r0.tobytes() and b0.tobytes() == rb.tobytes()
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 90, 91, 1001])

@@ -382,6 +382,22 @@ def test_coins_measured_together_equal_each_coin_alone(steps):
                     assert abs(a - b) <= 1e-15
 
 
+@pytest.mark.parametrize("block_bytes", [64 * 1024, 1024 * 1024])
+def test_records_depend_on_the_block_shape_only_at_the_ulp(monkeypatch, block_bytes):
+    # K = 2 and K = 32 at T = 2000 instead of 8: a BLAS row sum rounds by
+    # the row's alignment, so a weight or an entropy may move by an ulp or
+    # two, but never by more than 1e-15 relative
+    coin = random_coin_states(1, seed=16)[0]
+    steps = 2000
+    default = run_timeline(coin, steps)
+    monkeypatch.setattr(twinwalk.evolution, "BLOCK_BYTES", block_bytes)
+    assert block_steps(steps) == block_bytes // (16 * (steps + 1))
+    for got, want in zip(run_timeline(coin, steps), default, strict=True):
+        assert got.step == want.step
+        for field in ("p0", "p1", "entropy0", "entropy1"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-15, abs=0.0)
+
+
 FIGURE_PRESETS = [PRESETS[name] for name in ("4a", "4b", "4c", "4e")]
 
 
