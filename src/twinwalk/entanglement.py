@@ -55,13 +55,11 @@ def branch_entropies(
     at least ``site_weights.size`` floats that the pass fills in place of
     allocating its own.
     """
-    if work is None:
-        work = np.empty(site_weights.size)
     # an absent row keeps no site: divided by an infinite weight, it is all 0
     normalized = np.divide(
         site_weights,
         np.where(present, weights, np.inf)[:, None],
-        out=work[: site_weights.size].reshape(site_weights.shape),
+        out=None if work is None else work[: site_weights.size].reshape(site_weights.shape),
     )
     keep = normalized >= COEFF_EPS * COEFF_EPS
     counts = keep.sum(axis=1, dtype=np.int32).tolist()
@@ -71,7 +69,7 @@ def branch_entropies(
     # where each present row's sites start; every present row keeps at least
     # its largest site, so no start repeats
     starts = list(accumulate(compress(counts, flags), initial=0))[:-1]
-    terms = np.log2(p, out=work[: len(p)])
+    terms = np.log2(p, out=normalized.reshape(-1)[: len(p)])
     terms *= p
     # 0.0 - x rather than -x, so that a point branch gets +0.0, not -0.0
     entropies = iter(np.maximum(0.0 - np.add.reduceat(terms, starts), 0.0).tolist())

@@ -17,9 +17,10 @@ where A and B are the real runs from |0> and |1>, and B is A mirrored:
 into the rows of one preallocated ``(2, K + 1, n + 1)`` buffer (K follows
 from n and ``BLOCK_BYTES``; three rows when K = 1), and yields each block as
 the coin-0 rows A0 and B0 over the block's window.  Those two rows are all
-a measurement needs: coin 0 of the walk is alpha A0 + beta B0, and coin 1 at index k is
-(-1)^t (beta A0 - alpha B0) at index t - k, so every weight, entropy and
-distribution ``experiment`` reports is a real function of A0 and B0.
+a measurement needs: coin 0 of the walk is alpha A0 + beta B0, and coin 1
+at index k is (-1)^t (beta A0 - alpha B0) at index t - k, so every weight,
+entropy and distribution ``experiment`` reports is a real function of A0
+and B0.
 
 The run carries 2^(t/2) A(t), whose step needs no multiply:
 n0'[k + 1] = n0[k] + n1[k] and n1'[k] = n0[k] - n1[k] (the recurrence
@@ -155,7 +156,7 @@ def branch_blocks(n: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
             if t >= FLUSH_FROM:
                 lo0, hi0 = _trim(dst0, lo0, hi0, floors[m])
                 lo1, hi1 = _trim(dst1, lo1, hi1, floors[m])
-        # past a row's start the flipped view reads on into the previous
+        # past a row's start the B0 view reads on into the previous
         # buffer row, at indices beyond that row's step, which are zero (a
         # one-row block reads only its own row); numpy checks that every
         # read stays inside ``amps``
