@@ -4,8 +4,9 @@
 same numbers:
 
 * a dense simulation that carries the full coin (x) walker1 (x) walker2
-  amplitude tensor on a truncated lattice and gets branch entropies from the
-  eigenvalues of an explicitly built reduced density matrix, and
+  amplitude tensor on every site the walk can reach and gets branch
+  entropies from the eigenvalues of explicitly built reduced density
+  matrices, and
 * a path summation that expands the t-step amplitude as a sum over all 2^t
   coin histories with Hadamard matrix-element weights.
 
@@ -19,10 +20,14 @@ run from |1> itself).
 
 ``dense_trajectory`` streams the dense states after 0..t_max steps, so a
 sweep over every t costs t_max tensor steps; ``dense_evolve`` is its last
-state.  ``reduced_entropy`` drops the all-zero rows and columns of the branch
-matrix before forming the reduced density matrix.  That crop is exact: a zero
-column adds nothing to any entry of M M^dagger, and a zero row adds only a
-zero eigenvalue, which the ``EIGVAL_EPS`` filter discards anyway.
+state.  The lattice grows with the walk: the state after t steps is the full
+(2, 2t+1, 2t+1) tensor over sites [-t, t]^2, which holds every site either
+walker can reach, so nothing is truncated.  ``dense_branches`` measures both
+coin branches of a state in one pass.  It crops the two branch matrices to
+the union of their nonzero rows and columns before forming the reduced
+density matrices.  That crop is exact: a zero column adds nothing to any
+entry of M M^dagger, and a zero row adds only a zero eigenvalue, which the
+``EIGVAL_EPS`` filter discards anyway.
 
 The dense and path-sum oracles are deliberately brute force (quadratic
 memory / exponential time) and exist to catch index and normalization bugs in
@@ -55,14 +60,22 @@ class EmptyBranchError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class DenseTensorState:
-    """Full amplitude tensor indexed (coin, walker1, walker2) on [-R, R]^2."""
+    """Full amplitude tensor indexed (coin, walker1, walker2) on [-t, t]^2
+    after t = ``step`` steps."""
 
     step: int
-    lattice_radius: int
     amplitudes: np.ndarray
 
+    @property
+    def lattice_radius(self) -> int:
+        return self.step
+
     def amplitude(self, coin: int, x1: int, x2: int) -> complex:
+        """Amplitude of |coin>|x1, x2>; 0 at sites no walk of ``step`` steps
+        reaches."""
         r = self.lattice_radius
+        if max(abs(x1), abs(x2)) > r:
+            return 0j
         return complex(self.amplitudes[coin, x1 + r, x2 + r])
 
     def norm(self) -> float:
@@ -80,9 +93,7 @@ class DenseTensorState:
         return float(np.vdot(matrix, matrix).real)
 
 
-def dense_trajectory(
-    coin_init: CoinSpinor, t_max: int, radius: int
-) -> Iterator[DenseTensorState]:
+def dense_trajectory(coin_init: CoinSpinor, t_max: int) -> Iterator[DenseTensorState]:
     """Yield the dense state after 0, 1, ..., t_max steps from the origin,
     starting with the coin in ``coin_init``.
 
@@ -90,67 +101,80 @@ def dense_trajectory(
     taken from the engine, to the whole tensor with explicit three-index
     bookkeeping.  The conditional move acts only on diagonal sites |i, i> and
     displaces both walker indices together, so support stays on the diagonal.
-    The radius must cover the ballistic cone so no amplitude reaches the
-    lattice edge.  The bounds and the coin's normalization are checked at the
-    call, before any step runs.
+    Each step also grows the lattice by one site at both ends of both walker
+    axes, so the state after t steps is the (2, 2t+1, 2t+1) tensor over
+    [-t, t]^2 and no amplitude can leave it.  The step count and the coin's
+    normalization are checked at the call, before any step runs.
     """
     if t_max < 0:
         raise ValueError(f"step count must be non-negative, got {t_max}")
-    if radius < t_max:
-        raise ValueError(f"lattice radius {radius} cannot cover a {t_max}-step walk")
     coin_init.require_normalized()
-    return _dense_steps(coin_init, t_max, radius)
+    return _dense_steps(coin_init, t_max)
 
 
-def _dense_steps(
-    coin_init: CoinSpinor, t_max: int, radius: int
-) -> Iterator[DenseTensorState]:
-    n = 2 * radius + 1
-    amplitudes = np.zeros((2, n, n), dtype=np.complex128)
-    amplitudes[0, radius, radius] = coin_init.amp0
-    amplitudes[1, radius, radius] = coin_init.amp1
+def _dense_steps(coin_init: CoinSpinor, t_max: int) -> Iterator[DenseTensorState]:
+    amplitudes = np.array((coin_init.amp0, coin_init.amp1), dtype=np.complex128).reshape(2, 1, 1)
     s = math.sqrt(0.5)
     coin = np.array(((s, s), (s, -s)), dtype=np.complex128)
-    idx = np.arange(n)
-    yield DenseTensorState(step=0, lattice_radius=radius, amplitudes=amplitudes)
+    yield DenseTensorState(step=0, amplitudes=amplitudes)
     for t in range(1, t_max + 1):
+        # sites -(t-1)..t-1 sit at indices 0..n-1 before the step and at
+        # 1..n after it; coin 0 moves them up one index, coin 1 down one
+        n = 2 * t - 1
+        idx = np.arange(n)
         mixed = (coin @ amplitudes.reshape(2, -1)).reshape(amplitudes.shape)
-        diag0 = mixed[0, idx, idx]
-        diag1 = mixed[1, idx, idx]
-        amplitudes = np.zeros_like(amplitudes)
-        amplitudes[0, idx[1:], idx[1:]] = diag0[:-1]
-        amplitudes[1, idx[:-1], idx[:-1]] = diag1[1:]
-        yield DenseTensorState(step=t, lattice_radius=radius, amplitudes=amplitudes)
+        amplitudes = np.zeros((2, n + 2, n + 2), dtype=np.complex128)
+        amplitudes[0, idx + 2, idx + 2] = mixed[0, idx, idx]
+        amplitudes[1, idx, idx] = mixed[1, idx, idx]
+        yield DenseTensorState(step=t, amplitudes=amplitudes)
 
 
-def dense_evolve(coin_init: CoinSpinor, t: int, radius: int) -> DenseTensorState:
+def dense_evolve(coin_init: CoinSpinor, t: int) -> DenseTensorState:
     """The dense state after t steps from ``coin_init``: the last state of
     ``dense_trajectory``, with the same eager checks."""
-    return deque(dense_trajectory(coin_init, t, radius), maxlen=1)[0]
+    return deque(dense_trajectory(coin_init, t), maxlen=1)[0]
+
+
+def dense_branches(
+    state: DenseTensorState,
+) -> tuple[tuple[float, float | None], tuple[float, float | None]]:
+    """Weight and entropy in bits of coin branches 0 and 1 of ``state``;
+    the entropy is None for a branch no heavier than PROB_EPS.
+
+    Both walker amplitude matrices are cropped to the union of their nonzero
+    rows and columns (see the module docstring) and renormalized by their
+    weights; walker 2 is traced out of each, and the entropies come from the
+    eigenvalues of the two reduced density matrices, diagonalized as one
+    (2, m, m) stack.  The eigen-decomposition does not assume the matrices
+    are diagonal, so it stays independent of the fast path's Schmidt
+    shortcut.
+    """
+    nonzero = state.amplitudes.any(axis=0)
+    cropped = state.amplitudes[:, nonzero.any(axis=1)][:, :, nonzero.any(axis=0)]
+    weights = np.array([np.vdot(matrix, matrix).real for matrix in cropped])
+    present = weights > PROB_EPS
+    # an absent branch is left unscaled; its eigenvalues are never read
+    cropped /= np.sqrt(np.where(present, weights, 1.0))[:, None, None]
+    rho = cropped @ cropped.conj().transpose(0, 2, 1)
+    branches = []
+    for weight, p, eigenvalues in zip(weights.tolist(), present, np.linalg.eigvalsh(rho)):
+        entropy = None
+        if p:
+            eigenvalues = eigenvalues[eigenvalues > EIGVAL_EPS]
+            entropy = max(0.0, float(-np.sum(eigenvalues * np.log2(eigenvalues))))
+        branches.append((weight, entropy))
+    return branches[0], branches[1]
 
 
 def reduced_entropy(state: DenseTensorState, outcome: CoinOutcome) -> float:
-    """Branch entropy in bits from the reduced density matrix of walker 1.
-
-    The coin is projected onto ``outcome``, the walker amplitude matrix is
-    renormalized by ``branch_probability``, walker 2 is traced out, and the
-    entropy is computed from the eigenvalues of the resulting Hermitian
-    matrix (cropped exactly, see the module docstring).  The
-    eigen-decomposition does not assume the matrix is diagonal, so it stays
-    independent of the fast path's Schmidt shortcut.
-    """
-    matrix = state.amplitudes[outcome.value]
-    weight = state.branch_probability(outcome)
-    if weight <= PROB_EPS:
+    """Entropy in bits of one coin branch of ``state``, from
+    ``dense_branches``; raises ``EmptyBranchError`` if the branch is absent."""
+    weight, entropy = dense_branches(state)[outcome.value]
+    if entropy is None:
         raise EmptyBranchError(
             f"outcome {outcome} has probability {weight!r} at step {state.step}"
         )
-    nonzero = matrix != 0
-    normalized = matrix[nonzero.any(axis=1)][:, nonzero.any(axis=0)] / math.sqrt(weight)
-    rho = normalized @ normalized.conj().T
-    eigenvalues = np.linalg.eigvalsh(rho)
-    eigenvalues = eigenvalues[eigenvalues > EIGVAL_EPS]
-    return max(0.0, float(-np.sum(eigenvalues * np.log2(eigenvalues))))
+    return entropy
 
 
 def path_sum_table(coin_init: CoinSpinor, t: int) -> dict[tuple[int, int], complex]:

@@ -5,7 +5,8 @@ one of the independent oracles and reports the worst error it measured, so a
 corrupted engine shows up as a concrete number rather than a silent drift.
 Errors are folded with ``np.maximum`` or ``np.max``, which keep a NaN
 (Python's ``max`` drops one that comes second), so a NaN fails its check,
-and an absent branch's entropy (None) at t <= 3 counts as an infinite error.
+and an absent branch's entropy (None) at t <= 3, or a branch absent on one
+side only of an oracle comparison, counts as an infinite error.
 The checks, in order, with the engine output each reads and its tolerance:
 
 ====================================================  ====================  =====
@@ -49,8 +50,8 @@ import numpy as np
 
 from . import evolution
 from .experiment import PRESETS, TimelineRecord, run_timeline, timelines_and_distributions
-from .oracle import dense_trajectory, exact_run, path_sum_table, reduced_entropy
-from .states import PROB_EPS, CoinOutcome, CoinSpinor
+from .oracle import dense_branches, dense_trajectory, exact_run, path_sum_table
+from .states import PROB_EPS, CoinSpinor
 
 DEFAULT_SEED = 20100901
 
@@ -62,7 +63,7 @@ PATH_SUM_DEPTH_CAP = 12
 MAX_DEPTH = 200
 
 #: most random coins ``run_checks`` accepts on top of the five presets; each
-#: costs a dense and a path-sum sweep (about 3.5 ms at depth 10)
+#: costs a dense and a path-sum sweep (about 2 ms at depth 10)
 MAX_RANDOM_STATES = 1000
 
 #: coins measured from one run in the oracle sweeps
@@ -218,7 +219,8 @@ def _dense_error(
 ) -> float:
     """Worst deviation of a coin's timeline (weights and entropies) and of
     its final distribution from the dense oracle, for t = 1..len(timeline);
-    inf if the records are not those steps in order.
+    inf if the records are not those steps in order, or a branch is absent
+    on one side only.
 
     The dense distribution is walker 1's marginal of the whole tensor; sites
     missing from either distribution are compared as 0.
@@ -227,15 +229,16 @@ def _dense_error(
     if [record.step for record in timeline] != list(range(1, t_max + 1)):
         return math.inf
     errors = []
-    dense_states = itertools.islice(dense_trajectory(coin, t_max, t_max), 1, None)
+    dense_states = itertools.islice(dense_trajectory(coin, t_max), 1, None)
     for record, dense in zip(timeline, dense_states):
-        for outcome, weight, entropy in (
-            (CoinOutcome.C0, record.p0, record.entropy0),
-            (CoinOutcome.C1, record.p1, record.entropy1),
+        for weight, entropy, (want_weight, want_entropy) in zip(
+            (record.p0, record.p1), (record.entropy0, record.entropy1), dense_branches(dense)
         ):
-            errors.append(abs(weight - dense.branch_probability(outcome)))
+            if (entropy is None) != (want_entropy is None):
+                return math.inf
+            errors.append(abs(weight - want_weight))
             if entropy is not None:
-                errors.append(abs(entropy - reduced_entropy(dense, outcome)))
+                errors.append(abs(entropy - want_entropy))
     marginal = np.square(np.abs(dense.amplitudes)).sum(axis=(0, 2))
     got = np.zeros_like(marginal)
     for x, p in distribution.items():

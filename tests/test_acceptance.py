@@ -193,7 +193,7 @@ def test_criterion_4_property_suite(full_scale):
         ((_, distribution),) = timelines_and_distributions([PRESETS["4c"]], 1000)
         assert mirror_total_variation(distribution) < 1e-10
 
-        dense = dense_evolve(PRESETS["4a"], 120, 122)
+        dense = dense_evolve(PRESETS["4a"], 120)
         assert dense.off_diagonal_mass() < 1e-14
 
 

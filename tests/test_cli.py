@@ -527,6 +527,22 @@ def test_dense_error_is_inf_for_arrays_of_the_wrong_length():
     assert dense_error(coin, timeline, {**distribution, 7: 0.0}) == math.inf
 
 
+def test_dense_error_is_inf_for_a_branch_absent_on_one_side():
+    # the coin (|0> + |1>)/sqrt(2) has no coin-1 branch at t = 1; an entropy
+    # where the dense branch is absent, or None where it is present, is
+    # reported as inf against the one dense trajectory of this coin
+    s = math.sqrt(0.5)
+    coin = twinwalk.CoinSpinor(s, s)
+    ((timeline, distribution),) = twinwalk.experiment.timelines_and_distributions([coin], 3)
+    dense_error = twinwalk.verification._dense_error
+    assert timeline[0].entropy1 is None
+    assert dense_error(coin, timeline, distribution) < 1e-10
+    entropy_where_absent = [timeline[0]._replace(entropy1=0.0), *timeline[1:]]
+    none_where_present = [timeline[0], timeline[1]._replace(entropy0=None), timeline[2]]
+    assert dense_error(coin, entropy_where_absent, distribution) == math.inf
+    assert dense_error(coin, none_where_present, distribution) == math.inf
+
+
 def test_verify_detects_run_rows_of_the_wrong_length(runner, monkeypatch):
     # every block one index wider than its rows, zero-padded
     def padded_blocks(true_blocks, n):

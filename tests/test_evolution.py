@@ -149,7 +149,7 @@ def test_two_walker_amplitudes_equal_single_walker(coin, steps):
     # the dense oracle moves two walkers on the full product lattice; its
     # diagonal must hold the one-walker walk's amplitudes, to rounding, and
     # nothing may leave it
-    states = zip(engine_trajectory(coin, steps), dense_trajectory(coin, steps, steps))
+    states = zip(engine_trajectory(coin, steps), dense_trajectory(coin, steps))
     for t, ((a0, a1), dense) in enumerate(states):
         assert np.max(np.abs(dense_diagonal(dense, t) - np.array([a0, a1]))) <= rounding(t)
         assert dense.off_diagonal_mass() == 0.0
@@ -171,7 +171,7 @@ def test_mirror_symmetry_between_opposite_basis_coins():
 @settings(deadline=None, max_examples=40)
 def test_trajectory_layout_matches_dense_diagonal(coin, steps):
     """Index k of the step-t arrays holds site -t + 2k of the dense oracle."""
-    dense_states = dense_trajectory(coin, steps, steps)
+    dense_states = dense_trajectory(coin, steps)
     arrays = engine_trajectory(coin, steps)
     for t, (dense, (a0, a1)) in enumerate(zip(dense_states, arrays, strict=True)):
         assert len(a0) == len(a1) == t + 1
@@ -296,14 +296,14 @@ def test_mirror_sign_on_both_row_parities():
     # B0 is the coin-0 row of the run from |1>, on odd and even steps alike;
     # a wrong sign on one parity keeps every weight sum but not the entropies
     steps = 13
-    dense = list(dense_trajectory(COIN_LEFT, steps, steps))
+    dense = list(dense_trajectory(COIN_LEFT, steps))
     for first, lo, a0, b0 in branch_blocks(steps):
         for j, row in enumerate(full_rows(first, lo, b0)):
             t = first + j
             true_row = row * 2.0 ** (-row_exponent(t) / 2)
             assert np.max(np.abs(true_row - dense_diagonal(dense[t], t)[0])) <= rounding(t), t
     coin = PRESETS["4e"]
-    dense_coin = list(dense_trajectory(coin, steps, steps))
+    dense_coin = list(dense_trajectory(coin, steps))
     for record in run_timeline(coin, steps):
         state = dense_coin[record.step]
         assert record.entropy0 == pytest.approx(reduced_entropy(state, CoinOutcome.C0), abs=1e-12)

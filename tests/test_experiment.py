@@ -236,7 +236,7 @@ def assert_matches_dense_oracle(coin, steps):
     """
     timeline = run_timeline(coin, steps)
     arrays = itertools.islice(engine_trajectory(coin, steps), 1, None)
-    dense_states = itertools.islice(dense_trajectory(coin, steps, steps), 1, None)
+    dense_states = itertools.islice(dense_trajectory(coin, steps), 1, None)
     assert [r.step for r in timeline] == list(range(1, steps + 1))
     for record, (a0, a1), dense in zip(timeline, arrays, dense_states, strict=True):
         diagonal = dense_diagonal(dense, record.step)
@@ -316,7 +316,7 @@ def test_single_walker_distribution_matches_dense_marginal(name, steps):
     *_, (n0, n1) = exact_run(steps)
     got = final_distribution(PRESETS[name], steps)
     assert_distributions_close(got, exact_distribution(PRESETS[name], n0, n1), 1e-15)
-    dense = dense_evolve(PRESETS[name], steps, steps)
+    dense = dense_evolve(PRESETS[name], steps)
     assert_distributions_close(got, dense_marginal(dense), 1e-15 + steps * 2.3e-16)
 
 
@@ -346,7 +346,7 @@ def test_timeline_and_distribution_is_one_pass_of_both(name, steps):
 @settings(deadline=None, max_examples=50)
 def test_timeline_and_distribution_follows_the_configured_coin(coin, steps):
     ((_, distribution),) = timelines_and_distributions([coin], steps)
-    dense = dense_evolve(coin, steps, steps)
+    dense = dense_evolve(coin, steps)
     assert_distributions_close(distribution, dense_marginal(dense), 1e-14)
 
 

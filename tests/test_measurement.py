@@ -133,7 +133,7 @@ def test_reembedded_branch_measures_to_itself():
 def test_coin_marginals_match_single_walker(coin):
     # the coin marginals of the one-walker walk are the branch weights
     # of the dense two-walker state
-    pairs = zip(run_timeline(coin, 10), list(dense_trajectory(coin, 10, 10))[1:])
+    pairs = zip(run_timeline(coin, 10), list(dense_trajectory(coin, 10))[1:])
     for record, dense in pairs:
         assert record.p0 == pytest.approx(dense.branch_probability(CoinOutcome.C0), abs=1e-12)
         assert record.p1 == pytest.approx(dense.branch_probability(CoinOutcome.C1), abs=1e-12)

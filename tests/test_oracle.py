@@ -15,6 +15,7 @@ from twinwalk.oracle import (
     EIGVAL_EPS,
     MAX_PATH_SUM_STEPS,
     DenseTensorState,
+    dense_branches,
     dense_evolve,
     dense_trajectory,
     exact_branches,
@@ -35,7 +36,7 @@ COIN_LEFT = CoinSpinor(0.0, 1.0)
 
 
 def test_dense_one_step_amplitudes():
-    state = dense_evolve(COIN_RIGHT, 1, 2)
+    state = dense_evolve(COIN_RIGHT, 1)
     assert state.amplitude(0, 1, 1) == pytest.approx(S, abs=1e-12)
     assert state.amplitude(1, -1, -1) == pytest.approx(S, abs=1e-12)
     assert state.amplitude(0, -1, -1) == 0.0
@@ -44,7 +45,7 @@ def test_dense_one_step_amplitudes():
 
 
 def test_dense_three_steps_match_worked_state():
-    state = dense_evolve(COIN_RIGHT, 3, 4)
+    state = dense_evolve(COIN_RIGHT, 3)
     expected = {
         (3, 0): E3,
         (1, 0): 2 * E3,
@@ -52,7 +53,8 @@ def test_dense_three_steps_match_worked_state():
         (1, 1): E3,
         (-3, 1): E3,
     }
-    for x in range(-3, 4):
+    # sites +-4 lie outside the step-3 lattice and read as 0
+    for x in range(-4, 5):
         for c in (0, 1):
             assert state.amplitude(c, x, x) == pytest.approx(
                 expected.get((x, c), 0.0), abs=1e-12
@@ -61,23 +63,29 @@ def test_dense_three_steps_match_worked_state():
 
 @pytest.mark.parametrize("t", [1, 5, 12, 25])
 def test_dense_off_diagonal_mass_is_zero(t):
-    state = dense_evolve(COIN_RIGHT, t, t + 2)
+    state = dense_evolve(COIN_RIGHT, t)
+    assert state.amplitudes.shape == (2, 2 * t + 1, 2 * t + 1)
     assert state.off_diagonal_mass() < 1e-14
+    assert state.norm() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_dense_norm_is_conserved():
-    state = dense_evolve(PRESETS["4e"], 40, 40)
+    state = dense_evolve(PRESETS["4e"], 40)
     assert state.norm() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_dense_radius_validation():
-    with pytest.raises(ValueError):
-        dense_evolve(COIN_RIGHT, 5, 4)
+def test_dense_lattice_grows_with_the_walk():
+    # the step-t state covers [-t, t]^2 exactly; sites past it read as 0
+    for t, state in enumerate(dense_trajectory(PRESETS["4e"], 6)):
+        assert state.step == state.lattice_radius == t
+        assert state.amplitudes.shape == (2, 2 * t + 1, 2 * t + 1)
+        assert state.amplitude(0, t + 1, t + 1) == state.amplitude(1, -t - 1, -t - 1) == 0j
+    assert dense_evolve(COIN_RIGHT, 2).amplitude(0, 2, 2) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_reduced_entropy_worked_values():
     def entropy(t, outcome):
-        return reduced_entropy(dense_evolve(COIN_RIGHT, t, t + 1), outcome)
+        return reduced_entropy(dense_evolve(COIN_RIGHT, t), outcome)
 
     assert entropy(1, CoinOutcome.C0) == pytest.approx(0.0, abs=1e-9)
     assert entropy(2, CoinOutcome.C0) == pytest.approx(1.0, abs=1e-9)
@@ -88,7 +96,7 @@ def test_reduced_entropy_worked_values():
 
 
 def test_reduced_entropy_rejects_empty_branch():
-    state = dense_evolve(COIN_RIGHT, 0, 2)
+    state = dense_evolve(COIN_RIGHT, 0)
     with pytest.raises(EmptyBranchError):
         reduced_entropy(state, CoinOutcome.C1)
 
@@ -152,24 +160,24 @@ def test_mirror_symmetry_via_path_sum():
 
 def test_dense_trajectory_matches_dense_evolve():
     coin = random_coin_states(1, seed=5)[0]
-    radius = 17
-    states = list(dense_trajectory(coin, 12, radius))
+    states = list(dense_trajectory(coin, 12))
     assert [state.step for state in states] == list(range(13))
     for t, state in enumerate(states):
-        assert state.lattice_radius == radius
-        assert np.array_equal(state.amplitudes, dense_evolve(coin, t, radius).amplitudes)
+        assert state.lattice_radius == t
+        assert state.amplitudes.shape == (2, 2 * t + 1, 2 * t + 1)
+        assert np.array_equal(state.amplitudes, dense_evolve(coin, t).amplitudes)
 
 
 @pytest.mark.parametrize(
-    "coin,t,radius",
-    [(COIN_RIGHT, -1, 4), (COIN_RIGHT, 5, 4), (CoinSpinor(1.0, 1.0), 3, 3)],
-    ids=["negative-steps", "radius-below-steps", "unnormalized-coin"],
+    "coin,t",
+    [(COIN_RIGHT, -1), (CoinSpinor(1.0, 1.0), 3)],
+    ids=["negative-steps", "unnormalized-coin"],
 )
-def test_dense_trajectory_rejects_like_dense_evolve(coin, t, radius):
+def test_dense_trajectory_rejects_like_dense_evolve(coin, t):
     with pytest.raises(ValueError) as streamed:
-        dense_trajectory(coin, t, radius)
+        dense_trajectory(coin, t)
     with pytest.raises(ValueError) as single:
-        dense_evolve(coin, t, radius)
+        dense_evolve(coin, t)
     assert str(streamed.value) == str(single.value)
 
 
@@ -242,24 +250,32 @@ def explicit_weight(matrix) -> float:
     return float(np.sum(matrix.real**2 + matrix.imag**2))
 
 
-@given(coin=coin_spinors(), steps=st.integers(0, 40), margin=st.integers(0, 3))
+@given(coin=coin_spinors(), steps=st.integers(0, 40))
 @settings(deadline=None, max_examples=60)
-def test_dense_weights_match_an_explicit_sum(coin, steps, margin):
-    """``norm``, ``branch_probability`` and the weight ``reduced_entropy``
-    divides out, each one ``vdot`` pass, against sum(re^2 + im^2) on the dense
-    states of random coins.
+def test_dense_weights_match_an_explicit_sum(coin, steps):
+    """``norm``, ``branch_probability`` and the weights ``dense_branches``
+    returns, each one ``vdot`` pass, against sum(re^2 + im^2) on the dense
+    states of random coins; and each branch entropy against the uncropped
+    reduced density matrix's.
 
-    Over 61,500 such states (t <= 40) the two sums differed by at most
-    2 eps = 4.44e-16.
+    Over 61,500 such states (1,500 seeded random coins, t <= 40) the
+    ``dense_branches`` weights differed from the explicit sum by at most
+    2 eps = 4.44e-16.  ``norm`` and ``branch_probability``, each summed over
+    the whole tensor, differed by at most 3 eps, and by more than 4.5e-16 on
+    1 of the first 20,500 states, so an example can fail rarely.
     """
-    state = dense_evolve(coin, steps, steps + margin)
+    state = dense_evolve(coin, steps)
     amplitudes = state.amplitudes
     assert abs(state.norm() - explicit_weight(amplitudes)) <= 4.5e-16
-    for outcome in (CoinOutcome.C0, CoinOutcome.C1):
+    for outcome, (dense_weight, dense_entropy) in zip(
+        (CoinOutcome.C0, CoinOutcome.C1), dense_branches(state)
+    ):
         weight = explicit_weight(amplitudes[outcome.value])
         assert abs(state.branch_probability(outcome) - weight) <= 4.5e-16
+        assert abs(dense_weight - weight) <= 4.5e-16
+        assert (dense_entropy is None) == (dense_weight <= PROB_EPS)
         if weight > PROB_EPS:
-            assert reduced_entropy(state, outcome) == pytest.approx(
+            assert reduced_entropy(state, outcome) == dense_entropy == pytest.approx(
                 full_matrix_entropy(state, outcome), abs=1e-12
             )
 
@@ -275,7 +291,9 @@ def test_reduced_entropy_crop_matches_full_matrix(seed):
         cols = rng.choice(n, size=9, replace=False)
         block = rng.normal(size=(6, 9)) + 1j * rng.normal(size=(6, 9))
         amplitudes[coin][np.ix_(rows, cols)] = block
-    state = DenseTensorState(step=radius, lattice_radius=radius, amplitudes=amplitudes)
+    # the two branches' rows and columns differ, so the paired crop keeps
+    # rows and columns that are zero in one branch
+    state = DenseTensorState(step=radius, amplitudes=amplitudes)
     for outcome in (CoinOutcome.C0, CoinOutcome.C1):
         entropy = reduced_entropy(state, outcome)
         assert entropy > 1.0
@@ -328,6 +346,23 @@ def test_exact_run_is_the_unitary_hadamard_walk():
         assert sum(v * v for v in n0 + n1) == 2**t
     *_, (n0, n1) = exact_run(3)
     assert (n0, n1) == ([0, -1, 2, 1], [1, 0, 1, 0])
+
+
+@pytest.mark.parametrize("start", [0, 1])
+def test_dense_trajectory_is_the_exact_run(start):
+    # two oracles, no engine: the growing lattice holds the whole walk, its
+    # diagonal at site -t + 2k (index 2k) is the integer row times 2^(-t/2)
+    # and every other entry of the tensor is exactly 0
+    coin = (COIN_RIGHT, COIN_LEFT)[start]
+    steps = 60
+    pairs = zip(dense_trajectory(coin, steps), exact_run(steps, start), strict=True)
+    for t, (state, rows) in enumerate(pairs):
+        assert state.amplitudes.shape == (2, 2 * t + 1, 2 * t + 1)
+        want = np.zeros((2, 2 * t + 1))
+        want[:, ::2] = np.array(rows) * 2.0 ** (-t / 2)
+        diagonal = np.diagonal(state.amplitudes, axis1=1, axis2=2)
+        assert np.max(np.abs(diagonal - want)) <= 1e-14, t
+        assert state.off_diagonal_mass() == 0.0, t
 
 
 #: sampled steps: the first ones, block edges at T = 1000 (K = 16) and of
