@@ -101,8 +101,10 @@ def branch_blocks(n: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     (site ``-t + 2(lo + i)``).  Every index outside the block's window
     ``[lo, lo + a0.shape[1])`` is exactly 0, and so is every entry past a
     row's step.  The first block is step 0 alone; each later one holds the
-    next K steps (fewer at the end).  Both arrays are overwritten by the next
-    block.
+    next K steps (fewer at the end).  Both arrays are views of the run's
+    buffer, which the next block overwrites; ``b0`` reads the coin-1 rows
+    mirrored, so it is strided, and a caller that reads it more than once
+    may copy it first.  A block nobody reads costs only its evolution.
     """
     if n < 0:
         raise ValueError(f"step count must be non-negative, got {n}")
@@ -115,8 +117,6 @@ def branch_blocks(n: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     # earlier steps, so every row is zero past its step.
     amps = np.zeros((2, max(k, 2) + 1, n + 1))
     rows0, rows1 = list(amps[0]), list(amps[1])
-    # the yielded B0 rows, contiguous: numpy runs a whole block in one loop then
-    out = np.empty(k * (n + 1))
     amps[0, 0, 0] = 1.0
     yield 0, 0, amps[0, :1, :1], np.zeros((1, 1))
     floors = [FLUSH_FLOOR * 2.0 ** (m / 2) for m in range(SCALE_STEPS)]
@@ -162,7 +162,6 @@ def branch_blocks(n: int) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
         # read stays inside ``amps``
         width = window_hi - window_lo
         offset = amps.strides[0] + start * amps.strides[1] + (first - window_lo) * amps.strides[2]
-        b0 = out[: count * width].reshape(count, width)
-        np.copyto(b0, np.ndarray((count, width), buffer=amps, offset=offset, strides=flipped_strides))
+        b0 = np.ndarray((count, width), buffer=amps, offset=offset, strides=flipped_strides)
         yield first, window_lo, amps[0, start : start + count, window_lo:window_hi], b0
         done = last

@@ -19,8 +19,16 @@ a block at a time and the records built at the end.  Each coin's
 one-walker distribution is read off the site weights of its final row, so the
 figure bundle and ``scripts/ratio_convergence.py`` evolve once for all their
 presets.  No complex array is formed anywhere.  ``run_timeline`` is the
-one-coin call without the distribution.  ``check_walk`` (steps, then coins)
-and ``resolve_window`` are the one home of the input rules.
+one-coin call without the distribution.
+
+A caller that needs only some steps passes them as ``measured``.  A block is
+then measured only if it holds one of them, or is the last block, whose
+final row gives the distribution; any other block costs only its evolution.
+A measured block is measured whole, exactly as when every step is, so each
+returned record is bitwise the every-step record of its step.
+
+``check_walk`` (steps, then measured steps, then coins) and
+``resolve_window`` are the one home of the input rules.
 
 The records are bitwise fixed for one block shape only: a weight is a BLAS
 row sum, which rounds a row by its alignment (``np.stack([x, x, x]) @ ones``
@@ -35,7 +43,9 @@ passed straight in.  ``PRESETS`` holds the five built-in coins.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -133,45 +143,60 @@ def _distribution(
     }
 
 
-def check_walk(coins: list[CoinSpinor], steps: int) -> None:
+def check_walk(
+    coins: list[CoinSpinor], steps: int, measured: Sequence[int] | None = None
+) -> None:
     """Reject a walk before anything is evolved: first ``steps`` outside
-    1..MAX_STEPS, then any coin that is not normalized."""
+    1..MAX_STEPS, then ``measured`` unless it is None or strictly increasing
+    within 1..steps, then any coin that is not normalized."""
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if steps > MAX_STEPS:
         raise ValueError(f"steps must be at most {MAX_STEPS}, got {steps}")
+    if measured is not None:
+        for i, (before, t) in enumerate(zip([0, *measured], measured)):
+            if not before < t <= steps:
+                raise ValueError(
+                    f"measured steps must increase strictly within 1..{steps}, got {t} at index {i}"
+                )
     for coin in coins:
         coin.require_normalized()
 
 
 def timelines_and_distributions(
-    coins: list[CoinSpinor], steps: int
+    coins: list[CoinSpinor], steps: int, measured: Sequence[int] | None = None
 ) -> list[tuple[list[TimelineRecord], dict[int, float]]]:
-    """For each coin, records for t = 1..steps of the walk from it plus its
-    one-walker distribution after ``steps`` steps, all from one real run.
+    """For each coin, records for the ``measured`` steps (None: t = 1..steps)
+    of the walk from it plus its one-walker distribution after ``steps``
+    steps, all from one real run.
 
-    ``check_walk`` runs before anything is evolved or allocated.  Each block
-    of ``evolution.branch_blocks`` is stacked into X, Y and Z over its window
-    once, for all coins.  A branch depends only on its row of
-    ``_branch_mixing``, so each distinct row is measured once: two rows at a
-    time, one matmul turns X, Y and Z into their site weights and one
-    ``branch_entropies`` pass measures them, which keeps the block's working
-    memory that of one coin.  Rows go in pairs because a row of a (2, 3)
-    product rounds the same whatever its partner and a lone (1, 3) product
-    does not; an odd last row is paired with a zero row, an absent branch.
-    A branch's weight is the same mix of the row sums of X, Y and Z, taken
-    with plain multiplies and adds rather than a fused multiply-add, so a
-    branch whose terms cancel exactly weighs exactly 0.  The distribution
-    comes from the site weights of the last block's final row
-    (``_distribution``).
+    ``check_walk`` runs before anything is evolved or allocated.  A block of
+    ``evolution.branch_blocks`` is measured only if it holds a measured step
+    or is the last block, and then measured whole, so each record is bitwise
+    the one every step would give; any other block costs only its evolution.
+    A measured block is stacked into X, Y and Z over its window once, for
+    all coins.  A branch depends only on its row of ``_branch_mixing``, so
+    each distinct row is measured once: two rows at a time, one matmul turns
+    X, Y and Z into their site weights and one ``branch_entropies`` pass
+    measures them, which keeps the block's working memory that of one coin.
+    Rows go in pairs because a row of a (2, 3) product rounds the same
+    whatever its partner and a lone (1, 3) product does not; an odd last row
+    is paired with a zero row, an absent branch.  A branch's weight is the
+    same mix of the row sums of X, Y and Z, taken with plain multiplies and
+    adds rather than a fused multiply-add, so a branch whose terms cancel
+    exactly weighs exactly 0.  The distribution comes from the site weights
+    of the last block's final row (``_distribution``).
     """
-    check_walk(coins, steps)
+    check_walk(coins, steps, measured)
+    wanted = [False] + [measured is None] * steps
+    for t in measured or ():
+        wanted[t] = True
     distinct: dict[tuple[float, float, float], int] = {}
     index = [distinct.setdefault(row, len(distinct)) for row in _branch_mixing(coins)]
     rows = np.array([*distinct, *[(0.0, 0.0, 0.0)] * (len(distinct) % 2)]).reshape(-1, 3)
     mixing, pairs = rows[:, :, None], range(0, len(rows), 2)
-    # per mixing row, at t = 0..steps: the weight, and from t = 1 on the
-    # entropy and support, filled a block at a time
+    # per mixing row, at t = 0..steps: the weight, filled for each measured
+    # block, and at the measured steps the entropy and support
     weights = np.empty((len(rows), steps + 1))
     entropies: list[list[float | None]] = [[] for _ in rows]
     supports: list[list[int | None]] = [[] for _ in rows]
@@ -184,22 +209,28 @@ def timelines_and_distributions(
     for first, lo, a0, b0 in blocks:
         count, width = a0.shape
         # one buffer for X, Y, Z, a pair's site weights and the entropy
-        # pass's working space, allocated once: the first block has the most
-        # rows, the last the widest
+        # pass's working space, allocated once at the first block, measured
+        # or not (so a sampled run lays it out as a full one does): the
+        # first block has the most rows, the last the widest
         if stack is None:
             stack = np.empty(7 * count * (steps + 1))
+        block = slice(first, first + count)
+        flags, last_block = wanted[block], first + count > steps
+        if not (last_block or any(flags)):
+            continue
         size = count * width
         parts = stack[: 3 * size].reshape(3, count, width)
         site_weights = stack[3 * size : 5 * size].reshape(2, -1)
         work = stack[5 * size : 7 * size]
+        # B0 is a strided view: copied once, it is read contiguously
+        np.copyto(parts[1], b0)
         np.square(a0, out=parts[0])
-        np.square(b0, out=parts[1])
-        np.multiply(a0, b0, out=parts[2])
+        np.multiply(a0, parts[1], out=parts[2])
+        np.square(parts[1], out=parts[1])
         # the rows carry 2^m times the true X, Y and Z; the entropy does not
         # see that scale, and the weights are cleared of it exactly
         sums = (parts.reshape(-1, width) @ ones[:width]).reshape(3, count)
         scaled = np.add.reduce(mixing * sums, axis=1)
-        block = slice(first, first + count)
         present = np.ldexp(scaled, unscale[block], out=weights[:, block]) > PROB_EPS
         for pair in pairs:
             two = slice(pair, pair + 2)
@@ -208,19 +239,20 @@ def timelines_and_distributions(
                 site_weights.reshape(-1, width), scaled[two].ravel(), present[two].ravel(), work
             )
             for row, half in ((pair, slice(count)), (pair + 1, slice(count, None))):
-                entropies[row] += pair_entropies[half]
-                supports[row] += pair_supports[half]
-            if first + count > steps:
+                entropies[row] += compress(pair_entropies[half], flags)
+                supports[row] += compress(pair_supports[half], flags)
+            if last_block:
                 finals.extend(site_weights.reshape(2, count, width)[:, -1].copy())
-    p = weights[:, 1:].tolist()
-    bounds = list(map(max_entanglement, range(1, steps + 1)))
+    taken = list(compress(range(steps + 1), wanted))
+    p = weights[:, taken].tolist()
+    bounds = list(map(max_entanglement, taken))
     # the bound is 0 at t = 1, where no ratio is defined
-    ratios = [[None] + [None if e is None else e / b for e, b in zip(row[1:], bounds[1:])]
+    ratios = [[None if e is None or b == 0.0 else e / b for e, b in zip(row, bounds)]
               for row in entropies]
     return [
         (
             list(map(TimelineRecord._make, zip(
-                range(1, steps + 1), p[i], p[j], entropies[i], entropies[j],
+                taken, p[i], p[j], entropies[i], entropies[j],
                 bounds, ratios[i], ratios[j], supports[i], supports[j],
             ))),
             _distribution(finals[i], finals[j], steps, lo, unscale[steps]),

@@ -29,6 +29,11 @@ density matrices.  That crop is exact: a zero column adds nothing to any
 entry of M M^dagger, and a zero row adds only a zero eigenvalue, which the
 ``EIGVAL_EPS`` filter discards anyway.
 
+The path sum is streamed the same way: ``path_sum_tables`` yields the tables
+of depths 0..t_max from one enumeration, each depth's 2^t histories
+extending those of the depth before, and ``path_sum_table`` is its last
+table.
+
 The dense and path-sum oracles are deliberately brute force (quadratic
 memory / exponential time) and exist to catch index and normalization bugs in
 the fast path, not to scale; the exact run is quadratic in time, in Python
@@ -177,41 +182,57 @@ def reduced_entropy(state: DenseTensorState, outcome: CoinOutcome) -> float:
     return entropy
 
 
-def path_sum_table(coin_init: CoinSpinor, t: int) -> dict[tuple[int, int], complex]:
-    """All t-step amplitudes keyed (position, coin index), start at the origin.
+def path_sum_tables(
+    coin_init: CoinSpinor, t_max: int
+) -> Iterator[dict[tuple[int, int], complex]]:
+    """Yield the ``path_sum_table`` of every depth t = 0, 1, ..., t_max,
+    enumerating each depth's 2^t coin histories once.
 
-    An explicit sum over all 2^t coin histories, vectorised across paths.
-    Path k takes coin ``(k >> (t - 1 - j)) & 1`` at step j.  Its weight is
-    the first step's amplitude times ``h[current, previous]`` for each later
-    step, multiplied in step order; its displacement is the sum of its moves.
+    Path k of depth t takes coin ``(k >> (t - 1 - j)) & 1`` at step j, so it
+    extends path k >> 1 of depth t - 1 by coin k & 1: its weight is that
+    path's weight times ``h[k & 1, previous]``, the factors multiplied in
+    step order, and every table is summed in path order, so each table is
+    bitwise the one enumerated at its depth alone.  The depth is checked at
+    the call, before any path is enumerated.
     """
-    if not 0 <= t <= MAX_PATH_SUM_STEPS:
+    if not 0 <= t_max <= MAX_PATH_SUM_STEPS:
         raise ValueError(
-            f"path summation supports 0 <= t <= {MAX_PATH_SUM_STEPS}, got {t}"
+            f"path summation supports 0 <= t <= {MAX_PATH_SUM_STEPS}, got {t_max}"
         )
+    return _path_sums(coin_init, t_max)
+
+
+def _path_sums(coin_init: CoinSpinor, t_max: int) -> Iterator[dict[tuple[int, int], complex]]:
     s = math.sqrt(0.5)
     h = np.array(((s, s), (s, -s)))
     a = (complex(coin_init.amp0), complex(coin_init.amp1))
-    if t == 0:
-        return {(0, 0): a[0], (0, 1): a[1]}
-    paths = np.arange(1 << t)
-    previous = (paths >> (t - 1)) & 1
+    yield {(0, 0): a[0], (0, 1): a[1]}
+    previous = np.arange(2)
     weight = h[previous, 0] * a[0] + h[previous, 1] * a[1]
     displacement = 1 - 2 * previous
-    for j in range(1, t):
-        current = (paths >> (t - 1 - j)) & 1
-        weight *= h[current, previous]
-        displacement += 1 - 2 * current
-        previous = current
-    key = (displacement + t) * 2 + previous
-    size = 2 * (2 * t + 1)
-    hits = np.bincount(key, minlength=size)
-    real = np.bincount(key, weights=weight.real, minlength=size)
-    imag = np.bincount(key, weights=weight.imag, minlength=size)
-    return {
-        (int(k) // 2 - t, int(k) % 2): complex(real[k], imag[k])
-        for k in np.flatnonzero(hits)
-    }
+    for t in range(1, t_max + 1):
+        if t > 1:
+            paths = np.arange(1 << t)
+            parent, current = paths >> 1, paths & 1
+            weight = weight[parent] * h[current, previous[parent]]
+            displacement = displacement[parent] + (1 - 2 * current)
+            previous = current
+        key = (displacement + t) * 2 + previous
+        size = 2 * (2 * t + 1)
+        hits = np.bincount(key, minlength=size)
+        real = np.bincount(key, weights=weight.real, minlength=size)
+        imag = np.bincount(key, weights=weight.imag, minlength=size)
+        yield {
+            (int(k) // 2 - t, int(k) % 2): complex(real[k], imag[k])
+            for k in np.flatnonzero(hits)
+        }
+
+
+def path_sum_table(coin_init: CoinSpinor, t: int) -> dict[tuple[int, int], complex]:
+    """All t-step amplitudes keyed (position, coin index), start at the origin,
+    summed over all 2^t coin histories: the last table of
+    ``path_sum_tables``, with the same eager check."""
+    return deque(path_sum_tables(coin_init, t), maxlen=1)[0]
 
 
 def path_sum_amplitude(

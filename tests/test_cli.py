@@ -586,14 +586,14 @@ def test_verify_detects_corrupted_run_rows(runner, monkeypatch, corruption):
 
 def test_verify_builds_amplitude_tables_only_to_the_path_sum_depth(monkeypatch):
     # the path-sum oracle's tables cost 2^t; none is built past the cap
-    true_table = twinwalk.verification.path_sum_table
+    true_tables = twinwalk.verification.path_sum_tables
     depths = []
 
-    def recorded_table(coin_init, t):
-        depths.append(t)
-        return true_table(coin_init, t)
+    def recorded_tables(coin_init, t_max):
+        depths.append(t_max)
+        return true_tables(coin_init, t_max)
 
-    monkeypatch.setattr(twinwalk.verification, "path_sum_table", recorded_table)
+    monkeypatch.setattr(twinwalk.verification, "path_sum_tables", recorded_tables)
     checks = twinwalk.verification.run_checks(max_step=40, random_states=1)
     assert all(check.passed for check in checks)
     assert depths
@@ -704,8 +704,8 @@ def test_verify_fails_a_nan_timeline_weight(runner, monkeypatch):
     # every coin's branch-0 weight at t = 5 read as NaN, entropies intact
     true_timelines = twinwalk.verification.timelines_and_distributions
 
-    def nan_weight_timelines(coins, steps):
-        results = true_timelines(coins, steps)
+    def nan_weight_timelines(coins, steps, measured=None):
+        results = true_timelines(coins, steps, measured=measured)
         for timeline, _ in results:
             if len(timeline) >= 5:
                 timeline[4] = timeline[4]._replace(p0=math.nan)

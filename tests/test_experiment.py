@@ -23,9 +23,15 @@ import twinwalk.evolution
 import twinwalk.experiment
 from twinwalk.entanglement import COEFF_EPS
 from twinwalk.evolution import block_steps
-from twinwalk.experiment import MAX_STEPS
+from twinwalk.experiment import MAX_STEPS, _branch_mixing
 from twinwalk.figures import build_figure_bundle
-from twinwalk.oracle import dense_evolve, dense_trajectory, exact_distribution, exact_run
+from twinwalk.oracle import (
+    dense_evolve,
+    dense_trajectory,
+    exact_branches,
+    exact_distribution,
+    exact_run,
+)
 from twinwalk.states import NORM_TOL, PROB_EPS, NormalizationError
 from twinwalk.verification import random_coin_states
 from testutil import (
@@ -108,7 +114,12 @@ def test_config_validation():
 
 
 #: the message of every step and window rule, each raised from ``experiment``
-RULE_MESSAGES = ("steps must be >= 1", "steps must be at most", "window must be within")
+RULE_MESSAGES = (
+    "steps must be >= 1",
+    "steps must be at most",
+    "measured steps must increase",
+    "window must be within",
+)
 
 
 def rule_messages(source: str) -> list[str]:
@@ -517,3 +528,105 @@ def test_exactly_zero_branch_is_absent_without_warning(steps):
     assert (first.entropy0, first.support0) == (0.0, 1)
     # a point branch's entropy is +0.0: -0.0 would render as "-0"
     assert math.copysign(1.0, first.entropy0) == 1.0
+
+
+#: the coins of the sampled-measurement tests: the five presets and a
+#: seeded random coin, seven distinct mixing rows (four pairs)
+SAMPLED_COINS = [*PRESETS.values(), *random_coin_states(1, seed=23)]
+
+
+def sampled_steps(steps: int) -> list[int]:
+    """Log-spaced steps, the first and last step of a middle block, and
+    ``steps``."""
+    k = block_steps(steps)
+    middle = steps // k // 2
+    log_spaced = np.geomspace(1, steps, 24).astype(int).tolist()
+    return sorted({*log_spaced, middle * k + 1, (middle + 1) * k, steps})
+
+
+def blocks_holding(steps: int, measured: list[int]) -> int:
+    """Blocks of an n-step run that hold a measured step or ``steps``."""
+    k = block_steps(steps)
+    return len({(t - 1) // k for t in (*measured, steps)})
+
+
+@pytest.mark.parametrize("steps", [1000, 2000, 8192])
+def test_sampled_records_are_bitwise_the_every_step_records(steps):
+    # K = 16 with a partial last block, K = 8, and K = 1
+    assert (block_steps(1000), 1000 % 16, block_steps(2000), block_steps(8192)) == (16, 8, 8, 1)
+    measured = sampled_steps(steps)
+    every = timelines_and_distributions(SAMPLED_COINS, steps)
+    sampled = timelines_and_distributions(SAMPLED_COINS, steps, measured)
+    for (timeline, distribution), (records, sampled_distribution) in zip(
+        every, sampled, strict=True
+    ):
+        assert [record.step for record in records] == measured
+        # repr tells -0.0 from 0.0 and prints every bit of a float
+        assert list(map(repr, records)) == [repr(timeline[t - 1]) for t in measured]
+        assert sampled_distribution == distribution
+
+
+@pytest.mark.parametrize("steps", [1000, 2000])
+def test_sampled_records_match_the_exact_run(steps):
+    measured = sampled_steps(steps)
+    sampled = timelines_and_distributions(SAMPLED_COINS, steps, measured)
+    rows = {t: pair for t, pair in enumerate(exact_run(steps)) if t in measured}
+    for coin, (records, _) in zip(SAMPLED_COINS, sampled, strict=True):
+        for record in records:
+            exact = exact_branches(coin, *rows[record.step])
+            got = (
+                (record.p0, record.entropy0, record.support0),
+                (record.p1, record.entropy1, record.support1),
+            )
+            for (weight, entropy, support), (want_weight, want_entropy, want_support) in zip(
+                got, exact
+            ):
+                assert abs(weight - want_weight) <= 1e-12, record.step
+                assert support == want_support, record.step
+                assert (entropy is None) == (want_entropy is None), record.step
+                if entropy is not None:
+                    assert abs(entropy - want_entropy) <= 1e-12, record.step
+
+
+@pytest.mark.parametrize("steps", [1000, 2000, 8192])
+def test_only_blocks_holding_a_sampled_step_are_measured(monkeypatch, steps):
+    # each measured block takes one entropy pass per pair of distinct rows
+    true_entropies = twinwalk.experiment.branch_entropies
+    passes = []
+
+    def counted_entropies(*args):
+        passes.append(len(args[0]))
+        return true_entropies(*args)
+
+    monkeypatch.setattr(twinwalk.experiment, "branch_entropies", counted_entropies)
+    measured = sampled_steps(steps)
+    timelines_and_distributions(SAMPLED_COINS, steps, measured)
+    pairs = -(-len(set(_branch_mixing(SAMPLED_COINS))) // 2)
+    assert pairs == 4
+    assert len(passes) == blocks_holding(steps, measured) * pairs
+    # the last step alone measures the last block alone
+    passes.clear()
+    ((records, _),) = timelines_and_distributions([PRESETS["4a"]], steps, [steps])
+    assert [record.step for record in records] == [steps]
+    assert len(passes) == 1
+
+
+@pytest.mark.parametrize(
+    "measured",
+    [[3, 2], [2, 2], [0, 5], [5, 11], [-1], [1, 5, 5, 7]],
+    ids=["unsorted", "duplicate", "zero", "past-steps", "negative", "late-duplicate"],
+)
+def test_bad_measured_steps_are_rejected_before_evolving(monkeypatch, measured):
+    def must_not_evolve(*args, **kwargs):
+        raise AssertionError("evolved before the measured steps were validated")
+
+    monkeypatch.setattr(twinwalk.experiment, "branch_blocks", must_not_evolve)
+    with pytest.raises(ValueError, match="measured steps must increase strictly within 1..10"):
+        timelines_and_distributions([PRESETS["4e"]], 10, measured)
+
+
+def test_no_measured_step_gives_only_the_distribution():
+    # an empty selection measures the last block for the distribution alone
+    ((records, distribution),) = timelines_and_distributions([PRESETS["4e"]], 1000, [])
+    ((_, every_distribution),) = timelines_and_distributions([PRESETS["4e"]], 1000)
+    assert records == [] and distribution == every_distribution
