@@ -32,7 +32,8 @@ entry of M M^dagger, and a zero row adds only a zero eigenvalue, which the
 The path sum is streamed the same way: ``path_sum_tables`` yields the tables
 of depths 0..t_max from one enumeration, each depth's 2^t histories
 extending those of the depth before, and ``path_sum_table`` is its last
-table.
+table.  ``path_sum_branches`` reads a table's two branches in the shape of
+``dense_branches``.
 
 The dense and path-sum oracles are deliberately brute force (quadratic
 memory / exponential time) and exist to catch index and normalization bugs in
@@ -57,6 +58,10 @@ EIGVAL_EPS = 1e-14
 
 #: the path sum costs 2^t; refuse anything bigger
 MAX_PATH_SUM_STEPS = 20
+
+#: weight and entropy in bits (None for an absent branch) of coin branches 0
+#: and 1, the shape every reference's per-step branches take
+Branches = tuple[tuple[float, float | None], tuple[float, float | None]]
 
 
 class EmptyBranchError(ValueError):
@@ -140,9 +145,7 @@ def dense_evolve(coin_init: CoinSpinor, t: int) -> DenseTensorState:
     return deque(dense_trajectory(coin_init, t), maxlen=1)[0]
 
 
-def dense_branches(
-    state: DenseTensorState,
-) -> tuple[tuple[float, float | None], tuple[float, float | None]]:
+def dense_branches(state: DenseTensorState) -> Branches:
     """Weight and entropy in bits of coin branches 0 and 1 of ``state``;
     the entropy is None for a branch no heavier than PROB_EPS.
 
@@ -233,6 +236,23 @@ def path_sum_table(coin_init: CoinSpinor, t: int) -> dict[tuple[int, int], compl
     summed over all 2^t coin histories: the last table of
     ``path_sum_tables``, with the same eager check."""
     return deque(path_sum_tables(coin_init, t), maxlen=1)[0]
+
+
+def path_sum_branches(table: dict[tuple[int, int], complex]) -> Branches:
+    """Weight and entropy in bits of coin branches 0 and 1 of a path-sum
+    table: a branch weighs the sum of its |amplitude|^2, and its entropy is
+    -sum q log2 q over every q = |amplitude|^2 / weight > 0, None for a
+    branch no heavier than PROB_EPS."""
+    branches = []
+    for c in (0, 1):
+        probabilities = [abs(a) ** 2 for (_, coin), a in table.items() if coin == c]
+        weight = sum(probabilities)
+        entropy = None
+        if weight > PROB_EPS:
+            terms = (p / weight * math.log2(p / weight) for p in probabilities if p > 0.0)
+            entropy = max(0.0, -sum(terms))
+        branches.append((weight, entropy))
+    return branches[0], branches[1]
 
 
 def path_sum_amplitude(

@@ -7,36 +7,42 @@ Errors are folded with ``np.maximum`` or ``np.max``, which keep a NaN
 (Python's ``max`` drops one that comes second), so a NaN fails its check,
 and an absent branch's entropy (None) at t <= 3, or a branch absent on one
 side only of an oracle comparison, counts as an infinite error.
-The checks, in order, with the engine output each reads and its tolerance:
+The checks, in order, with the engine output each reads, the reference it is
+held to, and its tolerance:
 
-====================================================  ====================  =====
-check                                                 engine                tol
-====================================================  ====================  =====
-three-step amplitudes vs closed form                  run rows              1e-12
-branch entropies t=1 (product states)                 timeline records      1e-9
-branch entropies t=2 (maximally entangled)            timeline records      1e-9
-branch entropy t=3 coin-0                             timeline records      5e-5
-branch entropy t=3 coin-1                             timeline records      1e-9
-attainable bound at t=2 and t=3                       timeline records      5e-4
-norm drift over 1000 steps                            run rows              1e-12
-light-cone violations over 1000 steps                 run rows              0
-distribution completeness at t=1000                   final distribution,   1e-12
-                                                      t=1000 measured only
-timeline and distribution vs dense oracle, t <= D     timeline records and  1e-10
-                                                      final distribution
-timeline vs path-sum oracle, t <= min(D, 12)          timeline records      1e-12
-unscaled run rows vs exact integer run, t <= D        run rows              1e-14
-====================================================  ====================  =====
+==================================================  ======================  =====
+check                                               engine vs reference     tol
+==================================================  ======================  =====
+three-step amplitudes vs closed form                rows vs worked rows     1e-12
+branch entropies t=1 (product states)               records vs worked       1e-9
+branch entropies t=2 (maximally entangled)          records vs worked       1e-9
+branch entropy t=3 coin-0                           records vs worked       5e-5
+branch entropy t=3 coin-1                           records vs worked       1e-9
+attainable bound at t=2 and t=3                     records vs worked       5e-4
+norm drift over 1000 steps                          rows vs unit norm       1e-12
+light-cone violations over 1000 steps               rows vs light cone      0
+distribution completeness at t=1000                 final distribution      1e-12
+                                                    (t=1000 only) vs 1
+timeline and distribution vs dense oracle, t <= D   records and final       1e-10
+                                                    distribution vs
+                                                    ``dense_branches`` and
+                                                    the dense marginal
+timeline vs path-sum oracle, t <= min(D, 12)        records vs              1e-12
+                                                    ``path_sum_branches``
+unscaled run rows vs exact integer run, t <= D      rows vs ``exact_run``   1e-14
+==================================================  ======================  =====
 
-"Run rows" are the A0 and B0 rows of ``evolution.branch_blocks``, the one
-real run behind every output, with their 2^(m/2) scale divided out (the
-run's coin-1 row A1 is read as the mirror of B0); "timeline records" and
+"Rows" are the A0 and B0 rows of ``evolution.branch_blocks``, the one real
+run behind every output, with their 2^(m/2) scale divided out (the run's
+coin-1 row A1 is read as the mirror of B0).  The run rows need no coin: one
+walk of the run from |0> (preset 4a) over t = 0..1000 scores all four row
+checks, and blocks that break the layout make all four inf.  "Records" and
 "final distribution" are what ``experiment.timelines_and_distributions``
-returns for a coin.  D is the oracle depth, 3 <= D <= ``MAX_DEPTH``; the
-dense and path-sum sweeps cover the five presets plus
-0..``MAX_RANDOM_STATES`` random coins, ``COINS_PER_RUN`` coins to a run, and
-the checks of the run rows, which need no coin, read the run from |0>
-(preset 4a).
+returns for a coin; the dense and path-sum checks score a coin's first D
+(or min(D, 12)) records in one shared loop against the reference's per-step
+branch weights and entropies.  D is the oracle depth, 3 <= D <=
+``MAX_DEPTH``; the record checks cover the five presets plus
+0..``MAX_RANDOM_STATES`` random coins, ``COINS_PER_RUN`` coins to a run.
 """
 
 from __future__ import annotations
@@ -45,14 +51,22 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from functools import partial
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import evolution
 from .experiment import PRESETS, TimelineRecord, run_timeline, timelines_and_distributions
-from .oracle import dense_branches, dense_trajectory, exact_run, path_sum_tables
-from .states import PROB_EPS, CoinSpinor
+from .oracle import (
+    Branches,
+    dense_branches,
+    dense_trajectory,
+    exact_run,
+    path_sum_branches,
+    path_sum_tables,
+)
+from .states import CoinSpinor
 
 DEFAULT_SEED = 20100901
 
@@ -70,6 +84,14 @@ MAX_RANDOM_STATES = 1000
 
 #: coins measured from one run in the oracle sweeps
 COINS_PER_RUN = 16
+
+#: 2^(t/2) times the worked coin-0 and coin-1 amplitudes of the walk from
+#: |0> at t = 1..3, index k holding site -t + 2k
+_THREE_ROWS = {
+    1: ([0, 1], [1, 0]),
+    2: ([0, 1, 1], [-1, 1, 0]),
+    3: ([0, -1, 2, 1], [1, 0, 1, 0]),
+}
 
 
 @dataclass(frozen=True)
@@ -132,35 +154,109 @@ def _run_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         raise _MalformedRun
 
 
-def _unscaled(steps: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``_run_blocks`` rows with their 2^(m/2) scale divided out."""
-    return rows * 2.0 ** (-evolution.row_exponent(steps) / 2)[:, None]
+def _integer_rows(
+    reference: dict[int, tuple[list, list]], worst: float, steps: np.ndarray, rows: np.ndarray
+) -> float:
+    """Fold into ``worst`` the deviation of a block's rows, their 2^(m/2)
+    scale divided out, from the integer rows (n0, n1) that ``reference``
+    holds for a step t, times 2^(-t/2): A0 against n0 and B0 against the
+    mirror (-1)^(t+1) n1[t - k], every index past the step against 0."""
+    unscaled = rows * 2.0 ** (-evolution.row_exponent(steps) / 2)[:, None]
+    scale = 2.0 ** (-steps / 2)
+    for j, t in enumerate(steps.tolist()):
+        if t in reference:
+            want = np.zeros_like(unscaled[:, j])
+            want[:, : t + 1] = reference[t]
+            want[1, : t + 1] = (-1) ** (t + 1) * want[1, t::-1]
+            worst = np.maximum(worst, np.max(np.abs(unscaled[:, j] - want * scale[j])))
+    return worst
 
 
-def _check_three_step_amplitudes() -> CheckResult:
-    """The unscaled run from |0> at t = 1..3, A1 read as the mirror
-    (-1)^(t+1) B0[t - k] of B0, against the worked coin-0 and coin-1
-    amplitudes, index k holding site -t + 2k."""
-    s = math.sqrt(0.5)
-    q = 0.5
-    e = s / 2.0
-    expected = {
-        1: ([0, s], [s, 0]),
-        2: ([0, q, q], [-q, q, 0]),
-        3: ([0, -e, 2 * e, e], [e, 0, e, 0]),
-    }
-    worst = 0.0
+def _norm_drift(worst: float, steps: np.ndarray, rows: np.ndarray) -> float:
+    """Fold in each row's norm drift; the norm is (sum A0^2 + sum B0^2)
+    2^(-m), since B0 is A1 mirrored."""
+    mass = np.ldexp(np.square(rows).sum(axis=2).sum(axis=0), -evolution.row_exponent(steps))
+    return np.maximum(worst, np.max(np.abs(mass - 1.0)))
+
+
+def _cone_violations(count: float, steps: np.ndarray, rows: np.ndarray) -> float:
+    """Add the steps t >= 1 whose rows hold a nonzero entry at index 0, the
+    slot a step vacates (A0 at site -t, and B0 mirroring A1 at site t), or
+    past index t."""
+    # only the block's last n - 1 indices lie past any row's step: index
+    # steps[0] + 1 + i is past row j's step when i >= j
+    n = len(steps)
+    tail = rows[:, :, steps[0] + 1 :] != 0.0
+    past = (tail & (np.arange(n - 1) >= np.arange(n)[:, None])).any(axis=(0, 2))
+    vacated = (rows[:, :, 0] != 0.0).any(axis=0) & (steps >= 1)
+    return count + int(np.count_nonzero(past | vacated))
+
+
+def _row_errors(checks) -> list[float]:
+    """Errors of the row checks ``(name, update, depth, tolerance)`` from one
+    walk of ``_run_blocks`` to the deepest: each error starts at 0 and
+    ``update(error, steps, rows)`` folds in every block that starts at or
+    before its depth.  Blocks that break the layout make every error inf."""
+    errors = [0.0] * len(checks)
     try:
-        for steps, rows in _run_blocks(3):
-            amplitudes = _unscaled(steps, rows)
-            for j, t in enumerate(steps.tolist()):
-                if t in expected:
-                    a0 = amplitudes[0, j, : t + 1]
-                    a1 = (-1) ** (t + 1) * amplitudes[1, j, t::-1]
-                    worst = np.maximum(worst, np.max(np.abs(np.array([a0, a1]) - expected[t])))
+        for steps, rows in _run_blocks(max(depth for _, _, depth, _ in checks)):
+            for i, (_, update, depth, _) in enumerate(checks):
+                if steps[0] <= depth:
+                    errors[i] = update(errors[i], steps, rows)
     except _MalformedRun:
-        worst = math.inf
-    return CheckResult("three-step amplitudes vs closed form", worst, 1e-12)
+        return [math.inf] * len(checks)
+    return errors
+
+
+def _records_error(
+    timeline: list[TimelineRecord], depth: int, branches: Iterable[Branches]
+) -> float:
+    """Worst deviation of a coin's record weights and entropies from a
+    reference's per-step ``((w0, e0), (w1, e1))`` at t = 1..depth; inf if the
+    records are not those steps in order, or a branch is absent (entropy
+    None) on one side only."""
+    if [record.step for record in timeline] != list(range(1, depth + 1)):
+        return math.inf
+    errors = [0.0]
+    for record, reference in zip(timeline, branches):
+        for weight, entropy, (want_weight, want_entropy) in zip(
+            (record.p0, record.p1), (record.entropy0, record.entropy1), reference
+        ):
+            if (entropy is None) != (want_entropy is None):
+                return math.inf
+            errors.append(abs(weight - want_weight))
+            if entropy is not None:
+                errors.append(abs(entropy - want_entropy))
+    return np.max(errors)
+
+
+def _dense_error(
+    coin: CoinSpinor, timeline: list[TimelineRecord], distribution: dict[int, float], depth: int
+) -> float:
+    """``_records_error`` against ``dense_branches`` of the streamed dense
+    trajectory, folded with the worst deviation of the final distribution
+    from walker 1's marginal of the dense state at t = depth; sites missing
+    from either are compared as 0, and a site past the light cone is inf."""
+    states = dense_trajectory(coin, depth)
+    final = next(states)
+    # the walrus keeps the last state the records loop reached
+    worst = _records_error(timeline, depth, (dense_branches(final := s) for s in states))
+    if final.step != depth:
+        return math.inf
+    marginal = np.square(np.abs(final.amplitudes)).sum(axis=(0, 2))
+    sites = dict(zip(range(-depth, depth + 1), marginal.tolist()))
+    if not distribution.keys() <= sites.keys():
+        return math.inf
+    return np.maximum(worst, np.max([abs(distribution.get(x, 0.0) - p) for x, p in sites.items()]))
+
+
+def _path_sum_error(
+    coin: CoinSpinor, timeline: list[TimelineRecord], distribution: dict[int, float], depth: int
+) -> float:
+    """``_records_error`` against ``path_sum_branches`` of the streamed
+    tables; the distribution is not read."""
+    tables = itertools.islice(path_sum_tables(coin, depth), 1, None)
+    return _records_error(timeline, depth, map(path_sum_branches, tables))
 
 
 def _check_three_step_entropies() -> list[CheckResult]:
@@ -182,129 +278,6 @@ def _check_three_step_entropies() -> list[CheckResult]:
     ]
 
 
-def _check_long_run_invariants() -> list[CheckResult]:
-    """Norm and light cone of the run rows, and completeness of preset 4a's
-    final distribution, over 1000 steps.
-
-    A row's norm is (sum A0^2 + sum B0^2) 2^(-m), since B0 is A1 mirrored.
-    A light-cone violation is a step t >= 1 whose rows hold a nonzero entry
-    at index 0, the slot a step vacates (A0 at site -t, and B0 mirroring A1
-    at site t), or past index t.  Blocks that break the layout make both inf.
-    """
-    steps = 1000
-    worst_drift = 0.0
-    cone_violations = 0.0
-    try:
-        for t, rows in _run_blocks(steps):
-            mass = np.ldexp(np.square(rows).sum(axis=2).sum(axis=0), -evolution.row_exponent(t))
-            worst_drift = np.maximum(worst_drift, np.max(np.abs(mass - 1.0)))
-            # only the block's last count - 1 indices lie past any row's step:
-            # index t[0] + 1 + i is past row j's step when i >= j
-            count = len(t)
-            tail = rows[:, :, t[0] + 1 :] != 0.0
-            past = (tail & (np.arange(count - 1) >= np.arange(count)[:, None])).any(axis=(0, 2))
-            vacated = (rows[:, :, 0] != 0.0).any(axis=0) & (t >= 1)
-            cone_violations += int(np.count_nonzero(past | vacated))
-    except _MalformedRun:
-        worst_drift = cone_violations = math.inf
-    # measured at t = steps alone: only the block that holds it is measured
-    ((_, distribution),) = timelines_and_distributions([PRESETS["4a"]], steps, measured=[steps])
-    completeness = abs(sum(distribution.values()) - 1.0)
-    return [
-        CheckResult(f"norm drift over {steps} steps", worst_drift, 1e-12),
-        CheckResult(f"light-cone violations over {steps} steps", float(cone_violations), 0.0),
-        CheckResult(f"distribution completeness at t={steps}", completeness, 1e-12),
-    ]
-
-
-def _dense_error(
-    coin: CoinSpinor, timeline: list[TimelineRecord], distribution: dict[int, float]
-) -> float:
-    """Worst deviation of a coin's timeline (weights and entropies) and of
-    its final distribution from the dense oracle, for t = 1..len(timeline);
-    inf if the records are not those steps in order, or a branch is absent
-    on one side only.
-
-    The dense distribution is walker 1's marginal of the whole tensor; sites
-    missing from either distribution are compared as 0.
-    """
-    t_max = len(timeline)
-    if [record.step for record in timeline] != list(range(1, t_max + 1)):
-        return math.inf
-    errors = []
-    dense_states = itertools.islice(dense_trajectory(coin, t_max), 1, None)
-    for record, dense in zip(timeline, dense_states):
-        for weight, entropy, (want_weight, want_entropy) in zip(
-            (record.p0, record.p1), (record.entropy0, record.entropy1), dense_branches(dense)
-        ):
-            if (entropy is None) != (want_entropy is None):
-                return math.inf
-            errors.append(abs(weight - want_weight))
-            if entropy is not None:
-                errors.append(abs(entropy - want_entropy))
-    marginal = np.square(np.abs(dense.amplitudes)).sum(axis=(0, 2))
-    got = np.zeros_like(marginal)
-    for x, p in distribution.items():
-        if not -t_max <= x <= t_max:
-            return math.inf
-        got[x + t_max] = p
-    return np.max([*errors, np.max(np.abs(got - marginal))])
-
-
-def _exact_run_error(t_max: int) -> float:
-    """Worst deviation of the unscaled run rows from ``oracle.exact_run``
-    times 2^(-t/2), for t = 0..t_max.
-
-    Row t of A0 is n0 2^(-t/2) and row t of B0 is the mirror
-    (-1)^(t+1) n1[t - k] 2^(-t/2) of the integer rows n0, n1; every index
-    outside a block's window, and past a row's step, is compared against 0.
-    Blocks that break the layout give inf.
-    """
-    exact = list(exact_run(t_max))
-    worst = 0.0
-    try:
-        for steps, rows in _run_blocks(t_max):
-            want = np.zeros_like(rows)
-            for j, t in enumerate(steps.tolist()):
-                n0, n1 = exact[t]
-                want[0, j, : t + 1] = n0
-                want[1, j, : t + 1] = n1[::-1] if t % 2 else [-v for v in reversed(n1)]
-            want *= 2.0 ** (-steps / 2)[:, None]
-            worst = np.maximum(worst, np.max(np.abs(_unscaled(steps, rows) - want)))
-    except _MalformedRun:
-        return math.inf
-    return worst
-
-
-def _path_sum_error(coin: CoinSpinor, timeline: list[TimelineRecord]) -> float:
-    """Worst deviation of a coin's timeline weights and entropies from those
-    summed from the tables ``oracle.path_sum_tables`` streams, for
-    t = 1..len(timeline); inf if the records are not those steps in order, or
-    a branch is absent on one side only.
-
-    A branch weighs the sum of its |amplitude|^2, and its entropy is
-    -sum q log2 q over every q = |amplitude|^2 / weight > 0.
-    """
-    errors = [0.0]
-    tables = itertools.islice(path_sum_tables(coin, len(timeline)), 1, None)
-    for t, (record, table) in enumerate(zip(timeline, tables), start=1):
-        if record.step != t:
-            return math.inf
-        for c, weight, entropy in (
-            (0, record.p0, record.entropy0),
-            (1, record.p1, record.entropy1),
-        ):
-            probabilities = [abs(a) ** 2 for (_, coin_index), a in table.items() if coin_index == c]
-            want = sum(probabilities)
-            if (entropy is None) != (want <= PROB_EPS):
-                return math.inf
-            errors.append(abs(weight - want))
-            if entropy is not None:
-                want_entropy = -sum(p / want * math.log2(p / want) for p in probabilities if p > 0.0)
-                errors.append(abs(entropy - max(0.0, want_entropy)))
-    return np.max(errors)
-
-
 def run_checks(
     max_step: int = 10, random_states: int = 5, seed: int = DEFAULT_SEED
 ) -> list[CheckResult]:
@@ -323,41 +296,41 @@ def run_checks(
             f"random_states must be at most {MAX_RANDOM_STATES}, got {random_states}"
         )
     coins = [*PRESETS.values(), *random_coin_states(random_states, seed)]
-    checks = [_check_three_step_amplitudes()]
-    checks.extend(_check_three_step_entropies())
-    checks.extend(_check_long_run_invariants())
-    path_sum_depth = min(max_step, PATH_SUM_DEPTH_CAP)
-    dense_worst = path_sum_worst = 0.0
+    long, path_sum_depth = 1000, min(max_step, PATH_SUM_DEPTH_CAP)
+    # (name, reference, depth, tolerance): the checks of each coin's
+    # records, then the run-row checks
+    records = (
+        (f"timeline and distribution vs dense oracle, t <= {max_step}",
+         _dense_error, max_step, 1e-10),
+        (f"timeline vs path-sum oracle, t <= {path_sum_depth}",
+         _path_sum_error, path_sum_depth, 1e-12),
+    )
+    errors = [0.0] * len(records)
     # one run measures a few coins at a time: at any depth and coin count the
     # records held at once stay few
     for start in range(0, len(coins), COINS_PER_RUN):
         chunk = coins[start : start + COINS_PER_RUN]
-        for coin, (timeline, distribution) in zip(
-            chunk, timelines_and_distributions(chunk, max_step)
-        ):
-            dense_worst = np.maximum(dense_worst, _dense_error(coin, timeline, distribution))
-            path_sum_worst = np.maximum(
-                path_sum_worst, _path_sum_error(coin, timeline[:path_sum_depth])
-            )
-    checks.append(
-        CheckResult(
-            f"timeline and distribution vs dense oracle, t <= {max_step}",
-            dense_worst,
-            1e-10,
-        )
+        runs = timelines_and_distributions(chunk, max_step)
+        for coin, (timeline, distribution) in zip(chunk, runs):
+            for i, (_, reference, depth, _) in enumerate(records):
+                error = reference(coin, timeline[:depth], distribution, depth)
+                errors[i] = np.maximum(errors[i], error)
+    # built after the dense sweeps, so its integers are not held through them
+    exact_rows = partial(_integer_rows, dict(enumerate(exact_run(max_step))))
+    rows = (
+        ("three-step amplitudes vs closed form", partial(_integer_rows, _THREE_ROWS), 3, 1e-12),
+        (f"norm drift over {long} steps", _norm_drift, long, 1e-12),
+        (f"light-cone violations over {long} steps", _cone_violations, long, 0.0),
+        (f"unscaled run rows vs exact integer run, t <= {max_step}", exact_rows, max_step, 1e-14),
     )
-    checks.append(
-        CheckResult(
-            f"timeline vs path-sum oracle, t <= {path_sum_depth}",
-            path_sum_worst,
-            1e-12,
-        )
+    amplitudes, drift, cone, exact, dense, path_sum = (
+        CheckResult(name, error, tol)
+        for (name, _, _, tol), error in zip((*rows, *records), (*_row_errors(rows), *errors))
     )
-    checks.append(
-        CheckResult(
-            f"unscaled run rows vs exact integer run, t <= {max_step}",
-            _exact_run_error(max_step),
-            1e-14,
-        )
+    # measured at t = long alone: only the block that holds it is measured
+    ((_, distribution),) = timelines_and_distributions([PRESETS["4a"]], long, measured=[long])
+    completeness = CheckResult(
+        f"distribution completeness at t={long}", abs(sum(distribution.values()) - 1.0), 1e-12
     )
-    return checks
+    entropies = _check_three_step_entropies()
+    return [amplitudes, *entropies, drift, cone, completeness, dense, path_sum, exact]

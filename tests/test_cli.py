@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -515,32 +516,52 @@ def test_verify_detects_corrupted_engine(runner, monkeypatch):
         assert f"FAIL  {check}" in result.output
 
 
-def test_dense_error_is_inf_for_arrays_of_the_wrong_length():
-    # a timeline one record too long or too short, or a distribution with a
-    # site outside the light cone, is not compared but reported as inf
+RECORD_REFERENCES = pytest.mark.parametrize(
+    "reference, tolerance",
+    [
+        (twinwalk.verification._dense_error, 1e-10),
+        (twinwalk.verification._path_sum_error, 1e-12),
+    ],
+    ids=["dense", "path-sum"],
+)
+
+
+@RECORD_REFERENCES
+def test_record_error_is_inf_for_arrays_of_the_wrong_length(reference, tolerance):
+    # a timeline one record too long or too short, or none at all, is not
+    # compared at the requested depth but reported as inf
+    coin = twinwalk.experiment.PRESETS["4a"]
+    ((timeline, distribution),) = twinwalk.experiment.timelines_and_distributions([coin], 5)
+    assert reference(coin, timeline, distribution, 5) < tolerance
+    assert reference(coin, timeline + timeline[-1:], distribution, 5) == math.inf
+    assert reference(coin, timeline[:-1], distribution, 5) == math.inf
+    assert reference(coin, [], distribution, 5) == math.inf
+
+
+def test_dense_error_is_inf_for_a_site_outside_the_light_cone():
+    # a distribution with a site outside the light cone is not compared but
+    # reported as inf
     coin = twinwalk.experiment.PRESETS["4a"]
     ((timeline, distribution),) = twinwalk.experiment.timelines_and_distributions([coin], 5)
     dense_error = twinwalk.verification._dense_error
-    assert dense_error(coin, timeline, distribution) < 1e-10
-    assert dense_error(coin, timeline + timeline[-1:], distribution) == math.inf
-    assert dense_error(coin, timeline[:-1], distribution) == math.inf
-    assert dense_error(coin, timeline, {**distribution, 7: 0.0}) == math.inf
+    assert dense_error(coin, timeline, distribution, 5) < 1e-10
+    assert dense_error(coin, timeline, {**distribution, 7: 0.0}, 5) == math.inf
 
 
-def test_dense_error_is_inf_for_a_branch_absent_on_one_side():
+@RECORD_REFERENCES
+def test_record_error_is_inf_for_a_branch_absent_on_one_side(reference, tolerance):
     # the coin (|0> + |1>)/sqrt(2) has no coin-1 branch at t = 1; an entropy
-    # where the dense branch is absent, or None where it is present, is
-    # reported as inf against the one dense trajectory of this coin
+    # where the reference's branch is absent, or None where it is present, is
+    # reported as inf against the one trajectory of this coin
     s = math.sqrt(0.5)
     coin = twinwalk.CoinSpinor(s, s)
     ((timeline, distribution),) = twinwalk.experiment.timelines_and_distributions([coin], 3)
-    dense_error = twinwalk.verification._dense_error
     assert timeline[0].entropy1 is None
-    assert dense_error(coin, timeline, distribution) < 1e-10
+    assert reference(coin, timeline, distribution, 3) < tolerance
     entropy_where_absent = [timeline[0]._replace(entropy1=0.0), *timeline[1:]]
     none_where_present = [timeline[0], timeline[1]._replace(entropy0=None), timeline[2]]
-    assert dense_error(coin, entropy_where_absent, distribution) == math.inf
-    assert dense_error(coin, none_where_present, distribution) == math.inf
+    assert reference(coin, entropy_where_absent, distribution, 3) == math.inf
+    assert reference(coin, none_where_present, distribution, 3) == math.inf
 
 
 def test_verify_detects_run_rows_of_the_wrong_length(runner, monkeypatch):
@@ -700,15 +721,17 @@ def test_verify_fails_a_nan_in_the_run_rows(runner, monkeypatch):
     assert drift.startswith("FAIL") and "max_error=nan" in drift
 
 
-def test_verify_fails_a_nan_timeline_weight(runner, monkeypatch):
-    # every coin's branch-0 weight at t = 5 read as NaN, entropies intact
+@pytest.mark.parametrize("field", ["p0", "entropy0"])
+def test_verify_fails_a_nan_timeline_weight(runner, monkeypatch, field):
+    # every coin's branch-0 weight or entropy at t = 5 read as NaN, the
+    # other fields intact
     true_timelines = twinwalk.verification.timelines_and_distributions
 
     def nan_weight_timelines(coins, steps, measured=None):
         results = true_timelines(coins, steps, measured=measured)
         for timeline, _ in results:
             if len(timeline) >= 5:
-                timeline[4] = timeline[4]._replace(p0=math.nan)
+                timeline[4] = timeline[4]._replace(**{field: math.nan})
         return results
 
     monkeypatch.setattr(
@@ -719,6 +742,65 @@ def test_verify_fails_a_nan_timeline_weight(runner, monkeypatch):
     assert "FAIL  timeline and distribution vs dense oracle, t <= 6" in result.output
     assert "FAIL  timeline vs path-sum oracle, t <= 6" in result.output
     assert result.output.count("FAIL") == 2
+
+
+@pytest.mark.parametrize("kept", [5, 0])
+def test_verify_fails_timelines_shorter_than_the_depth(runner, monkeypatch, kept):
+    # every coin's timeline cut to its first few records, or to none, at
+    # --depth 40: both record checks score t <= their requested depth, so
+    # the missing records fail them, and nothing ends in a traceback
+    true_timelines = twinwalk.verification.timelines_and_distributions
+
+    def cut_timelines(coins, steps, measured=None):
+        results = true_timelines(coins, steps, measured=measured)
+        return [(timeline[:kept], distribution) for timeline, distribution in results]
+
+    monkeypatch.setattr(twinwalk.verification, "timelines_and_distributions", cut_timelines)
+    result = runner.invoke(main, ["verify", "--depth", "40", "--random-states", "1"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert "FAIL  timeline and distribution vs dense oracle, t <= 40" in result.output
+    assert "FAIL  timeline vs path-sum oracle, t <= 12" in result.output
+    assert result.output.count("FAIL") == 2
+
+
+#: the checks ``verify`` prints, in order, with their tolerances, at
+#: --depth 4 and at --depth 40
+CHECK_TABLE = [
+    ("three-step amplitudes vs closed form", "1.0e-12"),
+    ("branch entropies t=1 (product states)", "1.0e-09"),
+    ("branch entropies t=2 (maximally entangled)", "1.0e-09"),
+    ("branch entropy t=3 coin-0", "5.0e-05"),
+    ("branch entropy t=3 coin-1", "1.0e-09"),
+    ("attainable bound at t=2 and t=3", "5.0e-04"),
+    ("norm drift over 1000 steps", "1.0e-12"),
+    ("light-cone violations over 1000 steps", "0.0e+00"),
+    ("distribution completeness at t=1000", "1.0e-12"),
+    ("timeline and distribution vs dense oracle, t <= {depth}", "1.0e-10"),
+    ("timeline vs path-sum oracle, t <= {path_sum_depth}", "1.0e-12"),
+    ("unscaled run rows vs exact integer run, t <= {depth}", "1.0e-14"),
+]
+
+
+@pytest.mark.parametrize(
+    "depth, random_states, path_sum_depth", [(4, 0, 4), (40, 1, 12)], ids=["depth-4", "depth-40"]
+)
+def test_verify_prints_the_check_table(runner, depth, random_states, path_sum_depth):
+    # names, order and tol= fields; the max_error digits depend on BLAS
+    result = runner.invoke(
+        main, ["verify", "--depth", str(depth), "--random-states", str(random_states)]
+    )
+    assert result.exit_code == 0, result.output
+    *lines, summary = result.output.splitlines()
+    assert summary == "12/12 checks passed"
+    line_format = r"PASS  (.+?) +max_error=\S+  tol=(\S+)"
+    printed = [re.fullmatch(line_format, line).groups() for line in lines]
+    expected = [
+        (name.format(depth=depth, path_sum_depth=path_sum_depth), tol)
+        for name, tol in CHECK_TABLE
+    ]
+    assert printed == expected
 
 
 @pytest.mark.parametrize("count", [1001, 10**9])

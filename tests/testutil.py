@@ -197,13 +197,15 @@ def max_table_diff(left: AmpTable, right: AmpTable) -> float:
 
 def dense_error(coin: CoinSpinor, t_max: int) -> float:
     """``twinwalk verify``'s dense-oracle error of the timeline and final
-    distribution of a ``t_max``-step walk from ``coin``."""
+    distribution of a ``t_max``-step walk from ``coin``: its shared records
+    loop against the dense trajectory, and the final distribution."""
     ((timeline, distribution),) = timelines_and_distributions([coin], t_max)
-    return _dense_error(coin, timeline, distribution)
+    return _dense_error(coin, timeline, distribution, t_max)
 
 
 def path_sum_error(coin: CoinSpinor, t_max: int) -> float:
     """``twinwalk verify``'s path-sum error of the timeline of a
-    ``t_max``-step walk from ``coin``."""
-    ((timeline, _),) = timelines_and_distributions([coin], t_max)
-    return _path_sum_error(coin, timeline)
+    ``t_max``-step walk from ``coin``: its shared records loop against the
+    path-sum tables."""
+    ((timeline, distribution),) = timelines_and_distributions([coin], t_max)
+    return _path_sum_error(coin, timeline, distribution, t_max)
