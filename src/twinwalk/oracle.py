@@ -18,16 +18,20 @@ summed by ``math.fsum``.  The run from |1> is its mirror image:
 B0(t)[k] = (-1)^(t+1) A1(t)[t - k] (a test checks this against the integer
 run from |1> itself).
 
-``dense_trajectory`` streams the dense states after 0..t_max steps, so a
-sweep over every t costs t_max tensor steps; ``dense_evolve`` is its last
-state.  The lattice grows with the walk: the state after t steps is the full
-(2, 2t+1, 2t+1) tensor over sites [-t, t]^2, which holds every site either
+The walk is linear in the initial coin, so ``dense_trajectory`` evolves
+only the runs from |0> and from |1>, as one (2, 2, 2t+1, 2t+1) tensor, and
+streams it after 0..t_max steps: a sweep over every t and any number of
+coins costs t_max tensor steps.  The lattice grows with the walk: the
+tensor after t steps covers sites [-t, t]^2, which holds every site either
 walker can reach, so nothing is truncated.  ``dense_branches`` measures both
-coin branches of a state in one pass.  It crops the two branch matrices to
-the union of their nonzero rows and columns before forming the reduced
-density matrices.  That crop is exact: a zero column adds nothing to any
-entry of M M^dagger, and a zero row adds only a zero eigenvalue, which the
-``EIGVAL_EPS`` filter discards anyway.
+coin branches of every coin in a list, alpha run0 + beta run1, in one pass
+with one ``eigvalsh`` call over all their reduced density matrices, and
+``dense_marginals`` gives their walker-1 distributions.  The runs are
+cropped to the union of the nonzero rows and columns of all four of their
+matrices before the reduced density matrices are formed.  That crop is
+exact: a column zero in every matrix adds nothing to any entry of any
+M M^dagger, and a row zero in every matrix adds only a zero eigenvalue,
+which the ``EIGVAL_EPS`` filter discards anyway.
 
 The path sum is streamed the same way: ``path_sum_tables`` yields the tables
 of depths 0..t_max from one enumeration, each depth's 2^t histories
@@ -38,16 +42,16 @@ table.  ``path_sum_branches`` reads a table's two branches in the shape of
 The dense and path-sum oracles are deliberately brute force (quadratic
 memory / exponential time) and exist to catch index and normalization bugs in
 the fast path, not to scale; the exact run is quadratic in time, in Python
-integers.  They take the initial coin itself and build their own Hadamard
-matrix; nothing here imports the engine or the driver they check.
+integers.  They build their own Hadamard matrix, and the dense oracle
+evolves the run from |1> itself, with no mirror identity; nothing here
+imports the engine or the driver they check.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -64,125 +68,93 @@ MAX_PATH_SUM_STEPS = 20
 Branches = tuple[tuple[float, float | None], tuple[float, float | None]]
 
 
-class EmptyBranchError(ValueError):
-    """The requested outcome carries no usable probability at this step."""
-
-
-@dataclass(frozen=True, eq=False)
-class DenseTensorState:
-    """Full amplitude tensor indexed (coin, walker1, walker2) on [-t, t]^2
-    after t = ``step`` steps."""
-
-    step: int
-    amplitudes: np.ndarray
-
-    @property
-    def lattice_radius(self) -> int:
-        return self.step
-
-    def amplitude(self, coin: int, x1: int, x2: int) -> complex:
-        """Amplitude of |coin>|x1, x2>; 0 at sites no walk of ``step`` steps
-        reaches."""
-        r = self.lattice_radius
-        if max(abs(x1), abs(x2)) > r:
-            return 0j
-        return complex(self.amplitudes[coin, x1 + r, x2 + r])
-
-    def norm(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
-    def off_diagonal_mass(self) -> float:
-        """Probability mass on sites with walker1 != walker2 (should be 0)."""
-        mass = np.sum(np.abs(self.amplitudes) ** 2, axis=0)
-        sites = np.arange(mass.shape[0])
-        mass[sites, sites] = 0.0
-        return float(np.sum(mass))
-
-    def branch_probability(self, outcome: CoinOutcome) -> float:
-        matrix = self.amplitudes[outcome.value]
-        return float(np.vdot(matrix, matrix).real)
-
-
-def dense_trajectory(coin_init: CoinSpinor, t_max: int) -> Iterator[DenseTensorState]:
-    """Yield the dense state after 0, 1, ..., t_max steps from the origin,
-    starting with the coin in ``coin_init``.
+def dense_trajectory(t_max: int) -> Iterator[np.ndarray]:
+    """Yield the dense runs from |0> and from |1> after 0, 1, ..., t_max
+    steps, as one (start, coin, walker1, walker2) tensor of shape
+    (2, 2, 2t+1, 2t+1) over sites [-t, t]^2.
 
     Each step applies a complex128 Hadamard matrix, built here rather than
-    taken from the engine, to the whole tensor with explicit three-index
-    bookkeeping.  The conditional move acts only on diagonal sites |i, i> and
-    displaces both walker indices together, so support stays on the diagonal.
-    Each step also grows the lattice by one site at both ends of both walker
-    axes, so the state after t steps is the (2, 2t+1, 2t+1) tensor over
-    [-t, t]^2 and no amplitude can leave it.  The step count and the coin's
-    normalization are checked at the call, before any step runs.
+    taken from the engine, to the coin axis of the whole tensor with explicit
+    three-index bookkeeping; the run from |1> is evolved, not mirrored.  The
+    conditional move acts only on diagonal sites |i, i> and displaces both
+    walker indices together, so support stays on the diagonal.  Each step
+    also grows the lattice by one site at both ends of both walker axes, so
+    no amplitude can leave it.  The step count is checked at the call,
+    before any step runs.
     """
     if t_max < 0:
         raise ValueError(f"step count must be non-negative, got {t_max}")
-    coin_init.require_normalized()
-    return _dense_steps(coin_init, t_max)
+    return _dense_steps(t_max)
 
 
-def _dense_steps(coin_init: CoinSpinor, t_max: int) -> Iterator[DenseTensorState]:
-    amplitudes = np.array((coin_init.amp0, coin_init.amp1), dtype=np.complex128).reshape(2, 1, 1)
+def _dense_steps(t_max: int) -> Iterator[np.ndarray]:
     s = math.sqrt(0.5)
     coin = np.array(((s, s), (s, -s)), dtype=np.complex128)
-    yield DenseTensorState(step=0, amplitudes=amplitudes)
+    runs = np.eye(2, dtype=np.complex128).reshape(2, 2, 1, 1)
+    yield runs
     for t in range(1, t_max + 1):
         # sites -(t-1)..t-1 sit at indices 0..n-1 before the step and at
         # 1..n after it; coin 0 moves them up one index, coin 1 down one
         n = 2 * t - 1
         idx = np.arange(n)
-        mixed = (coin @ amplitudes.reshape(2, -1)).reshape(amplitudes.shape)
-        amplitudes = np.zeros((2, n + 2, n + 2), dtype=np.complex128)
-        amplitudes[0, idx + 2, idx + 2] = mixed[0, idx, idx]
-        amplitudes[1, idx, idx] = mixed[1, idx, idx]
-        yield DenseTensorState(step=t, amplitudes=amplitudes)
+        mixed = (coin @ runs.reshape(2, 2, -1)).reshape(runs.shape)
+        runs = np.zeros((2, 2, n + 2, n + 2), dtype=np.complex128)
+        runs[:, 0, idx + 2, idx + 2] = mixed[:, 0, idx, idx]
+        runs[:, 1, idx, idx] = mixed[:, 1, idx, idx]
+        # not held while the caller measures the step
+        del mixed
+        yield runs
 
 
-def dense_evolve(coin_init: CoinSpinor, t: int) -> DenseTensorState:
-    """The dense state after t steps from ``coin_init``: the last state of
-    ``dense_trajectory``, with the same eager checks."""
-    return deque(dense_trajectory(coin_init, t), maxlen=1)[0]
+def _coin_products(coins: Sequence[CoinSpinor]) -> np.ndarray:
+    """(C, 2, 2) products c_a conj(c_b) of each coin's amplitudes
+    (c_0, c_1) = (alpha, beta): the weights of the bilinear terms
+    run_a run_b^dagger in the coin's state alpha run0 + beta run1."""
+    amplitudes = np.array([(coin.amp0, coin.amp1) for coin in coins], dtype=np.complex128)
+    return amplitudes[:, :, None] * amplitudes[:, None, :].conj()
 
 
-def dense_branches(state: DenseTensorState) -> Branches:
-    """Weight and entropy in bits of coin branches 0 and 1 of ``state``;
-    the entropy is None for a branch no heavier than PROB_EPS.
+def dense_branches(runs: np.ndarray, coins: Sequence[CoinSpinor]) -> list[Branches]:
+    """Weight and entropy in bits of coin branches 0 and 1 of each coin's
+    dense state alpha run0 + beta run1, for the runs ``dense_trajectory``
+    yields; the entropy is None for a branch no heavier than PROB_EPS.
 
-    Both walker amplitude matrices are cropped to the union of their nonzero
-    rows and columns (see the module docstring) and renormalized by their
-    weights; walker 2 is traced out of each, and the entropies come from the
-    eigenvalues of the two reduced density matrices, diagonalized as one
-    (2, m, m) stack.  The eigen-decomposition does not assume the matrices
-    are diagonal, so it stays independent of the fast path's Schmidt
-    shortcut.
+    The runs are cropped to the union of the nonzero rows and columns of all
+    four of their matrices (see the module docstring).  Branch c of a coin
+    is M = alpha R0 + beta R1, R_a the cropped coin-c matrix of run a, so
+    its reduced density matrix (walker 2 traced out) is
+    M M^dagger = sum_ab c_a conj(c_b) R_a R_b^dagger: the four products are
+    formed once per step and summed with each coin's weights.  A branch
+    weighs the trace of its matrix, which is then divided by that weight;
+    the entropies come from the eigenvalues of all 2C matrices, diagonalized
+    as one stack.  The eigen-decomposition does not assume the matrices are
+    diagonal, so it stays independent of the fast path's Schmidt shortcut.
     """
-    nonzero = state.amplitudes.any(axis=0)
-    cropped = state.amplitudes[:, nonzero.any(axis=1)][:, :, nonzero.any(axis=0)]
-    weights = np.array([np.vdot(matrix, matrix).real for matrix in cropped])
+    nonzero = runs.any(axis=(0, 1))
+    cropped = runs[:, :, nonzero.any(axis=1)][:, :, :, nonzero.any(axis=0)]
+    # products[a, b, c] = R_a R_b^dagger of branch c
+    products = cropped[:, None] @ cropped.conj().swapaxes(-1, -2)
+    rho = np.tensordot(_coin_products(coins), products, axes=2)
+    weights = np.trace(rho, axis1=2, axis2=3).real
     present = weights > PROB_EPS
     # an absent branch is left unscaled; its eigenvalues are never read
-    cropped /= np.sqrt(np.where(present, weights, 1.0))[:, None, None]
-    rho = cropped @ cropped.conj().transpose(0, 2, 1)
-    branches = []
-    for weight, p, eigenvalues in zip(weights.tolist(), present, np.linalg.eigvalsh(rho)):
-        entropy = None
-        if p:
-            eigenvalues = eigenvalues[eigenvalues > EIGVAL_EPS]
-            entropy = max(0.0, float(-np.sum(eigenvalues * np.log2(eigenvalues))))
-        branches.append((weight, entropy))
-    return branches[0], branches[1]
+    rho /= np.where(present, weights, 1.0)[:, :, None, None]
+    eigenvalues = np.linalg.eigvalsh(rho)
+    logs = np.log2(eigenvalues, out=np.zeros_like(eigenvalues), where=eigenvalues > EIGVAL_EPS)
+    entropies = np.maximum(0.0, -np.sum(eigenvalues * logs, axis=2))
+    return [
+        tuple((w, e if p else None) for w, e, p in zip(*row))
+        for row in zip(weights.tolist(), entropies.tolist(), present.tolist())
+    ]
 
 
-def reduced_entropy(state: DenseTensorState, outcome: CoinOutcome) -> float:
-    """Entropy in bits of one coin branch of ``state``, from
-    ``dense_branches``; raises ``EmptyBranchError`` if the branch is absent."""
-    weight, entropy = dense_branches(state)[outcome.value]
-    if entropy is None:
-        raise EmptyBranchError(
-            f"outcome {outcome} has probability {weight!r} at step {state.step}"
-        )
-    return entropy
+def dense_marginals(runs: np.ndarray, coins: Sequence[CoinSpinor]) -> np.ndarray:
+    """(C, 2t+1) walker-1 position distribution of each coin's dense state
+    alpha run0 + beta run1 over sites -t..t: the sum over coin and walker 2
+    of its |amplitude|^2, formed from the runs' bilinear products as in
+    ``dense_branches``."""
+    products = np.einsum("acij,bcij->abi", runs, runs.conj())
+    return np.tensordot(_coin_products(coins), products, axes=([1, 2], [0, 1])).real
 
 
 def path_sum_tables(

@@ -26,7 +26,7 @@ distribution completeness at t=1000                 final distribution      1e-1
 timeline and distribution vs dense oracle, t <= D   records and final       1e-10
                                                     distribution vs
                                                     ``dense_branches`` and
-                                                    the dense marginal
+                                                    ``dense_marginals``
 timeline vs path-sum oracle, t <= min(D, 12)        records vs              1e-12
                                                     ``path_sum_branches``
 unscaled run rows vs exact integer run, t <= D      rows vs ``exact_run``   1e-14
@@ -43,6 +43,10 @@ returns for a coin; the dense and path-sum checks score a coin's first D
 branch weights and entropies.  D is the oracle depth, 3 <= D <=
 ``MAX_DEPTH``; the record checks cover the five presets plus
 0..``MAX_RANDOM_STATES`` random coins, ``COINS_PER_RUN`` coins to a run.
+Each record check scores a run's whole chunk of coins at once: the dense
+check evolves one dense trajectory per chunk and measures every coin of the
+chunk at each step in one call, and the path-sum check streams each coin's
+own tables.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ from .experiment import PRESETS, TimelineRecord, run_timeline, timelines_and_dis
 from .oracle import (
     Branches,
     dense_branches,
+    dense_marginals,
     dense_trajectory,
     exact_run,
     path_sum_branches,
@@ -78,8 +83,8 @@ PATH_SUM_DEPTH_CAP = 12
 MAX_DEPTH = 200
 
 #: most random coins ``run_checks`` accepts on top of the five presets; each
-#: costs a dense and a path-sum sweep (about 1.3 ms at depth 10 on a 2-vCPU
-#: Xeon)
+#: costs a path-sum sweep and a share of its chunk's dense sweep (about 1.1 ms
+#: at depth 10 on a 2-vCPU Xeon)
 MAX_RANDOM_STATES = 1000
 
 #: coins measured from one run in the oracle sweeps
@@ -231,32 +236,47 @@ def _records_error(
 
 
 def _dense_error(
-    coin: CoinSpinor, timeline: list[TimelineRecord], distribution: dict[int, float], depth: int
+    coins: list[CoinSpinor],
+    timelines: list[list[TimelineRecord]],
+    distributions: list[dict[int, float]],
+    depth: int,
 ) -> float:
-    """``_records_error`` against ``dense_branches`` of the streamed dense
-    trajectory, folded with the worst deviation of the final distribution
-    from walker 1's marginal of the dense state at t = depth; sites missing
-    from either are compared as 0, and a site past the light cone is inf."""
-    states = dense_trajectory(coin, depth)
+    """Worst ``_records_error`` of a chunk of coins against the
+    ``dense_branches`` of one dense trajectory, folded with the worst
+    deviation of each final distribution from walker 1's marginal of the
+    coin's dense state at t = depth; sites missing from either are compared
+    as 0, and a site past the light cone is inf."""
+    states = dense_trajectory(depth)
     final = next(states)
-    # the walrus keeps the last state the records loop reached
-    worst = _records_error(timeline, depth, (dense_branches(final := s) for s in states))
-    if final.step != depth:
-        return math.inf
-    marginal = np.square(np.abs(final.amplitudes)).sum(axis=(0, 2))
-    sites = dict(zip(range(-depth, depth + 1), marginal.tolist()))
-    if not distribution.keys() <= sites.keys():
-        return math.inf
-    return np.maximum(worst, np.max([abs(distribution.get(x, 0.0) - p) for x, p in sites.items()]))
+    # the walrus keeps the last state
+    steps = [dense_branches(final := runs, coins) for runs in states]
+    errors = [
+        _records_error(timeline, depth, branches)
+        for timeline, branches in zip(timelines, zip(*steps))
+    ]
+    sites = range(-depth, depth + 1)
+    cone = set(sites)
+    for distribution, marginal in zip(distributions, dense_marginals(final, coins).tolist()):
+        if not distribution.keys() <= cone:
+            return math.inf
+        errors.extend(abs(distribution.get(x, 0.0) - p) for x, p in zip(sites, marginal))
+    return np.max(errors)
 
 
 def _path_sum_error(
-    coin: CoinSpinor, timeline: list[TimelineRecord], distribution: dict[int, float], depth: int
+    coins: list[CoinSpinor],
+    timelines: list[list[TimelineRecord]],
+    distributions: list[dict[int, float]],
+    depth: int,
 ) -> float:
-    """``_records_error`` against ``path_sum_branches`` of the streamed
-    tables; the distribution is not read."""
-    tables = itertools.islice(path_sum_tables(coin, depth), 1, None)
-    return _records_error(timeline, depth, map(path_sum_branches, tables))
+    """Worst ``_records_error`` of a chunk of coins, each against
+    ``path_sum_branches`` of its streamed tables; the distributions are not
+    read."""
+    errors = []
+    for coin, timeline in zip(coins, timelines):
+        tables = itertools.islice(path_sum_tables(coin, depth), 1, None)
+        errors.append(_records_error(timeline, depth, map(path_sum_branches, tables)))
+    return np.max(errors)
 
 
 def _check_three_step_entropies() -> list[CheckResult]:
@@ -287,7 +307,7 @@ def run_checks(
     if max_step > MAX_DEPTH:
         raise ValueError(
             f"max_step must be at most {MAX_DEPTH} (the dense oracle holds a "
-            f"(2, 2t+1, 2t+1) tensor), got {max_step}"
+            f"(2, 2, 2t+1, 2t+1) tensor), got {max_step}"
         )
     if random_states < 0:
         raise ValueError(f"random_states must be non-negative, got {random_states}")
@@ -310,11 +330,10 @@ def run_checks(
     # records held at once stay few
     for start in range(0, len(coins), COINS_PER_RUN):
         chunk = coins[start : start + COINS_PER_RUN]
-        runs = timelines_and_distributions(chunk, max_step)
-        for coin, (timeline, distribution) in zip(chunk, runs):
-            for i, (_, reference, depth, _) in enumerate(records):
-                error = reference(coin, timeline[:depth], distribution, depth)
-                errors[i] = np.maximum(errors[i], error)
+        timelines, distributions = zip(*timelines_and_distributions(chunk, max_step))
+        for i, (_, reference, depth, _) in enumerate(records):
+            cut = [timeline[:depth] for timeline in timelines]
+            errors[i] = np.maximum(errors[i], reference(chunk, cut, distributions, depth))
     # built after the dense sweeps, so its integers are not held through them
     exact_rows = partial(_integer_rows, dict(enumerate(exact_run(max_step))))
     rows = (

@@ -24,10 +24,18 @@ from twinwalk import (
     timelines_and_distributions,
 )
 from twinwalk.cli import main
-from twinwalk.oracle import dense_evolve, path_sum_table
+from twinwalk.oracle import path_sum_table
 from twinwalk.states import SUPPORT_EPS, mirror_total_variation
 from twinwalk.verification import random_coin_states
-from testutil import dense_error, engine_trajectory, evolve_tables, max_table_diff, path_sum_error
+from testutil import (
+    dense_error,
+    dense_state,
+    engine_trajectory,
+    evolve_tables,
+    max_table_diff,
+    off_diagonal_mass,
+    path_sum_error,
+)
 
 S = math.sqrt(0.5)
 E3 = S / 2
@@ -193,8 +201,7 @@ def test_criterion_4_property_suite(full_scale):
         ((_, distribution),) = timelines_and_distributions([PRESETS["4c"]], 1000)
         assert mirror_total_variation(distribution) < 1e-10
 
-        dense = dense_evolve(PRESETS["4a"], 120)
-        assert dense.off_diagonal_mass() < 1e-14
+        assert off_diagonal_mass(dense_state(PRESETS["4a"], 120)) < 1e-14
 
 
 def test_criterion_5_figures_determinism(tmp_path):

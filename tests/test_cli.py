@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -532,10 +533,10 @@ def test_record_error_is_inf_for_arrays_of_the_wrong_length(reference, tolerance
     # compared at the requested depth but reported as inf
     coin = twinwalk.experiment.PRESETS["4a"]
     ((timeline, distribution),) = twinwalk.experiment.timelines_and_distributions([coin], 5)
-    assert reference(coin, timeline, distribution, 5) < tolerance
-    assert reference(coin, timeline + timeline[-1:], distribution, 5) == math.inf
-    assert reference(coin, timeline[:-1], distribution, 5) == math.inf
-    assert reference(coin, [], distribution, 5) == math.inf
+    assert reference([coin], [timeline], [distribution], 5) < tolerance
+    assert reference([coin], [timeline + timeline[-1:]], [distribution], 5) == math.inf
+    assert reference([coin], [timeline[:-1]], [distribution], 5) == math.inf
+    assert reference([coin], [[]], [distribution], 5) == math.inf
 
 
 def test_dense_error_is_inf_for_a_site_outside_the_light_cone():
@@ -544,8 +545,8 @@ def test_dense_error_is_inf_for_a_site_outside_the_light_cone():
     coin = twinwalk.experiment.PRESETS["4a"]
     ((timeline, distribution),) = twinwalk.experiment.timelines_and_distributions([coin], 5)
     dense_error = twinwalk.verification._dense_error
-    assert dense_error(coin, timeline, distribution, 5) < 1e-10
-    assert dense_error(coin, timeline, {**distribution, 7: 0.0}, 5) == math.inf
+    assert dense_error([coin], [timeline], [distribution], 5) < 1e-10
+    assert dense_error([coin], [timeline], [{**distribution, 7: 0.0}], 5) == math.inf
 
 
 @RECORD_REFERENCES
@@ -557,11 +558,11 @@ def test_record_error_is_inf_for_a_branch_absent_on_one_side(reference, toleranc
     coin = twinwalk.CoinSpinor(s, s)
     ((timeline, distribution),) = twinwalk.experiment.timelines_and_distributions([coin], 3)
     assert timeline[0].entropy1 is None
-    assert reference(coin, timeline, distribution, 3) < tolerance
+    assert reference([coin], [timeline], [distribution], 3) < tolerance
     entropy_where_absent = [timeline[0]._replace(entropy1=0.0), *timeline[1:]]
     none_where_present = [timeline[0], timeline[1]._replace(entropy0=None), timeline[2]]
-    assert reference(coin, entropy_where_absent, distribution, 3) == math.inf
-    assert reference(coin, none_where_present, distribution, 3) == math.inf
+    assert reference([coin], [entropy_where_absent], [distribution], 3) == math.inf
+    assert reference([coin], [none_where_present], [distribution], 3) == math.inf
 
 
 def test_verify_detects_run_rows_of_the_wrong_length(runner, monkeypatch):
@@ -619,6 +620,26 @@ def test_verify_builds_amplitude_tables_only_to_the_path_sum_depth(monkeypatch):
     assert all(check.passed for check in checks)
     assert depths
     assert max(depths) <= twinwalk.verification.PATH_SUM_DEPTH_CAP
+
+
+def test_verify_working_set_stays_small():
+    # the benchmark's sweep (depth 40, five random coins) measures each chunk
+    # of coins from one dense trajectory, with a tracemalloc peak of about
+    # 1.5 MiB; an uncropped matrix stack would pass 3 MiB.  (The peak is
+    # not tested at depth 200 with no random coins, which takes seconds; it
+    # is about 30 MiB there, mostly the stacked reduced density matrices.)
+    twinwalk.verification.run_checks(40, 5)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        checks = twinwalk.verification.run_checks(40, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert all(check.passed for check in checks)
+    assert peak < 3 * 2**20
 
 
 def test_verify_detects_corrupted_timeline(runner, monkeypatch):

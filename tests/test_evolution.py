@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twinwalk.evolution
-from twinwalk import PRESETS, CoinOutcome, CoinSpinor, run_timeline, timelines_and_distributions
+from twinwalk import PRESETS, CoinSpinor, run_timeline, timelines_and_distributions
 from twinwalk.evolution import (
     FLUSH_FLOOR,
     FLUSH_FROM,
@@ -17,15 +17,18 @@ from twinwalk.evolution import (
     branch_blocks,
     row_exponent,
 )
-from twinwalk.oracle import dense_trajectory, reduced_entropy
+from twinwalk.oracle import dense_branches, dense_trajectory
 from twinwalk.states import NormalizationError
 from testutil import (
     coin_spinors,
     dense_diagonal,
+    dense_norm,
+    dense_states,
     engine_trajectory,
     evolve_tables,
     exact_rows,
     max_table_diff,
+    off_diagonal_mass,
     run_rows,
     table_of,
 )
@@ -149,10 +152,10 @@ def test_two_walker_amplitudes_equal_single_walker(coin, steps):
     # the dense oracle moves two walkers on the full product lattice; its
     # diagonal must hold the one-walker walk's amplitudes, to rounding, and
     # nothing may leave it
-    states = zip(engine_trajectory(coin, steps), dense_trajectory(coin, steps))
+    states = zip(engine_trajectory(coin, steps), dense_states(coin, steps))
     for t, ((a0, a1), dense) in enumerate(states):
         assert np.max(np.abs(dense_diagonal(dense, t) - np.array([a0, a1]))) <= rounding(t)
-        assert dense.off_diagonal_mass() == 0.0
+        assert off_diagonal_mass(dense) == 0.0
 
 
 def test_mirror_symmetry_between_opposite_basis_coins():
@@ -171,14 +174,14 @@ def test_mirror_symmetry_between_opposite_basis_coins():
 @settings(deadline=None, max_examples=40)
 def test_trajectory_layout_matches_dense_diagonal(coin, steps):
     """Index k of the step-t arrays holds site -t + 2k of the dense oracle."""
-    dense_states = dense_trajectory(coin, steps)
+    states = dense_states(coin, steps)
     arrays = engine_trajectory(coin, steps)
-    for t, (dense, (a0, a1)) in enumerate(zip(dense_states, arrays, strict=True)):
+    for t, (dense, (a0, a1)) in enumerate(zip(states, arrays, strict=True)):
         assert len(a0) == len(a1) == t + 1
         diagonal = dense_diagonal(dense, t)
         assert np.max(np.abs(diagonal - np.array([a0, a1]))) <= rounding(t)
         # no dense mass outside the sites the layout stores
-        assert np.sum(np.abs(diagonal) ** 2) == pytest.approx(dense.norm(), abs=1e-14)
+        assert np.sum(np.abs(diagonal) ** 2) == pytest.approx(dense_norm(dense), abs=1e-14)
 
 
 def test_trajectory_rejects_bad_input():
@@ -296,15 +299,15 @@ def test_mirror_sign_on_both_row_parities():
     # B0 is the coin-0 row of the run from |1>, on odd and even steps alike;
     # a wrong sign on one parity keeps every weight sum but not the entropies
     steps = 13
-    dense = list(dense_trajectory(COIN_LEFT, steps))
+    dense = list(dense_states(COIN_LEFT, steps))
     for first, lo, a0, b0 in branch_blocks(steps):
         for j, row in enumerate(full_rows(first, lo, b0)):
             t = first + j
             true_row = row * 2.0 ** (-row_exponent(t) / 2)
             assert np.max(np.abs(true_row - dense_diagonal(dense[t], t)[0])) <= rounding(t), t
     coin = PRESETS["4e"]
-    dense_coin = list(dense_trajectory(coin, steps))
+    runs = list(dense_trajectory(steps))
     for record in run_timeline(coin, steps):
-        state = dense_coin[record.step]
-        assert record.entropy0 == pytest.approx(reduced_entropy(state, CoinOutcome.C0), abs=1e-12)
-        assert record.entropy1 == pytest.approx(reduced_entropy(state, CoinOutcome.C1), abs=1e-12)
+        ((_, entropy0), (_, entropy1)) = dense_branches(runs[record.step], [coin])[0]
+        assert record.entropy0 == pytest.approx(entropy0, abs=1e-12)
+        assert record.entropy1 == pytest.approx(entropy1, abs=1e-12)

@@ -25,13 +25,7 @@ from twinwalk.entanglement import COEFF_EPS
 from twinwalk.evolution import block_steps
 from twinwalk.experiment import MAX_STEPS, _branch_mixing
 from twinwalk.figures import build_figure_bundle
-from twinwalk.oracle import (
-    dense_evolve,
-    dense_trajectory,
-    exact_branches,
-    exact_distribution,
-    exact_run,
-)
+from twinwalk.oracle import exact_branches, exact_distribution, exact_run
 from twinwalk.states import NORM_TOL, PROB_EPS, NormalizationError
 from twinwalk.verification import random_coin_states
 from testutil import (
@@ -39,6 +33,9 @@ from testutil import (
     coin_spinors,
     dense_diagonal,
     dense_marginal,
+    dense_norm,
+    dense_state,
+    dense_states,
     engine_trajectory,
     final_distribution,
     oracle_trajectory,
@@ -247,13 +244,13 @@ def assert_matches_dense_oracle(coin, steps):
     """
     timeline = run_timeline(coin, steps)
     arrays = itertools.islice(engine_trajectory(coin, steps), 1, None)
-    dense_states = itertools.islice(dense_trajectory(coin, steps), 1, None)
+    states = itertools.islice(dense_states(coin, steps), 1, None)
     assert [r.step for r in timeline] == list(range(1, steps + 1))
-    for record, (a0, a1), dense in zip(timeline, arrays, dense_states, strict=True):
+    for record, (a0, a1), dense in zip(timeline, arrays, states, strict=True):
         diagonal = dense_diagonal(dense, record.step)
         assert np.max(np.abs(diagonal - np.array([a0, a1]))) <= 1e-13
-        assert abs(record.p0 - dense.branch_probability(CoinOutcome.C0)) <= 1e-13
-        assert abs(record.p1 - dense.branch_probability(CoinOutcome.C1)) <= 1e-13
+        assert abs(record.p0 - dense_norm(dense[0])) <= 1e-13
+        assert abs(record.p1 - dense_norm(dense[1])) <= 1e-13
         for got, support, ratio, amps in (
             (record.entropy0, record.support0, record.ratio0, diagonal[0]),
             (record.entropy1, record.support1, record.ratio1, diagonal[1]),
@@ -327,7 +324,7 @@ def test_single_walker_distribution_matches_dense_marginal(name, steps):
     *_, (n0, n1) = exact_run(steps)
     got = final_distribution(PRESETS[name], steps)
     assert_distributions_close(got, exact_distribution(PRESETS[name], n0, n1), 1e-15)
-    dense = dense_evolve(PRESETS[name], steps)
+    dense = dense_state(PRESETS[name], steps)
     assert_distributions_close(got, dense_marginal(dense), 1e-15 + steps * 2.3e-16)
 
 
@@ -357,7 +354,7 @@ def test_timeline_and_distribution_is_one_pass_of_both(name, steps):
 @settings(deadline=None, max_examples=50)
 def test_timeline_and_distribution_follows_the_configured_coin(coin, steps):
     ((_, distribution),) = timelines_and_distributions([coin], steps)
-    dense = dense_evolve(coin, steps)
+    dense = dense_state(coin, steps)
     assert_distributions_close(distribution, dense_marginal(dense), 1e-14)
 
 

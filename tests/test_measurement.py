@@ -5,9 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinwalk import CoinOutcome, CoinSpinor, run_timeline
-from twinwalk.oracle import dense_trajectory, path_sum_table
-from testutil import branch_entropy, coin_arrays, coin_spinors, oracle_trajectory
+from twinwalk import CoinSpinor, run_timeline
+from twinwalk.oracle import path_sum_table
+from testutil import (
+    branch_entropy,
+    coin_arrays,
+    coin_spinors,
+    dense_norm,
+    dense_states,
+    oracle_trajectory,
+)
 
 S = math.sqrt(0.5)
 COIN_RIGHT = CoinSpinor(1.0, 0.0)
@@ -133,7 +140,7 @@ def test_reembedded_branch_measures_to_itself():
 def test_coin_marginals_match_single_walker(coin):
     # the coin marginals of the one-walker walk are the branch weights
     # of the dense two-walker state
-    pairs = zip(run_timeline(coin, 10), list(dense_trajectory(coin, 10))[1:])
+    pairs = zip(run_timeline(coin, 10), list(dense_states(coin, 10))[1:])
     for record, dense in pairs:
-        assert record.p0 == pytest.approx(dense.branch_probability(CoinOutcome.C0), abs=1e-12)
-        assert record.p1 == pytest.approx(dense.branch_probability(CoinOutcome.C1), abs=1e-12)
+        assert record.p0 == pytest.approx(dense_norm(dense[0]), abs=1e-12)
+        assert record.p1 == pytest.approx(dense_norm(dense[1]), abs=1e-12)

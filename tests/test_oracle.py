@@ -12,12 +12,10 @@ from hypothesis import strategies as st
 import twinwalk.oracle
 from twinwalk import PRESETS, CoinOutcome, CoinSpinor, timelines_and_distributions
 from twinwalk.oracle import (
-    EmptyBranchError,
     EIGVAL_EPS,
     MAX_PATH_SUM_STEPS,
-    DenseTensorState,
     dense_branches,
-    dense_evolve,
+    dense_marginals,
     dense_trajectory,
     exact_branches,
     exact_distribution,
@@ -25,11 +23,22 @@ from twinwalk.oracle import (
     path_sum_amplitude,
     path_sum_table,
     path_sum_tables,
-    reduced_entropy,
 )
 from twinwalk.states import PROB_EPS
-from twinwalk.verification import random_coin_states
-from testutil import coin_spinors, dense_error, evolve_tables, max_table_diff
+from twinwalk.verification import COINS_PER_RUN, random_coin_states
+from testutil import (
+    coin_spinors,
+    coin_state,
+    dense_amplitude,
+    dense_error,
+    dense_marginal,
+    dense_norm,
+    dense_runs,
+    dense_state,
+    evolve_tables,
+    max_table_diff,
+    off_diagonal_mass,
+)
 
 S = math.sqrt(0.5)
 E3 = S / 2
@@ -38,16 +47,16 @@ COIN_LEFT = CoinSpinor(0.0, 1.0)
 
 
 def test_dense_one_step_amplitudes():
-    state = dense_evolve(COIN_RIGHT, 1)
-    assert state.amplitude(0, 1, 1) == pytest.approx(S, abs=1e-12)
-    assert state.amplitude(1, -1, -1) == pytest.approx(S, abs=1e-12)
-    assert state.amplitude(0, -1, -1) == 0.0
-    assert state.amplitude(1, 1, -1) == 0.0
-    assert state.norm() == pytest.approx(1.0, abs=1e-12)
+    state = dense_state(COIN_RIGHT, 1)
+    assert dense_amplitude(state, 0, 1, 1) == pytest.approx(S, abs=1e-12)
+    assert dense_amplitude(state, 1, -1, -1) == pytest.approx(S, abs=1e-12)
+    assert dense_amplitude(state, 0, -1, -1) == 0.0
+    assert dense_amplitude(state, 1, 1, -1) == 0.0
+    assert dense_norm(state) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dense_three_steps_match_worked_state():
-    state = dense_evolve(COIN_RIGHT, 3)
+    state = dense_state(COIN_RIGHT, 3)
     expected = {
         (3, 0): E3,
         (1, 0): 2 * E3,
@@ -58,36 +67,38 @@ def test_dense_three_steps_match_worked_state():
     # sites +-4 lie outside the step-3 lattice and read as 0
     for x in range(-4, 5):
         for c in (0, 1):
-            assert state.amplitude(c, x, x) == pytest.approx(
+            assert dense_amplitude(state, c, x, x) == pytest.approx(
                 expected.get((x, c), 0.0), abs=1e-12
             )
 
 
 @pytest.mark.parametrize("t", [1, 5, 12, 25])
 def test_dense_off_diagonal_mass_is_zero(t):
-    state = dense_evolve(COIN_RIGHT, t)
-    assert state.amplitudes.shape == (2, 2 * t + 1, 2 * t + 1)
-    assert state.off_diagonal_mass() < 1e-14
-    assert state.norm() == pytest.approx(1.0, abs=1e-14)
+    state = dense_state(COIN_RIGHT, t)
+    assert state.shape == (2, 2 * t + 1, 2 * t + 1)
+    assert off_diagonal_mass(state) < 1e-14
+    assert dense_norm(state) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_dense_norm_is_conserved():
-    state = dense_evolve(PRESETS["4e"], 40)
-    assert state.norm() == pytest.approx(1.0, abs=1e-12)
+    state = dense_state(PRESETS["4e"], 40)
+    assert dense_norm(state) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dense_lattice_grows_with_the_walk():
-    # the step-t state covers [-t, t]^2 exactly; sites past it read as 0
-    for t, state in enumerate(dense_trajectory(PRESETS["4e"], 6)):
-        assert state.step == state.lattice_radius == t
-        assert state.amplitudes.shape == (2, 2 * t + 1, 2 * t + 1)
-        assert state.amplitude(0, t + 1, t + 1) == state.amplitude(1, -t - 1, -t - 1) == 0j
-    assert dense_evolve(COIN_RIGHT, 2).amplitude(0, 2, 2) == pytest.approx(0.5, abs=1e-15)
+    # the step-t runs cover [-t, t]^2 exactly; sites past them read as 0
+    for t, runs in enumerate(dense_trajectory(6)):
+        assert runs.shape == (2, 2, 2 * t + 1, 2 * t + 1)
+        state = coin_state(PRESETS["4e"], runs)
+        assert dense_amplitude(state, 0, t + 1, t + 1) == 0j
+        assert dense_amplitude(state, 1, -t - 1, -t - 1) == 0j
+    assert dense_amplitude(dense_state(COIN_RIGHT, 2), 0, 2, 2) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_reduced_entropy_worked_values():
     def entropy(t, outcome):
-        return reduced_entropy(dense_evolve(COIN_RIGHT, t), outcome)
+        (branches,) = dense_branches(dense_runs(t), [COIN_RIGHT])
+        return branches[outcome.value][1]
 
     assert entropy(1, CoinOutcome.C0) == pytest.approx(0.0, abs=1e-9)
     assert entropy(2, CoinOutcome.C0) == pytest.approx(1.0, abs=1e-9)
@@ -97,10 +108,14 @@ def test_reduced_entropy_worked_values():
     assert entropy(3, CoinOutcome.C1) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_reduced_entropy_rejects_empty_branch():
-    state = dense_evolve(COIN_RIGHT, 0)
-    with pytest.raises(EmptyBranchError):
-        reduced_entropy(state, CoinOutcome.C1)
+def test_dense_branches_report_an_empty_branch_absent():
+    # |0> at t = 0 has no coin-1 branch, nor has (|0> + |1>)/sqrt(2) at t = 1
+    start, first = itertools.islice(dense_trajectory(1), 2)
+    assert dense_branches(start, [COIN_RIGHT]) == [((1.0, 0.0), (0.0, None))]
+    ((branch0, (weight1, entropy1)),) = dense_branches(first, [CoinSpinor(S, S)])
+    assert branch0[0] == pytest.approx(1.0, abs=1e-15)
+    assert weight1 <= PROB_EPS
+    assert entropy1 is None
 
 
 def test_path_sum_one_step():
@@ -181,27 +196,14 @@ def test_mirror_symmetry_via_path_sum():
             )
 
 
-def test_dense_trajectory_matches_dense_evolve():
-    coin = random_coin_states(1, seed=5)[0]
-    states = list(dense_trajectory(coin, 12))
-    assert [state.step for state in states] == list(range(13))
-    for t, state in enumerate(states):
-        assert state.lattice_radius == t
-        assert state.amplitudes.shape == (2, 2 * t + 1, 2 * t + 1)
-        assert np.array_equal(state.amplitudes, dense_evolve(coin, t).amplitudes)
+@pytest.mark.parametrize("t_max", [-1, -10])
+def test_dense_trajectory_rejects_a_negative_step_count(monkeypatch, t_max):
+    def must_not_evolve(*args):
+        raise AssertionError("evolved before the step count was checked")
 
-
-@pytest.mark.parametrize(
-    "coin,t",
-    [(COIN_RIGHT, -1), (CoinSpinor(1.0, 1.0), 3)],
-    ids=["negative-steps", "unnormalized-coin"],
-)
-def test_dense_trajectory_rejects_like_dense_evolve(coin, t):
-    with pytest.raises(ValueError) as streamed:
-        dense_trajectory(coin, t)
-    with pytest.raises(ValueError) as single:
-        dense_evolve(coin, t)
-    assert str(streamed.value) == str(single.value)
+    monkeypatch.setattr(twinwalk.oracle, "_dense_steps", must_not_evolve)
+    with pytest.raises(ValueError, match=f"non-negative, got {t_max}"):
+        dense_trajectory(t_max)
 
 
 def test_oracle_imports_neither_engine_nor_driver():
@@ -260,96 +262,87 @@ def test_only_the_oracle_names_a_complex_dtype():
             assert not found, f"{path.name} names {found}"
 
 
-def full_matrix_entropy(state, outcome):
-    """Entropy from eigvalsh of the uncropped reduced density matrix."""
-    matrix = state.amplitudes[outcome.value]
+def full_matrix_entropy(matrix):
+    """Entropy from eigvalsh of the uncropped reduced density matrix of a
+    branch amplitude matrix."""
     normalized = matrix / math.sqrt(float(np.sum(np.abs(matrix) ** 2)))
     eigenvalues = np.linalg.eigvalsh(normalized @ normalized.conj().T)
     eigenvalues = eigenvalues[eigenvalues > EIGVAL_EPS]
     return max(0.0, float(-np.sum(eigenvalues * np.log2(eigenvalues))))
 
 
-def explicit_weight(matrix) -> float:
-    return float(np.sum(matrix.real**2 + matrix.imag**2))
-
-
 #: unit roundoff of float64
 U = 2.0**-53
 
 
-def rounded_weight(matrix) -> float:
-    """sum |z|^2 over ``matrix`` summed exactly, as rationals, and rounded
-    once to a float."""
-    values = matrix[matrix != 0]
-    return float(sum(Fraction(x) ** 2 for x in (*values.real.tolist(), *values.imag.tolist())))
+def exact_weight(coin, a, b) -> float:
+    """sum |alpha a + beta b|^2 over two amplitude matrices, every product
+    formed and summed exactly, as rationals, and rounded once to a float."""
+    alpha = [Fraction(coin.amp0.real), Fraction(coin.amp0.imag)]
+    beta = [Fraction(coin.amp1.real), Fraction(coin.amp1.imag)]
+    nonzero = (a != 0) | (b != 0)
+    total = Fraction(0)
+    for x, y in zip(a[nonzero].tolist(), b[nonzero].tolist()):
+        x, y = (Fraction(x.real), Fraction(x.imag)), (Fraction(y.real), Fraction(y.imag))
+        re = alpha[0] * x[0] - alpha[1] * x[1] + beta[0] * y[0] - beta[1] * y[1]
+        im = alpha[0] * x[1] + alpha[1] * x[0] + beta[0] * y[1] + beta[1] * y[0]
+        total += re * re + im * im
+    return float(total)
 
 
-def sum_bound(roundings: int, products: int, total: float) -> float:
-    """Largest |computed - ``total``| for a computed sum of ``products``
-    nonnegative products whose exactly rounded sum is ``total``, when each
-    product passes through at most ``roundings`` roundings, in any order.
+def trace_bound(coin, runs, c: int) -> float:
+    """Largest |computed - exactly rounded| for the weight ``dense_branches``
+    gives branch c of ``coin``: the real part of the trace of
+    sum_ab w_ab R_a R_b^dagger, w_ab = c_a conj(c_b), over the m x k crop.
 
-    Each rounding is a factor 1 + d, |d| <= U, so the computed sum is within
-    gamma_k S of the exact S, gamma_k = k U / (1 - k U) (Higham, Accuracy
-    and Stability, eq. 4.4); ``total`` is within U S of S, and the extra U
-    covers the second-order terms for k U < 1e-12.  A product that
-    underflows is off by up to 2^-1075 absolute instead, which the roundings
-    after it may grow by a factor 1 + gamma_k; 2^-1074 per product covers
-    both.
+    Expanded, the weight is a sum of signed real products of four factors
+    (one real or imaginary part each of c_a, c_b, R_a and R_b).  Each passes
+    through at most 2 k + m + 6 roundings, in whatever order the BLAS takes:
+    two in w_ab (a product and an add), 2 k in a diagonal entry of
+    R_a R_b^dagger (a product, then at most 2 k - 1 adds over the 2 k real
+    products of its k complex terms), two in w_ab times that entry, three in
+    the sum over (a, b) and m - 1 in the trace.  Each rounding is a factor
+    1 + d, |d| <= U, so the computed sum is within gamma_K of the exact one
+    times the sum of the products' absolute values, gamma_K = K U / (1 - K U)
+    (Higham, Accuracy and Stability, eq. 3.4); a complex product's real and
+    imaginary parts together hold at most twice |z| |w| of absolute value,
+    so that sum is at most 2 sum (|alpha| |A| + |beta| |B|)^2.  The exactly
+    rounded weight is within U of the exact one times that sum, and a
+    further U covers the second-order terms and the rounding of the sum
+    itself.  A product that underflows is off by up to 2^-1075 absolute
+    instead; 2^-1074 for each of the 96 m k two-factor products covers it.
     """
+    nonzero = runs.any(axis=(0, 1))
+    m, k = np.count_nonzero(nonzero.any(axis=1)), np.count_nonzero(nonzero.any(axis=0))
+    magnitude = 2 * float(np.sum(
+        (abs(coin.amp0) * np.abs(runs[0, c]) + abs(coin.amp1) * np.abs(runs[1, c])) ** 2
+    ))
+    roundings = 2 * k + m + 6
     assert roundings * U < 1e-12
-    return (roundings + 2) * U * total + products * 2.0**-1074
-
-
-def dot_bound(matrix, total: float) -> float:
-    """``sum_bound`` of ``np.vdot(matrix, matrix).real``: 2 n real products
-    over n nonzero entries, each rounded once and added at most 2 n - 1
-    times, in whatever order the BLAS takes."""
-    products = 2 * np.count_nonzero(matrix)
-    return sum_bound(products, products, total)
-
-
-def explicit_bound(matrix, total: float) -> float:
-    """``sum_bound`` of ``explicit_weight(matrix)``: each of n nonzero
-    entries is re^2 + im^2, so a product is rounded as a square and in that
-    add, then added at most n - 1 times: n + 1 roundings."""
-    n = np.count_nonzero(matrix)
-    return sum_bound(n + 1, 2 * n, total)
+    return (roundings + 2) * U * magnitude + 96 * m * k * 2.0**-1074
 
 
 @given(coin=coin_spinors(), steps=st.integers(0, 40))
 @settings(deadline=None, max_examples=60)
 def test_dense_weights_match_an_explicit_sum(coin, steps):
-    """``norm``, ``branch_probability`` and the weights ``dense_branches``
-    returns, each one ``vdot`` pass, and sum(re^2 + im^2) each against the
-    exactly rounded sum of |amplitude|^2 on the dense states of random
-    coins, within the bound that summation's roundings allow; and each
-    branch entropy against the uncropped reduced density matrix's.
+    """The weights ``dense_branches`` returns, each the trace of a branch's
+    unnormalized reduced density matrix, against the exactly rounded sum of
+    |alpha run0 + beta run1|^2 over the branch, within the bound that the
+    trace's roundings allow (``trace_bound``); and each branch entropy
+    against the uncropped reduced density matrix's of the coin's state.
 
-    The bound (``sum_bound``) is (k + 2) eps/2 times the weight for a sum
-    whose products each see k roundings.  Over 61,500 states (500 random
-    coins under each of seeds 20100901, 7 and 12345, t <= 40) the largest
-    difference was 0.52 of its bound.  The fixed 4.5e-16 between two
-    computed sums that this replaces was exceeded on 5 of those states.
+    Over 61,500 states (500 random coins under each of seeds 20100901, 7
+    and 12345, t <= 40) the largest difference was 0.12 of its bound.
     """
-    state = dense_evolve(coin, steps)
-    amplitudes = state.amplitudes
-    total = rounded_weight(amplitudes)
-    assert abs(state.norm() - total) <= dot_bound(amplitudes, total)
-    assert abs(explicit_weight(amplitudes) - total) <= explicit_bound(amplitudes, total)
-    for outcome, (dense_weight, dense_entropy) in zip(
-        (CoinOutcome.C0, CoinOutcome.C1), dense_branches(state)
-    ):
-        matrix = amplitudes[outcome.value]
-        weight = rounded_weight(matrix)
-        assert abs(state.branch_probability(outcome) - weight) <= dot_bound(matrix, weight)
-        assert abs(dense_weight - weight) <= dot_bound(matrix, weight)
-        assert abs(explicit_weight(matrix) - weight) <= explicit_bound(matrix, weight)
+    runs = dense_runs(steps)
+    state = coin_state(coin, runs)
+    (branches,) = dense_branches(runs, [coin])
+    for c, (dense_weight, dense_entropy) in enumerate(branches):
+        weight = exact_weight(coin, runs[0, c], runs[1, c])
+        assert abs(dense_weight - weight) <= trace_bound(coin, runs, c)
         assert (dense_entropy is None) == (dense_weight <= PROB_EPS)
-        if weight > PROB_EPS:
-            assert reduced_entropy(state, outcome) == dense_entropy == pytest.approx(
-                full_matrix_entropy(state, outcome), abs=1e-12
-            )
+        if dense_entropy is not None:
+            assert dense_entropy == pytest.approx(full_matrix_entropy(state[c]), abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -357,19 +350,21 @@ def test_reduced_entropy_crop_matches_full_matrix(seed):
     rng = np.random.default_rng(seed)
     radius = 10
     n = 2 * radius + 1
-    amplitudes = np.zeros((2, n, n), dtype=np.complex128)
-    for coin in (0, 1):
+    runs = np.zeros((2, 2, n, n), dtype=np.complex128)
+    for start, c in itertools.product((0, 1), repeat=2):
         rows = rng.choice(n, size=6, replace=False)
         cols = rng.choice(n, size=9, replace=False)
         block = rng.normal(size=(6, 9)) + 1j * rng.normal(size=(6, 9))
-        amplitudes[coin][np.ix_(rows, cols)] = block
-    # the two branches' rows and columns differ, so the paired crop keeps
-    # rows and columns that are zero in one branch
-    state = DenseTensorState(step=radius, amplitudes=amplitudes)
-    for outcome in (CoinOutcome.C0, CoinOutcome.C1):
-        entropy = reduced_entropy(state, outcome)
-        assert entropy > 1.0
-        assert entropy == pytest.approx(full_matrix_entropy(state, outcome), abs=1e-12)
+        runs[start, c][np.ix_(rows, cols)] = block
+    # the four matrices' rows and columns differ, so the shared crop keeps
+    # rows and columns that are zero in some of them
+    coins = [COIN_RIGHT, *random_coin_states(3, seed=seed)]
+    for coin, branches in zip(coins, dense_branches(runs, coins), strict=True):
+        state = coin_state(coin, runs)
+        for c, (weight, entropy) in enumerate(branches):
+            assert weight == pytest.approx(float(np.sum(np.abs(state[c]) ** 2)), rel=1e-13)
+            assert entropy > 1.0
+            assert entropy == pytest.approx(full_matrix_entropy(state[c]), abs=1e-12)
 
 
 def naive_history_table(coin_init, t):
@@ -424,17 +419,64 @@ def test_exact_run_is_the_unitary_hadamard_walk():
 def test_dense_trajectory_is_the_exact_run(start):
     # two oracles, no engine: the growing lattice holds the whole walk, its
     # diagonal at site -t + 2k (index 2k) is the integer row times 2^(-t/2)
-    # and every other entry of the tensor is exactly 0
-    coin = (COIN_RIGHT, COIN_LEFT)[start]
+    # and every other entry of the tensor is exactly 0; the run from |1> is
+    # evolved, so this holds its mirror identity to the integers too
     steps = 60
-    pairs = zip(dense_trajectory(coin, steps), exact_run(steps, start), strict=True)
-    for t, (state, rows) in enumerate(pairs):
-        assert state.amplitudes.shape == (2, 2 * t + 1, 2 * t + 1)
+    pairs = zip(dense_trajectory(steps), exact_run(steps, start), strict=True)
+    for t, (runs, rows) in enumerate(pairs):
+        state = runs[start]
+        assert state.shape == (2, 2 * t + 1, 2 * t + 1)
         want = np.zeros((2, 2 * t + 1))
         want[:, ::2] = np.array(rows) * 2.0 ** (-t / 2)
-        diagonal = np.diagonal(state.amplitudes, axis1=1, axis2=2)
+        diagonal = np.diagonal(state, axis1=1, axis2=2)
         assert np.max(np.abs(diagonal - want)) <= 1e-14, t
-        assert state.off_diagonal_mass() == 0.0, t
+        assert off_diagonal_mass(state) == 0.0, t
+
+
+#: the five presets and 12 seeded random coins: more than ``COINS_PER_RUN``,
+#: so the stack is larger than any chunk ``run_checks`` measures
+STACK_COINS = (*PRESETS.values(), *random_coin_states(12, seed=40))
+
+
+def test_dense_branches_match_the_exact_reference():
+    """Weights and entropies of 17 coins measured as one stack at every
+    t <= 40, against ``exact_branches`` over ``exact_run``; a branch absent
+    on one side is absent on both."""
+    assert len(STACK_COINS) > COINS_PER_RUN
+    pairs = zip(dense_trajectory(40), exact_run(40), strict=True)
+    for t, (runs, rows) in enumerate(pairs):
+        for coin, branches in zip(STACK_COINS, dense_branches(runs, STACK_COINS), strict=True):
+            for (weight, entropy), (want_weight, want_entropy, _) in zip(
+                branches, exact_branches(coin, *rows)
+            ):
+                assert abs(weight - want_weight) <= 1e-13, t
+                assert (entropy is None) == (want_entropy is None), t
+                if entropy is not None:
+                    assert abs(entropy - want_entropy) <= 1e-13, t
+
+
+def test_stacked_dense_branches_match_each_coin_alone():
+    # a coin's branches do not depend on its place in the stack or on the
+    # coins beside it
+    for t, runs in enumerate(dense_trajectory(40)):
+        stacked = dense_branches(runs, STACK_COINS)
+        for coin, branches in zip(STACK_COINS, stacked, strict=True):
+            (alone,) = dense_branches(runs, [coin])
+            for (weight, entropy), (want_weight, want_entropy) in zip(branches, alone):
+                assert abs(weight - want_weight) <= 1e-15, t
+                assert (entropy is None) == (want_entropy is None), t
+                if entropy is not None:
+                    assert abs(entropy - want_entropy) <= 1e-15, t
+
+
+def test_dense_marginals_are_each_coin_states_marginal():
+    # walker 1's distribution of every coin's own state, formed bilinearly
+    runs = dense_runs(30)
+    for coin, marginal in zip(STACK_COINS, dense_marginals(runs, STACK_COINS), strict=True):
+        want = dense_marginal(coin_state(coin, runs))
+        assert marginal.shape == (61,)
+        for x, p in enumerate(marginal.tolist(), start=-30):
+            assert abs(p - want.get(x, 0.0)) <= 1e-15, x
 
 
 #: sampled steps: the first ones, block edges at T = 1000 (K = 16) and of

@@ -4,6 +4,7 @@ for the tests."""
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 from hypothesis import assume
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from twinwalk import CoinSpinor, timelines_and_distributions
 from twinwalk.entanglement import COEFF_EPS, branch_entropies
 from twinwalk.evolution import branch_blocks, row_exponent
-from twinwalk.oracle import exact_run
+from twinwalk.oracle import dense_trajectory, exact_run
 from twinwalk.states import PROB_EPS
 from twinwalk.verification import _dense_error, _path_sum_error
 
@@ -86,17 +87,63 @@ def pre_fusion_branch_entropy(amps):
     return weight, max(0.0, float(-np.sum(p * np.log2(p)))), len(kept)
 
 
-def dense_diagonal(dense, t: int) -> np.ndarray:
+def coin_state(coin: CoinSpinor, runs: np.ndarray) -> np.ndarray:
+    """The dense (coin, walker1, walker2) state alpha run0 + beta run1 of
+    ``coin``, from the two runs ``dense_trajectory`` yields for one step."""
+    return complex(coin.amp0) * runs[0] + complex(coin.amp1) * runs[1]
+
+
+def dense_states(coin: CoinSpinor, t_max: int):
+    """The dense oracle's (2, 2t+1, 2t+1) state of the walk from ``coin``
+    after 0..t_max steps, over sites [-t, t]^2."""
+    for runs in dense_trajectory(t_max):
+        yield coin_state(coin, runs)
+
+
+def dense_runs(t: int) -> np.ndarray:
+    """The last runs of ``dense_trajectory(t)``; the earlier ones are not
+    held."""
+    return deque(dense_trajectory(t), maxlen=1)[0]
+
+
+def dense_state(coin: CoinSpinor, t: int) -> np.ndarray:
+    """The last of ``dense_states(coin, t)``."""
+    return coin_state(coin, dense_runs(t))
+
+
+def dense_amplitude(dense: np.ndarray, coin: int, x1: int, x2: int) -> complex:
+    """Amplitude of |coin>|x1, x2> in a dense state; 0 at sites past its
+    lattice."""
+    r = dense.shape[-1] // 2
+    if max(abs(x1), abs(x2)) > r:
+        return 0j
+    return complex(dense[coin, x1 + r, x2 + r])
+
+
+def dense_norm(dense: np.ndarray) -> float:
+    return float(np.vdot(dense, dense).real)
+
+
+def dense_diagonal(dense: np.ndarray, t: int) -> np.ndarray:
     """(2, t + 1) dense-oracle amplitudes of |c>|x, x> at x = -t + 2k."""
-    sites = -t + 2 * np.arange(t + 1) + dense.lattice_radius
-    return dense.amplitudes[:, sites, sites]
+    sites = -t + 2 * np.arange(t + 1) + dense.shape[-1] // 2
+    return dense[:, sites, sites]
 
 
-def dense_marginal(dense) -> dict[int, float]:
+def dense_marginal(dense: np.ndarray) -> dict[int, float]:
     """Walker-1 position distribution of a dense state, zero sites left out."""
-    mass = np.sum(np.abs(dense.amplitudes) ** 2, axis=(0, 2))
-    r = dense.lattice_radius
+    mass = np.sum(np.abs(dense) ** 2, axis=(0, 2))
+    r = dense.shape[-1] // 2
     return {x - r: p for x, p in enumerate(mass.tolist()) if p != 0.0}
+
+
+def off_diagonal_mass(dense: np.ndarray) -> float:
+    """Probability mass of a dense state on sites with walker1 != walker2
+    (should be 0)."""
+    mass = np.sum(np.abs(dense) ** 2, axis=0)
+    sites = np.arange(mass.shape[0])
+    mass[sites, sites] = 0.0
+    return float(np.sum(mass))
 
 
 def step_rows(blocks):
@@ -200,7 +247,7 @@ def dense_error(coin: CoinSpinor, t_max: int) -> float:
     distribution of a ``t_max``-step walk from ``coin``: its shared records
     loop against the dense trajectory, and the final distribution."""
     ((timeline, distribution),) = timelines_and_distributions([coin], t_max)
-    return _dense_error(coin, timeline, distribution, t_max)
+    return _dense_error([coin], [timeline], [distribution], t_max)
 
 
 def path_sum_error(coin: CoinSpinor, t_max: int) -> float:
@@ -208,4 +255,4 @@ def path_sum_error(coin: CoinSpinor, t_max: int) -> float:
     ``t_max``-step walk from ``coin``: its shared records loop against the
     path-sum tables."""
     ((timeline, distribution),) = timelines_and_distributions([coin], t_max)
-    return _path_sum_error(coin, timeline, distribution, t_max)
+    return _path_sum_error([coin], [timeline], [distribution], t_max)
