@@ -10,8 +10,8 @@ coefficients,
 in bits, and is compared against the dimensionality bound log2(t): after t
 steps a single coin branch can occupy at most t diagonal sites, so no more
 than log2(t) bits of entanglement are attainable.  The attained/attainable
-ratio, which ``experiment`` forms per record, is the quantity whose large-t
-convergence the experiment driver tracks.
+ratio, which ``experiment`` and ``figures`` form, is the quantity whose
+large-t convergence the experiment driver tracks.
 
 ``branch_entropies`` measures many unnormalized branches in one fused pass,
 each given as a row of site weights |b_x|^2 (``experiment`` forms them from
@@ -28,7 +28,7 @@ sites, which are row-major, so each row's sites are contiguous.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, compress
+from itertools import accumulate
 
 import numpy as np
 
@@ -43,17 +43,17 @@ def branch_entropies(
     weights: np.ndarray,
     present: np.ndarray,
     work: np.ndarray | None = None,
-) -> tuple[list[float | None], list[int | None]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Entropies in bits and kept Schmidt coefficients of branch rows.
 
     Row r of ``site_weights`` holds the site weights |b_x|^2 of one branch,
     all times one positive factor, and ``weights[r]`` their sum times the
     same factor; neither result depends on it.  A branch not marked
-    ``present`` is absent: its entropy and count are None.  Only sites with a
-    weight of at least COEFF_EPS^2 times the branch weight enter the entropy
-    (see the module docstring).  ``work``, when given, is working space of
-    at least ``site_weights.size`` floats that the pass fills in place of
-    allocating its own.
+    ``present`` is absent: its entropy is NaN and its count 0.  Only sites
+    with a weight of at least COEFF_EPS^2 times the branch weight enter the
+    entropy (see the module docstring).  ``work``, when given, is working
+    space of at least ``site_weights.size`` floats that the pass fills in
+    place of allocating its own; it may be ``site_weights`` itself.
     """
     # an absent row keeps no site: divided by an infinite weight, it is all 0
     normalized = np.divide(
@@ -62,21 +62,18 @@ def branch_entropies(
         out=None if work is None else work[: site_weights.size].reshape(site_weights.shape),
     )
     keep = normalized >= COEFF_EPS * COEFF_EPS
-    counts = keep.sum(axis=1, dtype=np.int32).tolist()
-    flags = present.tolist()
+    counts = keep.sum(axis=1, dtype=np.int32)
     # the selection is a copy, so the log2 may overwrite ``normalized``
     p = normalized[keep]
-    # where each present row's sites start; every present row keeps at least
-    # its largest site, so no start repeats
-    starts = list(accumulate(compress(counts, flags), initial=0))[:-1]
+    # where each present row's sites start: an absent row keeps none, and
+    # every present row keeps at least its largest site, so no start repeats
+    starts = list(accumulate(counts[present].tolist(), initial=0))[:-1]
     terms = np.log2(p, out=normalized.reshape(-1)[: len(p)])
     terms *= p
+    entropies = np.full(len(counts), np.nan)
     # 0.0 - x rather than -x, so that a point branch gets +0.0, not -0.0
-    entropies = iter(np.maximum(0.0 - np.add.reduceat(terms, starts), 0.0).tolist())
-    return (
-        [next(entropies) if flag else None for flag in flags],
-        [count if flag else None for count, flag in zip(counts, flags)],
-    )
+    entropies[present] = np.maximum(0.0 - np.add.reduceat(terms, starts), 0.0)
+    return entropies, counts
 
 
 def max_entanglement(step: int) -> float:

@@ -7,30 +7,30 @@ snapshot (no sampling anywhere).  Alongside the two-walker timelines this
 module computes the one-walker distribution diagnostics that the ratio
 convergence correlates with.
 
-Every timeline comes from one real run: ``timelines_and_distributions``
-measures any list of coins from each block of ``evolution.branch_blocks``
-(K consecutive steps, K = 16 at 1000 steps).  The block's A0 and B0 rows
-are stacked once into X = A0^2, Y = B0^2 and Z = A0 B0, and a branch's site
-weights are a fixed mix of the three (``_branch_mixing``).  Coins that share
-a mix share its measurement, so each distinct mix is measured once per
-block: one matmul and one ``entanglement.branch_entropies`` pass for each
-pair of them.  The weights, entropies and supports of each mix are gathered
-a block at a time and the records built at the end.  Each coin's
-one-walker distribution is read off the site weights of its final row, so the
-figure bundle and ``scripts/ratio_convergence.py`` evolve once for all their
-presets.  No complex array is formed anywhere.  ``run_timeline`` is the
-one-coin call without the distribution.
+Every timeline comes from one real run.  ``measure_rows`` is the columnar
+core: it measures any list of mixing rows from each block of
+``evolution.branch_blocks`` (K consecutive steps, K = 16 at 1000 steps).
+The block's A0 and B0 rows are stacked once into X = A0^2, Y = B0^2 and
+Z = A0 B0, and a branch's site weights are a fixed mix of the three (its
+row of ``mixing_rows``), so coins that share a row share its measurement.
+(2, 3) matmuls turn X, Y and Z into the site weights of all R distinct rows
+and one ``entanglement.branch_entropies`` pass measures them in place, in
+one buffer of 3 + R block-sized parts (one more when R is odd): X, Y, Z and
+the site weights.  The figure bundle reads the (R, steps) arrays it returns;
+``timelines_and_distributions`` builds coins' records and distributions
+(``walker_distribution``) from them, and ``run_timeline`` is its one-coin
+call.  No complex array is formed anywhere.
 
 A caller that needs only some steps passes them as ``measured``.  A block is
 then measured only if it holds one of them, or is the last block, whose
 final row gives the distribution; any other block costs only its evolution.
 A measured block is measured whole, exactly as when every step is, so each
-returned record is bitwise the every-step record of its step.
+returned value is bitwise the every-step value of its step.
 
 ``check_walk`` (steps, then measured steps, then coins) and
 ``resolve_window`` are the one home of the input rules.
 
-The records are bitwise fixed for one block shape only: a weight is a BLAS
+The values are bitwise fixed for one block shape only: a weight is a BLAS
 row sum, which rounds a row by its alignment (``np.stack([x, x, x]) @ ones``
 need not give three equal rows), so another ``evolution.BLOCK_BYTES`` may
 move a weight or an entropy by an ulp or two (a test holds K = 2 and 32 at
@@ -45,7 +45,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -104,43 +103,37 @@ class SymmetryReport:
     mirror_distance: float
 
 
-def _branch_mixing(coins: list[CoinSpinor]) -> list[tuple[float, float, float]]:
-    """Coefficients of X = A0^2, Y = B0^2 and Z = A0 B0 in the site weights of
-    each coin's branches: row 2i is coin i's branch 0, row 2i + 1 its branch
-    1.  No coefficient is -0.0, so rows equal in value are equal tuples.
+def mixing_rows(coins: list[CoinSpinor]) -> tuple[list[tuple[float, float, float]], list[int]]:
+    """The distinct rows of coefficients of X = A0^2, Y = B0^2 and Z = A0 B0
+    in the site weights of the coins' branches, in order of first use, and
+    each branch's index among them: coin i's branch 0 is row ``index[2i]``,
+    its branch 1 row ``index[2i + 1]``.  No coefficient is -0.0, so rows
+    equal in value are equal tuples.
 
     Branch 0 weighs |alpha|^2 X + |beta|^2 Y + 2 Re(alpha conj(beta)) Z at
     each site.  Branch 1 is the same form with |alpha|^2 and |beta|^2 swapped
     and Z negated, read at the mirrored sites (see ``evolution``), which
     changes neither its weight nor its entropy.
     """
-    mixing = []
+    distinct: dict[tuple[float, float, float], int] = {}
+    index = []
     for coin in coins:
         alpha, beta = coin.amp0, coin.amp1
         a = alpha.real * alpha.real + alpha.imag * alpha.imag
         b = beta.real * beta.real + beta.imag * beta.imag
         r = 2.0 * (alpha.real * beta.real + alpha.imag * beta.imag) + 0.0
-        mixing += [(a, b, r), (b, a, 0.0 - r)]
-    return mixing
+        index += [distinct.setdefault(row, len(distinct)) for row in ((a, b, r), (b, a, 0.0 - r))]
+    return list(distinct), index
 
 
-def _distribution(
-    w0: np.ndarray, w1: np.ndarray, t: int, lo: int, exponent: int
-) -> dict[int, float]:
-    """One-walker distribution after t steps from both branches' site weights
-    w0, w1 over a final row's window at ``lo``: |coin 1 at k|^2 is branch 1's
-    weight at t - k (see ``_branch_mixing``), so site -t + 2k has probability
-    (w0[k] + w1[t - k]) 2^exponent.  Sites of probability exactly 0 are left
-    out."""
-    width = len(w0)
-    p = np.zeros(t + 1)
-    p[lo : lo + width] = w0
-    p[t + 1 - lo - width : t + 1 - lo] += w1[::-1]
-    return {
-        x: v
-        for x, v in zip(range(-t, t + 1, 2), np.ldexp(p, exponent).tolist())
-        if v != 0.0
-    }
+def walker_distribution(w0: np.ndarray, w1: np.ndarray, steps: int) -> dict[int, float]:
+    """One-walker distribution after ``steps`` steps from both branches'
+    final site weights w0, w1 as ``measure_rows`` returns them: |coin 1 at
+    k|^2 is branch 1's weight at t - k (see ``mixing_rows``), so site
+    -t + 2k has probability (w0[k] + w1[t - k]) 2^-m, m = ``row_exponent(t)``.
+    Sites of probability exactly 0 are left out."""
+    p = np.ldexp(w0 + w1[::-1], -row_exponent(steps))
+    return {x: v for x, v in zip(range(-steps, steps + 1, 2), p.tolist()) if v != 0.0}
 
 
 def check_walk(
@@ -163,44 +156,32 @@ def check_walk(
         coin.require_normalized()
 
 
-def timelines_and_distributions(
-    coins: list[CoinSpinor], steps: int, measured: Sequence[int] | None = None
-) -> list[tuple[list[TimelineRecord], dict[int, float]]]:
-    """For each coin, records for the ``measured`` steps (None: t = 1..steps)
-    of the walk from it plus its one-walker distribution after ``steps``
-    steps, all from one real run.
+def measure_rows(
+    rows: Sequence[tuple[float, float, float]], steps: int, measured: Sequence[int] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Columns of the branches of mixing rows (|alpha|^2, |beta|^2,
+    2 Re(alpha conj(beta))) at the ``measured`` steps (None: t = 1..steps):
+    (R, len(measured)) arrays of the weights, entropies (NaN where absent),
+    present mask and supports (0 where absent), and the (R, steps + 1) site
+    weights at t = ``steps`` as stored, for ``walker_distribution``.
 
-    ``check_walk`` runs before anything is evolved or allocated.  A block of
-    ``evolution.branch_blocks`` is measured only if it holds a measured step
-    or is the last block, and then measured whole, so each record is bitwise
-    the one every step would give; any other block costs only its evolution.
-    A measured block is stacked into X, Y and Z over its window once, for
-    all coins.  A branch depends only on its row of ``_branch_mixing``, so
-    each distinct row is measured once: two rows at a time, one matmul turns
-    X, Y and Z into their site weights and one ``branch_entropies`` pass
-    measures them, which keeps the block's working memory that of one coin.
-    Rows go in pairs because a row of a (2, 3) product rounds the same
-    whatever its partner and a lone (1, 3) product does not; an odd last row
-    is paired with a zero row, an absent branch.  A branch's weight is the
-    same mix of the row sums of X, Y and Z, taken with plain multiplies and
-    adds rather than a fused multiply-add, so a branch whose terms cancel
-    exactly weighs exactly 0.  The distribution comes from the site weights
-    of the last block's final row (``_distribution``).
+    A row of a (2, 3) matmul rounds the same whatever its partner and a lone
+    (1, 3) product does not, so rows are mixed two at a time, an odd last
+    row with a zero row that is never measured.  A row's weight mixes the
+    row sums of X, Y and Z with plain multiplies and adds, not a fused
+    multiply-add, so a branch whose terms cancel exactly weighs exactly 0.
     """
-    check_walk(coins, steps, measured)
+    check_walk([], steps, measured)
     wanted = [False] + [measured is None] * steps
     for t in measured or ():
         wanted[t] = True
-    distinct: dict[tuple[float, float, float], int] = {}
-    index = [distinct.setdefault(row, len(distinct)) for row in _branch_mixing(coins)]
-    rows = np.array([*distinct, *[(0.0, 0.0, 0.0)] * (len(distinct) % 2)]).reshape(-1, 3)
-    mixing, pairs = rows[:, :, None], range(0, len(rows), 2)
-    # per mixing row, at t = 0..steps: the weight, filled for each measured
-    # block, and at the measured steps the entropy and support
-    weights = np.empty((len(rows), steps + 1))
-    entropies: list[list[float | None]] = [[] for _ in rows]
-    supports: list[list[int | None]] = [[] for _ in rows]
-    finals: list[np.ndarray] = []
+    count_rows = len(rows)
+    pairs = np.array([*rows, *[(0.0, 0.0, 0.0)] * (count_rows % 2)]).reshape(-1, 2, 3)
+    mixing = pairs.reshape(-1, 3)[:count_rows, :, None]
+    # each measured block's weights, entropies, present mask and supports at
+    # its measured steps, joined at the end
+    blocks_columns: list[list[np.ndarray]] = []
+    finals = np.zeros((count_rows, steps + 1))
     stack, ones = None, np.ones(steps + 1)
     # minus the exponent m of each step's row scale 2^(m/2)
     unscale = -row_exponent(np.arange(steps + 1))
@@ -208,20 +189,23 @@ def timelines_and_distributions(
     next(blocks)  # step 0 is not measured
     for first, lo, a0, b0 in blocks:
         count, width = a0.shape
-        # one buffer for X, Y, Z, a pair's site weights and the entropy
-        # pass's working space, allocated once at the first block, measured
+        # one buffer for X, Y, Z and every row's site weights, in which the
+        # entropy pass works too, allocated once at the first block, measured
         # or not (so a sampled run lays it out as a full one does): the
         # first block has the most rows, the last the widest
         if stack is None:
-            stack = np.empty(7 * count * (steps + 1))
+            stack = np.empty((3 + 2 * len(pairs)) * count * (steps + 1))
+            # glibc's malloc raises its mmap threshold to the size of a freed
+            # mapping: freeing one the size of the largest selection of kept
+            # sites lets each block's selection reuse memory, not fresh pages
+            np.empty(count_rows * count * (steps + 1))
         block = slice(first, first + count)
         flags, last_block = wanted[block], first + count > steps
         if not (last_block or any(flags)):
             continue
         size = count * width
         parts = stack[: 3 * size].reshape(3, count, width)
-        site_weights = stack[3 * size : 5 * size].reshape(2, -1)
-        work = stack[5 * size : 7 * size]
+        site_weights = stack[3 * size : (3 + 2 * len(pairs)) * size].reshape(-1, 2, size)
         # B0 is a strided view: copied once, it is read contiguously
         np.copyto(parts[1], b0)
         np.square(a0, out=parts[0])
@@ -231,31 +215,51 @@ def timelines_and_distributions(
         # see that scale, and the weights are cleared of it exactly
         sums = (parts.reshape(-1, width) @ ones[:width]).reshape(3, count)
         scaled = np.add.reduce(mixing * sums, axis=1)
-        present = np.ldexp(scaled, unscale[block], out=weights[:, block]) > PROB_EPS
-        for pair in pairs:
-            two = slice(pair, pair + 2)
-            np.matmul(rows[two], parts.reshape(3, -1), out=site_weights)
-            pair_entropies, pair_supports = branch_entropies(
-                site_weights.reshape(-1, width), scaled[two].ravel(), present[two].ravel(), work
-            )
-            for row, half in ((pair, slice(count)), (pair + 1, slice(count, None))):
-                entropies[row] += compress(pair_entropies[half], flags)
-                supports[row] += compress(pair_supports[half], flags)
-            if last_block:
-                finals.extend(site_weights.reshape(2, count, width)[:, -1].copy())
-    taken = list(compress(range(steps + 1), wanted))
-    p = weights[:, taken].tolist()
+        block_weights = np.ldexp(scaled, unscale[block])
+        xyz = parts.reshape(3, size)
+        for pair, out in zip(pairs, site_weights):
+            np.matmul(pair, xyz, out=out)
+        measured_rows = site_weights.reshape(-1, width)[: count_rows * count]
+        if last_block:
+            finals[:, lo : lo + width] = measured_rows.reshape(count_rows, count, width)[:, -1]
+        block_present = block_weights > PROB_EPS
+        block_entropies, block_supports = branch_entropies(
+            measured_rows, scaled.ravel(), block_present.ravel(), measured_rows
+        )
+        taken = slice(None) if all(flags) else np.flatnonzero(flags)
+        blocks_columns.append([
+            column.reshape(count_rows, count)[:, taken]
+            for column in (block_weights, block_entropies, block_present, block_supports)
+        ])
+    return (*(np.concatenate(parts, axis=1) for parts in zip(*blocks_columns)), finals)
+
+
+def timelines_and_distributions(
+    coins: list[CoinSpinor], steps: int, measured: Sequence[int] | None = None
+) -> list[tuple[list[TimelineRecord], dict[int, float]]]:
+    """For each coin, records for the ``measured`` steps (None: t = 1..steps)
+    of the walk from it plus its one-walker distribution after ``steps``
+    steps, all from one real run: the columns ``measure_rows`` gives for the
+    coins' distinct ``mixing_rows``, each measured once, built into
+    records.  ``check_walk`` runs before anything is evolved or allocated.
+    """
+    check_walk(coins, steps, measured)
+    rows, index = mixing_rows(coins)
+    weights, entropies, present, supports, finals = measure_rows(rows, steps, measured)
+    taken = range(1, steps + 1) if measured is None else list(measured)
+    p, flags = weights.tolist(), present.tolist()
+    # None where a branch is absent
+    e, s = ([[v if ok else None for v, ok in zip(*pair)] for pair in zip(column.tolist(), flags)]
+            for column in (entropies, supports))
     bounds = list(map(max_entanglement, taken))
     # the bound is 0 at t = 1, where no ratio is defined
-    ratios = [[None if e is None or b == 0.0 else e / b for e, b in zip(row, bounds)]
-              for row in entropies]
+    ratios = [[None if x is None or b == 0.0 else x / b for x, b in zip(row, bounds)] for row in e]
     return [
         (
             list(map(TimelineRecord._make, zip(
-                taken, p[i], p[j], entropies[i], entropies[j],
-                bounds, ratios[i], ratios[j], supports[i], supports[j],
+                taken, p[i], p[j], e[i], e[j], bounds, ratios[i], ratios[j], s[i], s[j],
             ))),
-            _distribution(finals[i], finals[j], steps, lo, unscale[steps]),
+            walker_distribution(finals[i], finals[j], steps),
         )
         for i, j in zip(index[::2], index[1::2])
     ]
@@ -282,31 +286,23 @@ def resolve_window(steps: int, window: int | None) -> int:
     return window
 
 
-def asymptotic_ratio(
-    timeline: list[TimelineRecord], outcome: CoinOutcome, window: int
-) -> float:
-    """Mean entanglement ratio of one outcome over the last ``window`` records."""
+def window_ratios(timeline: list[TimelineRecord], window: int) -> dict[str, float | None]:
+    """Mean ratio of each outcome over the last ``window`` records, keyed
+    "c0"/"c1"; None where a ratio within the window is absent."""
     tail = timeline[-resolve_window(len(timeline), window):]
-    ratios = [
-        record.ratio0 if outcome is CoinOutcome.C0 else record.ratio1
-        for record in tail
-    ]
-    if any(r is None for r in ratios):
+    columns = ([record.ratio0 for record in tail], [record.ratio1 for record in tail])
+    return {
+        str(outcome): None if None in ratios else sum(ratios) / len(ratios)
+        for outcome, ratios in zip(CoinOutcome, columns)
+    }
+
+
+def asymptotic_ratio(timeline: list[TimelineRecord], outcome: CoinOutcome, window: int) -> float:
+    """Mean entanglement ratio of one outcome over the last ``window`` records."""
+    ratio = window_ratios(timeline, window)[str(outcome)]
+    if ratio is None:
         raise ValueError(f"ratio for {outcome} is absent within the window")
-    return sum(ratios) / len(ratios)
-
-
-def window_ratios(
-    timeline: list[TimelineRecord], window: int
-) -> dict[str, float | None]:
-    """``asymptotic_ratio`` of both outcomes keyed "c0"/"c1"; None where it fails."""
-    ratios: dict[str, float | None] = {}
-    for outcome in CoinOutcome:
-        try:
-            ratios[str(outcome)] = asymptotic_ratio(timeline, outcome, window)
-        except ValueError:
-            ratios[str(outcome)] = None
-    return ratios
+    return ratio
 
 
 def distribution_symmetry(distribution: dict[int, float], steps: int) -> SymmetryReport:

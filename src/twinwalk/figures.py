@@ -4,10 +4,14 @@ Each of the four plotted initial conditions contributes three figures: one
 per coin outcome (entropy against the attainable bound, plus their ratio) and
 one comparison figure carrying the one-walker position distribution next to
 both branch series.  Rendering is plain CSV with deterministic formatting;
-the manifest records what every file contains.  The four plotted presets
-are measured from one real run (``timelines_and_distributions``): their
-timelines and final one-walker distributions all come from one evolution,
-with one matmul per pair of distinct branches, not per preset.
+the manifest records what every file contains.  The four plotted presets'
+eight branches are five distinct mixing rows, measured from one real run by
+``experiment.measure_rows``, one entropy pass per block for all five; no
+record is built.  Each distinct row's entropy and ratio columns are
+formatted once (``render.format_column``) and its outcome file rendered once
+(figures 4, 5 and 8 are figures 2, 1 and 7 as text).  The window ratios are
+taken from the same arrays with the arithmetic of
+``experiment.asymptotic_ratio``: the same IEEE ratios, summed left to right.
 """
 
 from __future__ import annotations
@@ -16,16 +20,19 @@ import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+import numpy as np
+
+from .entanglement import max_entanglement
 from .experiment import (
     PRESETS,
-    TimelineRecord,
     check_walk,
     distribution_symmetry,
+    measure_rows,
+    mixing_rows,
     resolve_window,
-    timelines_and_distributions,
-    window_ratios,
+    walker_distribution,
 )
-from .render import format_number, write_text_atomic
+from .render import format_column, write_text_atomic
 from .states import SUPPORT_EPS, CoinOutcome, coin_fields
 
 #: preset plotted and the number of its first figure; each preset spans three
@@ -56,49 +63,17 @@ def _figure_name(number: int) -> str:
     return f"fig{number:02d}.csv"
 
 
-def _formatted_columns(
-    timeline: list[TimelineRecord], names: tuple[str, ...]
-) -> dict[str, list[str]]:
-    """Each named field of a timeline's records, rendered once per step."""
-    fields = dict(zip(TimelineRecord._fields, zip(*timeline)))
-    return {name: list(map(format_number, fields[name])) for name in names}
-
-
 def _csv(header: tuple[str, ...], rows) -> str:
     return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
-def _outcome_csv(columns: dict[str, list[str]], outcome: CoinOutcome) -> str:
-    return _csv(
-        OUTCOME_COLUMNS,
-        zip(
-            columns["step"],
-            columns[f"entropy{outcome.value}"],
-            columns["max_entropy"],
-            columns[f"ratio{outcome.value}"],
-        ),
-    )
-
-
-def _comparison_csv(
-    columns: dict[str, list[str]], distribution: dict[int, float]
-) -> str:
+def _comparison_csv(series: list[list[str]], distribution: dict[int, float]) -> str:
     positions = sorted(x for x, p in distribution.items() if p > SUPPORT_EPS)
-    series = list(
-        zip(
-            columns["step"],
-            columns["entropy0"],
-            columns["entropy1"],
-            columns["ratio0"],
-            columns["ratio1"],
-        )
-    )
-    places = [(str(x), format_number(distribution[x])) for x in positions]
-    # the longer list sets the row count; the other's fields are left empty
-    length = max(len(series), len(places))
-    series += [("",) * 5] * (length - len(series))
-    places += [("", "")] * (length - len(places))
-    return _csv(COMPARISON_COLUMNS, (a + b for a, b in zip(series, places)))
+    places = [distribution[x] for x in positions]
+    columns = [*series, list(map(str, positions)), format_column(places, [True] * len(places))]
+    # the longer columns set the row count; the others' fields are left empty
+    length = max(map(len, columns))
+    return _csv(COMPARISON_COLUMNS, zip(*(c + [""] * (length - len(c)) for c in columns)))
 
 
 def build_figure_bundle(
@@ -108,21 +83,35 @@ def build_figure_bundle(
     coins = [PRESETS[preset] for preset, _ in _FIGURE_GROUPS]
     check_walk(coins, steps)
     window = resolve_window(steps, window)
+    rows, index = mixing_rows(coins)
+    _, entropies, present, _, finals = measure_rows(rows, steps)
+    bounds = list(map(max_entanglement, range(1, steps + 1)))
+    # the bound is 0 at t = 1, where no ratio is defined
+    defined = present & (np.array(bounds) > 0.0)
+    ratios = np.divide(entropies, bounds, out=np.full_like(entropies, np.nan), where=defined)
+    # per distinct row: its entropy and ratio columns, rendered once, and the
+    # mean ratio over the window, None where one is undefined
+    entropy_columns = list(map(format_column, entropies.tolist(), present.tolist()))
+    ratio_columns = list(map(format_column, ratios.tolist(), defined.tolist()))
+    means = [
+        sum(tail) / len(tail) if all(flags) else None
+        for tail, flags in zip(ratios[:, -window:].tolist(), defined[:, -window:].tolist())
+    ]
+    step_column = list(map(str, range(1, steps + 1)))
+    bound_column = format_column(bounds, [True] * steps)
+    outcome_texts = [
+        _csv(OUTCOME_COLUMNS, zip(step_column, entropy, bound_column, ratio))
+        for entropy, ratio in zip(entropy_columns, ratio_columns)
+    ]
     files: list[FigureFile] = []
-    results = timelines_and_distributions(coins, steps)
-    # every timeline has the same steps and bounds: render those once
-    shared = _formatted_columns(results[0][0], ("max_entropy",))
-    shared["step"] = [str(t) for t in range(1, steps + 1)]
-    for (preset, first), (timeline, distribution) in zip(_FIGURE_GROUPS, results):
-        ratios = window_ratios(timeline, window)
-        columns = shared | _formatted_columns(timeline, ("entropy0", "entropy1", "ratio0", "ratio1"))
+    for (preset, first), pair in zip(_FIGURE_GROUPS, zip(index[::2], index[1::2])):
         coin = coin_fields(PRESETS[preset])
-        for offset, outcome in ((0, CoinOutcome.C0), (1, CoinOutcome.C1)):
-            number = first + offset
+        for outcome, row in zip(CoinOutcome, pair):
+            number = first + outcome.value
             files.append(
                 FigureFile(
                     name=_figure_name(number),
-                    text=_outcome_csv(columns, outcome),
+                    text=outcome_texts[row],
                     manifest_entry={
                         "figure": number,
                         "preset": preset,
@@ -133,15 +122,17 @@ def build_figure_bundle(
                             "i": "branch entanglement entropy and attainable bound vs step",
                             "ii": "entanglement ratio vs step",
                         },
-                        "asymptotic_ratio": ratios[str(outcome)],
+                        "asymptotic_ratio": means[row],
                     },
                 )
             )
         number = first + 2
+        distribution = walker_distribution(*finals[list(pair)], steps)
+        series = [step_column, *(entropy_columns[row] for row in pair), *(ratio_columns[row] for row in pair)]
         files.append(
             FigureFile(
                 name=_figure_name(number),
-                text=_comparison_csv(columns, distribution),
+                text=_comparison_csv(series, distribution),
                 manifest_entry={
                     "figure": number,
                     "preset": preset,
@@ -152,7 +143,9 @@ def build_figure_bundle(
                         "i": "one-walker position distribution at the final step",
                         "ii": "both branch entropy and ratio series vs step",
                     },
-                    "asymptotic_ratio": ratios,
+                    "asymptotic_ratio": {
+                        str(outcome): means[row] for outcome, row in zip(CoinOutcome, pair)
+                    },
                     "single_walker": asdict(distribution_symmetry(distribution, steps)),
                 },
             )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import os
 import tempfile
+from itertools import compress
 from pathlib import Path
 
 from .experiment import TimelineRecord
@@ -12,7 +13,8 @@ from .experiment import TimelineRecord
 TIMELINE_HEADER = "step,p0,p1,entropy0,entropy1,max_entropy,ratio0,ratio1"
 
 #: ``timeline_row`` of a record whose first eight fields hold no None, in one
-#: formatting call; %.12g renders a float exactly as format(value, ".12g")
+#: formatting call; %.12g renders a float exactly as format(value, ".12g"),
+#: here and in ``format_column``
 _ROW_FORMAT = "%d" + ",%.12g" * 7
 
 
@@ -21,6 +23,15 @@ def format_number(value: float | None) -> str:
     if value is None:
         return ""
     return format(value, ".12g")
+
+
+def format_column(values: list[float], present: list[bool]) -> list[str]:
+    """``format_number`` of each value, or "" where it is not ``present``,
+    in one formatting call: no rendered number holds a comma."""
+    if not values:
+        return []
+    form = ",".join(["%.12g" if flag else "" for flag in present])
+    return (form % tuple(compress(values, present))).split(",")
 
 
 def timeline_row(record: TimelineRecord) -> str:

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -23,7 +24,7 @@ import twinwalk.evolution
 import twinwalk.experiment
 from twinwalk.entanglement import COEFF_EPS
 from twinwalk.evolution import block_steps
-from twinwalk.experiment import MAX_STEPS, _branch_mixing
+from twinwalk.experiment import MAX_STEPS, measure_rows, mixing_rows, resolve_window, walker_distribution
 from twinwalk.figures import build_figure_bundle
 from twinwalk.oracle import exact_branches, exact_distribution, exact_run
 from twinwalk.states import NORM_TOL, PROB_EPS, NormalizationError
@@ -40,6 +41,7 @@ from testutil import (
     final_distribution,
     oracle_trajectory,
     pre_fusion_branch_entropy,
+    reference_figure_bundle,
 )
 
 S = math.sqrt(0.5)
@@ -436,7 +438,7 @@ def test_shared_branches_are_bitwise_those_of_each_coin_alone(coins, steps):
 
 def test_figure_presets_measure_each_distinct_branch_once(monkeypatch):
     # the eight branches of the four plotted presets are five distinct
-    # mixing rows, measured in three pairs: six rows per block, not eight
+    # mixing rows, all measured in one pass per block: five rows a step
     true_entropies = twinwalk.experiment.branch_entropies
     pass_rows = []
 
@@ -446,11 +448,17 @@ def test_figure_presets_measure_each_distinct_branch_once(monkeypatch):
 
     monkeypatch.setattr(twinwalk.experiment, "branch_entropies", counted_entropies)
     steps = 1000
-    timelines_and_distributions(FIGURE_PRESETS, steps)
-    # each pass takes two branches over every step of its block
-    blocks = len(pass_rows) // 3
-    assert len(pass_rows) == 3 * blocks and blocks == -(-steps // block_steps(steps))
-    assert sum(pass_rows) == 6 * steps
+    k = block_steps(steps)
+    assert len(mixing_rows(FIGURE_PRESETS)[0]) == 5
+    for build in (
+        lambda: timelines_and_distributions(FIGURE_PRESETS, steps),
+        lambda: build_figure_bundle(steps),
+    ):
+        pass_rows.clear()
+        build()
+        # one pass per block, of five rows for each of the block's steps
+        assert pass_rows == [5 * min(k, steps - first) for first in range(0, steps, k)]
+        assert sum(pass_rows) == 5 * steps
 
 
 def assert_matches_per_step_reference(coin, steps):
@@ -587,7 +595,7 @@ def test_sampled_records_match_the_exact_run(steps):
 
 @pytest.mark.parametrize("steps", [1000, 2000, 8192])
 def test_only_blocks_holding_a_sampled_step_are_measured(monkeypatch, steps):
-    # each measured block takes one entropy pass per pair of distinct rows
+    # each measured block takes one entropy pass over every distinct row
     true_entropies = twinwalk.experiment.branch_entropies
     passes = []
 
@@ -598,14 +606,17 @@ def test_only_blocks_holding_a_sampled_step_are_measured(monkeypatch, steps):
     monkeypatch.setattr(twinwalk.experiment, "branch_entropies", counted_entropies)
     measured = sampled_steps(steps)
     timelines_and_distributions(SAMPLED_COINS, steps, measured)
-    pairs = -(-len(set(_branch_mixing(SAMPLED_COINS))) // 2)
-    assert pairs == 4
-    assert len(passes) == blocks_holding(steps, measured) * pairs
-    # the last step alone measures the last block alone
+    rows = len(mixing_rows(SAMPLED_COINS)[0])
+    assert rows == 7
+    k = block_steps(steps)
+    held = sorted({(t - 1) // k for t in (*measured, steps)})
+    assert len(held) == blocks_holding(steps, measured)
+    assert passes == [rows * min(k, steps - block * k) for block in held]
+    # the last step alone measures the last block alone, both rows of 4a
     passes.clear()
     ((records, _),) = timelines_and_distributions([PRESETS["4a"]], steps, [steps])
     assert [record.step for record in records] == [steps]
-    assert len(passes) == 1
+    assert passes == [2 * (steps - held[-1] * k)]
 
 
 @pytest.mark.parametrize(
@@ -627,3 +638,73 @@ def test_no_measured_step_gives_only_the_distribution():
     ((records, distribution),) = timelines_and_distributions([PRESETS["4e"]], 1000, [])
     ((_, every_distribution),) = timelines_and_distributions([PRESETS["4e"]], 1000)
     assert records == [] and distribution == every_distribution
+
+
+#: the five presets and seeded random coins, with a balanced coin whose
+#: branch 1 is absent at t = 1
+BITWISE_COINS = [*PRESETS.values(), CoinSpinor(S, S), *random_coin_states(3, seed=29)]
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["every-step", "sampled"])
+def test_measured_columns_are_bitwise_the_records(sampled):
+    steps = 2000
+    measured = sampled_steps(steps) if sampled else None
+    rows, index = mixing_rows(BITWISE_COINS)
+    weights, entropies, present, supports, finals = measure_rows(rows, steps, measured)
+    taken = measured or list(range(1, steps + 1))
+    assert weights.shape == entropies.shape == present.shape == supports.shape == (len(rows), len(taken))
+    # an absent branch is NaN with no support, and one occurs at t = 1
+    assert not present[:, 0].all()
+    assert np.isnan(entropies[~present]).all() and not supports[~present].any()
+    assert not np.isnan(entropies[present]).any()
+    results = timelines_and_distributions(BITWISE_COINS, steps, measured)
+    for (records, distribution), pair in zip(results, zip(index[::2], index[1::2]), strict=True):
+        assert [record.step for record in records] == taken
+        assert repr(distribution) == repr(walker_distribution(*finals[list(pair)], steps))
+        for branch, row in enumerate(pair):
+            # repr tells -0.0 from 0.0 and prints every bit of a float
+            column = [
+                (weight, entropy if ok else None, support if ok else None)
+                for weight, entropy, ok, support in zip(
+                    weights[row].tolist(), entropies[row].tolist(),
+                    present[row].tolist(), supports[row].tolist(),
+                )
+            ]
+            fields = [f"p{branch}", f"entropy{branch}", f"support{branch}"]
+            assert repr(column) == repr([tuple(getattr(r, f) for f in fields) for r in records])
+
+
+@pytest.mark.parametrize("steps, window", [(1, 1), (2, 2), (3, 3), (17, None), (60, 7)])
+def test_figure_bundle_is_the_records_rendering(steps, window):
+    files, manifest = build_figure_bundle(steps, window)
+    want_files, want_manifest = reference_figure_bundle(steps, resolve_window(steps, window))
+    assert repr(files) == repr(want_files)
+    assert repr(manifest) == repr(want_manifest)
+    if window == steps:
+        # the window reaches t = 1, where the ratios are None
+        assert all(
+            entry["asymptotic_ratio"] in (None, {"c0": None, "c1": None})
+            for entry in manifest["files"].values()
+        )
+
+
+def traced_peak(build) -> int:
+    """tracemalloc's peak, in bytes, of a second call of ``build``."""
+    build()
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_working_memory_stays_small():
+    # the figures hold the measured arrays, not records (a peak of about
+    # 2.1 MiB; 2.8 MiB with records), and one coin at T = 2000 peaks at
+    # about 1.5 MiB (2.4 MiB with the earlier pairwise entropy passes)
+    assert traced_peak(lambda: build_figure_bundle(1000)) < 4 * 2**20
+    assert traced_peak(lambda: run_timeline(PRESETS["4e"], 2000)) < 3 * 2**20

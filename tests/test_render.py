@@ -1,5 +1,5 @@
-"""The timeline record type and the renderers' one-call formatting, held
-against the per-field path it stands in for."""
+"""The timeline record type and the renderers' one-call formatting of rows
+and columns, held against the per-field path it stands in for."""
 
 import dataclasses
 import math
@@ -10,8 +10,13 @@ from hypothesis import strategies as st
 
 from twinwalk import TimelineRecord
 from twinwalk.experiment import MAX_STEPS
-from twinwalk.figures import _formatted_columns
-from twinwalk.render import TIMELINE_HEADER, format_number, render_timeline_csv, timeline_row
+from twinwalk.render import (
+    TIMELINE_HEADER,
+    format_column,
+    format_number,
+    render_timeline_csv,
+    timeline_row,
+)
 
 FIELDS = (
     "step", "p0", "p1", "entropy0", "entropy1",
@@ -52,9 +57,25 @@ def test_renderers_match_the_per_field_path(timeline):
     assert render_timeline_csv(timeline) == "\n".join(
         [TIMELINE_HEADER, *map(timeline_row, timeline)]
     ) + "\n"
-    if timeline:
-        names = FIELDS[1:8]
-        assert _formatted_columns(timeline, names) == {
-            name: [format_number(getattr(record, name)) for record in timeline]
-            for name in names
-        }
+    for values in list(zip(*timeline))[1:8]:
+        assert column_of(values) == list(map(format_number, values))
+
+
+def column_of(values) -> list[str]:
+    """``format_column`` of values with None for absent, held as NaN in
+    place of None, as the measured arrays hold them."""
+    present = [value is not None for value in values]
+    return format_column([math.nan if value is None else value for value in values], present)
+
+
+@given(values=st.lists(numbers, max_size=60))
+@settings(deadline=None, max_examples=300)
+def test_column_formatter_matches_format_number(values):
+    # signed zeros, subnormals, +-1e300 and absent values among any floats
+    assert column_of(values) == list(map(format_number, values))
+
+
+def test_column_formatter_renders_each_edge_value():
+    assert column_of(EDGE_NUMBERS) == list(map(format_number, EDGE_NUMBERS))
+    assert column_of([None]) == [""] and column_of([]) == []
+    assert column_of([-0.0, 5e-324, 1e300, -1e300]) == ["-0", "4.94065645841e-324", "1e+300", "-1e+300"]

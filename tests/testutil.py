@@ -3,6 +3,7 @@ for the tests."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import deque
 
@@ -10,11 +11,20 @@ import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from twinwalk import CoinSpinor, timelines_and_distributions
+from twinwalk import PRESETS, CoinSpinor, distribution_symmetry, timelines_and_distributions
 from twinwalk.entanglement import COEFF_EPS, branch_entropies
 from twinwalk.evolution import branch_blocks, row_exponent
+from twinwalk.figures import (
+    _FIGURE_GROUPS,
+    COMPARISON_COLUMNS,
+    OUTCOME_COLUMNS,
+    FigureFile,
+    _csv,
+    _figure_name,
+)
 from twinwalk.oracle import dense_trajectory, exact_run
-from twinwalk.states import PROB_EPS
+from twinwalk.render import format_number
+from twinwalk.states import PROB_EPS, SUPPORT_EPS, CoinOutcome, coin_fields
 from twinwalk.verification import _dense_error, _path_sum_error
 
 AmpTable = dict[tuple[int, int], complex]
@@ -64,8 +74,12 @@ def row_entropies(rows):
     by ``branch_entropies`` from their site weights |b|^2."""
     site_weights = np.abs(np.asarray(rows)) ** 2
     weights = site_weights.sum(axis=-1)
-    entropies, kept = branch_entropies(site_weights, weights, weights > PROB_EPS)
-    return weights.tolist(), entropies, kept
+    present = weights > PROB_EPS
+    entropies, kept = branch_entropies(site_weights, weights, present)
+    return weights.tolist(), *(
+        [v if flag else None for v, flag in zip(column.tolist(), present.tolist())]
+        for column in (entropies, kept)
+    )
 
 
 def branch_entropy(amps):
@@ -256,3 +270,62 @@ def path_sum_error(coin: CoinSpinor, t_max: int) -> float:
     path-sum tables."""
     ((timeline, distribution),) = timelines_and_distributions([coin], t_max)
     return _path_sum_error([coin], [timeline], [distribution], t_max)
+
+
+def reference_figure_bundle(steps: int, window: int) -> tuple[list[FigureFile], dict]:
+    """``figures.build_figure_bundle`` as it was rendered from records: each
+    preset's ``timelines_and_distributions`` records, every field formatted
+    by ``format_number`` one value at a time, every file rendered anew and
+    each window ratio the mean of the records' ratios."""
+    coins = [PRESETS[preset] for preset, _ in _FIGURE_GROUPS]
+    files = []
+    for (preset, first), (timeline, distribution) in zip(
+        _FIGURE_GROUPS, timelines_and_distributions(coins, steps)
+    ):
+        columns = {
+            name: [format_number(value) for value in values]
+            for name, values in zip(timeline[0]._fields, zip(*timeline))
+        }
+        ratios = {}
+        for outcome in CoinOutcome:
+            tail = [getattr(record, f"ratio{outcome.value}") for record in timeline[-window:]]
+            ratios[str(outcome)] = None if None in tail else sum(tail) / len(tail)
+        entry = {"preset": preset, "coin": coin_fields(PRESETS[preset])}
+        for outcome in CoinOutcome:
+            fields = ("step", f"entropy{outcome.value}", "max_entropy", f"ratio{outcome.value}")
+            text = _csv(OUTCOME_COLUMNS, zip(*(columns[name] for name in fields)))
+            number = first + outcome.value
+            files.append(FigureFile(_figure_name(number), text, {
+                "figure": number, **entry, "outcome": str(outcome),
+                "columns": list(OUTCOME_COLUMNS),
+                "panels": {
+                    "i": "branch entanglement entropy and attainable bound vs step",
+                    "ii": "entanglement ratio vs step",
+                },
+                "asymptotic_ratio": ratios[str(outcome)],
+            }))
+        series = [
+            [columns[name][t] for name in ("step", "entropy0", "entropy1", "ratio0", "ratio1")]
+            for t in range(steps)
+        ]
+        places = [
+            [str(x), format_number(p)] for x, p in sorted(distribution.items()) if p > SUPPORT_EPS
+        ]
+        length = max(len(series), len(places))
+        series += [[""] * 5] * (length - len(series))
+        places += [["", ""]] * (length - len(places))
+        number = first + 2
+        files.append(FigureFile(_figure_name(number), _csv(
+            COMPARISON_COLUMNS, (a + b for a, b in zip(series, places))
+        ), {
+            "figure": number, **entry, "outcome": None,
+            "columns": list(COMPARISON_COLUMNS),
+            "panels": {
+                "i": "one-walker position distribution at the final step",
+                "ii": "both branch entropy and ratio series vs step",
+            },
+            "asymptotic_ratio": ratios,
+            "single_walker": dataclasses.asdict(distribution_symmetry(distribution, steps)),
+        }))
+    manifest = {"steps": steps, "window": window, "files": {f.name: f.manifest_entry for f in files}}
+    return files, manifest
