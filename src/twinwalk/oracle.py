@@ -23,15 +23,21 @@ only the runs from |0> and from |1>, as one (2, 2, 2t+1, 2t+1) tensor, and
 streams it after 0..t_max steps: a sweep over every t and any number of
 coins costs t_max tensor steps.  The lattice grows with the walk: the
 tensor after t steps covers sites [-t, t]^2, which holds every site either
-walker can reach, so nothing is truncated.  ``dense_branches`` measures both
-coin branches of every coin in a list, alpha run0 + beta run1, in one pass
-with one ``eigvalsh`` call over all their reduced density matrices, and
+walker can reach, so nothing is truncated.  The shift moves every (x, y)
+site, not just the diagonal ones, so that the walkers stay on the diagonal
+is something the oracle shows rather than assumes.  ``dense_branches``
+measures both coin branches of every coin in a list, alpha run0 + beta
+run1, in one pass over all their reduced density matrices, and
 ``dense_marginals`` gives their walker-1 distributions.  The runs are
 cropped to the union of the nonzero rows and columns of all four of their
 matrices before the reduced density matrices are formed.  That crop is
 exact: a column zero in every matrix adds nothing to any entry of any
 M M^dagger, and a row zero in every matrix adds only a zero eigenvalue,
-which the ``EIGVAL_EPS`` filter discards anyway.
+which the ``EIGVAL_EPS`` filter discards anyway.  The matrices are then
+diagonalized one exact block at a time (``_eigenvalues``): the connected
+components of their joint nonzero pattern, with one ``eigvalsh`` call per
+block size.  On the walk every block is 1 x 1; a coherence between sites
+would join them into one block, diagonalized whole.
 
 The path sum is streamed the same way: ``path_sum_tables`` yields the tables
 of depths 0..t_max from one enumeration, each depth's 2^t histories
@@ -76,11 +82,13 @@ def dense_trajectory(t_max: int) -> Iterator[np.ndarray]:
     Each step applies a complex128 Hadamard matrix, built here rather than
     taken from the engine, to the coin axis of the whole tensor with explicit
     three-index bookkeeping; the run from |1> is evolved, not mirrored.  The
-    conditional move acts only on diagonal sites |i, i> and displaces both
-    walker indices together, so support stays on the diagonal.  Each step
-    also grows the lattice by one site at both ends of both walker axes, so
-    no amplitude can leave it.  The step count is checked at the call,
-    before any step runs.
+    conditional move acts on every site |x, y> and displaces both walker
+    indices together, coin 0 to |x + 1, y + 1> and coin 1 to |x - 1, y - 1>,
+    so off-diagonal support would move as the diagonal does; from the
+    origin none ever arises (a test checks every entry to t = 60).  Each
+    step also grows the lattice by one site at both ends of both walker
+    axes, so no amplitude can leave it.  The step count is checked at the
+    call, before any step runs.
     """
     if t_max < 0:
         raise ValueError(f"step count must be non-negative, got {t_max}")
@@ -88,22 +96,26 @@ def dense_trajectory(t_max: int) -> Iterator[np.ndarray]:
 
 
 def _dense_steps(t_max: int) -> Iterator[np.ndarray]:
-    s = math.sqrt(0.5)
-    coin = np.array(((s, s), (s, -s)), dtype=np.complex128)
     runs = np.eye(2, dtype=np.complex128).reshape(2, 2, 1, 1)
     yield runs
-    for t in range(1, t_max + 1):
-        # sites -(t-1)..t-1 sit at indices 0..n-1 before the step and at
-        # 1..n after it; coin 0 moves them up one index, coin 1 down one
-        n = 2 * t - 1
-        idx = np.arange(n)
-        mixed = (coin @ runs.reshape(2, 2, -1)).reshape(runs.shape)
-        runs = np.zeros((2, 2, n + 2, n + 2), dtype=np.complex128)
-        runs[:, 0, idx + 2, idx + 2] = mixed[:, 0, idx, idx]
-        runs[:, 1, idx, idx] = mixed[:, 1, idx, idx]
-        # not held while the caller measures the step
-        del mixed
+    for _ in range(t_max):
+        runs = _dense_step(runs)
         yield runs
+
+
+def _dense_step(runs: np.ndarray) -> np.ndarray:
+    """The (2, 2, n+2, n+2) runs one step on from (2, 2, n, n) runs over
+    sites [-s, s]^2: the Hadamard coin mixes every site, then coin 0 moves
+    from (x, y) to (x + 1, y + 1) and coin 1 to (x - 1, y - 1), on the
+    lattice [-s-1, s+1]^2, where site x sits one index further up."""
+    s = math.sqrt(0.5)
+    coin = np.array(((s, s), (s, -s)), dtype=np.complex128)
+    n = runs.shape[-1]
+    mixed = (coin @ runs.reshape(2, 2, -1)).reshape(runs.shape)
+    stepped = np.zeros((2, 2, n + 2, n + 2), dtype=np.complex128)
+    stepped[:, 0, 2:, 2:] = mixed[:, 0]
+    stepped[:, 1, :n, :n] = mixed[:, 1]
+    return stepped
 
 
 def _coin_products(coins: Sequence[CoinSpinor]) -> np.ndarray:
@@ -124,22 +136,26 @@ def dense_branches(runs: np.ndarray, coins: Sequence[CoinSpinor]) -> list[Branch
     is M = alpha R0 + beta R1, R_a the cropped coin-c matrix of run a, so
     its reduced density matrix (walker 2 traced out) is
     M M^dagger = sum_ab c_a conj(c_b) R_a R_b^dagger: the four products are
-    formed once per step and summed with each coin's weights.  A branch
-    weighs the trace of its matrix, which is then divided by that weight;
-    the entropies come from the eigenvalues of all 2C matrices, diagonalized
-    as one stack.  The eigen-decomposition does not assume the matrices are
-    diagonal, so it stays independent of the fast path's Schmidt shortcut.
+    formed once per step and summed with each coin's weights in one matmul.
+    A branch weighs the trace of its matrix; the entropies come from the
+    eigenvalues of all 2C matrices, found by ``_eigenvalues`` block by block
+    and divided by their branch's weight.  The eigen-decomposition does
+    not assume the matrices are diagonal, so it stays independent of the
+    fast path's Schmidt shortcut: any coherence the runs hold joins its
+    sites into one block, diagonalized whole.
     """
     nonzero = runs.any(axis=(0, 1))
     cropped = runs[:, :, nonzero.any(axis=1)][:, :, :, nonzero.any(axis=0)]
     # products[a, b, c] = R_a R_b^dagger of branch c
     products = cropped[:, None] @ cropped.conj().swapaxes(-1, -2)
-    rho = np.tensordot(_coin_products(coins), products, axes=2)
+    rho = (_coin_products(coins).reshape(-1, 4) @ products.reshape(4, -1)).reshape(
+        -1, *products.shape[2:]
+    )
     weights = np.trace(rho, axis1=2, axis2=3).real
     present = weights > PROB_EPS
+    eigenvalues = _eigenvalues(rho)
     # an absent branch is left unscaled; its eigenvalues are never read
-    rho /= np.where(present, weights, 1.0)[:, :, None, None]
-    eigenvalues = np.linalg.eigvalsh(rho)
+    eigenvalues /= np.where(present, weights, 1.0)[:, :, None]
     logs = np.log2(eigenvalues, out=np.zeros_like(eigenvalues), where=eigenvalues > EIGVAL_EPS)
     entropies = np.maximum(0.0, -np.sum(eigenvalues * logs, axis=2))
     return [
@@ -148,13 +164,50 @@ def dense_branches(runs: np.ndarray, coins: Sequence[CoinSpinor]) -> list[Branch
     ]
 
 
+def _eigenvalues(rho: np.ndarray) -> np.ndarray:
+    """(..., m) eigenvalues, in no fixed order, of each Hermitian matrix of
+    a (..., m, m) stack, read from its lower triangle as ``eigvalsh`` reads
+    it, found one exact block at a time.
+
+    Indices i and j are linked when entry (i, j) or (j, i) is nonzero in any
+    matrix of the stack.  Every matrix is then block diagonal over the
+    connected components of the links, since an entry zero in all of them
+    couples nothing, so its eigenvalues are those of its blocks.  The blocks
+    of each size are gathered, each in ascending index order so that its
+    lower triangle is the matrix's, and diagonalized by one ``eigvalsh``
+    call per size.
+    """
+    m = rho.shape[-1]
+    linked = rho.reshape(-1, m, m).any(axis=0)
+    linked |= linked.T
+    np.fill_diagonal(linked, True)
+    # each index takes the least label among its links, then its label's
+    # label, until nothing moves: every index of a component then holds the
+    # component's least index
+    labels = np.arange(m)
+    while True:
+        least = np.where(linked, labels, m).min(axis=1)
+        least = least[least]
+        if np.array_equal(least, labels):
+            break
+        labels = least
+    sizes = np.bincount(labels, minlength=m)[labels]
+    spectra = []
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
+        members = np.flatnonzero(sizes == size)
+        blocks = members[np.argsort(labels[members], kind="stable")].reshape(-1, size)
+        gathered = rho[..., blocks[:, :, None], blocks[:, None, :]]
+        spectra.append(np.linalg.eigvalsh(gathered).reshape(*rho.shape[:-2], -1))
+    return np.concatenate(spectra, axis=-1)
+
+
 def dense_marginals(runs: np.ndarray, coins: Sequence[CoinSpinor]) -> np.ndarray:
     """(C, 2t+1) walker-1 position distribution of each coin's dense state
     alpha run0 + beta run1 over sites -t..t: the sum over coin and walker 2
     of its |amplitude|^2, formed from the runs' bilinear products as in
     ``dense_branches``."""
     products = np.einsum("acij,bcij->abi", runs, runs.conj())
-    return np.tensordot(_coin_products(coins), products, axes=([1, 2], [0, 1])).real
+    return (_coin_products(coins).reshape(-1, 4) @ products.reshape(4, -1)).real
 
 
 def path_sum_tables(

@@ -36,7 +36,10 @@ unscaled run rows vs exact integer run, t <= D      rows vs ``exact_run``   1e-1
 run behind every output, with their 2^(m/2) scale divided out (the run's
 coin-1 row A1 is read as the mirror of B0).  The run rows need no coin: one
 walk of the run from |0> (preset 4a) over t = 0..1000 scores all four row
-checks, and blocks that break the layout make all four inf.  "Records" and
+checks, and blocks that break the layout make all four inf.  The norm and
+light-cone checks read each block over its window alone, which the layout
+makes zero outside; only the integer-row checks, which reach t <= D, pad
+their blocks to full rows.  "Records" and
 "final distribution" are what ``experiment.timelines_and_distributions``
 returns for a coin; the dense and path-sum checks score a coin's first D
 (or min(D, 12)) records in one shared loop against the reference's per-step
@@ -44,9 +47,10 @@ branch weights and entropies.  D is the oracle depth, 3 <= D <=
 ``MAX_DEPTH``; the record checks cover the five presets plus
 0..``MAX_RANDOM_STATES`` random coins, ``COINS_PER_RUN`` coins to a run.
 Each record check scores a run's whole chunk of coins at once: the dense
-check evolves one dense trajectory per chunk and measures every coin of the
-chunk at each step in one call, and the path-sum check streams each coin's
-own tables.
+check evolves one dense trajectory per chunk, its shift applied at every
+site, and measures every coin of the chunk at each step in one call, which
+diagonalizes the reduced density matrices block by block over their exact
+nonzero blocks; the path-sum check streams each coin's own tables.
 """
 
 from __future__ import annotations
@@ -83,8 +87,8 @@ PATH_SUM_DEPTH_CAP = 12
 MAX_DEPTH = 200
 
 #: most random coins ``run_checks`` accepts on top of the five presets; each
-#: costs a path-sum sweep and a share of its chunk's dense sweep (about 1.1 ms
-#: at depth 10 on a 2-vCPU Xeon)
+#: costs a path-sum sweep and a share of its chunk's dense sweep (about 0.8 ms
+#: at depth 10 and 2.6 ms at depth 40 on a shared 2-vCPU Xeon)
 MAX_RANDOM_STATES = 1000
 
 #: coins measured from one run in the oracle sweeps
@@ -132,10 +136,10 @@ class _MalformedRun(Exception):
     """Blocks of ``evolution.branch_blocks`` that break its layout."""
 
 
-def _run_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Each block of ``evolution.branch_blocks(n)`` as its steps and a
-    ``(2, count, first + count)`` array of its A0 and B0 rows as stored, every
-    index outside the block's window 0.
+def _run_blocks(n: int) -> Iterator[tuple[np.ndarray, int, np.ndarray]]:
+    """Each block of ``evolution.branch_blocks(n)`` as its steps, its window's
+    first index ``lo`` and a ``(2, count, width)`` array of its A0 and B0 rows
+    over the window; every index outside the window is 0.
 
     Raises ``_MalformedRun`` unless the blocks cover t = 0..n in order, each
     window inside its rows.
@@ -152,21 +156,28 @@ def _run_blocks(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         ):
             raise _MalformedRun
         done = length
-        rows = np.zeros((2, count, length))
-        rows[:, :, lo : lo + width] = a0, b0
-        yield np.arange(first, length), rows
+        yield np.arange(first, length), lo, np.stack((a0, b0))
     if done != n + 1:
         raise _MalformedRun
 
 
 def _integer_rows(
-    reference: dict[int, tuple[list, list]], worst: float, steps: np.ndarray, rows: np.ndarray
+    reference: dict[int, tuple[list, list]],
+    worst: float,
+    steps: np.ndarray,
+    lo: int,
+    rows: np.ndarray,
 ) -> float:
     """Fold into ``worst`` the deviation of a block's rows, their 2^(m/2)
     scale divided out, from the integer rows (n0, n1) that ``reference``
     holds for a step t, times 2^(-t/2): A0 against n0 and B0 against the
-    mirror (-1)^(t+1) n1[t - k], every index past the step against 0."""
-    unscaled = rows * 2.0 ** (-evolution.row_exponent(steps) / 2)[:, None]
+    mirror (-1)^(t+1) n1[t - k], every index past the step against 0.  The
+    rows are compared over indices 0..t of the block's last step, the
+    window padded with zeros."""
+    count, width = rows.shape[1:]
+    padded = np.zeros((2, count, steps[-1] + 1))
+    padded[:, :, lo : lo + width] = rows
+    unscaled = padded * 2.0 ** (-evolution.row_exponent(steps) / 2)[:, None]
     scale = 2.0 ** (-steps / 2)
     for j, t in enumerate(steps.tolist()):
         if t in reference:
@@ -177,37 +188,38 @@ def _integer_rows(
     return worst
 
 
-def _norm_drift(worst: float, steps: np.ndarray, rows: np.ndarray) -> float:
+def _norm_drift(worst: float, steps: np.ndarray, lo: int, rows: np.ndarray) -> float:
     """Fold in each row's norm drift; the norm is (sum A0^2 + sum B0^2)
-    2^(-m), since B0 is A1 mirrored."""
+    2^(-m), since B0 is A1 mirrored, summed over the window alone."""
     mass = np.ldexp(np.square(rows).sum(axis=2).sum(axis=0), -evolution.row_exponent(steps))
     return np.maximum(worst, np.max(np.abs(mass - 1.0)))
 
 
-def _cone_violations(count: float, steps: np.ndarray, rows: np.ndarray) -> float:
+def _cone_violations(count: float, steps: np.ndarray, lo: int, rows: np.ndarray) -> float:
     """Add the steps t >= 1 whose rows hold a nonzero entry at index 0, the
     slot a step vacates (A0 at site -t, and B0 mirroring A1 at site t), or
     past index t."""
-    # only the block's last n - 1 indices lie past any row's step: index
-    # steps[0] + 1 + i is past row j's step when i >= j
-    n = len(steps)
-    tail = rows[:, :, steps[0] + 1 :] != 0.0
-    past = (tail & (np.arange(n - 1) >= np.arange(n)[:, None])).any(axis=(0, 2))
-    vacated = (rows[:, :, 0] != 0.0).any(axis=0) & (steps >= 1)
+    # only window columns past the block's first step can lie past a row's
+    # step: column i is index lo + i, past row j's step when it exceeds it
+    start = max(0, steps[0] + 1 - lo)
+    index = lo + np.arange(start, rows.shape[2])
+    past = ((rows[:, :, start:] != 0.0) & (index > steps[:, None])).any(axis=(0, 2))
+    vacated = (rows[:, :, :1] != 0.0).any(axis=(0, 2)) & (steps >= 1) & (lo == 0)
     return count + int(np.count_nonzero(past | vacated))
 
 
 def _row_errors(checks) -> list[float]:
     """Errors of the row checks ``(name, update, depth, tolerance)`` from one
     walk of ``_run_blocks`` to the deepest: each error starts at 0 and
-    ``update(error, steps, rows)`` folds in every block that starts at or
-    before its depth.  Blocks that break the layout make every error inf."""
+    ``update(error, steps, lo, rows)`` folds in every block that starts at
+    or before its depth.  Blocks that break the layout make every error
+    inf."""
     errors = [0.0] * len(checks)
     try:
-        for steps, rows in _run_blocks(max(depth for _, _, depth, _ in checks)):
+        for steps, lo, rows in _run_blocks(max(depth for _, _, depth, _ in checks)):
             for i, (_, update, depth, _) in enumerate(checks):
                 if steps[0] <= depth:
-                    errors[i] = update(errors[i], steps, rows)
+                    errors[i] = update(errors[i], steps, lo, rows)
     except _MalformedRun:
         return [math.inf] * len(checks)
     return errors

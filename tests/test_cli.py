@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -837,3 +841,37 @@ def test_verify_rejects_random_states_above_ceiling(runner, monkeypatch, count):
     assert f"got {count}" in result.output
     assert "checks passed" not in result.output
     assert "Traceback" not in result.output
+
+
+#: run in a fresh interpreter: import the CLI, run each command in process,
+#: then write the modules the commands added, one a line, to argv[1]
+CALL_TIME_IMPORTS = """
+import sys
+import twinwalk.cli
+before = set(sys.modules)
+for argv in (
+    ["verify", "--depth", "40", "--random-states", "5"],
+    ["run", "--preset", "4e", "--steps", "2000"],
+    ["figures", "--steps", "30", "--out-dir", sys.argv[2]],
+):
+    twinwalk.cli.main(argv, standalone_mode=False)
+with open(sys.argv[1], "w", encoding="utf-8") as out:
+    out.write("\\n".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_commands_import_nothing_when_called(tmp_path):
+    # every module a command needs is loaded with the CLI, so none of them
+    # pays an import in its run (numpy.ma, which np.unique pulls in, costs
+    # tens of ms cold); only codecs the writes look up may be added
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    added_path = tmp_path / "added.txt"
+    result = subprocess.run(
+        [sys.executable, "-c", CALL_TIME_IMPORTS, str(added_path), str(tmp_path / "figures")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    added = added_path.read_text(encoding="utf-8").split()
+    assert [name for name in added if not name.startswith("encodings.")] == []

@@ -80,6 +80,28 @@ def test_dense_off_diagonal_mass_is_zero(t):
     assert dense_norm(state) == pytest.approx(1.0, abs=1e-14)
 
 
+#: the Hadamard coin, as the dense oracle builds it
+HADAMARD = np.array(((S, S), (S, -S)))
+
+
+@pytest.mark.parametrize("x, y", [(-1, 1), (1, -1), (0, 1), (-1, 0), (1, 1)])
+@pytest.mark.parametrize("c", [0, 1])
+def test_dense_step_shifts_an_off_diagonal_seed(x, y, c):
+    # one amplitude at (x, y) on sites [-1, 1]^2, 1 in the run from |0> and
+    # i in the run from |1>: one step mixes the coin and moves coin 0 to
+    # (x + 1, y + 1) and coin 1 to (x - 1, y - 1), on sites [-2, 2]^2, and
+    # nothing else holds any amplitude
+    runs = np.zeros((2, 2, 3, 3), dtype=np.complex128)
+    runs[:, c, x + 1, y + 1] = 1.0, 1j
+    stepped = twinwalk.oracle._dense_step(runs)
+    assert stepped.shape == (2, 2, 5, 5)
+    for start, value in enumerate((1.0, 1j)):
+        want = np.zeros((2, 5, 5), dtype=np.complex128)
+        want[0, x + 3, y + 3] = HADAMARD[0, c] * value
+        want[1, x + 1, y + 1] = HADAMARD[1, c] * value
+        assert np.array_equal(stepped[start], want), start
+
+
 def test_dense_norm_is_conserved():
     state = dense_state(PRESETS["4e"], 40)
     assert dense_norm(state) == pytest.approx(1.0, abs=1e-12)
@@ -367,6 +389,64 @@ def test_reduced_entropy_crop_matches_full_matrix(seed):
             assert entropy == pytest.approx(full_matrix_entropy(state[c]), abs=1e-12)
 
 
+@st.composite
+def density_matrix_stacks(draw):
+    """A (C, 2, m, m) stack of trace-1 positive semidefinite matrices,
+    block diagonal under one drawn permutation of the indices: every block
+    1 x 1 ("diagonal"), one block ("dense"), or drawn blocks ("blocks");
+    "linked" joins two blocks in one matrix of the stack only, and "absent"
+    zeroes some matrices, as an absent branch is."""
+    kind = draw(st.sampled_from(("diagonal", "blocks", "dense", "linked", "absent")))
+    m = draw(st.integers(2 if kind == "linked" else 1, 12))
+    count = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "diagonal":
+        cuts = list(range(1, m))
+    elif kind == "dense" or m == 1:
+        cuts = []
+    else:
+        low = 1 if kind == "linked" else 0
+        cuts = sorted(draw(st.sets(st.integers(1, m - 1), min_size=low)))
+    order = rng.permutation(m)
+    blocks = np.split(order, cuts)
+    stack = np.zeros((count, 2, m, m), dtype=np.complex128)
+    for block in blocks:
+        size = len(block)
+        g = rng.normal(size=(count, 2, size, size)) + 1j * rng.normal(size=(count, 2, size, size))
+        stack[..., block[:, None], block[None, :]] = g @ g.conj().swapaxes(-1, -2)
+    if kind == "linked":
+        pair = np.array([blocks[0][0], blocks[1][0]])
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        stack[rng.integers(count), rng.integers(2)][np.ix_(pair, pair)] += np.outer(v, v.conj())
+    stack /= np.trace(stack, axis1=2, axis2=3).real[:, :, None, None]
+    if kind == "absent":
+        stack[rng.random((count, 2)) < 0.5] = 0.0
+    return stack
+
+
+def spectrum_entropy(eigenvalues):
+    """-sum q log2 q over the eigenvalues above EIGVAL_EPS, as
+    ``dense_branches`` sums it."""
+    kept = eigenvalues[eigenvalues > EIGVAL_EPS]
+    return max(0.0, float(-np.sum(kept * np.log2(kept))))
+
+
+@given(stack=density_matrix_stacks())
+@settings(deadline=None, max_examples=300)
+def test_block_spectra_match_the_full_matrices(stack):
+    """The eigenvalues ``_eigenvalues`` finds block by block, sorted, against
+    ``eigvalsh`` of each whole matrix, and the entropies they give, within
+    1e-14.  Over 3,000 drawn stacks the largest eigenvalue gap was 6.7e-16
+    and the largest entropy gap 2.7e-15."""
+    got = twinwalk.oracle._eigenvalues(stack)
+    want = np.linalg.eigvalsh(stack)
+    assert got.shape == want.shape
+    assert np.max(np.abs(np.sort(got, axis=-1) - want)) <= 1e-14
+    m = stack.shape[-1]
+    for blockwise, whole in zip(got.reshape(-1, m), want.reshape(-1, m)):
+        assert abs(spectrum_entropy(blockwise) - spectrum_entropy(whole)) <= 1e-14
+
+
 def naive_history_table(coin_init, t):
     """Path sum over itertools.product histories, one path at a time."""
     s = math.sqrt(0.5)
@@ -420,7 +500,9 @@ def test_dense_trajectory_is_the_exact_run(start):
     # two oracles, no engine: the growing lattice holds the whole walk, its
     # diagonal at site -t + 2k (index 2k) is the integer row times 2^(-t/2)
     # and every other entry of the tensor is exactly 0; the run from |1> is
-    # evolved, so this holds its mirror identity to the integers too
+    # evolved, so this holds its mirror identity to the integers too.  The
+    # shift moves every site, so the zeros off the diagonal are a result
+    # this test observes, not something built into the oracle
     steps = 60
     pairs = zip(dense_trajectory(steps), exact_run(steps, start), strict=True)
     for t, (runs, rows) in enumerate(pairs):
@@ -430,7 +512,7 @@ def test_dense_trajectory_is_the_exact_run(start):
         want[:, ::2] = np.array(rows) * 2.0 ** (-t / 2)
         diagonal = np.diagonal(state, axis1=1, axis2=2)
         assert np.max(np.abs(diagonal - want)) <= 1e-14, t
-        assert off_diagonal_mass(state) == 0.0, t
+        assert not state[:, ~np.eye(2 * t + 1, dtype=bool)].any(), t
 
 
 #: the five presets and 12 seeded random coins: more than ``COINS_PER_RUN``,
