@@ -71,7 +71,7 @@ def _is_finite_real(value: object) -> bool:
 def parse_run_spec(path: Path) -> RunSpec:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read run spec {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"run spec {path} must be a JSON object")

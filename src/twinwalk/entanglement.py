@@ -10,7 +10,7 @@ coefficients,
 in bits, and is compared against the dimensionality bound log2(t): after t
 steps a single coin branch can occupy at most t diagonal sites, so no more
 than log2(t) bits of entanglement are attainable.  The attained/attainable
-ratio, which ``experiment`` and ``figures`` form, is the quantity whose
+ratio, which ``experiment.ratio_columns`` forms, is the quantity whose
 large-t convergence the experiment driver tracks.
 
 ``branch_entropies`` measures many unnormalized branches in one fused pass,
@@ -39,10 +39,7 @@ COEFF_EPS = math.sqrt(SUPPORT_EPS)
 
 
 def branch_entropies(
-    site_weights: np.ndarray,
-    weights: np.ndarray,
-    present: np.ndarray,
-    work: np.ndarray | None = None,
+    site_weights: np.ndarray, weights: np.ndarray, present: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Entropies in bits and kept Schmidt coefficients of branch rows.
 
@@ -51,16 +48,12 @@ def branch_entropies(
     same factor; neither result depends on it.  A branch not marked
     ``present`` is absent: its entropy is NaN and its count 0.  Only sites
     with a weight of at least COEFF_EPS^2 times the branch weight enter the
-    entropy (see the module docstring).  ``work``, when given, is working
-    space of at least ``site_weights.size`` floats that the pass fills in
-    place of allocating its own; it may be ``site_weights`` itself.
+    entropy (see the module docstring).  The pass works in place: it
+    overwrites ``site_weights``.
     """
     # an absent row keeps no site: divided by an infinite weight, it is all 0
-    normalized = np.divide(
-        site_weights,
-        np.where(present, weights, np.inf)[:, None],
-        out=None if work is None else work[: site_weights.size].reshape(site_weights.shape),
-    )
+    divisors = np.where(present, weights, np.inf)[:, None]
+    normalized = np.divide(site_weights, divisors, out=site_weights)
     keep = normalized >= COEFF_EPS * COEFF_EPS
     counts = keep.sum(axis=1, dtype=np.int32)
     # the selection is a copy, so the log2 may overwrite ``normalized``

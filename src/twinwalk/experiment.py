@@ -28,7 +28,9 @@ A measured block is measured whole, exactly as when every step is, so each
 returned value is bitwise the every-step value of its step.
 
 ``check_walk`` (steps, then measured steps, then coins) and
-``resolve_window`` are the one home of the input rules.
+``resolve_window`` are the one home of the input rules; ``ratio_columns``
+(entropy over log2 t) and ``trailing_mean`` (its mean over the window) are
+the one home of the ratio, for records and figures alike.
 
 The values are bitwise fixed for one block shape only: a weight is a BLAS
 row sum, which rounds a row by its alignment (``np.stack([x, x, x]) @ ones``
@@ -224,7 +226,7 @@ def measure_rows(
             finals[:, lo : lo + width] = measured_rows.reshape(count_rows, count, width)[:, -1]
         block_present = block_weights > PROB_EPS
         block_entropies, block_supports = branch_entropies(
-            measured_rows, scaled.ravel(), block_present.ravel(), measured_rows
+            measured_rows, scaled.ravel(), block_present.ravel()
         )
         taken = slice(None) if all(flags) else np.flatnonzero(flags)
         blocks_columns.append([
@@ -232,6 +234,33 @@ def measure_rows(
             for column in (block_weights, block_entropies, block_present, block_supports)
         ])
     return (*(np.concatenate(parts, axis=1) for parts in zip(*blocks_columns)), finals)
+
+
+def _or_none(columns: np.ndarray, flags: list[list[bool]]) -> list[list]:
+    """The rows of ``columns`` as lists, None where ``flags`` is False."""
+    return [[v if ok else None for v, ok in zip(*pair)] for pair in zip(columns.tolist(), flags)]
+
+
+def ratio_columns(
+    entropies: np.ndarray, present: np.ndarray, taken: Sequence[int]
+) -> tuple[list[float], list[list[float | None]], list[list[bool]]]:
+    """The entanglement ratio of the (R, len(taken)) entropy columns
+    ``measure_rows`` gives at the sampled steps ``taken``: the bound
+    log2 t at each step, each row's ratio entropy / bound (None where it is
+    undefined) and where it is defined.  No ratio is defined for an absent
+    branch or at t = 1, where the bound is 0."""
+    bounds = list(map(max_entanglement, taken))
+    defined = present & (np.array(bounds) > 0.0)
+    ratios = np.divide(entropies, bounds, out=np.full_like(entropies, np.nan), where=defined)
+    flags = defined.tolist()
+    return bounds, _or_none(ratios, flags), flags
+
+
+def trailing_mean(ratios: Sequence[float | None], window: int) -> float | None:
+    """Mean of the last ``window`` ratios, summed left to right; None if any
+    of them is undefined (None)."""
+    tail = ratios[-window:]
+    return None if None in tail else sum(tail) / len(tail)
 
 
 def timelines_and_distributions(
@@ -248,12 +277,8 @@ def timelines_and_distributions(
     weights, entropies, present, supports, finals = measure_rows(rows, steps, measured)
     taken = range(1, steps + 1) if measured is None else list(measured)
     p, flags = weights.tolist(), present.tolist()
-    # None where a branch is absent
-    e, s = ([[v if ok else None for v, ok in zip(*pair)] for pair in zip(column.tolist(), flags)]
-            for column in (entropies, supports))
-    bounds = list(map(max_entanglement, taken))
-    # the bound is 0 at t = 1, where no ratio is defined
-    ratios = [[None if x is None or b == 0.0 else x / b for x, b in zip(row, bounds)] for row in e]
+    e, s = _or_none(entropies, flags), _or_none(supports, flags)
+    bounds, ratios, _ = ratio_columns(entropies, present, taken)
     return [
         (
             list(map(TimelineRecord._make, zip(
@@ -292,7 +317,7 @@ def window_ratios(timeline: list[TimelineRecord], window: int) -> dict[str, floa
     tail = timeline[-resolve_window(len(timeline), window):]
     columns = ([record.ratio0 for record in tail], [record.ratio1 for record in tail])
     return {
-        str(outcome): None if None in ratios else sum(ratios) / len(ratios)
+        str(outcome): trailing_mean(ratios, len(tail))
         for outcome, ratios in zip(CoinOutcome, columns)
     }
 

@@ -7,11 +7,10 @@ both branch series.  Rendering is plain CSV with deterministic formatting;
 the manifest records what every file contains.  The four plotted presets'
 eight branches are five distinct mixing rows, measured from one real run by
 ``experiment.measure_rows``, one entropy pass per block for all five; no
-record is built.  Each distinct row's entropy and ratio columns are
-formatted once (``render.format_column``) and its outcome file rendered once
-(figures 4, 5 and 8 are figures 2, 1 and 7 as text).  The window ratios are
-taken from the same arrays with the arithmetic of
-``experiment.asymptotic_ratio``: the same IEEE ratios, summed left to right.
+record is built.  Each distinct row's ratios (``experiment.ratio_columns``)
+and window ratio (``experiment.trailing_mean``) are taken once, its entropy
+and ratio columns formatted once (``render.format_column``) and its outcome
+file rendered once (figures 4, 5 and 8 are figures 2, 1 and 7 as text).
 """
 
 from __future__ import annotations
@@ -20,16 +19,15 @@ import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .entanglement import max_entanglement
 from .experiment import (
     PRESETS,
     check_walk,
     distribution_symmetry,
     measure_rows,
     mixing_rows,
+    ratio_columns,
     resolve_window,
+    trailing_mean,
     walker_distribution,
 )
 from .render import format_column, write_text_atomic
@@ -85,23 +83,20 @@ def build_figure_bundle(
     window = resolve_window(steps, window)
     rows, index = mixing_rows(coins)
     _, entropies, present, _, finals = measure_rows(rows, steps)
-    bounds = list(map(max_entanglement, range(1, steps + 1)))
-    # the bound is 0 at t = 1, where no ratio is defined
-    defined = present & (np.array(bounds) > 0.0)
-    ratios = np.divide(entropies, bounds, out=np.full_like(entropies, np.nan), where=defined)
+    bounds, ratios, defined = ratio_columns(entropies, present, range(1, steps + 1))
     # per distinct row: its entropy and ratio columns, rendered once, and the
-    # mean ratio over the window, None where one is undefined
-    entropy_columns = list(map(format_column, entropies.tolist(), present.tolist()))
-    ratio_columns = list(map(format_column, ratios.tolist(), defined.tolist()))
-    means = [
-        sum(tail) / len(tail) if all(flags) else None
-        for tail, flags in zip(ratios[:, -window:].tolist(), defined[:, -window:].tolist())
-    ]
+    # mean ratio over the window
+    entropy_texts = list(map(format_column, entropies.tolist(), present.tolist()))
+    ratio_texts = list(map(format_column, ratios, defined))
+    means = [trailing_mean(row, window) for row in ratios]
+    # the ratio floats are let go before the files are rendered: held to the
+    # end, they raised the peak RSS of `figures` by about 0.2 MB
+    del ratios, defined
     step_column = list(map(str, range(1, steps + 1)))
     bound_column = format_column(bounds, [True] * steps)
     outcome_texts = [
         _csv(OUTCOME_COLUMNS, zip(step_column, entropy, bound_column, ratio))
-        for entropy, ratio in zip(entropy_columns, ratio_columns)
+        for entropy, ratio in zip(entropy_texts, ratio_texts)
     ]
     files: list[FigureFile] = []
     for (preset, first), pair in zip(_FIGURE_GROUPS, zip(index[::2], index[1::2])):
@@ -128,7 +123,7 @@ def build_figure_bundle(
             )
         number = first + 2
         distribution = walker_distribution(*finals[list(pair)], steps)
-        series = [step_column, *(entropy_columns[row] for row in pair), *(ratio_columns[row] for row in pair)]
+        series = [step_column, *(entropy_texts[row] for row in pair), *(ratio_texts[row] for row in pair)]
         files.append(
             FigureFile(
                 name=_figure_name(number),

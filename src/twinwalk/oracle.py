@@ -61,7 +61,7 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from .states import PROB_EPS, SUPPORT_EPS, CoinOutcome, CoinSpinor
+from .states import PROB_EPS, SUPPORT_EPS, CoinSpinor
 
 #: reduced-density-matrix eigenvalues below this count as zero
 EIGVAL_EPS = 1e-14
@@ -280,14 +280,6 @@ def path_sum_branches(table: dict[tuple[int, int], complex]) -> Branches:
     return branches[0], branches[1]
 
 
-def path_sum_amplitude(
-    coin_init: CoinSpinor, x: int, outcome: CoinOutcome, t: int
-) -> complex:
-    """Amplitude of |outcome>(x)|x, x> after t steps, summed over coin histories."""
-    table = path_sum_table(coin_init, t)
-    return table.get((x, outcome.value), 0j)
-
-
 def exact_run(
     t_max: int, start: int = 0
 ) -> Iterator[tuple[list[int], list[int]]]:
@@ -327,31 +319,48 @@ def _coin_mixing(coin: CoinSpinor) -> tuple[int, int, int, int]:
     return int(a * scale), int(b * scale), int(r * scale), scale
 
 
+def _branch_numerators(
+    coin: CoinSpinor, n0: list[int], n1: list[int]
+) -> tuple[list[int], list[int], int]:
+    """Exact site weights of both coin branches of the walk from ``coin``,
+    at the step whose ``exact_run(t, 0)`` rows are n0, n1, as integer
+    numerators over one common denominator: ``(branch 0, branch 1,
+    denominator)``, branch 1 read at the mirrored index.
+
+    The walk is alpha A + beta B with B the mirror image of A, so branch 0
+    weighs |alpha n0[k] + beta m0[k]|^2 / 2^t at index k, with
+    m0[k] = (-1)^(t+1) n1[t - k], and branch 1 weighs
+    |beta n0[k] - alpha m0[k]|^2 / 2^t at the mirrored index.  The coin's
+    floats are exact dyadic rationals, so every weight is an exact rational.
+    """
+    t = len(n0) - 1
+    sign = 1 if t % 2 else -1
+    m0 = [sign * n1[t - k] for k in range(t + 1)]
+    a, b, r, scale = _coin_mixing(coin)
+    w0, w1 = (
+        [cx * u * u + cy * v * v + cz * u * v for u, v in zip(n0, m0)]
+        for cx, cy, cz in ((a, b, r), (b, a, -r))
+    )
+    return w0, w1, scale << t
+
+
 def exact_branches(
     coin: CoinSpinor, n0: list[int], n1: list[int]
 ) -> tuple[tuple[float, float | None, int | None], ...]:
     """Weight, entropy in bits and kept count of both coin branches of the
     walk from ``coin``, at the step whose ``exact_run(t, 0)`` rows are n0, n1.
 
-    The walk is alpha A + beta B with B the mirror image of A, so branch 0
-    weighs |alpha n0[k] + beta m0[k]|^2 / 2^t at index k, with
-    m0[k] = (-1)^(t+1) n1[t - k], and branch 1 weighs
-    |beta n0[k] - alpha m0[k]|^2 / 2^t at the mirrored index.  The coin's
-    floats are exact dyadic rationals, so every weight is an exact rational
-    until it is rounded, once.  A branch no heavier than PROB_EPS is absent;
-    sites lighter than SUPPORT_EPS times the branch weight are cut; the
-    entropy is -sum q log2 q over the kept q = weight / branch weight.
+    Each weight is the exact rational of ``_branch_numerators``, rounded
+    once.  A branch no heavier than PROB_EPS is absent; sites lighter than
+    SUPPORT_EPS times the branch weight are cut; the entropy is
+    -sum q log2 q over the kept q = weight / branch weight.
     """
-    t = len(n0) - 1
-    sign = 1 if t % 2 else -1
-    m0 = [sign * n1[t - k] for k in range(t + 1)]
-    a, b, r, scale = _coin_mixing(coin)
+    *branches, denominator = _branch_numerators(coin, n0, n1)
     cut_numerator, cut_denominator = (math.sqrt(SUPPORT_EPS) ** 2).as_integer_ratio()
     results = []
-    for cx, cy, cz in ((a, b, r), (b, a, -r)):
-        numerators = [cx * u * u + cy * v * v + cz * u * v for u, v in zip(n0, m0)]
+    for numerators in branches:
         total = sum(numerators)
-        weight = total / (scale << t)
+        weight = total / denominator
         if weight <= PROB_EPS:
             results.append((weight, None, None))
             continue
@@ -369,21 +378,11 @@ def exact_distribution(
     whose ``exact_run(t, 0)`` rows are n0, n1, each probability an exact
     rational rounded once; sites of probability exactly 0 are left out.
 
-    Both coin components come from the mirror identity: the run from |1> has
-    m0[k] = (-1)^(t+1) n1[t - k] and m1[k] = (-1)^t n0[t - k].
+    Site -t + 2k weighs branch 0's coin-0 weight there plus branch 1's
+    coin-1 weight, which ``_branch_numerators`` holds at the mirrored index
+    t - k: two exact numerators, summed before the one rounding.
     """
+    w0, w1, denominator = _branch_numerators(coin, n0, n1)
     t = len(n0) - 1
-    sign = 1 if t % 2 else -1
-    m0 = [sign * n1[t - k] for k in range(t + 1)]
-    m1 = [-sign * n0[t - k] for k in range(t + 1)]
-    ca, cb, cr, scale = _coin_mixing(coin)
-    distribution = {}
-    for k in range(t + 1):
-        numerator = (
-            ca * (n0[k] ** 2 + n1[k] ** 2)
-            + cb * (m0[k] ** 2 + m1[k] ** 2)
-            + cr * (n0[k] * m0[k] + n1[k] * m1[k])
-        )
-        if numerator:
-            distribution[2 * k - t] = numerator / (scale << t)
-    return distribution
+    numerators = [q0 + q1 for q0, q1 in zip(w0, reversed(w1))]
+    return {2 * k - t: q / denominator for k, q in enumerate(numerators) if q}

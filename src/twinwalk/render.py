@@ -13,21 +13,13 @@ from .experiment import TimelineRecord
 TIMELINE_HEADER = "step,p0,p1,entropy0,entropy1,max_entropy,ratio0,ratio1"
 
 #: ``timeline_row`` of a record whose first eight fields hold no None, in one
-#: formatting call; %.12g renders a float exactly as format(value, ".12g"),
-#: here and in ``format_column``
+#: formatting call; %.12g renders a float exactly as format(value, ".12g")
 _ROW_FORMAT = "%d" + ",%.12g" * 7
 
 
-def format_number(value: float | None) -> str:
-    """12-significant-digit rendering; absent values become empty fields."""
-    if value is None:
-        return ""
-    return format(value, ".12g")
-
-
-def format_column(values: list[float], present: list[bool]) -> list[str]:
-    """``format_number`` of each value, or "" where it is not ``present``,
-    in one formatting call: no rendered number holds a comma."""
+def format_column(values: list[float | None], present: list[bool]) -> list[str]:
+    """Each value to 12 significant digits, or "" where it is not
+    ``present``, in one formatting call: no rendered number holds a comma."""
     if not values:
         return []
     form = ",".join(["%.12g" if flag else "" for flag in present])
@@ -35,18 +27,9 @@ def format_column(values: list[float], present: list[bool]) -> list[str]:
 
 
 def timeline_row(record: TimelineRecord) -> str:
-    return ",".join(
-        (
-            str(record.step),
-            format_number(record.p0),
-            format_number(record.p1),
-            format_number(record.entropy0),
-            format_number(record.entropy1),
-            format_number(record.max_entropy),
-            format_number(record.ratio0),
-            format_number(record.ratio1),
-        )
-    )
+    """A record's CSV row; an absent (None) field is left empty."""
+    fields = list(record[1:8])
+    return ",".join([str(record.step), *format_column(fields, [v is not None for v in fields])])
 
 
 def render_timeline_csv(timeline: list[TimelineRecord]) -> str:

@@ -270,20 +270,32 @@ def test_version(runner):
     assert "0.1.0" in result.output
 
 
-@pytest.mark.parametrize(
-    "content",
-    [
-        "{not json",
-        '{"re0": 1.0}',
-        '{"re0": 1, "im0": 0, "re1": 0, "im1": 0, "bogus": 3}',
-        '[1, 2, 3]',
-    ],
-)
+#: the start of the error each malformed spec gives, after "Error: "
+MALFORMED_SPECS = {
+    "{not json": "cannot read run spec {path}: Expecting property name",
+    '{"re0": 1.0}': "run spec {path} is missing coin fields: ['im0', 're1', 'im1']",
+    '{"re0": 1, "im0": 0, "re1": 0, "im1": 0, "bogus": 3}': (
+        "run spec {path} has unknown fields: ['bogus']"
+    ),
+    '[1, 2, 3]': "run spec {path} must be a JSON object",
+    b'\xff{"re0": 1.0}': "cannot read run spec {path}: 'utf-8' codec can't decode byte 0xff",
+}
+
+
+@pytest.mark.parametrize("content", MALFORMED_SPECS)
 def test_run_rejects_malformed_spec(runner, tmp_path, content):
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(content)
+    if isinstance(content, bytes):
+        spec_path.write_bytes(content)
+    else:
+        spec_path.write_text(content)
     result = runner.invoke(main, ["run", "--spec", str(spec_path)])
-    assert result.exit_code != 0
+    # a ClickException that names the file: exit code 1 and one error line
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("Error: " + MALFORMED_SPECS[content].format(path=spec_path))
+    assert result.output.count("Error:") == 1
+    assert "Traceback" not in result.output
 
 
 VALID_SPEC = {"re0": 1.0, "im0": 0.0, "re1": 0.0, "im1": 0.0, "steps": 3}

@@ -24,7 +24,15 @@ import twinwalk.evolution
 import twinwalk.experiment
 from twinwalk.entanglement import COEFF_EPS
 from twinwalk.evolution import block_steps
-from twinwalk.experiment import MAX_STEPS, measure_rows, mixing_rows, resolve_window, walker_distribution
+from twinwalk.experiment import (
+    MAX_STEPS,
+    measure_rows,
+    mixing_rows,
+    ratio_columns,
+    resolve_window,
+    trailing_mean,
+    walker_distribution,
+)
 from twinwalk.figures import build_figure_bundle
 from twinwalk.oracle import exact_branches, exact_distribution, exact_run
 from twinwalk.states import NORM_TOL, PROB_EPS, NormalizationError
@@ -75,6 +83,47 @@ def test_asymptotic_ratio_is_plain_mean():
     timeline = run_timeline(PRESETS["4a"], 12)
     expected = sum(r.ratio0 for r in timeline[-5:]) / 5
     assert asymptotic_ratio(timeline, CoinOutcome.C0, 5) == expected
+
+
+def test_ratio_columns_leave_t1_and_absent_branches_undefined():
+    entropies = np.array([[0.0, 1.0, 1.5], [np.nan, np.nan, 2.0]])
+    present = np.array([[True, True, True], [False, False, True]])
+    bounds, ratios, defined = ratio_columns(entropies, present, range(1, 4))
+    assert bounds == [0.0, 1.0, math.log2(3)]
+    assert ratios == [[None, 1.0, 1.5 / math.log2(3)], [None, None, 2.0 / math.log2(3)]]
+    assert defined == [[False, True, True], [False, False, True]]
+
+
+def test_ratio_columns_at_sampled_steps_divide_by_the_sampled_bound():
+    # steps that do not start at 1: the bound is log2 of each sampled step
+    coins = [PRESETS["4a"], PRESETS["4e"]]
+    measured = [5, 64, 301, 400]
+    rows, index = mixing_rows(coins)
+    _, entropies, present, _, _ = measure_rows(rows, 400, measured)
+    bounds, ratios, defined = ratio_columns(entropies, present, measured)
+    assert bounds == [math.log2(t) for t in measured]
+    assert all(map(all, defined))
+    assert ratios == [[e / math.log2(t) for e, t in zip(row, measured)] for row in entropies.tolist()]
+    results = timelines_and_distributions(coins, 400, measured)
+    for (timeline, _), i, j in zip(results, index[::2], index[1::2]):
+        got = [(r.max_entropy, r.ratio0, r.ratio1) for r in timeline]
+        assert got == list(zip(bounds, ratios[i], ratios[j]))
+
+
+@given(
+    ratios=st.lists(st.one_of(st.none(), st.floats(allow_nan=False)), min_size=1, max_size=40),
+    data=st.data(),
+)
+@settings(deadline=None, max_examples=300)
+def test_trailing_mean_is_the_left_to_right_mean_of_the_tail(ratios, data):
+    window = data.draw(st.integers(1, len(ratios)))
+    tail = ratios[-window:]
+    mean = trailing_mean(ratios, window)
+    if None in tail:
+        assert mean is None
+    else:
+        # bitwise: repr tells -0.0 from 0.0 and round-trips every float
+        assert repr(mean) == repr(sum(tail) / len(tail))
 
 
 def test_asymptotic_ratio_window_validation():
@@ -442,9 +491,9 @@ def test_figure_presets_measure_each_distinct_branch_once(monkeypatch):
     true_entropies = twinwalk.experiment.branch_entropies
     pass_rows = []
 
-    def counted_entropies(site_weights, weights, present, work=None):
+    def counted_entropies(site_weights, weights, present):
         pass_rows.append(len(site_weights))
-        return true_entropies(site_weights, weights, present, work)
+        return true_entropies(site_weights, weights, present)
 
     monkeypatch.setattr(twinwalk.experiment, "branch_entropies", counted_entropies)
     steps = 1000

@@ -20,7 +20,6 @@ from twinwalk.oracle import (
     exact_branches,
     exact_distribution,
     exact_run,
-    path_sum_amplitude,
     path_sum_table,
     path_sum_tables,
 )
@@ -141,27 +140,24 @@ def test_dense_branches_report_an_empty_branch_absent():
 
 
 def test_path_sum_one_step():
-    assert path_sum_amplitude(COIN_RIGHT, 1, CoinOutcome.C0, 1) == pytest.approx(
-        S, abs=1e-12
-    )
+    # table keys are (position, coin index)
+    assert path_sum_table(COIN_RIGHT, 1).get((1, 0), 0j) == pytest.approx(S, abs=1e-12)
 
 
 @pytest.mark.parametrize("t", range(1, 11))
 def test_path_sum_all_right_history(t):
-    amp = path_sum_amplitude(COIN_RIGHT, t, CoinOutcome.C0, t)
+    amp = path_sum_table(COIN_RIGHT, t).get((t, 0), 0j)
     assert amp == pytest.approx(2 ** (-t / 2), abs=1e-12)
 
 
 def test_path_sum_two_steps_coin_one_at_origin():
-    assert path_sum_amplitude(COIN_RIGHT, 0, CoinOutcome.C1, 2) == pytest.approx(
-        0.5, abs=1e-12
-    )
+    assert path_sum_table(COIN_RIGHT, 2).get((0, 1), 0j) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_path_sum_zero_steps_returns_initial_coin():
-    coin = CoinSpinor(S, 1j * S)
-    assert path_sum_amplitude(coin, 0, CoinOutcome.C0, 0) == pytest.approx(S)
-    assert path_sum_amplitude(coin, 0, CoinOutcome.C1, 0) == pytest.approx(1j * S)
+    table = path_sum_table(CoinSpinor(S, 1j * S), 0)
+    assert table.get((0, 0), 0j) == pytest.approx(S)
+    assert table.get((0, 1), 0j) == pytest.approx(1j * S)
 
 
 def test_path_sum_depth_cap():
@@ -243,45 +239,6 @@ def test_oracle_imports_neither_engine_nor_driver():
     for name in ("experiment", "evolution", "entanglement"):
         found = sorted(m for m in modules if m.split(".")[:2] == ["twinwalk", name])
         assert not found, f"oracle imports {found}"
-
-
-#: numpy's complex dtypes and their aliases, by name
-COMPLEX_DTYPES = {
-    "complex64", "complex128", "complex256", "complex_", "complexfloating",
-    "csingle", "cdouble", "clongdouble", "cfloat", "clongfloat",
-}
-
-
-def complex_dtype_names(source: str) -> list[str]:
-    """Complex dtypes a module names: as an attribute or bare name, as a
-    string, or as the builtin ``complex`` passed for ``dtype``."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and node.attr in COMPLEX_DTYPES:
-            found.append(node.attr)
-        elif isinstance(node, ast.Name) and node.id in COMPLEX_DTYPES:
-            found.append(node.id)
-        elif isinstance(node, ast.Constant) and node.value in COMPLEX_DTYPES:
-            found.append(node.value)
-        elif (
-            isinstance(node, ast.keyword)
-            and node.arg == "dtype"
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "complex"
-        ):
-            found.append("dtype=complex")
-    return found
-
-
-def test_only_the_oracle_names_a_complex_dtype():
-    # one state representation: the engine, the measurement and every check
-    # read the one real run; only the independent references go complex
-    package = Path(twinwalk.oracle.__file__).parent
-    assert complex_dtype_names(Path(twinwalk.oracle.__file__).read_text(encoding="utf-8"))
-    for path in sorted(package.glob("*.py")):
-        if path.name != "oracle.py":
-            found = complex_dtype_names(path.read_text(encoding="utf-8"))
-            assert not found, f"{path.name} names {found}"
 
 
 def full_matrix_entropy(matrix):

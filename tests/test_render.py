@@ -10,13 +10,8 @@ from hypothesis import strategies as st
 
 from twinwalk import TimelineRecord
 from twinwalk.experiment import MAX_STEPS
-from twinwalk.render import (
-    TIMELINE_HEADER,
-    format_column,
-    format_number,
-    render_timeline_csv,
-    timeline_row,
-)
+from twinwalk.render import TIMELINE_HEADER, format_column, render_timeline_csv, timeline_row
+from testutil import format_number
 
 FIELDS = (
     "step", "p0", "p1", "entropy0", "entropy1",
@@ -57,6 +52,8 @@ def test_renderers_match_the_per_field_path(timeline):
     assert render_timeline_csv(timeline) == "\n".join(
         [TIMELINE_HEADER, *map(timeline_row, timeline)]
     ) + "\n"
+    for record in timeline:
+        assert timeline_row(record) == ",".join([str(record.step), *map(format_number, record[1:8])])
     for values in list(zip(*timeline))[1:8]:
         assert column_of(values) == list(map(format_number, values))
 

@@ -23,7 +23,6 @@ from twinwalk.figures import (
     _figure_name,
 )
 from twinwalk.oracle import dense_trajectory, exact_run
-from twinwalk.render import format_number
 from twinwalk.states import PROB_EPS, SUPPORT_EPS, CoinOutcome, coin_fields
 from twinwalk.verification import _dense_error, _path_sum_error
 
@@ -75,7 +74,8 @@ def row_entropies(rows):
     site_weights = np.abs(np.asarray(rows)) ** 2
     weights = site_weights.sum(axis=-1)
     present = weights > PROB_EPS
-    entropies, kept = branch_entropies(site_weights, weights, present)
+    # the pass overwrites the site weights it is given
+    entropies, kept = branch_entropies(site_weights.copy(), weights, present)
     return weights.tolist(), *(
         [v if flag else None for v, flag in zip(column.tolist(), present.tolist())]
         for column in (entropies, kept)
@@ -270,6 +270,12 @@ def path_sum_error(coin: CoinSpinor, t_max: int) -> float:
     path-sum tables."""
     ((timeline, distribution),) = timelines_and_distributions([coin], t_max)
     return _path_sum_error([coin], [timeline], [distribution], t_max)
+
+
+def format_number(value: float | None) -> str:
+    """One value as the renderers must render it: 12 significant digits,
+    and an empty field for an absent (None) value."""
+    return "" if value is None else format(value, ".12g")
 
 
 def reference_figure_bundle(steps: int, window: int) -> tuple[list[FigureFile], dict]:
