@@ -267,7 +267,7 @@ def figures(out_dir: Path, steps: int, window: int | None) -> None:
     show_default=True,
     help=(
         f"Max step count for oracle comparisons, 3..{MAX_DEPTH} "
-        "(path sum capped at 12)."
+        "(exact branches capped at 12)."
     ),
 )
 @click.option(

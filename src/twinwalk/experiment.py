@@ -175,7 +175,7 @@ def measure_rows(
     """
     check_walk([], steps, measured)
     wanted = [False] + [measured is None] * steps
-    for t in measured or ():
+    for t in () if measured is None else measured:
         wanted[t] = True
     count_rows = len(rows)
     pairs = np.array([*rows, *[(0.0, 0.0, 0.0)] * (count_rows % 2)]).reshape(-1, 2, 3)
@@ -275,7 +275,7 @@ def timelines_and_distributions(
     check_walk(coins, steps, measured)
     rows, index = mixing_rows(coins)
     weights, entropies, present, supports, finals = measure_rows(rows, steps, measured)
-    taken = range(1, steps + 1) if measured is None else list(measured)
+    taken = range(1, steps + 1) if measured is None else list(map(int, measured))
     p, flags = weights.tolist(), present.tolist()
     e, s = _or_none(entropies, flags), _or_none(supports, flags)
     bounds, ratios, _ = ratio_columns(entropies, present, taken)

@@ -1,20 +1,22 @@
 """Independent brute-force references for the engine.
 
-``twinwalk verify`` and the tests check the engine against two routes to the
-same numbers:
+Two routes to the same numbers are brute force:
 
 * a dense simulation that carries the full coin (x) walker1 (x) walker2
   amplitude tensor on every site the walk can reach and gets branch
   entropies from the eigenvalues of explicitly built reduced density
-  matrices, and
-* a path summation that expands the t-step amplitude as a sum over all 2^t
-  coin histories with Hadamard matrix-element weights.
+  matrices, read by ``twinwalk verify`` and the tests, and
+* a path summation, ``path_sum_table``, that expands the t-step amplitude
+  as a sum over all 2^t coin histories with Hadamard matrix-element
+  weights, read by the tests.
 
 A third reference, ``exact_run``, is exact at any scale: under Hadamard
 2^(t/2) times every amplitude of the run from |0> is an integer, so the run
 is an integer recurrence, and ``exact_branches`` turns its rows into the
 branch weights of any coin as exact rationals, rounded once, with entropies
-summed by ``math.fsum``.  The run from |1> is its mirror image:
+summed by ``math.fsum``; ``verify`` holds the engine's rows to
+``exact_run`` and its records to ``exact_branches``.  The run from |1> is
+its mirror image:
 B0(t)[k] = (-1)^(t+1) A1(t)[t - k] (a test checks this against the integer
 run from |1> itself).
 
@@ -39,12 +41,6 @@ components of their joint nonzero pattern, with one ``eigvalsh`` call per
 block size.  On the walk every block is 1 x 1; a coherence between sites
 would join them into one block, diagonalized whole.
 
-The path sum is streamed the same way: ``path_sum_tables`` yields the tables
-of depths 0..t_max from one enumeration, each depth's 2^t histories
-extending those of the depth before, and ``path_sum_table`` is its last
-table.  ``path_sum_branches`` reads a table's two branches in the shape of
-``dense_branches``.
-
 The dense and path-sum oracles are deliberately brute force (quadratic
 memory / exponential time) and exist to catch index and normalization bugs in
 the fast path, not to scale; the exact run is quadratic in time, in Python
@@ -56,7 +52,6 @@ imports the engine or the driver they check.
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Iterator, Sequence
 
 import numpy as np
@@ -70,7 +65,7 @@ EIGVAL_EPS = 1e-14
 MAX_PATH_SUM_STEPS = 20
 
 #: weight and entropy in bits (None for an absent branch) of coin branches 0
-#: and 1, the shape every reference's per-step branches take
+#: and 1, the shape in which ``verify`` reads a reference's per-step branches
 Branches = tuple[tuple[float, float | None], tuple[float, float | None]]
 
 
@@ -210,74 +205,38 @@ def dense_marginals(runs: np.ndarray, coins: Sequence[CoinSpinor]) -> np.ndarray
     return (_coin_products(coins).reshape(-1, 4) @ products.reshape(4, -1)).real
 
 
-def path_sum_tables(
-    coin_init: CoinSpinor, t_max: int
-) -> Iterator[dict[tuple[int, int], complex]]:
-    """Yield the ``path_sum_table`` of every depth t = 0, 1, ..., t_max,
-    enumerating each depth's 2^t coin histories once.
+def path_sum_table(coin_init: CoinSpinor, t: int) -> dict[tuple[int, int], complex]:
+    """All t-step amplitudes keyed (position, coin index), start at the origin,
+    summed over all 2^t coin histories with Hadamard matrix-element weights.
 
-    Path k of depth t takes coin ``(k >> (t - 1 - j)) & 1`` at step j, so it
-    extends path k >> 1 of depth t - 1 by coin k & 1: its weight is that
-    path's weight times ``h[k & 1, previous]``, the factors multiplied in
-    step order, and every table is summed in path order, so each table is
-    bitwise the one enumerated at its depth alone.  The depth is checked at
-    the call, before any path is enumerated.
+    Path k takes coin ``(k >> (t - 1 - j)) & 1`` at step j; its weight is the
+    initial coin's mix into its first coin times ``h[current, previous]`` of
+    each later step, the factors multiplied in step order, and the table is
+    summed in path order.  The depth is checked before any path is
+    enumerated.
     """
-    if not 0 <= t_max <= MAX_PATH_SUM_STEPS:
-        raise ValueError(
-            f"path summation supports 0 <= t <= {MAX_PATH_SUM_STEPS}, got {t_max}"
-        )
-    return _path_sums(coin_init, t_max)
-
-
-def _path_sums(coin_init: CoinSpinor, t_max: int) -> Iterator[dict[tuple[int, int], complex]]:
+    if not 0 <= t <= MAX_PATH_SUM_STEPS:
+        raise ValueError(f"path summation supports 0 <= t <= {MAX_PATH_SUM_STEPS}, got {t}")
     s = math.sqrt(0.5)
     h = np.array(((s, s), (s, -s)))
     a = (complex(coin_init.amp0), complex(coin_init.amp1))
-    yield {(0, 0): a[0], (0, 1): a[1]}
-    previous = np.arange(2)
+    if t == 0:
+        return {(0, 0): a[0], (0, 1): a[1]}
+    paths = np.arange(1 << t)
+    previous = paths >> (t - 1)
     weight = h[previous, 0] * a[0] + h[previous, 1] * a[1]
     displacement = 1 - 2 * previous
-    for t in range(1, t_max + 1):
-        if t > 1:
-            paths = np.arange(1 << t)
-            parent, current = paths >> 1, paths & 1
-            weight = weight[parent] * h[current, previous[parent]]
-            displacement = displacement[parent] + (1 - 2 * current)
-            previous = current
-        key = (displacement + t) * 2 + previous
-        size = 2 * (2 * t + 1)
-        hits = np.bincount(key, minlength=size)
-        real = np.bincount(key, weights=weight.real, minlength=size)
-        imag = np.bincount(key, weights=weight.imag, minlength=size)
-        yield {
-            (int(k) // 2 - t, int(k) % 2): complex(real[k], imag[k])
-            for k in np.flatnonzero(hits)
-        }
-
-
-def path_sum_table(coin_init: CoinSpinor, t: int) -> dict[tuple[int, int], complex]:
-    """All t-step amplitudes keyed (position, coin index), start at the origin,
-    summed over all 2^t coin histories: the last table of
-    ``path_sum_tables``, with the same eager check."""
-    return deque(path_sum_tables(coin_init, t), maxlen=1)[0]
-
-
-def path_sum_branches(table: dict[tuple[int, int], complex]) -> Branches:
-    """Weight and entropy in bits of coin branches 0 and 1 of a path-sum
-    table: a branch weighs the sum of its |amplitude|^2, and its entropy is
-    -sum q log2 q over every q = |amplitude|^2 / weight > 0, None for a
-    branch no heavier than PROB_EPS."""
-    branches = []
-    for c in (0, 1):
-        probabilities = [abs(a) ** 2 for (_, coin), a in table.items() if coin == c]
-        weight = sum(probabilities)
-        entropy = None
-        if weight > PROB_EPS:
-            terms = (p / weight * math.log2(p / weight) for p in probabilities if p > 0.0)
-            entropy = max(0.0, -sum(terms))
-        branches.append((weight, entropy))
-    return branches[0], branches[1]
+    for j in range(1, t):
+        current = (paths >> (t - 1 - j)) & 1
+        weight *= h[current, previous]
+        displacement += 1 - 2 * current
+        previous = current
+    key = (displacement + t) * 2 + previous
+    size = 2 * (2 * t + 1)
+    hits = np.bincount(key, minlength=size)
+    real = np.bincount(key, weights=weight.real, minlength=size)
+    imag = np.bincount(key, weights=weight.imag, minlength=size)
+    return {(int(k) // 2 - t, int(k) % 2): complex(real[k], imag[k]) for k in np.flatnonzero(hits)}
 
 
 def exact_run(
@@ -304,19 +263,18 @@ def exact_run(
 
 def _coin_mixing(coin: CoinSpinor) -> tuple[int, int, int, int]:
     """|alpha|^2, |beta|^2 and 2 Re(alpha conj(beta)) of the coin's floats,
-    exactly, as integers over one common denominator: ``(a, b, r, scale)``."""
-    # imported here: the CLI loads this module at start-up and never needs it
-    from fractions import Fraction
+    exactly, as integers over one common denominator: ``(a, b, r, scale)``.
 
+    Each float is an integer over a power of two, so all four parts are
+    integers u, v, w, z over the largest of those powers, d:
+    alpha = (u + iv) / d and beta = (w + iz) / d, and the three mixings are
+    integers over d^2.
+    """
     alpha, beta = coin.amp0, coin.amp1
-    a = Fraction(alpha.real) ** 2 + Fraction(alpha.imag) ** 2
-    b = Fraction(beta.real) ** 2 + Fraction(beta.imag) ** 2
-    r = 2 * (
-        Fraction(alpha.real) * Fraction(beta.real)
-        + Fraction(alpha.imag) * Fraction(beta.imag)
-    )
-    scale = math.lcm(a.denominator, b.denominator, r.denominator)
-    return int(a * scale), int(b * scale), int(r * scale), scale
+    ratios = [x.as_integer_ratio() for x in (alpha.real, alpha.imag, beta.real, beta.imag)]
+    d = max(q for _, q in ratios)
+    u, v, w, z = (p * (d // q) for p, q in ratios)
+    return u * u + v * v, w * w + z * z, 2 * (u * w + v * z), d * d
 
 
 def _branch_numerators(

@@ -27,8 +27,8 @@ timeline and distribution vs dense oracle, t <= D   records and final       1e-1
                                                     distribution vs
                                                     ``dense_branches`` and
                                                     ``dense_marginals``
-timeline vs path-sum oracle, t <= min(D, 12)        records vs              1e-12
-                                                    ``path_sum_branches``
+timeline vs exact branches, t <= min(D, 12)         records vs              1e-12
+                                                    ``exact_branches``
 unscaled run rows vs exact integer run, t <= D      rows vs ``exact_run``   1e-14
 ==================================================  ======================  =====
 
@@ -41,16 +41,18 @@ light-cone checks read each block over its window alone, which the layout
 makes zero outside; only the integer-row checks, which reach t <= D, pad
 their blocks to full rows.  "Records" and
 "final distribution" are what ``experiment.timelines_and_distributions``
-returns for a coin; the dense and path-sum checks score a coin's first D
-(or min(D, 12)) records in one shared loop against the reference's per-step
-branch weights and entropies.  D is the oracle depth, 3 <= D <=
+returns for a coin; the dense and exact-branches checks score a coin's
+first D (or min(D, 12)) records in one shared loop against the reference's
+per-step branch weights and entropies.  D is the oracle depth, 3 <= D <=
 ``MAX_DEPTH``; the record checks cover the five presets plus
 0..``MAX_RANDOM_STATES`` random coins, ``COINS_PER_RUN`` coins to a run.
 Each record check scores a run's whole chunk of coins at once: the dense
 check evolves one dense trajectory per chunk, its shift applied at every
 site, and measures every coin of the chunk at each step in one call, which
 diagonalizes the reduced density matrices block by block over their exact
-nonzero blocks; the path-sum check streams each coin's own tables.
+nonzero blocks; the exact-branches check reads one ``exact_run`` per chunk,
+to min(D, ``EXACT_DEPTH_CAP``), and turns its rows into each coin's
+branches.
 """
 
 from __future__ import annotations
@@ -71,24 +73,25 @@ from .oracle import (
     dense_branches,
     dense_marginals,
     dense_trajectory,
+    exact_branches,
     exact_run,
-    path_sum_branches,
-    path_sum_tables,
 )
 from .states import CoinSpinor
 
 DEFAULT_SEED = 20100901
 
-#: most path-sum comparisons are affordable only up to this depth
-PATH_SUM_DEPTH_CAP = 12
+#: deepest step of the exact-branches check: ``exact_branches`` does O(t)
+#: Python-integer work per coin per step
+EXACT_DEPTH_CAP = 12
 
 #: deepest oracle comparison ``run_checks`` accepts; the dense oracle's
 #: memory grows as the square of the depth
 MAX_DEPTH = 200
 
 #: most random coins ``run_checks`` accepts on top of the five presets; each
-#: costs a path-sum sweep and a share of its chunk's dense sweep (about 0.8 ms
-#: at depth 10 and 2.6 ms at depth 40 on a shared 2-vCPU Xeon)
+#: costs its exact branches and a share of its chunk's dense sweep (about
+#: 0.4 ms at depth 10 and 1.5 ms at depth 40 on a shared 2-vCPU Xeon with
+#: single-threaded BLAS)
 MAX_RANDOM_STATES = 1000
 
 #: coins measured from one run in the oracle sweeps
@@ -275,20 +278,24 @@ def _dense_error(
     return np.max(errors)
 
 
-def _path_sum_error(
+def _exact_error(
     coins: list[CoinSpinor],
     timelines: list[list[TimelineRecord]],
     distributions: list[dict[int, float]],
     depth: int,
 ) -> float:
-    """Worst ``_records_error`` of a chunk of coins, each against
-    ``path_sum_branches`` of its streamed tables; the distributions are not
-    read."""
-    errors = []
-    for coin, timeline in zip(coins, timelines):
-        tables = itertools.islice(path_sum_tables(coin, depth), 1, None)
-        errors.append(_records_error(timeline, depth, map(path_sum_branches, tables)))
-    return np.max(errors)
+    """Worst ``_records_error`` of a chunk of coins, each against the weights
+    and entropies ``exact_branches`` gives over one ``exact_run(depth)``;
+    the distributions are not read."""
+    rows = list(itertools.islice(exact_run(depth), 1, None))
+    return np.max([
+        _records_error(
+            timeline,
+            depth,
+            (tuple(branch[:2] for branch in exact_branches(coin, *row)) for row in rows),
+        )
+        for coin, timeline in zip(coins, timelines)
+    ])
 
 
 def _check_three_step_entropies() -> list[CheckResult]:
@@ -328,14 +335,14 @@ def run_checks(
             f"random_states must be at most {MAX_RANDOM_STATES}, got {random_states}"
         )
     coins = [*PRESETS.values(), *random_coin_states(random_states, seed)]
-    long, path_sum_depth = 1000, min(max_step, PATH_SUM_DEPTH_CAP)
+    long, exact_depth = 1000, min(max_step, EXACT_DEPTH_CAP)
     # (name, reference, depth, tolerance): the checks of each coin's
     # records, then the run-row checks
     records = (
         (f"timeline and distribution vs dense oracle, t <= {max_step}",
          _dense_error, max_step, 1e-10),
-        (f"timeline vs path-sum oracle, t <= {path_sum_depth}",
-         _path_sum_error, path_sum_depth, 1e-12),
+        (f"timeline vs exact branches, t <= {exact_depth}",
+         _exact_error, exact_depth, 1e-12),
     )
     errors = [0.0] * len(records)
     # one run measures a few coins at a time: at any depth and coin count the
@@ -354,7 +361,7 @@ def run_checks(
         (f"light-cone violations over {long} steps", _cone_violations, long, 0.0),
         (f"unscaled run rows vs exact integer run, t <= {max_step}", exact_rows, max_step, 1e-14),
     )
-    amplitudes, drift, cone, exact, dense, path_sum = (
+    amplitudes, drift, cone, exact, dense, exact_records = (
         CheckResult(name, error, tol)
         for (name, _, _, tol), error in zip((*rows, *records), (*_row_errors(rows), *errors))
     )
@@ -364,4 +371,4 @@ def run_checks(
         f"distribution completeness at t={long}", abs(sum(distribution.values()) - 1.0), 1e-12
     )
     entropies = _check_three_step_entropies()
-    return [amplitudes, *entropies, drift, cone, completeness, dense, path_sum, exact]
+    return [amplitudes, *entropies, drift, cone, completeness, dense, exact_records, exact]

@@ -32,9 +32,9 @@ from testutil import (
     dense_state,
     engine_trajectory,
     evolve_tables,
+    exact_error,
     max_table_diff,
     off_diagonal_mass,
-    path_sum_error,
 )
 
 S = math.sqrt(0.5)
@@ -152,15 +152,15 @@ def test_criterion_2_initial_condition_equivalence(full_scale):
 
 
 def test_criterion_3_oracle_equivalence():
-    with criterion("3 (dense and path-sum oracle equivalence)"):
+    with criterion("3 (dense, exact and path-sum oracle equivalence)"):
         started = time.perf_counter()
         coins = list(PRESETS.values())
         coins.extend(random_coin_states(20))
         for coin in coins:
             # timeline records and distribution vs the dense oracle, t = 1..10
             assert dense_error(coin, 10) < 1e-10
-            # timeline weights and entropies vs the path sum, t = 1..12
-            assert path_sum_error(coin, 12) < 1e-12
+            # timeline weights and entropies vs the exact branches, t = 1..12
+            assert exact_error(coin, 12) < 1e-12
             # the run's amplitudes composed for the coin vs the path sum
             tables = evolve_tables(coin, 12)
             assert max(max_table_diff(tables[t], path_sum_table(coin, t)) for t in range(13)) < 1e-12

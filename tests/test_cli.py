@@ -528,7 +528,7 @@ def test_verify_detects_corrupted_engine(runner, monkeypatch):
     for check in (
         "three-step amplitudes vs closed form",
         "timeline and distribution vs dense oracle",
-        "timeline vs path-sum oracle",
+        "timeline vs exact branches",
     ):
         assert f"FAIL  {check}" in result.output
 
@@ -537,9 +537,9 @@ RECORD_REFERENCES = pytest.mark.parametrize(
     "reference, tolerance",
     [
         (twinwalk.verification._dense_error, 1e-10),
-        (twinwalk.verification._path_sum_error, 1e-12),
+        (twinwalk.verification._exact_error, 1e-12),
     ],
-    ids=["dense", "path-sum"],
+    ids=["dense", "exact"],
 )
 
 
@@ -622,20 +622,22 @@ def test_verify_detects_corrupted_run_rows(runner, monkeypatch, corruption):
     assert "FAIL  unscaled run rows vs exact integer run, t <= 40" in result.output
 
 
-def test_verify_builds_amplitude_tables_only_to_the_path_sum_depth(monkeypatch):
-    # the path-sum oracle's tables cost 2^t; none is built past the cap
-    true_tables = twinwalk.verification.path_sum_tables
-    depths = []
+def test_verify_builds_exact_branches_only_to_the_cap(monkeypatch):
+    # exact_branches does O(t) Python-integer work per coin and step; at
+    # --depth 40 none is built past the cap, and every coin reaches it
+    true_branches = twinwalk.verification.exact_branches
+    steps = []
 
-    def recorded_tables(coin_init, t_max):
-        depths.append(t_max)
-        return true_tables(coin_init, t_max)
+    def recorded_branches(coin, n0, n1):
+        steps.append(len(n0) - 1)
+        return true_branches(coin, n0, n1)
 
-    monkeypatch.setattr(twinwalk.verification, "path_sum_tables", recorded_tables)
+    monkeypatch.setattr(twinwalk.verification, "exact_branches", recorded_branches)
     checks = twinwalk.verification.run_checks(max_step=40, random_states=1)
     assert all(check.passed for check in checks)
-    assert depths
-    assert max(depths) <= twinwalk.verification.PATH_SUM_DEPTH_CAP
+    # t = 1..cap once for each of the five presets and the one random coin
+    cap = twinwalk.verification.EXACT_DEPTH_CAP
+    assert sorted(steps) == sorted([*range(1, cap + 1)] * 6)
 
 
 def test_verify_working_set_stays_small():
@@ -737,7 +739,7 @@ def test_verify_detects_late_norm_loss(runner, monkeypatch):
     assert result.exit_code == 1
     assert "FAIL  norm drift over 1000 steps" in result.output
     assert "PASS  timeline and distribution vs dense oracle" in result.output
-    assert "PASS  timeline vs path-sum oracle" in result.output
+    assert "PASS  timeline vs exact branches" in result.output
 
 
 def test_verify_fails_a_nan_in_the_run_rows(runner, monkeypatch):
@@ -777,7 +779,7 @@ def test_verify_fails_a_nan_timeline_weight(runner, monkeypatch, field):
     result = runner.invoke(main, ["verify", "--depth", "6", "--random-states", "0"])
     assert result.exit_code == 1
     assert "FAIL  timeline and distribution vs dense oracle, t <= 6" in result.output
-    assert "FAIL  timeline vs path-sum oracle, t <= 6" in result.output
+    assert "FAIL  timeline vs exact branches, t <= 6" in result.output
     assert result.output.count("FAIL") == 2
 
 
@@ -798,7 +800,7 @@ def test_verify_fails_timelines_shorter_than_the_depth(runner, monkeypatch, kept
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
     assert "FAIL  timeline and distribution vs dense oracle, t <= 40" in result.output
-    assert "FAIL  timeline vs path-sum oracle, t <= 12" in result.output
+    assert "FAIL  timeline vs exact branches, t <= 12" in result.output
     assert result.output.count("FAIL") == 2
 
 
@@ -815,15 +817,15 @@ CHECK_TABLE = [
     ("light-cone violations over 1000 steps", "0.0e+00"),
     ("distribution completeness at t=1000", "1.0e-12"),
     ("timeline and distribution vs dense oracle, t <= {depth}", "1.0e-10"),
-    ("timeline vs path-sum oracle, t <= {path_sum_depth}", "1.0e-12"),
+    ("timeline vs exact branches, t <= {exact_depth}", "1.0e-12"),
     ("unscaled run rows vs exact integer run, t <= {depth}", "1.0e-14"),
 ]
 
 
 @pytest.mark.parametrize(
-    "depth, random_states, path_sum_depth", [(4, 0, 4), (40, 1, 12)], ids=["depth-4", "depth-40"]
+    "depth, random_states, exact_depth", [(4, 0, 4), (40, 1, 12)], ids=["depth-4", "depth-40"]
 )
-def test_verify_prints_the_check_table(runner, depth, random_states, path_sum_depth):
+def test_verify_prints_the_check_table(runner, depth, random_states, exact_depth):
     # names, order and tol= fields; the max_error digits depend on BLAS
     result = runner.invoke(
         main, ["verify", "--depth", str(depth), "--random-states", str(random_states)]
@@ -834,10 +836,49 @@ def test_verify_prints_the_check_table(runner, depth, random_states, path_sum_de
     line_format = r"PASS  (.+?) +max_error=\S+  tol=(\S+)"
     printed = [re.fullmatch(line_format, line).groups() for line in lines]
     expected = [
-        (name.format(depth=depth, path_sum_depth=path_sum_depth), tol)
+        (name.format(depth=depth, exact_depth=exact_depth), tol)
         for name, tol in CHECK_TABLE
     ]
     assert printed == expected
+
+
+def test_readme_check_table_is_the_printed_table():
+    # the README's "What verify checks" table names CHECK_TABLE's checks in
+    # order, D for the depth and min(D, cap) for the exact-branches depth,
+    # at the same tolerances
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### What `verify` checks\n", 1)[1]
+    # the section's first table: its lines up to the first blank after it
+    table = section[section.index("\n|") + 1 :].split("\n\n", 1)[0]
+    header, _, *rows = [
+        [cell.strip() for cell in line.strip("|").split(" | ")] for line in table.splitlines()
+    ]
+    assert header == ["check", "engine", "reference", "tolerance"]
+    cap = twinwalk.verification.EXACT_DEPTH_CAP
+    expected = [
+        (name.format(depth="D", exact_depth=f"min(D, {cap})"), float(tol))
+        for name, tol in CHECK_TABLE
+    ]
+    assert [(row[0], float(row[-1])) for row in rows] == expected
+
+
+def test_only_the_exact_branches_check_sees_a_small_entropy_shift(runner, monkeypatch):
+    # every entropy the timelines report moved up by 1e-11: within the dense
+    # check's 1e-10 and the worked t <= 3 tolerances, so only the 1e-12
+    # exact-branches check can see it
+    true_entropies = twinwalk.experiment.branch_entropies
+
+    def shifted_entropies(*args):
+        entropies, supports = true_entropies(*args)
+        return entropies + 1e-11, supports
+
+    monkeypatch.setattr(twinwalk.experiment, "branch_entropies", shifted_entropies)
+    result = runner.invoke(main, ["verify", "--depth", "12", "--random-states", "0"])
+    assert result.exit_code == 1
+    failed = [line for line in result.output.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1
+    assert failed[0].startswith("FAIL  timeline vs exact branches, t <= 12 ")
+    assert "PASS  timeline and distribution vs dense oracle, t <= 12" in result.output
 
 
 @pytest.mark.parametrize("count", [1001, 10**9])

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import json
 import math
 import tracemalloc
 import warnings
@@ -687,6 +688,19 @@ def test_no_measured_step_gives_only_the_distribution():
     ((records, distribution),) = timelines_and_distributions([PRESETS["4e"]], 1000, [])
     ((_, every_distribution),) = timelines_and_distributions([PRESETS["4e"]], 1000)
     assert records == [] and distribution == every_distribution
+
+
+def test_measured_steps_may_be_a_numpy_array():
+    # steps built with numpy (log-spaced, say) give bitwise the records of
+    # the same steps as a list, each step a Python int, so a record dumps to
+    # JSON
+    coins = [PRESETS["4a"]]
+    ((records, distribution),) = timelines_and_distributions(coins, 100, np.array([10, 50]))
+    ((listed, listed_distribution),) = timelines_and_distributions(coins, 100, [10, 50])
+    assert list(map(repr, records)) == list(map(repr, listed))
+    assert distribution == listed_distribution
+    assert all(type(record.step) is int for record in records)
+    assert json.loads(json.dumps(records[0]._asdict()))["step"] == 10
 
 
 #: the five presets and seeded random coins, with a balanced coin whose

@@ -24,7 +24,7 @@ from twinwalk.figures import (
 )
 from twinwalk.oracle import dense_trajectory, exact_run
 from twinwalk.states import PROB_EPS, SUPPORT_EPS, CoinOutcome, coin_fields
-from twinwalk.verification import _dense_error, _path_sum_error
+from twinwalk.verification import _dense_error, _exact_error
 
 AmpTable = dict[tuple[int, int], complex]
 
@@ -264,12 +264,12 @@ def dense_error(coin: CoinSpinor, t_max: int) -> float:
     return _dense_error([coin], [timeline], [distribution], t_max)
 
 
-def path_sum_error(coin: CoinSpinor, t_max: int) -> float:
-    """``twinwalk verify``'s path-sum error of the timeline of a
-    ``t_max``-step walk from ``coin``: its shared records loop against the
-    path-sum tables."""
+def exact_error(coin: CoinSpinor, t_max: int) -> float:
+    """``twinwalk verify``'s exact-branches error of the timeline of a
+    ``t_max``-step walk from ``coin``: its shared records loop against
+    ``exact_branches`` over the exact run."""
     ((timeline, distribution),) = timelines_and_distributions([coin], t_max)
-    return _path_sum_error([coin], [timeline], [distribution], t_max)
+    return _exact_error([coin], [timeline], [distribution], t_max)
 
 
 def format_number(value: float | None) -> str:
