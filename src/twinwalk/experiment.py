@@ -141,21 +141,30 @@ def walker_distribution(w0: np.ndarray, w1: np.ndarray, steps: int) -> dict[int,
 def check_walk(
     coins: list[CoinSpinor], steps: int, measured: Sequence[int] | None = None
 ) -> None:
-    """Reject a walk before anything is evolved: first ``steps`` outside
-    1..MAX_STEPS, then ``measured`` unless it is None or strictly increasing
-    within 1..steps, then any coin that is not normalized."""
+    """Reject a walk before anything is evolved: first ``steps`` unless it is
+    an integer within 1..MAX_STEPS, then ``measured`` unless it is None or
+    integers strictly increasing within 1..steps, then any coin that is not
+    normalized.  An integer is an ``int`` or a numpy integer, never a
+    ``bool`` or a float."""
+    _require_integer("steps", steps)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if steps > MAX_STEPS:
         raise ValueError(f"steps must be at most {MAX_STEPS}, got {steps}")
     if measured is not None:
         for i, (before, t) in enumerate(zip([0, *measured], measured)):
+            _require_integer(f"measured[{i}]", t)
             if not before < t <= steps:
                 raise ValueError(
                     f"measured steps must increase strictly within 1..{steps}, got {t} at index {i}"
                 )
     for coin in coins:
         coin.require_normalized()
+
+
+def _require_integer(field: str, value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
 def measure_rows(

@@ -29,17 +29,22 @@ walker can reach, so nothing is truncated.  The shift moves every (x, y)
 site, not just the diagonal ones, so that the walkers stay on the diagonal
 is something the oracle shows rather than assumes.  ``dense_branches``
 measures both coin branches of every coin in a list, alpha run0 + beta
-run1, in one pass over all their reduced density matrices, and
-``dense_marginals`` gives their walker-1 distributions.  The runs are
-cropped to the union of the nonzero rows and columns of all four of their
-matrices before the reduced density matrices are formed.  That crop is
-exact: a column zero in every matrix adds nothing to any entry of any
-M M^dagger, and a row zero in every matrix adds only a zero eigenvalue,
-which the ``EIGVAL_EPS`` filter discards anyway.  The matrices are then
-diagonalized one exact block at a time (``_eigenvalues``): the connected
-components of their joint nonzero pattern, with one ``eigvalsh`` call per
-block size.  On the walk every block is 1 x 1; a coherence between sites
-would join them into one block, diagonalized whole.
+run1, all at once, and ``dense_marginals`` gives their walker-1
+distributions.  Before it forms any product, ``dense_branches`` labels the
+blocks of the runs' joint nonzero pattern (``_blocks``): row i and column j
+are linked where any of the four run matrices is nonzero at (i, j), and a
+block is a connected component of the links.  The reduced density matrix
+M M^dagger of a branch M = alpha R0 + beta R1 can be nonzero at (i, j) only
+where rows i and j share a column nonzero in some run matrix, so it is
+block diagonal over the blocks' rows (its own exact blocks can only be
+finer).  A row or column zero in every run matrix lies in no block: such a
+column adds nothing to any entry, and such a row only a zero eigenvalue,
+which the ``EIGVAL_EPS`` filter discards anyway.  All blocks of one shape
+are gathered from the runs with one index, mixed into M for every coin and
+branch, multiplied out into M M^dagger block by block, and diagonalized
+with one ``eigvalsh`` call per block shape.  On the walk every block is
+1 x 1; a coherence between sites joins them into one block, diagonalized
+whole.
 
 The dense and path-sum oracles are deliberately brute force (quadratic
 memory / exponential time) and exist to catch index and normalization bugs in
@@ -113,11 +118,16 @@ def _dense_step(runs: np.ndarray) -> np.ndarray:
     return stepped
 
 
+def _coin_amplitudes(coins: Sequence[CoinSpinor]) -> np.ndarray:
+    """(C, 2) amplitudes (c_0, c_1) = (alpha, beta) of each coin."""
+    return np.array([(coin.amp0, coin.amp1) for coin in coins], dtype=np.complex128)
+
+
 def _coin_products(coins: Sequence[CoinSpinor]) -> np.ndarray:
     """(C, 2, 2) products c_a conj(c_b) of each coin's amplitudes
     (c_0, c_1) = (alpha, beta): the weights of the bilinear terms
     run_a run_b^dagger in the coin's state alpha run0 + beta run1."""
-    amplitudes = np.array([(coin.amp0, coin.amp1) for coin in coins], dtype=np.complex128)
+    amplitudes = _coin_amplitudes(coins)
     return amplitudes[:, :, None] * amplitudes[:, None, :].conj()
 
 
@@ -126,29 +136,32 @@ def dense_branches(runs: np.ndarray, coins: Sequence[CoinSpinor]) -> list[Branch
     dense state alpha run0 + beta run1, for the runs ``dense_trajectory``
     yields; the entropy is None for a branch no heavier than PROB_EPS.
 
-    The runs are cropped to the union of the nonzero rows and columns of all
-    four of their matrices (see the module docstring).  Branch c of a coin
-    is M = alpha R0 + beta R1, R_a the cropped coin-c matrix of run a, so
-    its reduced density matrix (walker 2 traced out) is
-    M M^dagger = sum_ab c_a conj(c_b) R_a R_b^dagger: the four products are
-    formed once per step and summed with each coin's weights in one matmul.
-    A branch weighs the trace of its matrix; the entropies come from the
-    eigenvalues of all 2C matrices, found by ``_eigenvalues`` block by block
-    and divided by their branch's weight.  The eigen-decomposition does
-    not assume the matrices are diagonal, so it stays independent of the
-    fast path's Schmidt shortcut: any coherence the runs hold joins its
-    sites into one block, diagonalized whole.
+    Branch c of a coin is M = alpha R0 + beta R1, R_a the coin-c matrix of
+    run a, and its reduced density matrix (walker 2 traced out) is
+    rho = M M^dagger.  ``_blocks`` labels the blocks of the runs' joint
+    nonzero pattern first (see the module docstring); then, one block shape
+    at a time, every block of that shape of all four run matrices is
+    gathered with one index, mixed into M for every coin and branch, and
+    rho is formed block by block.  A branch weighs the trace of its rho;
+    the entropies come from its eigenvalues, one ``eigvalsh`` call per
+    block shape, divided by the branch's weight.  The eigen-decomposition
+    does not assume rho is diagonal, so it stays independent of the fast
+    path's Schmidt shortcut: any coherence the runs hold joins its sites
+    into one block, diagonalized whole.
     """
-    nonzero = runs.any(axis=(0, 1))
-    cropped = runs[:, :, nonzero.any(axis=1)][:, :, :, nonzero.any(axis=0)]
-    # products[a, b, c] = R_a R_b^dagger of branch c
-    products = cropped[:, None] @ cropped.conj().swapaxes(-1, -2)
-    rho = (_coin_products(coins).reshape(-1, 4) @ products.reshape(4, -1)).reshape(
-        -1, *products.shape[2:]
-    )
-    weights = np.trace(rho, axis1=2, axis2=3).real
+    amplitudes = _coin_amplitudes(coins)
+    count = len(amplitudes)
+    weights = np.zeros((count, 2))
+    spectra = [np.zeros((count, 2, 0))]
+    for rows, columns in _blocks(runs.any(axis=(0, 1))):
+        # gathered[a, c, b] is block b of R_a's coin-c matrix
+        gathered = runs[:, :, rows[:, :, None], columns[:, None, :]]
+        mixed = (amplitudes @ gathered.reshape(2, -1)).reshape(count, *gathered.shape[1:])
+        rho = mixed @ mixed.conj().swapaxes(-1, -2)
+        weights += np.trace(rho, axis1=-2, axis2=-1).real.sum(axis=-1)
+        spectra.append(np.linalg.eigvalsh(rho).reshape(count, 2, -1))
+    eigenvalues = np.concatenate(spectra, axis=-1)
     present = weights > PROB_EPS
-    eigenvalues = _eigenvalues(rho)
     # an absent branch is left unscaled; its eigenvalues are never read
     eigenvalues /= np.where(present, weights, 1.0)[:, :, None]
     logs = np.log2(eigenvalues, out=np.zeros_like(eigenvalues), where=eigenvalues > EIGVAL_EPS)
@@ -159,48 +172,61 @@ def dense_branches(runs: np.ndarray, coins: Sequence[CoinSpinor]) -> list[Branch
     ]
 
 
-def _eigenvalues(rho: np.ndarray) -> np.ndarray:
-    """(..., m) eigenvalues, in no fixed order, of each Hermitian matrix of
-    a (..., m, m) stack, read from its lower triangle as ``eigvalsh`` reads
-    it, found one exact block at a time.
+def _blocks(pattern: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The exact blocks of an (n, n) nonzero pattern, one pair per block
+    shape (r, k): a (B, r) array of the rows and a (B, k) array of the
+    columns of its B blocks, each block's rows and columns ascending, block
+    b of the rows matching block b of the columns.
 
-    Indices i and j are linked when entry (i, j) or (j, i) is nonzero in any
-    matrix of the stack.  Every matrix is then block diagonal over the
-    connected components of the links, since an entry zero in all of them
-    couples nothing, so its eigenvalues are those of its blocks.  The blocks
-    of each size are gathered, each in ascending index order so that its
-    lower triangle is the matrix's, and diagonalized by one ``eigvalsh``
-    call per size.
+    Row i and column j are linked where the pattern holds (i, j), and a
+    block is a connected component of the links, so every entry outside
+    the blocks is zero, and a row or column that is zero throughout lies in
+    none.  The shapes are listed in ascending order.
     """
-    m = rho.shape[-1]
-    linked = rho.reshape(-1, m, m).any(axis=0)
-    linked |= linked.T
-    np.fill_diagonal(linked, True)
-    # each index takes the least label among its links, then its label's
-    # label, until nothing moves: every index of a component then holds the
-    # component's least index
-    labels = np.arange(m)
+    n = len(pattern)
+    rows, columns = np.divmod(np.flatnonzero(pattern), n)
+    # each row takes the least label of the rows it shares a column with,
+    # then its label's label, until nothing moves: every row of a block then
+    # holds the block's least row, and every column of it that label too
+    labels = np.arange(n)
     while True:
-        least = np.where(linked, labels, m).min(axis=1)
+        column_labels = np.full(n, n)
+        np.minimum.at(column_labels, columns, labels[rows])
+        least = labels.copy()
+        np.minimum.at(least, rows, column_labels[columns])
         least = least[least]
         if np.array_equal(least, labels):
             break
         labels = least
-    sizes = np.bincount(labels, minlength=m)[labels]
-    spectra = []
-    for size in np.flatnonzero(np.bincount(sizes)).tolist():
-        members = np.flatnonzero(sizes == size)
-        blocks = members[np.argsort(labels[members], kind="stable")].reshape(-1, size)
-        gathered = rho[..., blocks[:, :, None], blocks[:, None, :]]
-        spectra.append(np.linalg.eigvalsh(gathered).reshape(*rho.shape[:-2], -1))
-    return np.concatenate(spectra, axis=-1)
+    live_rows = np.flatnonzero(np.bincount(rows, minlength=n))
+    live_columns = np.flatnonzero(column_labels < n)
+    row_labels, column_labels = labels[live_rows], column_labels[live_columns]
+    # the shape (r, k) of the block each label owns, as the one integer
+    # r (n + 1) + k
+    shapes = np.bincount(row_labels, minlength=n) * (n + 1) + np.bincount(
+        column_labels, minlength=n
+    )
+
+    def members(live: np.ndarray, owners: np.ndarray, shape: int) -> np.ndarray:
+        # the live rows or columns of the blocks of one shape, block by block
+        chosen = shapes[owners] == shape
+        return live[chosen][np.argsort(owners[chosen], kind="stable")]
+
+    blocks = []
+    for shape in sorted(set(shapes[row_labels].tolist())):
+        height, width = divmod(shape, n + 1)
+        blocks.append((
+            members(live_rows, row_labels, shape).reshape(-1, height),
+            members(live_columns, column_labels, shape).reshape(-1, width),
+        ))
+    return blocks
 
 
 def dense_marginals(runs: np.ndarray, coins: Sequence[CoinSpinor]) -> np.ndarray:
     """(C, 2t+1) walker-1 position distribution of each coin's dense state
     alpha run0 + beta run1 over sites -t..t: the sum over coin and walker 2
-    of its |amplitude|^2, formed from the runs' bilinear products as in
-    ``dense_branches``."""
+    of its |amplitude|^2, formed from the runs' bilinear products
+    run_a run_b^dagger, each weighted by c_a conj(c_b)."""
     products = np.einsum("acij,bcij->abi", runs, runs.conj())
     return (_coin_products(coins).reshape(-1, 4) @ products.reshape(4, -1)).real
 

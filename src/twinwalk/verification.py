@@ -49,10 +49,10 @@ per-step branch weights and entropies.  D is the oracle depth, 3 <= D <=
 Each record check scores a run's whole chunk of coins at once: the dense
 check evolves one dense trajectory per chunk, its shift applied at every
 site, and measures every coin of the chunk at each step in one call, which
-diagonalizes the reduced density matrices block by block over their exact
-nonzero blocks; the exact-branches check reads one ``exact_run`` per chunk,
-to min(D, ``EXACT_DEPTH_CAP``), and turns its rows into each coin's
-branches.
+labels the exact blocks of the runs' joint nonzero pattern and then builds
+and diagonalizes each reduced density matrix one block at a time; the
+exact-branches check reads one ``exact_run`` per chunk, to
+min(D, ``EXACT_DEPTH_CAP``), and turns its rows into each coin's branches.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ MAX_DEPTH = 200
 
 #: most random coins ``run_checks`` accepts on top of the five presets; each
 #: costs its exact branches and a share of its chunk's dense sweep (about
-#: 0.4 ms at depth 10 and 1.5 ms at depth 40 on a shared 2-vCPU Xeon with
+#: 0.35 ms at depth 10 and 1.0 ms at depth 40 on a shared 2-vCPU Xeon with
 #: single-threaded BLAS)
 MAX_RANDOM_STATES = 1000
 

@@ -7,6 +7,7 @@ demonstrates it cannot hold, so that test is expected to stay red; its
 failure message carries the measured values and the reason.
 """
 
+import itertools
 import json
 import math
 import time
@@ -24,7 +25,7 @@ from twinwalk import (
     timelines_and_distributions,
 )
 from twinwalk.cli import main
-from twinwalk.oracle import path_sum_table
+from twinwalk.oracle import exact_branches, exact_run, path_sum_table
 from twinwalk.states import SUPPORT_EPS, mirror_total_variation
 from twinwalk.verification import random_coin_states
 from testutil import (
@@ -149,6 +150,24 @@ def test_criterion_2_initial_condition_equivalence(full_scale):
                     "a mirror-symmetric coin forces ratio0 = ratio1, so its runs "
                     "cannot match an outcome-split pair"
                 )
+
+
+def test_pinned_ratios_follow_from_the_exact_run():
+    """Every pinned window mean, derived from exact integers with no engine
+    code: the ``exact_branches`` entropies of each preset at t = 901..1000
+    over one ``exact_run(1000)``, each over log2 t, summed left to right as
+    ``trailing_mean`` sums them.  The pinned numbers are the engine's; the
+    derived ones were within 4.4e-16 of them."""
+    steps, window = 1000, 100
+    first = steps - window + 1
+    rows = list(itertools.islice(exact_run(steps), first, None))
+    for name, pinned in PINNED_RATIOS.items():
+        sums = [0.0, 0.0]
+        for t, row in enumerate(rows, start=first):
+            for c, (_, entropy, _) in enumerate(exact_branches(PRESETS[name], *row)):
+                sums[c] += entropy / math.log2(t)
+        for c, (total, want) in enumerate(zip(sums, pinned)):
+            assert abs(total / window - want) <= 1e-12, (name, c)
 
 
 def test_criterion_3_oracle_equivalence():

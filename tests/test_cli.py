@@ -643,9 +643,10 @@ def test_verify_builds_exact_branches_only_to_the_cap(monkeypatch):
 def test_verify_working_set_stays_small():
     # the benchmark's sweep (depth 40, five random coins) measures each chunk
     # of coins from one dense trajectory, with a tracemalloc peak of about
-    # 1.5 MiB; an uncropped matrix stack would pass 3 MiB.  (The peak is
-    # not tested at depth 200 with no random coins, which takes seconds; it
-    # is about 30 MiB there, mostly the stacked reduced density matrices.)
+    # 1.4 MiB; diagonalizing the whole lattice as one block instead of its
+    # exact blocks takes 7 MiB.  (The peak is not tested at depth 200 with
+    # no random coins; it is about 30 MiB there, mostly the dense tensor and
+    # its next step.)
     twinwalk.verification.run_checks(40, 5)
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()

@@ -2,6 +2,7 @@ import ast
 import itertools
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -681,6 +682,37 @@ def test_bad_measured_steps_are_rejected_before_evolving(monkeypatch, measured):
     monkeypatch.setattr(twinwalk.experiment, "branch_blocks", must_not_evolve)
     with pytest.raises(ValueError, match="measured steps must increase strictly within 1..10"):
         timelines_and_distributions([PRESETS["4e"]], 10, measured)
+
+
+@pytest.mark.parametrize(
+    "steps, measured, field",
+    [
+        (10.0, None, "steps"),
+        (True, None, "steps"),
+        (10, [10.0], "measured[0]"),
+        (10, [True, 5], "measured[0]"),
+    ],
+    ids=["float-steps", "bool-steps", "float-measured", "bool-measured"],
+)
+def test_non_integer_steps_are_rejected_before_evolving(monkeypatch, steps, measured, field):
+    # a float or a bool is not a step count, even where it equals one
+    def must_not_evolve(*args, **kwargs):
+        raise AssertionError("evolved before the step counts were validated")
+
+    monkeypatch.setattr(twinwalk.experiment, "branch_blocks", must_not_evolve)
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got ")):
+        timelines_and_distributions([PRESETS["4e"]], steps, measured)
+
+
+def test_numpy_integer_steps_are_accepted():
+    # numpy integers are step counts: records bitwise those of Python ints
+    coins = [PRESETS["4a"]]
+    ((records, distribution),) = timelines_and_distributions(
+        coins, np.int64(100), [np.int32(10), np.int64(50)]
+    )
+    ((listed, listed_distribution),) = timelines_and_distributions(coins, 100, [10, 50])
+    assert list(map(repr, records)) == list(map(repr, listed))
+    assert distribution == listed_distribution
 
 
 def test_no_measured_step_gives_only_the_distribution():

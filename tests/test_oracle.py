@@ -235,7 +235,7 @@ def test_oracle_imports_neither_engine_nor_driver():
 
 
 def full_matrix_entropy(matrix):
-    """Entropy from eigvalsh of the uncropped reduced density matrix of a
+    """Entropy from eigvalsh of the whole reduced density matrix of a
     branch amplitude matrix."""
     normalized = matrix / math.sqrt(float(np.sum(np.abs(matrix) ** 2)))
     eigenvalues = np.linalg.eigvalsh(normalized @ normalized.conj().T)
@@ -262,34 +262,50 @@ def exact_weight(coin, a, b) -> float:
     return float(total)
 
 
+def widest_block(pattern) -> int:
+    """Most columns of any block of a nonzero pattern: rows are linked
+    through a shared column, the links closed under boolean matrix
+    products until nothing changes, and each row's block spans every
+    column of the rows linked to it."""
+    pattern = pattern.astype(int)
+    linked = pattern @ pattern.T > 0
+    while not np.array_equal(closed := linked.astype(int) @ linked > 0, linked):
+        linked = closed
+    return int((linked.astype(int) @ pattern > 0).sum(axis=1).max(initial=0))
+
+
 def trace_bound(coin, runs, c: int) -> float:
     """Largest |computed - exactly rounded| for the weight ``dense_branches``
-    gives branch c of ``coin``: the real part of the trace of
-    sum_ab w_ab R_a R_b^dagger, w_ab = c_a conj(c_b), over the m x k crop.
+    gives branch c of ``coin``: the real part of the trace of M M^dagger,
+    M = alpha R0 + beta R1, summed block by block over the m rows nonzero
+    in some run matrix, in blocks at most k columns wide.
 
     Expanded, the weight is a sum of signed real products of four factors
-    (one real or imaginary part each of c_a, c_b, R_a and R_b).  Each passes
-    through at most 2 k + m + 6 roundings, in whatever order the BLAS takes:
-    two in w_ab (a product and an add), 2 k in a diagonal entry of
-    R_a R_b^dagger (a product, then at most 2 k - 1 adds over the 2 k real
-    products of its k complex terms), two in w_ab times that entry, three in
-    the sum over (a, b) and m - 1 in the trace.  Each rounding is a factor
-    1 + d, |d| <= U, so the computed sum is within gamma_K of the exact one
-    times the sum of the products' absolute values, gamma_K = K U / (1 - K U)
-    (Higham, Accuracy and Stability, eq. 3.4); a complex product's real and
-    imaginary parts together hold at most twice |z| |w| of absolute value,
-    so that sum is at most 2 sum (|alpha| |A| + |beta| |B|)^2.  The exactly
-    rounded weight is within U of the exact one times that sum, and a
-    further U covers the second-order terms and the rounding of the sum
-    itself.  A product that underflows is off by up to 2^-1075 absolute
-    instead; 2^-1074 for each of the 96 m k two-factor products covers it.
+    (one real or imaginary part of alpha or beta and one of an entry of R0
+    or R1, twice).  Each passes through at most 2 k + m + 7 roundings, in
+    whatever order the BLAS takes: four in each of its two parts of M (a
+    product, then at most three adds over the four real products of
+    alpha R0 + beta R1), 2 k in a diagonal entry of M M^dagger (a product,
+    then at most 2 k - 1 adds over the 2 k real products of a block row's k
+    complex terms) and m - 1 in the sum of the diagonal entries of every
+    block.  Each rounding is a factor 1 + d, |d| <= U, so the computed sum
+    is within gamma_K of the exact one times the sum of the products'
+    absolute values, gamma_K = K U / (1 - K U) (Higham, Accuracy and
+    Stability, eq. 3.4).  By Cauchy-Schwarz each of the real and imaginary
+    parts of an entry of M holds at most |alpha| |A| + |beta| |B| of
+    absolute value, so that sum is at most 2 sum (|alpha| |A| + |beta| |B|)^2.
+    The exactly rounded weight is within U of the exact one times that sum,
+    and a further U covers the second-order terms and the rounding of the
+    sum itself.  A product that underflows is off by up to 2^-1075 absolute
+    instead; 2^-1074 for each of 96 m k two-factor products covers the ten
+    that each of a branch's at most m k block entries forms.
     """
     nonzero = runs.any(axis=(0, 1))
-    m, k = np.count_nonzero(nonzero.any(axis=1)), np.count_nonzero(nonzero.any(axis=0))
+    m, k = np.count_nonzero(nonzero.any(axis=1)), widest_block(nonzero)
     magnitude = 2 * float(np.sum(
         (abs(coin.amp0) * np.abs(runs[0, c]) + abs(coin.amp1) * np.abs(runs[1, c])) ** 2
     ))
-    roundings = 2 * k + m + 6
+    roundings = 2 * k + m + 7
     assert roundings * U < 1e-12
     return (roundings + 2) * U * magnitude + 96 * m * k * 2.0**-1074
 
@@ -301,10 +317,10 @@ def test_dense_weights_match_an_explicit_sum(coin, steps):
     unnormalized reduced density matrix, against the exactly rounded sum of
     |alpha run0 + beta run1|^2 over the branch, within the bound that the
     trace's roundings allow (``trace_bound``); and each branch entropy
-    against the uncropped reduced density matrix's of the coin's state.
+    against the whole reduced density matrix's of the coin's state.
 
     Over 61,500 states (500 random coins under each of seeds 20100901, 7
-    and 12345, t <= 40) the largest difference was 0.12 of its bound.
+    and 12345, t <= 40) the largest difference was 0.11 of its bound.
     """
     runs = dense_runs(steps)
     state = coin_state(coin, runs)
@@ -328,8 +344,8 @@ def test_reduced_entropy_crop_matches_full_matrix(seed):
         cols = rng.choice(n, size=9, replace=False)
         block = rng.normal(size=(6, 9)) + 1j * rng.normal(size=(6, 9))
         runs[start, c][np.ix_(rows, cols)] = block
-    # the four matrices' rows and columns differ, so the shared crop keeps
-    # rows and columns that are zero in some of them
+    # the four matrices' rows and columns differ, so the blocks of their
+    # joint pattern hold rows and columns that are zero in some of them
     coins = [COIN_RIGHT, *random_coin_states(3, seed=seed)]
     for coin, branches in zip(coins, dense_branches(runs, coins), strict=True):
         state = coin_state(coin, runs)
@@ -340,38 +356,41 @@ def test_reduced_entropy_crop_matches_full_matrix(seed):
 
 
 @st.composite
-def density_matrix_stacks(draw):
-    """A (C, 2, m, m) stack of trace-1 positive semidefinite matrices,
-    block diagonal under one drawn permutation of the indices: every block
-    1 x 1 ("diagonal"), one block ("dense"), or drawn blocks ("blocks");
-    "linked" joins two blocks in one matrix of the stack only, and "absent"
-    zeroes some matrices, as an absent branch is."""
+def run_patterns(draw):
+    """(2, 2, n, n) runs whose joint nonzero pattern, over all four
+    matrices, is block diagonal under drawn permutations of the rows and of
+    the columns, with some rows and columns zero throughout: every block
+    1 x 1 ("diagonal"), one block ("dense"), or drawn blocks, each of its
+    own shape ("blocks").  "linked" adds one entry that joins two blocks in
+    one of the four matrices only, and "absent" zeroes some of the matrices,
+    as an absent branch is zero in both runs."""
     kind = draw(st.sampled_from(("diagonal", "blocks", "dense", "linked", "absent")))
-    m = draw(st.integers(2 if kind == "linked" else 1, 12))
-    count = draw(st.integers(1, 3))
+    n = draw(st.integers(2 if kind == "linked" else 1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "diagonal":
-        cuts = list(range(1, m))
-    elif kind == "dense" or m == 1:
-        cuts = []
+        count = draw(st.integers(1, n))
+        sizes = [np.ones(count, dtype=int)] * 2
     else:
-        low = 1 if kind == "linked" else 0
-        cuts = sorted(draw(st.sets(st.integers(1, m - 1), min_size=low)))
-    order = rng.permutation(m)
-    blocks = np.split(order, cuts)
-    stack = np.zeros((count, 2, m, m), dtype=np.complex128)
-    for block in blocks:
-        size = len(block)
-        g = rng.normal(size=(count, 2, size, size)) + 1j * rng.normal(size=(count, 2, size, size))
-        stack[..., block[:, None], block[None, :]] = g @ g.conj().swapaxes(-1, -2)
+        count = 1 if kind == "dense" else draw(st.integers(2 if kind == "linked" else 1, n))
+        # each block's rows and columns, at least one of each, n at most
+        sizes = [
+            1 + np.bincount(rng.integers(count, size=rng.integers(n - count + 1)), minlength=count)
+            for _ in range(2)
+        ]
+    row_blocks, column_blocks = (
+        np.split(rng.permutation(n)[: sum(size)], np.cumsum(size)[:-1]) for size in sizes
+    )
+    runs = np.zeros((2, 2, n, n), dtype=np.complex128)
+    for rows, columns in zip(row_blocks, column_blocks):
+        shape = (2, 2, len(rows), len(columns))
+        block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        runs[:, :, rows[:, None], columns[None, :]] = block
     if kind == "linked":
-        pair = np.array([blocks[0][0], blocks[1][0]])
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        stack[rng.integers(count), rng.integers(2)][np.ix_(pair, pair)] += np.outer(v, v.conj())
-    stack /= np.trace(stack, axis1=2, axis2=3).real[:, :, None, None]
+        start, c = rng.integers(2, size=2)
+        runs[start, c, row_blocks[0][0], column_blocks[1][0]] = rng.normal() + 1j * rng.normal()
     if kind == "absent":
-        stack[rng.random((count, 2)) < 0.5] = 0.0
-    return stack
+        runs[rng.random((2, 2)) < 0.5] = 0.0
+    return runs
 
 
 def spectrum_entropy(eigenvalues):
@@ -381,20 +400,24 @@ def spectrum_entropy(eigenvalues):
     return max(0.0, float(-np.sum(kept * np.log2(kept))))
 
 
-@given(stack=density_matrix_stacks())
+@given(runs=run_patterns(), coins=st.lists(coin_spinors(), min_size=1, max_size=3))
 @settings(deadline=None, max_examples=300)
-def test_block_spectra_match_the_full_matrices(stack):
-    """The eigenvalues ``_eigenvalues`` finds block by block, sorted, against
-    ``eigvalsh`` of each whole matrix, and the entropies they give, within
-    1e-14.  Over 3,000 drawn stacks the largest eigenvalue gap was 6.7e-16
-    and the largest entropy gap 2.7e-15."""
-    got = twinwalk.oracle._eigenvalues(stack)
-    want = np.linalg.eigvalsh(stack)
-    assert got.shape == want.shape
-    assert np.max(np.abs(np.sort(got, axis=-1) - want)) <= 1e-14
-    m = stack.shape[-1]
-    for blockwise, whole in zip(got.reshape(-1, m), want.reshape(-1, m)):
-        assert abs(spectrum_entropy(blockwise) - spectrum_entropy(whole)) <= 1e-14
+def test_block_spectra_match_the_full_matrices(runs, coins):
+    """The weights and entropies ``dense_branches`` finds block by block
+    against those of ``eigvalsh`` of each branch's whole reduced density
+    matrix M M^dagger, M = alpha R0 + beta R1: the weight (its trace)
+    within 1e-13 relative, the entropy within 1e-14, and a branch absent
+    on one side only if on both."""
+    for coin, branches in zip(coins, dense_branches(runs, coins), strict=True):
+        state = coin_state(coin, runs)
+        for c, (weight, entropy) in enumerate(branches):
+            rho = state[c] @ state[c].conj().T
+            want = float(np.trace(rho).real)
+            assert abs(weight - want) <= 1e-13 * want
+            assert (entropy is None) == (want <= PROB_EPS)
+            if entropy is not None:
+                whole = spectrum_entropy(np.linalg.eigvalsh(rho) / want)
+                assert abs(entropy - whole) <= 1e-14
 
 
 def naive_history_table(coin_init, t):
