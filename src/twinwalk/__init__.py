@@ -12,7 +12,6 @@ from .experiment import (
     PRESETS,
     TimelineRecord,
     asymptotic_ratio,
-    default_window,
     distribution_symmetry,
     run_timeline,
     timelines_and_distributions,
@@ -27,7 +26,6 @@ __all__ = [
     "PRESETS",
     "TimelineRecord",
     "asymptotic_ratio",
-    "default_window",
     "distribution_symmetry",
     "run_timeline",
     "timelines_and_distributions",

@@ -14,6 +14,7 @@ from .experiment import (
     PRESETS,
     TimelineRecord,
     check_walk,
+    require_integer,
     resolve_window,
     run_timeline,
     window_ratios,
@@ -21,7 +22,7 @@ from .experiment import (
 from .figures import write_figure_bundle
 from .render import render_timeline_csv, write_text_atomic
 from .states import CoinSpinor, coin_fields
-from .verification import DEFAULT_SEED, MAX_DEPTH, MAX_RANDOM_STATES, run_checks
+from .verification import DEFAULT_SEED, EXACT_DEPTH_CAP, MAX_DEPTH, MAX_RANDOM_STATES, run_checks
 
 _FORMATS = ("csv", "json")
 _COIN_FIELDS = ("re0", "im0", "re1", "im1")
@@ -44,8 +45,7 @@ class RunSpec:
             value = getattr(self, name)
             if not _is_finite_real(value):
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
-        if not _is_integer(self.steps):
-            raise ValueError(f"steps must be an integer, got {self.steps!r}")
+        require_integer("steps", self.steps)
         if self.output is not None and not isinstance(self.output, str):
             raise ValueError(f"output must be a path string, got {self.output!r}")
         if self.format not in _FORMATS:
@@ -53,10 +53,6 @@ class RunSpec:
 
     def coin(self) -> CoinSpinor:
         return CoinSpinor(complex(self.re0, self.im0), complex(self.re1, self.im1))
-
-
-def _is_integer(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_finite_real(value: object) -> bool:
@@ -80,9 +76,7 @@ def parse_run_spec(path: Path) -> RunSpec:
         raise ValueError(f"run spec {path} has unknown fields: {unknown}")
     # specs from earlier versions carry these two; neither changes a computed
     # number (a start only relabelled sites), so they are checked and dropped
-    start = payload.pop("start", 0)
-    if not _is_integer(start):
-        raise ValueError(f"start must be an integer, got {start!r}")
+    require_integer("start", payload.pop("start", 0))
     coin_operator = payload.pop("coin_operator", "hadamard")
     if coin_operator != "hadamard":
         raise ValueError(f"coin_operator must be 'hadamard', got {coin_operator!r}")
@@ -115,7 +109,17 @@ def _summary(
 
 
 def _dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+    # a numpy integer passes ``require_integer`` and is written as an int
+    return json.dumps(payload, indent=2, sort_keys=True, default=int)
+
+
+_window_option = click.option(
+    "--window",
+    type=int,
+    default=None,
+    help="Averaging window for the window-mean ratios  [default: last 10% of steps]; "
+    "window = steps reaches t = 1, where the ratio is undefined, so ratios are null",
+)
 
 
 @click.group()
@@ -147,13 +151,7 @@ def main() -> None:
     help="JSON run spec file (written by --save-spec).",
 )
 @click.option("--steps", type=int, default=None, help="Step count  [default: 1000]")
-@click.option(
-    "--window",
-    type=int,
-    default=None,
-    help="Averaging window for asymptotic ratios  [default: last 10% of steps]; "
-    "window = steps reaches t = 1, where the ratio is undefined, so ratios are null",
-)
+@_window_option
 @click.option(
     "--out",
     type=click.Path(path_type=Path),
@@ -239,13 +237,7 @@ def run(
     help="Directory for the twelve figure files and the manifest.",
 )
 @click.option("--steps", type=int, default=1000, show_default=True)
-@click.option(
-    "--window",
-    type=int,
-    default=None,
-    help="Averaging window for manifest ratios  [default: last 10% of steps]; "
-    "window = steps reaches t = 1, where the ratio is undefined, so ratios are null",
-)
+@_window_option
 def figures(out_dir: Path, steps: int, window: int | None) -> None:
     """Write replot-ready data for every figure, plus a manifest."""
     try:
@@ -267,7 +259,7 @@ def figures(out_dir: Path, steps: int, window: int | None) -> None:
     show_default=True,
     help=(
         f"Max step count for oracle comparisons, 3..{MAX_DEPTH} "
-        "(exact branches capped at 12)."
+        f"(exact branches capped at {EXACT_DEPTH_CAP})."
     ),
 )
 @click.option(

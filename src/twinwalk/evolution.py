@@ -42,10 +42,6 @@ from typing import Iterator
 
 import numpy as np
 
-#: the Hadamard coin's matrix elements are +-H = 2^(-1/2); the run leaves
-#: them out of its step and keeps track of the power of 2 they amount to
-H = math.sqrt(0.5)
-
 #: bytes of one block's K new rows of both components at full width; it gives
 #: K = 16 at n = 1000, K = 8 at n = 2000 and K = 1 from n = 8192 on
 BLOCK_BYTES = 256 * 1024

@@ -27,7 +27,8 @@ final row gives the distribution; any other block costs only its evolution.
 A measured block is measured whole, exactly as when every step is, so each
 returned value is bitwise the every-step value of its step.
 
-``check_walk`` (steps, then measured steps, then coins) and
+``check_walk`` (steps, then measured steps, then coins), its integer rule
+``require_integer`` (which the CLI's run spec uses too) and
 ``resolve_window`` are the one home of the input rules; ``ratio_columns``
 (entropy over log2 t) and ``trailing_mean`` (its mean over the window) are
 the one home of the ratio, for records and figures alike.
@@ -142,18 +143,17 @@ def check_walk(
     coins: list[CoinSpinor], steps: int, measured: Sequence[int] | None = None
 ) -> None:
     """Reject a walk before anything is evolved: first ``steps`` unless it is
-    an integer within 1..MAX_STEPS, then ``measured`` unless it is None or
-    integers strictly increasing within 1..steps, then any coin that is not
-    normalized.  An integer is an ``int`` or a numpy integer, never a
-    ``bool`` or a float."""
-    _require_integer("steps", steps)
+    an integer (``require_integer``) within 1..MAX_STEPS, then ``measured``
+    unless it is None or integers strictly increasing within 1..steps, then
+    any coin that is not normalized."""
+    require_integer("steps", steps)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if steps > MAX_STEPS:
         raise ValueError(f"steps must be at most {MAX_STEPS}, got {steps}")
     if measured is not None:
         for i, (before, t) in enumerate(zip([0, *measured], measured)):
-            _require_integer(f"measured[{i}]", t)
+            require_integer(f"measured[{i}]", t)
             if not before < t <= steps:
                 raise ValueError(
                     f"measured steps must increase strictly within 1..{steps}, got {t} at index {i}"
@@ -162,7 +162,9 @@ def check_walk(
         coin.require_normalized()
 
 
-def _require_integer(field: str, value: object) -> None:
+def require_integer(field: str, value: object) -> None:
+    """Reject ``value`` unless it is an ``int`` or a numpy integer, never a
+    ``bool`` or a float, with an error that names ``field``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{field} must be an integer, got {value!r}")
 
@@ -306,15 +308,10 @@ def run_timeline(coin_init: CoinSpinor, steps: int) -> list[TimelineRecord]:
     return records
 
 
-def default_window(steps: int) -> int:
-    """Averaging window used when none is given: the last 10% of the run."""
-    return max(1, steps // 10)
-
-
 def resolve_window(steps: int, window: int | None) -> int:
-    """``window``, or ``default_window(steps)`` when it is None, once it is
+    """``window``, or the last 10% of the run when it is None, once it is
     checked to lie within 1..steps."""
-    window = default_window(steps) if window is None else window
+    window = max(1, steps // 10) if window is None else window
     if not 1 <= window <= steps:
         raise ValueError(f"window must be within 1..{steps}, got {window}")
     return window

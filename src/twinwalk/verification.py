@@ -7,30 +7,10 @@ Errors are folded with ``np.maximum`` or ``np.max``, which keep a NaN
 (Python's ``max`` drops one that comes second), so a NaN fails its check,
 and an absent branch's entropy (None) at t <= 3, or a branch absent on one
 side only of an oracle comparison, counts as an infinite error.
-The checks, in order, with the engine output each reads, the reference it is
-held to, and its tolerance:
 
-==================================================  ======================  =====
-check                                               engine vs reference     tol
-==================================================  ======================  =====
-three-step amplitudes vs closed form                rows vs worked rows     1e-12
-branch entropies t=1 (product states)               records vs worked       1e-9
-branch entropies t=2 (maximally entangled)          records vs worked       1e-9
-branch entropy t=3 coin-0                           records vs worked       5e-5
-branch entropy t=3 coin-1                           records vs worked       1e-9
-attainable bound at t=2 and t=3                     records vs worked       5e-4
-norm drift over 1000 steps                          rows vs unit norm       1e-12
-light-cone violations over 1000 steps               rows vs light cone      0
-distribution completeness at t=1000                 final distribution      1e-12
-                                                    (t=1000 only) vs 1
-timeline and distribution vs dense oracle, t <= D   records and final       1e-10
-                                                    distribution vs
-                                                    ``dense_branches`` and
-                                                    ``dense_marginals``
-timeline vs exact branches, t <= min(D, 12)         records vs              1e-12
-                                                    ``exact_branches``
-unscaled run rows vs exact integer run, t <= D      rows vs ``exact_run``   1e-14
-==================================================  ======================  =====
+README.md ("What ``verify`` checks") tables the checks in order, with the
+engine output each reads, the reference it is held to and its tolerance; a
+test keeps that table in step with the checks ``run_checks`` returns.
 
 "Rows" are the A0 and B0 rows of ``evolution.branch_blocks``, the one real
 run behind every output, with their 2^(m/2) scale divided out (the run's
@@ -39,13 +19,15 @@ walk of the run from |0> (preset 4a) over t = 0..1000 scores all four row
 checks, and blocks that break the layout make all four inf.  The norm and
 light-cone checks read each block over its window alone, which the layout
 makes zero outside; only the integer-row checks, which reach t <= D, pad
-their blocks to full rows.  "Records" and
-"final distribution" are what ``experiment.timelines_and_distributions``
-returns for a coin; the dense and exact-branches checks score a coin's
-first D (or min(D, 12)) records in one shared loop against the reference's
-per-step branch weights and entropies.  D is the oracle depth, 3 <= D <=
-``MAX_DEPTH``; the record checks cover the five presets plus
-0..``MAX_RANDOM_STATES`` random coins, ``COINS_PER_RUN`` coins to a run.
+their blocks to full rows.  "Records" and "final distribution" are what
+``experiment.timelines_and_distributions`` returns for a coin, all from one
+loop over chunks of coins: the worked t <= 3 entropy checks read preset
+4a's first three records, from the first chunk, and the dense and
+exact-branches checks score a coin's first D (or min(D, 12)) records
+against the reference's per-step branch weights and entropies.  D is the
+oracle depth, 3 <= D <= ``MAX_DEPTH``; the record checks cover the five
+presets plus 0..``MAX_RANDOM_STATES`` random coins, ``COINS_PER_RUN`` coins
+to a run.
 Each record check scores a run's whole chunk of coins at once: the dense
 check evolves one dense trajectory per chunk, its shift applied at every
 site, and measures every coin of the chunk at each step in one call, which
@@ -67,7 +49,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import evolution
-from .experiment import PRESETS, TimelineRecord, run_timeline, timelines_and_distributions
+from .experiment import PRESETS, TimelineRecord, timelines_and_distributions
 from .oracle import (
     Branches,
     dense_branches,
@@ -298,8 +280,11 @@ def _exact_error(
     ])
 
 
-def _check_three_step_entropies() -> list[CheckResult]:
-    r1, r2, r3 = run_timeline(PRESETS["4a"], 3)
+def _check_three_step_entropies(timeline: list[TimelineRecord]) -> list[CheckResult]:
+    """The worked-value checks of preset 4a's records at t = 1..3; a missing
+    record reads as absent, so its checks FAIL."""
+    absent = TimelineRecord._make([None] * len(TimelineRecord._fields))
+    r1, r2, r3 = [*timeline[:3], absent, absent, absent][:3]
     table = (
         ("branch entropies t=1 (product states)", (r1.entropy0, r1.entropy1), (0.0, 0.0), 1e-9),
         ("branch entropies t=2 (maximally entangled)", (r2.entropy0, r2.entropy1), (1.0, 1.0), 1e-9),
@@ -350,6 +335,9 @@ def run_checks(
     for start in range(0, len(coins), COINS_PER_RUN):
         chunk = coins[start : start + COINS_PER_RUN]
         timelines, distributions = zip(*timelines_and_distributions(chunk, max_step))
+        if start == 0:
+            # the coins start with the presets, 4a first
+            entropies = _check_three_step_entropies(timelines[0])
         for i, (_, reference, depth, _) in enumerate(records):
             cut = [timeline[:depth] for timeline in timelines]
             errors[i] = np.maximum(errors[i], reference(chunk, cut, distributions, depth))
@@ -370,5 +358,4 @@ def run_checks(
     completeness = CheckResult(
         f"distribution completeness at t={long}", abs(sum(distribution.values()) - 1.0), 1e-12
     )
-    entropies = _check_three_step_entropies()
     return [amplitudes, *entropies, drift, cone, completeness, dense, exact_records, exact]

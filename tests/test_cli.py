@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +202,10 @@ def test_run_spec_roundtrip_functions(tmp_path):
     )
     path = tmp_path / "spec.json"
     write_run_spec(spec, path)
+    assert parse_run_spec(path) == spec
+    # the shared integer rule takes a numpy integer step count too; it is
+    # written as a plain integer
+    write_run_spec(replace(spec, steps=np.int64(77)), path)
     assert parse_run_spec(path) == spec
 
 
@@ -788,7 +793,9 @@ def test_verify_fails_a_nan_timeline_weight(runner, monkeypatch, field):
 def test_verify_fails_timelines_shorter_than_the_depth(runner, monkeypatch, kept):
     # every coin's timeline cut to its first few records, or to none, at
     # --depth 40: both record checks score t <= their requested depth, so
-    # the missing records fail them, and nothing ends in a traceback
+    # the missing records fail them, and nothing ends in a traceback.  The
+    # worked t <= 3 checks read preset 4a's first three records from the
+    # same timelines: they pass with five records kept and fail with none
     true_timelines = twinwalk.verification.timelines_and_distributions
 
     def cut_timelines(coins, steps, measured=None):
@@ -802,7 +809,9 @@ def test_verify_fails_timelines_shorter_than_the_depth(runner, monkeypatch, kept
     assert "Traceback" not in result.output
     assert "FAIL  timeline and distribution vs dense oracle, t <= 40" in result.output
     assert "FAIL  timeline vs exact branches, t <= 12" in result.output
-    assert result.output.count("FAIL") == 2
+    worked = [line[:4] for line in result.output.splitlines()[1:6]]
+    assert worked == ["PASS" if kept >= 3 else "FAIL"] * 5
+    assert result.output.count("FAIL") == 2 + worked.count("FAIL")
 
 
 #: the checks ``verify`` prints, in order, with their tolerances, at

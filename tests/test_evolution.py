@@ -11,7 +11,6 @@ from twinwalk import PRESETS, CoinSpinor, run_timeline, timelines_and_distributi
 from twinwalk.evolution import (
     FLUSH_FLOOR,
     FLUSH_FROM,
-    H,
     SCALE_STEPS,
     block_steps,
     branch_blocks,
@@ -62,7 +61,7 @@ def test_hadamard_columns():
 
 
 def test_hadamard_is_involution():
-    h = np.array([[H, H], [H, -H]])
+    h = np.array([[S, S], [S, -S]])
     assert h @ h == pytest.approx(np.eye(2), abs=1e-15)
 
 

@@ -17,7 +17,6 @@ from twinwalk import (
     CoinOutcome,
     CoinSpinor,
     asymptotic_ratio,
-    default_window,
     distribution_symmetry,
     run_timeline,
     timelines_and_distributions,
@@ -140,8 +139,8 @@ def test_asymptotic_ratio_window_validation():
 
 
 def test_default_window_is_last_tenth():
-    assert default_window(1000) == 100
-    assert default_window(5) == 1
+    assert resolve_window(1000, None) == 100
+    assert resolve_window(5, None) == 1
 
 
 def test_canonical_presets():

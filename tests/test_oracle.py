@@ -14,6 +14,7 @@ from twinwalk import PRESETS, CoinOutcome, CoinSpinor, timelines_and_distributio
 from twinwalk.oracle import (
     EIGVAL_EPS,
     MAX_PATH_SUM_STEPS,
+    _branch_numerators,
     dense_branches,
     dense_marginals,
     dense_trajectory,
@@ -532,6 +533,61 @@ def test_dense_marginals_are_each_coin_states_marginal():
         assert marginal.shape == (61,)
         for x, p in enumerate(marginal.tolist(), start=-30):
             assert abs(p - want.get(x, 0.0)) <= 1e-15, x
+
+
+#: the five presets and five seeded random coins
+MIRROR_COINS = (*PRESETS.values(), *random_coin_states(5, seed=60))
+
+
+def mirror_coin(coin: CoinSpinor) -> CoinSpinor:
+    """(beta, -alpha) for (alpha, beta): |alpha|^2 and |beta|^2 trade places
+    and 2 Re(alpha conj(beta)) changes sign, so its branch c is exactly the
+    branch 1 - c of (alpha, beta)."""
+    return CoinSpinor(coin.amp1, -coin.amp0)
+
+
+def swapped_numerators(coin: CoinSpinor, n0: list[int], n1: list[int]):
+    """``_branch_numerators`` of ``coin`` with its two branches swapped."""
+    w0, w1, denominator = _branch_numerators(coin, n0, n1)
+    return w1, w0, denominator
+
+
+def test_mirror_coin_swaps_the_exact_branches():
+    # as integers, at every site of every t <= 60: branch 1 is read at the
+    # mirrored index in both, so the identity holds index by index
+    for n0, n1 in exact_run(60):
+        for coin in MIRROR_COINS:
+            assert _branch_numerators(mirror_coin(coin), n0, n1) == swapped_numerators(coin, n0, n1)
+
+
+def test_swapping_the_amplitudes_alone_is_no_mirror():
+    # the negative control: (beta, alpha) keeps the sign of
+    # 2 Re(alpha conj(beta)), so where that is not 0 the branches differ
+    rows = list(exact_run(60))
+    for coin in MIRROR_COINS[len(PRESETS):]:
+        assert (coin.amp0 * coin.amp1.conjugate()).real != 0.0
+        swapped = CoinSpinor(coin.amp1, coin.amp0)
+        assert any(
+            _branch_numerators(swapped, *row) != swapped_numerators(coin, *row) for row in rows
+        )
+
+
+def test_engine_records_of_the_mirror_coin_swap_branches():
+    # each list of coins from its own run, at T = 2000: there the mirror
+    # coins' mixing rows come in the other order, yet every record is the
+    # original's with its branches swapped, bitwise
+    def swapped(record):
+        return record._replace(
+            p0=record.p1, p1=record.p0,
+            entropy0=record.entropy1, entropy1=record.entropy0,
+            ratio0=record.ratio1, ratio1=record.ratio0,
+            support0=record.support1, support1=record.support0,
+        )
+
+    coins = list(MIRROR_COINS)
+    runs = (timelines_and_distributions(c, 2000) for c in (coins, list(map(mirror_coin, coins))))
+    for (records, _), (mirrored, _) in zip(*runs, strict=True):
+        assert list(map(repr, records)) == [repr(swapped(record)) for record in mirrored]
 
 
 #: sampled steps: the first ones, block edges at T = 1000 (K = 16) and of
