@@ -46,7 +46,7 @@ passed straight in.  ``PRESETS`` holds the five built-in coins.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -170,13 +170,23 @@ def require_integer(field: str, value: object) -> None:
 
 
 def measure_rows(
-    rows: Sequence[tuple[float, float, float]], steps: int, measured: Sequence[int] | None = None
+    rows: Sequence[tuple[float, float, float]],
+    steps: int,
+    measured: Iterable[int] | None = None,
+    *,
+    blocks: Iterator[tuple[int, int, np.ndarray, np.ndarray]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Columns of the branches of mixing rows (|alpha|^2, |beta|^2,
     2 Re(alpha conj(beta))) at the ``measured`` steps (None: t = 1..steps):
     (R, len(measured)) arrays of the weights, entropies (NaN where absent),
     present mask and supports (0 where absent), and the (R, steps + 1) site
     weights at t = ``steps`` as stored, for ``walker_distribution``.
+    ``measured`` may be any iterable; it is read once, into a tuple.
+
+    ``blocks`` is the run to measure, ``branch_blocks(steps)`` when None.
+    ``verification`` passes its own pass-through of that run, which checks
+    each block before handing it on unchanged, so the long-run row checks
+    and the completeness check read one walk.
 
     A row of a (2, 3) matmul rounds the same whatever its partner and a lone
     (1, 3) product does not, so rows are mixed two at a time, an odd last
@@ -184,6 +194,7 @@ def measure_rows(
     row sums of X, Y and Z with plain multiplies and adds, not a fused
     multiply-add, so a branch whose terms cancel exactly weighs exactly 0.
     """
+    measured = None if measured is None else tuple(measured)
     check_walk([], steps, measured)
     wanted = [False] + [measured is None] * steps
     for t in () if measured is None else measured:
@@ -198,7 +209,8 @@ def measure_rows(
     stack, ones = None, np.ones(steps + 1)
     # minus the exponent m of each step's row scale 2^(m/2)
     unscale = -row_exponent(np.arange(steps + 1))
-    blocks = branch_blocks(steps)
+    if blocks is None:
+        blocks = branch_blocks(steps)
     next(blocks)  # step 0 is not measured
     for first, lo, a0, b0 in blocks:
         count, width = a0.shape
@@ -275,14 +287,16 @@ def trailing_mean(ratios: Sequence[float | None], window: int) -> float | None:
 
 
 def timelines_and_distributions(
-    coins: list[CoinSpinor], steps: int, measured: Sequence[int] | None = None
+    coins: list[CoinSpinor], steps: int, measured: Iterable[int] | None = None
 ) -> list[tuple[list[TimelineRecord], dict[int, float]]]:
     """For each coin, records for the ``measured`` steps (None: t = 1..steps)
     of the walk from it plus its one-walker distribution after ``steps``
     steps, all from one real run: the columns ``measure_rows`` gives for the
     coins' distinct ``mixing_rows``, each measured once, built into
-    records.  ``check_walk`` runs before anything is evolved or allocated.
+    records.  ``measured`` is read once, into a tuple, and ``check_walk``
+    runs before anything is evolved or allocated.
     """
+    measured = None if measured is None else tuple(measured)
     check_walk(coins, steps, measured)
     rows, index = mixing_rows(coins)
     weights, entropies, present, supports, finals = measure_rows(rows, steps, measured)
@@ -310,8 +324,9 @@ def run_timeline(coin_init: CoinSpinor, steps: int) -> list[TimelineRecord]:
 
 def resolve_window(steps: int, window: int | None) -> int:
     """``window``, or the last 10% of the run when it is None, once it is
-    checked to lie within 1..steps."""
+    checked to be an integer (``require_integer``) within 1..steps."""
     window = max(1, steps // 10) if window is None else window
+    require_integer("window", window)
     if not 1 <= window <= steps:
         raise ValueError(f"window must be within 1..{steps}, got {window}")
     return window
@@ -337,7 +352,9 @@ def asymptotic_ratio(timeline: list[TimelineRecord], outcome: CoinOutcome, windo
 
 
 def distribution_symmetry(distribution: dict[int, float], steps: int) -> SymmetryReport:
-    """Balance diagnostics of a ``steps``-step one-walker position distribution."""
+    """Balance diagnostics of a ``steps``-step one-walker position
+    distribution; ``steps`` is checked as ``check_walk`` checks it."""
+    check_walk([], steps)
     return SymmetryReport(
         mean_position_over_t=sum(x * p for x, p in distribution.items()) / steps,
         mirror_distance=mirror_total_variation(distribution),

@@ -14,12 +14,14 @@ test keeps that table in step with the checks ``run_checks`` returns.
 
 "Rows" are the A0 and B0 rows of ``evolution.branch_blocks``, the one real
 run behind every output, with their 2^(m/2) scale divided out (the run's
-coin-1 row A1 is read as the mirror of B0).  The run rows need no coin: one
-walk of the run from |0> (preset 4a) over t = 0..1000 scores all four row
-checks, and blocks that break the layout make all four inf.  The norm and
-light-cone checks read each block over its window alone, which the layout
-makes zero outside; only the integer-row checks, which reach t <= D, pad
-their blocks to full rows.  "Records" and "final distribution" are what
+coin-1 row A1 is read as the mirror of B0).  One walk of the run from |0>
+over t = 0..1000 serves the four row checks and the completeness check: each
+block is folded into the row checks and handed on unchanged to
+``experiment.measure_rows``, which measures preset 4a's final distribution
+from the walk, and blocks that break the layout make all five inf.  The
+norm and light-cone checks read each block over its window alone, which the
+layout makes zero outside; only the integer-row checks, which reach t <= D,
+pad their blocks to full rows.  "Records" and "final distribution" are what
 ``experiment.timelines_and_distributions`` returns for a coin, all from one
 loop over chunks of coins: the worked t <= 3 entropy checks read preset
 4a's first three records, from the first chunk, and the dense and
@@ -48,7 +50,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import evolution
+from . import evolution, experiment
 from .experiment import PRESETS, TimelineRecord, timelines_and_distributions
 from .oracle import (
     Branches,
@@ -121,15 +123,17 @@ class _MalformedRun(Exception):
     """Blocks of ``evolution.branch_blocks`` that break its layout."""
 
 
-def _run_blocks(n: int) -> Iterator[tuple[np.ndarray, int, np.ndarray]]:
-    """Each block of ``evolution.branch_blocks(n)`` as its steps, its window's
-    first index ``lo`` and a ``(2, count, width)`` array of its A0 and B0 rows
-    over the window; every index outside the window is 0.
+def _run_blocks(n: int, checks, errors: list[float]) -> Iterator[tuple]:
+    """Each block of ``evolution.branch_blocks(n)``, handed on unchanged once
+    it is checked and folded into ``errors``, one for each row check
+    ``(name, update, depth, tolerance)``: ``update(error, steps, lo, a0,
+    b0)`` folds in each block that starts at or before its depth.
 
     Raises ``_MalformedRun`` unless the blocks cover t = 0..n in order, each
-    window inside its rows.
+    window inside its rows, and from t = 1 on no block is longer than the
+    one before (``measure_rows`` sizes its buffer by the block at t = 1).
     """
-    done = 0
+    done, most = 0, n + 1
     for first, lo, a0, b0 in evolution.branch_blocks(n):
         count, width = a0.shape
         length = first + count
@@ -138,10 +142,15 @@ def _run_blocks(n: int) -> Iterator[tuple[np.ndarray, int, np.ndarray]]:
             or b0.shape != a0.shape
             or length > n + 1
             or not 0 <= lo <= length - width
+            or count > most
         ):
             raise _MalformedRun
-        done = length
-        yield np.arange(first, length), lo, np.stack((a0, b0))
+        done, most = length, count if first else most
+        steps = np.arange(first, length)
+        for i, (_, update, depth, _) in enumerate(checks):
+            if first <= depth:
+                errors[i] = update(errors[i], steps, lo, a0, b0)
+        yield first, lo, a0, b0
     if done != n + 1:
         raise _MalformedRun
 
@@ -151,7 +160,7 @@ def _integer_rows(
     worst: float,
     steps: np.ndarray,
     lo: int,
-    rows: np.ndarray,
+    *rows: np.ndarray,
 ) -> float:
     """Fold into ``worst`` the deviation of a block's rows, their 2^(m/2)
     scale divided out, from the integer rows (n0, n1) that ``reference``
@@ -159,7 +168,7 @@ def _integer_rows(
     mirror (-1)^(t+1) n1[t - k], every index past the step against 0.  The
     rows are compared over indices 0..t of the block's last step, the
     window padded with zeros."""
-    count, width = rows.shape[1:]
+    count, width = rows[0].shape
     padded = np.zeros((2, count, steps[-1] + 1))
     padded[:, :, lo : lo + width] = rows
     unscaled = padded * 2.0 ** (-evolution.row_exponent(steps) / 2)[:, None]
@@ -173,41 +182,26 @@ def _integer_rows(
     return worst
 
 
-def _norm_drift(worst: float, steps: np.ndarray, lo: int, rows: np.ndarray) -> float:
+def _norm_drift(worst: float, steps: np.ndarray, lo: int, *rows: np.ndarray) -> float:
     """Fold in each row's norm drift; the norm is (sum A0^2 + sum B0^2)
     2^(-m), since B0 is A1 mirrored, summed over the window alone."""
-    mass = np.ldexp(np.square(rows).sum(axis=2).sum(axis=0), -evolution.row_exponent(steps))
+    sums = (np.square(row).sum(axis=1) for row in rows)
+    mass = np.ldexp(np.add(*sums), -evolution.row_exponent(steps))
     return np.maximum(worst, np.max(np.abs(mass - 1.0)))
 
 
-def _cone_violations(count: float, steps: np.ndarray, lo: int, rows: np.ndarray) -> float:
+def _cone_violations(count: float, steps: np.ndarray, lo: int, *rows: np.ndarray) -> float:
     """Add the steps t >= 1 whose rows hold a nonzero entry at index 0, the
     slot a step vacates (A0 at site -t, and B0 mirroring A1 at site t), or
     past index t."""
+    a0, b0 = rows
     # only window columns past the block's first step can lie past a row's
     # step: column i is index lo + i, past row j's step when it exceeds it
     start = max(0, steps[0] + 1 - lo)
-    index = lo + np.arange(start, rows.shape[2])
-    past = ((rows[:, :, start:] != 0.0) & (index > steps[:, None])).any(axis=(0, 2))
-    vacated = (rows[:, :, :1] != 0.0).any(axis=(0, 2)) & (steps >= 1) & (lo == 0)
+    late = lo + np.arange(start, a0.shape[1]) > steps[:, None]
+    past = (late & ((a0[:, start:] != 0.0) | (b0[:, start:] != 0.0))).any(axis=1)
+    vacated = ((a0[:, :1] != 0.0) | (b0[:, :1] != 0.0)).any(axis=1) & (steps >= 1) & (lo == 0)
     return count + int(np.count_nonzero(past | vacated))
-
-
-def _row_errors(checks) -> list[float]:
-    """Errors of the row checks ``(name, update, depth, tolerance)`` from one
-    walk of ``_run_blocks`` to the deepest: each error starts at 0 and
-    ``update(error, steps, lo, rows)`` folds in every block that starts at
-    or before its depth.  Blocks that break the layout make every error
-    inf."""
-    errors = [0.0] * len(checks)
-    try:
-        for steps, lo, rows in _run_blocks(max(depth for _, _, depth, _ in checks)):
-            for i, (_, update, depth, _) in enumerate(checks):
-                if steps[0] <= depth:
-                    errors[i] = update(errors[i], steps, lo, rows)
-    except _MalformedRun:
-        return [math.inf] * len(checks)
-    return errors
 
 
 def _records_error(
@@ -349,13 +343,19 @@ def run_checks(
         (f"light-cone violations over {long} steps", _cone_violations, long, 0.0),
         (f"unscaled run rows vs exact integer run, t <= {max_step}", exact_rows, max_step, 1e-14),
     )
+    # one walk to t = long: the row checks read the blocks the driver measures
+    row_errors = [0.0] * len(rows)
+    walk = _run_blocks(long, rows, row_errors)
+    mixing, (i, j) = experiment.mixing_rows([PRESETS["4a"]])
+    try:
+        *_, finals = experiment.measure_rows(mixing, long, [long], blocks=walk)
+    except _MalformedRun:
+        row_errors, missing = [math.inf] * len(rows), math.inf
+    else:
+        missing = abs(sum(experiment.walker_distribution(finals[i], finals[j], long).values()) - 1.0)
     amplitudes, drift, cone, exact, dense, exact_records = (
         CheckResult(name, error, tol)
-        for (name, _, _, tol), error in zip((*rows, *records), (*_row_errors(rows), *errors))
+        for (name, _, _, tol), error in zip((*rows, *records), (*row_errors, *errors))
     )
-    # measured at t = long alone: only the block that holds it is measured
-    ((_, distribution),) = timelines_and_distributions([PRESETS["4a"]], long, measured=[long])
-    completeness = CheckResult(
-        f"distribution completeness at t={long}", abs(sum(distribution.values()) - 1.0), 1e-12
-    )
+    completeness = CheckResult(f"distribution completeness at t={long}", missing, 1e-12)
     return [amplitudes, *entropies, drift, cone, completeness, dense, exact_records, exact]

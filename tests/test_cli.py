@@ -586,8 +586,20 @@ def test_record_error_is_inf_for_a_branch_absent_on_one_side(reference, toleranc
     assert reference([coin], [none_where_present], [distribution], 3) == math.inf
 
 
+#: the checks that read the one 1000-step walk verify hands on to the driver
+LONG_RUN_CHECKS = (
+    "three-step amplitudes vs closed form",
+    "norm drift over 1000 steps",
+    "light-cone violations over 1000 steps",
+    "distribution completeness at t=1000",
+    "unscaled run rows vs exact integer run, t <= 4",
+)
+
+
 def test_verify_detects_run_rows_of_the_wrong_length(runner, monkeypatch):
-    # every block one index wider than its rows, zero-padded
+    # every block one index wider than its rows, zero-padded: the walk the
+    # row checks read is the one the completeness check measures, so all
+    # five fail
     def padded_blocks(true_blocks, n):
         for first, lo, a0, b0 in true_blocks(n):
             pad = ((0, 0), (0, 1))
@@ -596,13 +608,46 @@ def test_verify_detects_run_rows_of_the_wrong_length(runner, monkeypatch):
     corrupt_run(monkeypatch, padded_blocks)
     result = runner.invoke(main, ["verify", "--depth", "4", "--random-states", "1"])
     assert result.exit_code == 1
-    for check in (
-        "three-step amplitudes vs closed form",
-        "norm drift over 1000 steps",
-        "light-cone violations over 1000 steps",
-        "unscaled run rows vs exact integer run, t <= 4",
-    ):
+    for check in LONG_RUN_CHECKS:
         assert f"FAIL  {check}" in result.output
+
+
+def test_verify_fails_blocks_that_grow(runner, monkeypatch):
+    # the engine's rows, but t = 1 in a block of its own: the next blocks
+    # are longer than it, which the driver's buffer, sized by the block at
+    # t = 1, cannot hold, so the walk FAILs the long-run checks rather than
+    # ending verify in a reshape error
+    def split_blocks(true_blocks, n):
+        for first, lo, a0, b0 in true_blocks(n):
+            if first == 1:
+                yield 1, lo, a0[:1, :2], b0[:1, :2]
+                first, a0, b0 = 2, a0[1:], b0[1:]
+            yield first, lo, a0, b0
+
+    corrupt_run(monkeypatch, split_blocks)
+    result = runner.invoke(main, ["verify", "--depth", "4", "--random-states", "1"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    for check in LONG_RUN_CHECKS:
+        assert f"FAIL  {check}" in result.output
+    assert result.output.count("FAIL") == len(LONG_RUN_CHECKS)
+
+
+def test_verify_evolves_the_long_run_once(monkeypatch):
+    # the row checks read each block of the 1000-step walk on its way to the
+    # driver, which measures the completeness check's distribution from it;
+    # the records of all ten coins come from one 40-step run
+    started = []
+    for module in (twinwalk.evolution, twinwalk.experiment):
+
+        def counted_blocks(n, true_blocks=module.branch_blocks):
+            started.append(n)
+            return true_blocks(n)
+
+        monkeypatch.setattr(module, "branch_blocks", counted_blocks)
+    checks = twinwalk.verification.run_checks(40, 5)
+    assert all(check.passed for check in checks)
+    assert sorted(started) == [40, 1000]
 
 
 @pytest.mark.parametrize("corruption", ["mirror-sign", "rescale"])

@@ -136,11 +136,31 @@ def test_asymptotic_ratio_window_validation():
     # a window that reaches back to t=1 hits the absent ratio
     with pytest.raises(ValueError):
         asymptotic_ratio(timeline, CoinOutcome.C0, 12)
+    # a float or a bool is not a window, even where it equals one; a numpy
+    # integer is
+    for window in (5.0, True):
+        with pytest.raises(ValueError, match=re.escape(f"window must be an integer, got {window!r}")):
+            asymptotic_ratio(timeline, CoinOutcome.C0, window)
+    assert asymptotic_ratio(timeline, CoinOutcome.C0, np.int64(5)) == asymptotic_ratio(
+        timeline, CoinOutcome.C0, 5
+    )
+
+
+@pytest.mark.parametrize("window", [5.0, True], ids=["float", "bool"])
+def test_figure_bundle_rejects_a_window_that_is_not_an_integer(monkeypatch, window):
+    # checked before anything is evolved, so no manifest can carry it
+    def must_not_evolve(*args, **kwargs):
+        raise AssertionError("evolved before the window was validated")
+
+    monkeypatch.setattr(twinwalk.experiment, "branch_blocks", must_not_evolve)
+    with pytest.raises(ValueError, match=re.escape(f"window must be an integer, got {window!r}")):
+        build_figure_bundle(50, window)
 
 
 def test_default_window_is_last_tenth():
     assert resolve_window(1000, None) == 100
     assert resolve_window(5, None) == 1
+    assert resolve_window(50, np.int32(5)) == 5
 
 
 def test_canonical_presets():
@@ -260,6 +280,22 @@ def test_timeline_is_deterministic():
 def symmetry_report(coin, steps):
     ((_, distribution),) = timelines_and_distributions([coin], steps)
     return distribution_symmetry(distribution, steps)
+
+
+@pytest.mark.parametrize(
+    "steps, message",
+    [
+        (0, "steps must be >= 1, got 0"),
+        (-3, "steps must be >= 1, got -3"),
+        (2.0, "steps must be an integer, got 2.0"),
+        (True, "steps must be an integer, got True"),
+    ],
+    ids=["zero", "negative", "float", "bool"],
+)
+def test_distribution_symmetry_rejects_a_bad_step_count(steps, message):
+    # the mean position is divided by steps, which must be a step count
+    with pytest.raises(ValueError, match=re.escape(message)):
+        distribution_symmetry({0: 1.0}, steps)
 
 
 def test_symmetry_report_balanced_coin():
@@ -712,6 +748,26 @@ def test_numpy_integer_steps_are_accepted():
     ((listed, listed_distribution),) = timelines_and_distributions(coins, 100, [10, 50])
     assert list(map(repr, records)) == list(map(repr, listed))
     assert distribution == listed_distribution
+
+
+def test_measured_steps_may_be_a_one_shot_iterator():
+    # an iterator is read once, so the order check and the measurement see
+    # the same steps: a good one measures them, a bad one is rejected
+    coins = [PRESETS["4a"]]
+    ((records, distribution),) = timelines_and_distributions(coins, 5, iter([1, 2]))
+    ((listed, listed_distribution),) = timelines_and_distributions(coins, 5, [1, 2])
+    assert [record.step for record in records] == [1, 2]
+    assert list(map(repr, records)) == list(map(repr, listed))
+    assert distribution == listed_distribution
+    rows, _ = mixing_rows(coins)
+    for got, want in zip(measure_rows(rows, 5, iter([1, 2])), measure_rows(rows, 5, [1, 2])):
+        assert np.array_equal(got, want)
+    for measure in (
+        lambda: timelines_and_distributions(coins, 5, iter([5, 3])),
+        lambda: measure_rows(rows, 5, iter([5, 3])),
+    ):
+        with pytest.raises(ValueError, match="measured steps must increase strictly within 1..5"):
+            measure()
 
 
 def test_no_measured_step_gives_only_the_distribution():
