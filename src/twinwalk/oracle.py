@@ -30,21 +30,17 @@ site, not just the diagonal ones, so that the walkers stay on the diagonal
 is something the oracle shows rather than assumes.  ``dense_branches``
 measures both coin branches of every coin in a list, alpha run0 + beta
 run1, all at once, and ``dense_marginals`` gives their walker-1
-distributions.  Before it forms any product, ``dense_branches`` labels the
-blocks of the runs' joint nonzero pattern (``_blocks``): row i and column j
-are linked where any of the four run matrices is nonzero at (i, j), and a
-block is a connected component of the links.  The reduced density matrix
-M M^dagger of a branch M = alpha R0 + beta R1 can be nonzero at (i, j) only
-where rows i and j share a column nonzero in some run matrix, so it is
-block diagonal over the blocks' rows (its own exact blocks can only be
-finer).  A row or column zero in every run matrix lies in no block: such a
-column adds nothing to any entry, and such a row only a zero eigenvalue,
-which the ``EIGVAL_EPS`` filter discards anyway.  All blocks of one shape
-are gathered from the runs with one index, mixed into M for every coin and
-branch, multiplied out into M M^dagger block by block, and diagonalized
-with one ``eigvalsh`` call per block shape.  On the walk every block is
-1 x 1; a coherence between sites joins them into one block, diagonalized
-whole.
+distributions; both skip every row and column zero in all four run
+matrices.  Before it forms any product, ``dense_branches`` tests the runs'
+joint nonzero pattern: if every row and every column nonzero in it holds
+one entry only, the reduced density matrix M M^dagger of a branch
+M = alpha R0 + beta R1 is diagonal, because its (i, j) entry sums
+M[i, k] conj(M[j, k]) over columns k, and no column is nonzero in two
+rows.  The eigenvalues of a diagonal matrix are its diagonal entries, here
+the |M[i, k]|^2 of the pattern's entries, so no eigendecomposition is
+needed.  Any other pattern, such as a coherence between sites, gets the
+whole M M^dagger over its nonzero rows and columns and one ``eigvalsh``.
+The walk is always the first case.
 
 The dense and path-sum oracles are deliberately brute force (quadratic
 memory / exponential time) and exist to catch index and normalization bugs in
@@ -123,14 +119,6 @@ def _coin_amplitudes(coins: Sequence[CoinSpinor]) -> np.ndarray:
     return np.array([(coin.amp0, coin.amp1) for coin in coins], dtype=np.complex128)
 
 
-def _coin_products(coins: Sequence[CoinSpinor]) -> np.ndarray:
-    """(C, 2, 2) products c_a conj(c_b) of each coin's amplitudes
-    (c_0, c_1) = (alpha, beta): the weights of the bilinear terms
-    run_a run_b^dagger in the coin's state alpha run0 + beta run1."""
-    amplitudes = _coin_amplitudes(coins)
-    return amplitudes[:, :, None] * amplitudes[:, None, :].conj()
-
-
 def dense_branches(runs: np.ndarray, coins: Sequence[CoinSpinor]) -> list[Branches]:
     """Weight and entropy in bits of coin branches 0 and 1 of each coin's
     dense state alpha run0 + beta run1, for the runs ``dense_trajectory``
@@ -138,29 +126,36 @@ def dense_branches(runs: np.ndarray, coins: Sequence[CoinSpinor]) -> list[Branch
 
     Branch c of a coin is M = alpha R0 + beta R1, R_a the coin-c matrix of
     run a, and its reduced density matrix (walker 2 traced out) is
-    rho = M M^dagger.  ``_blocks`` labels the blocks of the runs' joint
-    nonzero pattern first (see the module docstring); then, one block shape
-    at a time, every block of that shape of all four run matrices is
-    gathered with one index, mixed into M for every coin and branch, and
-    rho is formed block by block.  A branch weighs the trace of its rho;
-    the entropies come from its eigenvalues, one ``eigvalsh`` call per
-    block shape, divided by the branch's weight.  The eigen-decomposition
-    does not assume rho is diagonal, so it stays independent of the fast
-    path's Schmidt shortcut: any coherence the runs hold joins its sites
-    into one block, diagonalized whole.
+    rho = M M^dagger.  The runs' entries are mixed into M for every coin and
+    branch in one matmul.  Where every row and column nonzero in some run
+    matrix holds one entry only, rho is diagonal (see the module
+    docstring) and its eigenvalues are the |M[i, k]|^2 of those entries;
+    otherwise rho is formed over the nonzero rows and columns and
+    diagonalized by ``eigvalsh``.  A branch weighs the trace of its rho,
+    the sum of its eigenvalues, and the entropies come from the eigenvalues
+    divided by that weight.  The diagonal case is a property the runs are
+    tested for, not assumed, so the oracle stays independent of the fast
+    path's Schmidt shortcut.
     """
     amplitudes = _coin_amplitudes(coins)
     count = len(amplitudes)
-    weights = np.zeros((count, 2))
-    spectra = [np.zeros((count, 2, 0))]
-    for rows, columns in _blocks(runs.any(axis=(0, 1))):
-        # gathered[a, c, b] is block b of R_a's coin-c matrix
-        gathered = runs[:, :, rows[:, :, None], columns[:, None, :]]
-        mixed = (amplitudes @ gathered.reshape(2, -1)).reshape(count, *gathered.shape[1:])
+    pattern = runs.any(axis=(0, 1))
+    rows, columns = np.divmod(np.flatnonzero(pattern), len(pattern))
+    live_rows, live_columns = (np.flatnonzero(pattern.any(axis=axis)) for axis in (1, 0))
+    diagonal = len(rows) == len(live_rows) == len(live_columns)
+    if not diagonal:
+        rows, columns = live_rows[:, None], live_columns
+    # gathered[a, c] is R_a's coin-c matrix: the pattern's m entries, or
+    # its rows and columns nonzero in some run matrix
+    gathered = runs[:, :, rows, columns]
+    mixed = (amplitudes @ gathered.reshape(2, -1)).reshape(count, *gathered.shape[1:])
+    if diagonal:
+        eigenvalues = mixed.real**2 + mixed.imag**2
+        weights = eigenvalues.sum(axis=-1)
+    else:
         rho = mixed @ mixed.conj().swapaxes(-1, -2)
-        weights += np.trace(rho, axis1=-2, axis2=-1).real.sum(axis=-1)
-        spectra.append(np.linalg.eigvalsh(rho).reshape(count, 2, -1))
-    eigenvalues = np.concatenate(spectra, axis=-1)
+        weights = np.trace(rho, axis1=-2, axis2=-1).real
+        eigenvalues = np.linalg.eigvalsh(rho)
     present = weights > PROB_EPS
     # an absent branch is left unscaled; its eigenvalues are never read
     eigenvalues /= np.where(present, weights, 1.0)[:, :, None]
@@ -172,63 +167,17 @@ def dense_branches(runs: np.ndarray, coins: Sequence[CoinSpinor]) -> list[Branch
     ]
 
 
-def _blocks(pattern: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The exact blocks of an (n, n) nonzero pattern, one pair per block
-    shape (r, k): a (B, r) array of the rows and a (B, k) array of the
-    columns of its B blocks, each block's rows and columns ascending, block
-    b of the rows matching block b of the columns.
-
-    Row i and column j are linked where the pattern holds (i, j), and a
-    block is a connected component of the links, so every entry outside
-    the blocks is zero, and a row or column that is zero throughout lies in
-    none.  The shapes are listed in ascending order.
-    """
-    n = len(pattern)
-    rows, columns = np.divmod(np.flatnonzero(pattern), n)
-    # each row takes the least label of the rows it shares a column with,
-    # then its label's label, until nothing moves: every row of a block then
-    # holds the block's least row, and every column of it that label too
-    labels = np.arange(n)
-    while True:
-        column_labels = np.full(n, n)
-        np.minimum.at(column_labels, columns, labels[rows])
-        least = labels.copy()
-        np.minimum.at(least, rows, column_labels[columns])
-        least = least[least]
-        if np.array_equal(least, labels):
-            break
-        labels = least
-    live_rows = np.flatnonzero(np.bincount(rows, minlength=n))
-    live_columns = np.flatnonzero(column_labels < n)
-    row_labels, column_labels = labels[live_rows], column_labels[live_columns]
-    # the shape (r, k) of the block each label owns, as the one integer
-    # r (n + 1) + k
-    shapes = np.bincount(row_labels, minlength=n) * (n + 1) + np.bincount(
-        column_labels, minlength=n
-    )
-
-    def members(live: np.ndarray, owners: np.ndarray, shape: int) -> np.ndarray:
-        # the live rows or columns of the blocks of one shape, block by block
-        chosen = shapes[owners] == shape
-        return live[chosen][np.argsort(owners[chosen], kind="stable")]
-
-    blocks = []
-    for shape in sorted(set(shapes[row_labels].tolist())):
-        height, width = divmod(shape, n + 1)
-        blocks.append((
-            members(live_rows, row_labels, shape).reshape(-1, height),
-            members(live_columns, column_labels, shape).reshape(-1, width),
-        ))
-    return blocks
-
-
 def dense_marginals(runs: np.ndarray, coins: Sequence[CoinSpinor]) -> np.ndarray:
     """(C, 2t+1) walker-1 position distribution of each coin's dense state
-    alpha run0 + beta run1 over sites -t..t: the sum over coin and walker 2
-    of its |amplitude|^2, formed from the runs' bilinear products
-    run_a run_b^dagger, each weighted by c_a conj(c_b)."""
-    products = np.einsum("acij,bcij->abi", runs, runs.conj())
-    return (_coin_products(coins).reshape(-1, 4) @ products.reshape(4, -1)).real
+    alpha run0 + beta run1 over sites -t..t: each entry nonzero in some run
+    matrix, mixed for every coin, its |amplitude|^2 summed over the coin
+    and added into its walker-1 site."""
+    rows, columns = np.divmod(np.flatnonzero(runs.any(axis=(0, 1))), runs.shape[-1])
+    mixed = _coin_amplitudes(coins) @ runs[:, :, rows, columns].reshape(2, -1)
+    weights = (mixed.real**2 + mixed.imag**2).reshape(len(coins), 2, -1).sum(axis=1)
+    marginals = np.zeros((len(coins), runs.shape[-2]))
+    np.add.at(marginals, (slice(None), rows), weights)
+    return marginals
 
 
 def path_sum_table(coin_init: CoinSpinor, t: int) -> dict[tuple[int, int], complex]:

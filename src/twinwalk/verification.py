@@ -33,8 +33,9 @@ to a run.
 Each record check scores a run's whole chunk of coins at once: the dense
 check evolves one dense trajectory per chunk, its shift applied at every
 site, and measures every coin of the chunk at each step in one call, which
-labels the exact blocks of the runs' joint nonzero pattern and then builds
-and diagonalizes each reduced density matrix one block at a time; the
+reads each reduced density matrix's eigenvalues off its diagonal where the
+runs' nonzero pattern proves it diagonal (always, on the walk) and
+diagonalizes it whole otherwise; the
 exact-branches check reads one ``exact_run`` per chunk, to
 min(D, ``EXACT_DEPTH_CAP``), and turns its rows into each coin's branches.
 """
