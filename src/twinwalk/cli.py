@@ -20,7 +20,7 @@ from .experiment import (
     window_ratios,
 )
 from .figures import write_figure_bundle
-from .render import render_timeline_csv, write_text_atomic
+from .render import json_text, render_timeline_csv, write_text_atomic
 from .states import CoinSpinor, coin_fields
 from .verification import DEFAULT_SEED, EXACT_DEPTH_CAP, MAX_DEPTH, MAX_RANDOM_STATES, run_checks
 
@@ -90,7 +90,7 @@ def parse_run_spec(path: Path) -> RunSpec:
 
 
 def write_run_spec(spec: RunSpec, path: Path) -> None:
-    write_text_atomic(Path(path), _dump(asdict(spec)) + "\n")
+    write_text_atomic(Path(path), json_text(asdict(spec)))
 
 
 def _summary(
@@ -106,11 +106,6 @@ def _summary(
         "window": window,
         "asymptotic_ratio": window_ratios(timeline, window),
     }
-
-
-def _dump(payload: dict) -> str:
-    # a numpy integer passes ``require_integer`` and is written as an int
-    return json.dumps(payload, indent=2, sort_keys=True, default=int)
 
 
 _window_option = click.option(
@@ -213,7 +208,7 @@ def run(
             write_run_spec(spec, save_spec)
         if spec.format == "json":
             records = [r._asdict() for r in timeline]
-            document = _dump({"spec": asdict(spec), "summary": summary, "timeline": records}) + "\n"
+            document = json_text({"spec": asdict(spec), "summary": summary, "timeline": records})
         else:
             document = render_timeline_csv(timeline)
         if spec.output:
@@ -222,9 +217,9 @@ def run(
             click.echo(document, nl=spec.format == "csv")
         # a JSON document on stdout already holds the summary
         if spec.output or spec.format == "csv":
-            click.echo(_dump(summary))
+            click.echo(json_text(summary), nl=False)
         if summary_out is not None:
-            write_text_atomic(summary_out, _dump(summary) + "\n")
+            write_text_atomic(summary_out, json_text(summary))
     except (ValueError, OSError) as exc:
         raise click.ClickException(str(exc)) from exc
 

@@ -3,8 +3,9 @@
 Each of the four plotted initial conditions contributes three figures: one
 per coin outcome (entropy against the attainable bound, plus their ratio) and
 one comparison figure carrying the one-walker position distribution next to
-both branch series.  Rendering is plain CSV with deterministic formatting;
-the manifest records what every file contains.  The four plotted presets'
+both branch series.  This module only lays the files out: ``render`` joins
+their CSV text and writes the manifest's JSON, which records what every
+file contains, keyed by the file's name.  The four plotted presets'
 eight branches are five distinct mixing rows, measured from one real run by
 ``experiment.measure_rows``, one entropy pass per block for all five; no
 record is built.  Each distinct row's ratios (``experiment.ratio_columns``)
@@ -15,8 +16,7 @@ file rendered once (figures 4, 5 and 8 are figures 2, 1 and 7 as text).
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 from .experiment import (
@@ -30,7 +30,7 @@ from .experiment import (
     trailing_mean,
     walker_distribution,
 )
-from .render import format_column, write_text_atomic
+from .render import csv_text, format_column, json_text, write_text_atomic
 from .states import SUPPORT_EPS, CoinOutcome, coin_fields
 
 #: preset plotted and the number of its first figure; each preset spans three
@@ -50,19 +50,8 @@ COMPARISON_COLUMNS = (
 MANIFEST_NAME = "manifest.json"
 
 
-@dataclass(frozen=True)
-class FigureFile:
-    name: str
-    text: str
-    manifest_entry: dict
-
-
 def _figure_name(number: int) -> str:
     return f"fig{number:02d}.csv"
-
-
-def _csv(header: tuple[str, ...], rows) -> str:
-    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
 def _comparison_csv(series: list[list[str]], distribution: dict[int, float]) -> str:
@@ -71,13 +60,14 @@ def _comparison_csv(series: list[list[str]], distribution: dict[int, float]) -> 
     columns = [*series, list(map(str, positions)), format_column(places, [True] * len(places))]
     # the longer columns set the row count; the others' fields are left empty
     length = max(map(len, columns))
-    return _csv(COMPARISON_COLUMNS, zip(*(c + [""] * (length - len(c)) for c in columns)))
+    return csv_text(COMPARISON_COLUMNS, zip(*(c + [""] * (length - len(c)) for c in columns)))
 
 
 def build_figure_bundle(
     steps: int = 1000, window: int | None = None
-) -> tuple[list[FigureFile], dict]:
-    """Render all twelve figure files and the manifest, in memory."""
+) -> tuple[dict[str, str], dict]:
+    """Render all twelve figure files, keyed by file name as the manifest
+    keys its entries, and the manifest, in memory."""
     coins = [PRESETS[preset] for preset, _ in _FIGURE_GROUPS]
     check_walk(coins, steps)
     window = resolve_window(steps, window)
@@ -95,62 +85,50 @@ def build_figure_bundle(
     step_column = list(map(str, range(1, steps + 1)))
     bound_column = format_column(bounds, [True] * steps)
     outcome_texts = [
-        _csv(OUTCOME_COLUMNS, zip(step_column, entropy, bound_column, ratio))
+        csv_text(OUTCOME_COLUMNS, zip(step_column, entropy, bound_column, ratio))
         for entropy, ratio in zip(entropy_texts, ratio_texts)
     ]
-    files: list[FigureFile] = []
+    texts: dict[str, str] = {}
+    entries: dict[str, dict] = {}
     for (preset, first), pair in zip(_FIGURE_GROUPS, zip(index[::2], index[1::2])):
         coin = coin_fields(PRESETS[preset])
         for outcome, row in zip(CoinOutcome, pair):
             number = first + outcome.value
-            files.append(
-                FigureFile(
-                    name=_figure_name(number),
-                    text=outcome_texts[row],
-                    manifest_entry={
-                        "figure": number,
-                        "preset": preset,
-                        "coin": coin,
-                        "outcome": str(outcome),
-                        "columns": list(OUTCOME_COLUMNS),
-                        "panels": {
-                            "i": "branch entanglement entropy and attainable bound vs step",
-                            "ii": "entanglement ratio vs step",
-                        },
-                        "asymptotic_ratio": means[row],
-                    },
-                )
-            )
+            name = _figure_name(number)
+            texts[name] = outcome_texts[row]
+            entries[name] = {
+                "figure": number,
+                "preset": preset,
+                "coin": coin,
+                "outcome": str(outcome),
+                "columns": list(OUTCOME_COLUMNS),
+                "panels": {
+                    "i": "branch entanglement entropy and attainable bound vs step",
+                    "ii": "entanglement ratio vs step",
+                },
+                "asymptotic_ratio": means[row],
+            }
         number = first + 2
+        name = _figure_name(number)
         distribution = walker_distribution(*finals[list(pair)], steps)
         series = [step_column, *(entropy_texts[row] for row in pair), *(ratio_texts[row] for row in pair)]
-        files.append(
-            FigureFile(
-                name=_figure_name(number),
-                text=_comparison_csv(series, distribution),
-                manifest_entry={
-                    "figure": number,
-                    "preset": preset,
-                    "coin": coin,
-                    "outcome": None,
-                    "columns": list(COMPARISON_COLUMNS),
-                    "panels": {
-                        "i": "one-walker position distribution at the final step",
-                        "ii": "both branch entropy and ratio series vs step",
-                    },
-                    "asymptotic_ratio": {
-                        str(outcome): means[row] for outcome, row in zip(CoinOutcome, pair)
-                    },
-                    "single_walker": asdict(distribution_symmetry(distribution, steps)),
-                },
-            )
-        )
-    manifest = {
-        "steps": steps,
-        "window": window,
-        "files": {f.name: f.manifest_entry for f in files},
-    }
-    return files, manifest
+        texts[name] = _comparison_csv(series, distribution)
+        entries[name] = {
+            "figure": number,
+            "preset": preset,
+            "coin": coin,
+            "outcome": None,
+            "columns": list(COMPARISON_COLUMNS),
+            "panels": {
+                "i": "one-walker position distribution at the final step",
+                "ii": "both branch entropy and ratio series vs step",
+            },
+            "asymptotic_ratio": {
+                str(outcome): means[row] for outcome, row in zip(CoinOutcome, pair)
+            },
+            "single_walker": asdict(distribution_symmetry(distribution, steps)),
+        }
+    return texts, {"steps": steps, "window": window, "files": entries}
 
 
 def write_figure_bundle(
@@ -160,21 +138,18 @@ def write_figure_bundle(
 
     The manifest lists only the figure files that were written.
     """
-    files, manifest = build_figure_bundle(steps=steps, window=window)
+    texts, manifest = build_figure_bundle(steps=steps, window=window)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     failures: list[tuple[str, str]] = []
-    for figure_file in files:
+    for name, text in texts.items():
         try:
-            write_text_atomic(out_dir / figure_file.name, figure_file.text)
+            write_text_atomic(out_dir / name, text)
         except OSError as exc:
-            failures.append((figure_file.name, str(exc)))
-            del manifest["files"][figure_file.name]
+            failures.append((name, str(exc)))
+            del manifest["files"][name]
     try:
-        write_text_atomic(
-            out_dir / MANIFEST_NAME,
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-        )
+        write_text_atomic(out_dir / MANIFEST_NAME, json_text(manifest))
     except OSError as exc:
         failures.append((MANIFEST_NAME, str(exc)))
     return manifest, failures

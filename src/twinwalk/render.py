@@ -1,8 +1,11 @@
-"""Deterministic text rendering and atomic writes for the CLI outputs."""
+"""Every output format the program writes: the CSV join, the timeline rows,
+the JSON documents and the atomic writes."""
 
 from __future__ import annotations
 
 import contextlib
+import json
+import operator
 import os
 import tempfile
 from itertools import compress
@@ -30,6 +33,17 @@ def timeline_row(record: TimelineRecord) -> str:
     """A record's CSV row; an absent (None) field is left empty."""
     fields = list(record[1:8])
     return ",".join([str(record.step), *format_column(fields, [v is not None for v in fields])])
+
+
+def csv_text(header: tuple[str, ...], rows) -> str:
+    """The header and each row of already formatted fields, comma-joined."""
+    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
+
+
+def json_text(payload: dict) -> str:
+    """The one JSON rule: indent 2, sorted keys, a numpy integer (which
+    ``require_integer`` lets pass) written as an int, a trailing newline."""
+    return json.dumps(payload, indent=2, sort_keys=True, default=operator.index) + "\n"
 
 
 def render_timeline_csv(timeline: list[TimelineRecord]) -> str:

@@ -301,6 +301,8 @@ def run_checks(
     max_step: int = 10, random_states: int = 5, seed: int = DEFAULT_SEED
 ) -> list[CheckResult]:
     """Full verification sweep; oracle comparisons go up to ``max_step``."""
+    experiment.require_integer("max_step", max_step)
+    experiment.require_integer("random_states", random_states)
     if max_step < 3:
         raise ValueError("max_step must be at least 3 to cover the worked fixtures")
     if max_step > MAX_DEPTH:

@@ -16,7 +16,7 @@ import twinwalk.evolution
 import twinwalk.experiment
 import twinwalk.verification
 from twinwalk.cli import RunSpec, main, parse_run_spec, write_run_spec
-from twinwalk.figures import MANIFEST_NAME
+from twinwalk.figures import MANIFEST_NAME, write_figure_bundle
 from twinwalk.render import TIMELINE_HEADER
 from testutil import step_rows
 
@@ -461,6 +461,18 @@ def test_figures_determinism(runner, tmp_path):
     assert [p.name for p in first] == [p.name for p in second]
     for a, b in zip(first, second):
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_figure_bundle_writes_numpy_integer_counts_as_ints(tmp_path):
+    # the manifest's JSON writes a numpy integer as an int, as the run
+    # documents do, so the bundle is whole and its bytes do not move
+    bundles = {}
+    for label, steps, window in (("int", 20, 5), ("numpy", np.int64(20), np.int64(5))):
+        _, failures = write_figure_bundle(tmp_path / label, steps=steps, window=window)
+        assert failures == []
+        bundles[label] = {p.name: p.read_bytes() for p in sorted((tmp_path / label).iterdir())}
+    assert len(bundles["int"]) == 13 and MANIFEST_NAME in bundles["int"]
+    assert bundles["numpy"] == bundles["int"]
 
 
 @pytest.mark.parametrize(
@@ -949,6 +961,25 @@ def test_verify_rejects_random_states_above_ceiling(runner, monkeypatch, count):
     assert f"got {count}" in result.output
     assert "checks passed" not in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        ((10.0,), "max_step"),
+        ((True,), "max_step"),
+        ((10, 5.5), "random_states"),
+        ((10, True), "random_states"),
+    ],
+    ids=["float-depth", "bool-depth", "float-count", "bool-count"],
+)
+def test_run_checks_rejects_a_count_that_is_not_an_integer(monkeypatch, args, field):
+    # click passes ints; a library caller's float or bool is named, not
+    # rounded or read as another field
+    monkeypatch.setattr(twinwalk.verification, "random_coin_states", must_not_evolve)
+    forbid_evolution(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        twinwalk.verification.run_checks(*args)
 
 
 #: run in a fresh interpreter: import the CLI, run each command in process,

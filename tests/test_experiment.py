@@ -826,9 +826,9 @@ def test_measured_columns_are_bitwise_the_records(sampled):
 
 @pytest.mark.parametrize("steps, window", [(1, 1), (2, 2), (3, 3), (17, None), (60, 7)])
 def test_figure_bundle_is_the_records_rendering(steps, window):
-    files, manifest = build_figure_bundle(steps, window)
-    want_files, want_manifest = reference_figure_bundle(steps, resolve_window(steps, window))
-    assert repr(files) == repr(want_files)
+    texts, manifest = build_figure_bundle(steps, window)
+    want_texts, want_manifest = reference_figure_bundle(steps, resolve_window(steps, window))
+    assert repr(texts) == repr(want_texts)
     assert repr(manifest) == repr(want_manifest)
     if window == steps:
         # the window reaches t = 1, where the ratios are None

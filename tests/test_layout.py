@@ -1,6 +1,6 @@
 """Layout rules of the package, checked on the parsed source of every module
-in ``src/twinwalk``: which module may name a complex dtype, and which must
-not import numpy."""
+in ``src/twinwalk``: which module may name a complex dtype, which must not
+import numpy, and which may use ``json.dumps``."""
 
 import ast
 from pathlib import Path
@@ -55,6 +55,23 @@ def imports_numpy(tree: ast.Module) -> bool:
     return False
 
 
+def uses_json_dumps(tree: ast.Module) -> bool:
+    """Whether a module names ``json.dumps``: as an attribute of ``json`` or
+    imported from it."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "dumps"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "json"
+        ):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module == "json" and not node.level:
+            if any(alias.name == "dumps" for alias in node.names):
+                return True
+    return False
+
+
 def test_only_the_oracle_names_a_complex_dtype():
     # one state representation: the engine, the measurement and every check
     # read the one real run; only the independent references go complex
@@ -72,3 +89,13 @@ def test_figures_and_render_import_no_numpy():
     assert not imports_numpy(ast.parse("from .numpy import x\nimport numbers"))
     for name in ("figures", "render"):
         assert not imports_numpy(parsed(name)), f"{name}.py imports numpy"
+
+
+def test_only_render_uses_json_dumps():
+    # one JSON rule (render.json_text) for every document the program writes
+    assert uses_json_dumps(parsed("render"))
+    assert uses_json_dumps(ast.parse("from json import dumps as d"))
+    assert not uses_json_dumps(ast.parse("import json\njson.loads('{}')\ndumps({})"))
+    for name in MODULES:
+        if name != "render":
+            assert not uses_json_dumps(parsed(name)), f"{name}.py uses json.dumps"

@@ -264,53 +264,44 @@ def exact_weight(coin, a, b) -> float:
     return float(total)
 
 
-def widest_block(pattern) -> int:
-    """Most columns of any block of a nonzero pattern: rows are linked
-    through a shared column, the links closed under boolean matrix
-    products until nothing changes, and each row's block spans every
-    column of the rows linked to it."""
-    pattern = pattern.astype(int)
-    linked = pattern @ pattern.T > 0
-    while not np.array_equal(closed := linked.astype(int) @ linked > 0, linked):
-        linked = closed
-    return int((linked.astype(int) @ pattern > 0).sum(axis=1).max(initial=0))
-
-
 def trace_bound(coin, runs, c: int) -> float:
     """Largest |computed - exactly rounded| for the weight ``dense_branches``
-    gives branch c of ``coin``: the real part of the trace of M M^dagger,
-    M = alpha R0 + beta R1, summed over the m rows nonzero in some run
-    matrix, each nonzero in at most k columns (k the widest block; the
-    products of a zero entry are exact zeros and add no rounding).
+    gives branch c of ``coin`` over walk runs: the real part of the trace of
+    M M^dagger, M = alpha R0 + beta R1, summed over the m rows nonzero in
+    some run matrix.  On the walk each of those rows, and each nonzero
+    column, holds one entry of the runs' joint pattern, which is asserted
+    here, so M M^dagger is diagonal and each of its diagonal entries is
+    the product of one complex term with its conjugate.
 
     Expanded, the weight is a sum of signed real products of four factors
     (one real or imaginary part of alpha or beta and one of an entry of R0
-    or R1, twice).  Each passes through at most 2 k + m + 7 roundings, in
+    or R1, twice).  Each passes through at most m + 9 roundings, in
     whatever order the BLAS takes: four in each of its two parts of M (a
     product, then at most three adds over the four real products of
-    alpha R0 + beta R1), 2 k in a diagonal entry of M M^dagger (a product,
-    then at most 2 k - 1 adds over the 2 k real products of a row's k
-    complex terms) and m - 1 in the sum of the diagonal entries of every
-    block.  Each rounding is a factor 1 + d, |d| <= U, so the computed sum
-    is within gamma_K of the exact one times the sum of the products'
-    absolute values, gamma_K = K U / (1 - K U) (Higham, Accuracy and
-    Stability, eq. 3.4).  By Cauchy-Schwarz each of the real and imaginary
+    alpha R0 + beta R1), two in a diagonal entry of M M^dagger (a product,
+    then one add over the two real products of a row's one complex term)
+    and m - 1 in the sum of the diagonal entries.  Each rounding is a
+    factor 1 + d, |d| <= U, so the computed sum is within gamma_K of the
+    exact one times the sum of the products' absolute values,
+    gamma_K = K U / (1 - K U) (Higham, Accuracy and Stability, eq. 3.4).
+    By Cauchy-Schwarz each of the real and imaginary
     parts of an entry of M holds at most |alpha| |A| + |beta| |B| of
     absolute value, so that sum is at most 2 sum (|alpha| |A| + |beta| |B|)^2.
     The exactly rounded weight is within U of the exact one times that sum,
     and a further U covers the second-order terms and the rounding of the
     sum itself.  A product that underflows is off by up to 2^-1075 absolute
-    instead; 2^-1074 for each of 96 m k two-factor products covers the ten
-    that each of a branch's at most m k block entries forms.
+    instead; 2^-1074 for each of 96 m two-factor products covers the ten
+    that each of a branch's at most m entries forms.
     """
     nonzero = runs.any(axis=(0, 1))
-    m, k = np.count_nonzero(nonzero.any(axis=1)), widest_block(nonzero)
+    m = np.count_nonzero(nonzero.any(axis=1))
+    assert np.count_nonzero(nonzero) == m == np.count_nonzero(nonzero.any(axis=0))
     magnitude = 2 * float(np.sum(
         (abs(coin.amp0) * np.abs(runs[0, c]) + abs(coin.amp1) * np.abs(runs[1, c])) ** 2
     ))
-    roundings = 2 * k + m + 7
+    roundings = m + 9
     assert roundings * U < 1e-12
-    return (roundings + 2) * U * magnitude + 96 * m * k * 2.0**-1074
+    return (roundings + 2) * U * magnitude + 96 * m * 2.0**-1074
 
 
 @given(coin=coin_spinors(), steps=st.integers(0, 40))

@@ -1,16 +1,25 @@
-"""The timeline record type and the renderers' one-call formatting of rows
-and columns, held against the per-field path it stands in for."""
+"""The timeline record type, the renderers' one-call formatting of rows
+and columns, held against the per-field path it stands in for, and the one
+CSV join and JSON rule."""
 
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinwalk import TimelineRecord
 from twinwalk.experiment import MAX_STEPS
-from twinwalk.render import TIMELINE_HEADER, format_column, render_timeline_csv, timeline_row
+from twinwalk.render import (
+    TIMELINE_HEADER,
+    csv_text,
+    format_column,
+    json_text,
+    render_timeline_csv,
+    timeline_row,
+)
 from testutil import format_number
 
 FIELDS = (
@@ -76,3 +85,15 @@ def test_column_formatter_renders_each_edge_value():
     assert column_of(EDGE_NUMBERS) == list(map(format_number, EDGE_NUMBERS))
     assert column_of([None]) == [""] and column_of([]) == []
     assert column_of([-0.0, 5e-324, 1e300, -1e300]) == ["-0", "4.94065645841e-324", "1e+300", "-1e+300"]
+
+
+def test_csv_join_and_json_rule():
+    assert csv_text(("a", "b"), [("1", ""), ("", "2")]) == "a,b\n1,\n,2\n"
+    assert csv_text(("a",), []) == "a\n"
+    # sorted keys, indent 2, a numpy integer as an int, a trailing newline
+    assert json_text({"b": np.int64(2), "a": [0.1, None]}) == (
+        '{\n  "a": [\n    0.1,\n    null\n  ],\n  "b": 2\n}\n'
+    )
+    # a value that is no integer is not rounded to one
+    with pytest.raises(TypeError):
+        json_text({"a": np.float32(0.5)})

@@ -14,15 +14,9 @@ from hypothesis import strategies as st
 from twinwalk import PRESETS, CoinSpinor, distribution_symmetry, timelines_and_distributions
 from twinwalk.entanglement import COEFF_EPS, branch_entropies
 from twinwalk.evolution import branch_blocks, row_exponent
-from twinwalk.figures import (
-    _FIGURE_GROUPS,
-    COMPARISON_COLUMNS,
-    OUTCOME_COLUMNS,
-    FigureFile,
-    _csv,
-    _figure_name,
-)
+from twinwalk.figures import _FIGURE_GROUPS, COMPARISON_COLUMNS, OUTCOME_COLUMNS, _figure_name
 from twinwalk.oracle import dense_trajectory, exact_run
+from twinwalk.render import csv_text
 from twinwalk.states import PROB_EPS, SUPPORT_EPS, CoinOutcome, coin_fields
 from twinwalk.verification import _dense_error, _exact_error
 
@@ -278,13 +272,13 @@ def format_number(value: float | None) -> str:
     return "" if value is None else format(value, ".12g")
 
 
-def reference_figure_bundle(steps: int, window: int) -> tuple[list[FigureFile], dict]:
+def reference_figure_bundle(steps: int, window: int) -> tuple[dict[str, str], dict]:
     """``figures.build_figure_bundle`` as it was rendered from records: each
     preset's ``timelines_and_distributions`` records, every field formatted
     by ``format_number`` one value at a time, every file rendered anew and
     each window ratio the mean of the records' ratios."""
     coins = [PRESETS[preset] for preset, _ in _FIGURE_GROUPS]
-    files = []
+    texts, entries = {}, {}
     for (preset, first), (timeline, distribution) in zip(
         _FIGURE_GROUPS, timelines_and_distributions(coins, steps)
     ):
@@ -299,9 +293,11 @@ def reference_figure_bundle(steps: int, window: int) -> tuple[list[FigureFile], 
         entry = {"preset": preset, "coin": coin_fields(PRESETS[preset])}
         for outcome in CoinOutcome:
             fields = ("step", f"entropy{outcome.value}", "max_entropy", f"ratio{outcome.value}")
-            text = _csv(OUTCOME_COLUMNS, zip(*(columns[name] for name in fields)))
             number = first + outcome.value
-            files.append(FigureFile(_figure_name(number), text, {
+            texts[_figure_name(number)] = csv_text(
+                OUTCOME_COLUMNS, zip(*(columns[name] for name in fields))
+            )
+            entries[_figure_name(number)] = {
                 "figure": number, **entry, "outcome": str(outcome),
                 "columns": list(OUTCOME_COLUMNS),
                 "panels": {
@@ -309,7 +305,7 @@ def reference_figure_bundle(steps: int, window: int) -> tuple[list[FigureFile], 
                     "ii": "entanglement ratio vs step",
                 },
                 "asymptotic_ratio": ratios[str(outcome)],
-            }))
+            }
         series = [
             [columns[name][t] for name in ("step", "entropy0", "entropy1", "ratio0", "ratio1")]
             for t in range(steps)
@@ -321,9 +317,10 @@ def reference_figure_bundle(steps: int, window: int) -> tuple[list[FigureFile], 
         series += [[""] * 5] * (length - len(series))
         places += [["", ""]] * (length - len(places))
         number = first + 2
-        files.append(FigureFile(_figure_name(number), _csv(
+        texts[_figure_name(number)] = csv_text(
             COMPARISON_COLUMNS, (a + b for a, b in zip(series, places))
-        ), {
+        )
+        entries[_figure_name(number)] = {
             "figure": number, **entry, "outcome": None,
             "columns": list(COMPARISON_COLUMNS),
             "panels": {
@@ -332,6 +329,5 @@ def reference_figure_bundle(steps: int, window: int) -> tuple[list[FigureFile], 
             },
             "asymptotic_ratio": ratios,
             "single_walker": dataclasses.asdict(distribution_symmetry(distribution, steps)),
-        }))
-    manifest = {"steps": steps, "window": window, "files": {f.name: f.manifest_entry for f in files}}
-    return files, manifest
+        }
+    return texts, {"steps": steps, "window": window, "files": entries}
